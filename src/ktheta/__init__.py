@@ -56,6 +56,7 @@ from .sections import (
     section_matrix,
     separating_section,
     separating_value,
+    shift_product,
     theta_kt,
     zeta_action,
 )

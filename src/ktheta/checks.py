@@ -38,11 +38,11 @@ from .manifold import (
 )
 from .sections import (
     ZetaShift,
-    _raw_shift_product,
     fit_in_span,
     section_matrix,
     section_matrix_with_gradients,
     separating_section,
+    shift_product,
 )
 from .symplectic import (
     BasisTorus,
@@ -276,18 +276,17 @@ def check_product_closure(cfg: RunConfig) -> CheckReport:
         fit_pts = fundamental_domain_samples(64, cfg.seed + 11 + k).copy()
         fit_pts[:, 1] = float(rng.random())
         fit_points = [KTPoint.from_array(p) for p in fit_pts]
-        for trial in range(lists_per_k):
+        members = [shift_product(_random_zero_sum_shifts(rng, k), fit_pts, policy)
+                   for _ in range(lists_per_k)]
+        broken = []
+        for _ in range(5):
             zetas = _random_zero_sum_shifts(rng, k)
-            vals = [_raw_shift_product(zetas, p, policy) for p in fit_points]
-            _, res = fit_in_span(list(zip(fit_points, vals)), k, policy)
-            worst = max(worst, res)
-        for trial in range(5):
-            zetas = _random_zero_sum_shifts(rng, k)
-            broken = [ZetaShift(zetas[0].zeta1 + 0.37 + 0.21j, zetas[0].zeta2 + 0.18 - 0.3j)]
-            broken += list(zetas[1:])
-            vals = [_raw_shift_product(broken, p, policy) for p in fit_points]
-            _, res = fit_in_span(list(zip(fit_points, vals)), k, policy)
-            neg_min = min(neg_min, res)
+            zetas[0] = ZetaShift(zetas[0].zeta1 + 0.37 + 0.21j, zetas[0].zeta2 + 0.18 - 0.3j)
+            broken.append(shift_product(zetas, fit_pts, policy))
+        _, res = fit_in_span(list(zip(fit_points, np.transpose(members))), k, policy)
+        worst = max(worst, float(res.max()))
+        _, res = fit_in_span(list(zip(fit_points, np.transpose(broken))), k, policy)
+        neg_min = min(neg_min, float(res.min()))
     residual = worst + (0.0 if neg_min > 0.1 else 1.0)
     witness = {"negative_control_min_residual": neg_min}
     return _finish(

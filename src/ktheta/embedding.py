@@ -193,21 +193,31 @@ def injectivity_scan(
     lifts = phi_batch(k, pts, policy)
     lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
 
-    gram = np.abs(lifts @ lifts.conj().T) ** 2
+    # row-major flat indices of the pairs i < j
+    pairs = np.flatnonzero(np.triu(np.ones((n_samples, n_samples), dtype=bool), 1))
+    gram = np.abs((lifts @ lifts.conj().T).ravel()[pairs]) ** 2
     np.clip(gram, 0.0, 1.0, out=gram)
-    chordal = np.sqrt(1.0 - gram)
-    iu, ju = np.triu_indices(n_samples, k=1)
-    dists = chordal[iu, ju]
-    order = np.argsort(dists, kind="stable")
+    dists = np.sqrt(1.0 - gram)
 
-    for pos in order:
-        i, j = int(iu[pos]), int(ju[pos])
-        qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
-        if qd > d_min:
-            dist = float(dists[pos])
-            return InjectivityReport(
-                k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
-            )
+    # Scan pairs in stable (distance, index) order without sorting them all:
+    # the pairs at or below the m-th smallest distance are a prefix of that
+    # order, so m grows until the prefix holds a quotient-separated pair.
+    m, seen = 64, 0
+    while seen < dists.size:
+        if m < dists.size:
+            cand = np.flatnonzero(dists <= np.partition(dists, m - 1)[m - 1])
+            cand = cand[np.argsort(dists[cand], kind="stable")]
+        else:
+            cand = np.argsort(dists, kind="stable")
+        for pos in cand[seen:]:
+            i, j = divmod(int(pairs[pos]), n_samples)
+            qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
+            if qd > d_min:
+                dist = float(dists[pos])
+                return InjectivityReport(
+                    k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
+                )
+        m, seen = 4 * m, cand.size
     # every pair was quotient-equivalent; vacuous pass
     return InjectivityReport(
         k, n_samples, seed, d_min, threshold, 1.0, (-1, -1), math.inf, True

@@ -118,10 +118,6 @@ def _gen_exponent(gen: str, u: KTPoint) -> complex:
     return 0.0 + 0.0j
 
 
-def _gen_multiplicator(gen: str, u: KTPoint) -> complex:
-    return complex(np.exp(-TWO_PI_I * _gen_exponent(gen, u)))
-
-
 def multiplicator(w: GroupWord, u: KTPoint) -> complex:
     """Automorphy factor e_w(u), built by the cocycle recursion.
 
@@ -186,20 +182,6 @@ def two_form(point: KTPoint, upper: dict[tuple[int, int], float]) -> TwoFormAtPo
 def omega_kt(u: KTPoint) -> TwoFormAtPoint:
     """The left-invariant form (dz - x dy) ^ dx + dy ^ dt at ``u``."""
     return two_form(u, {(0, 1): u.x, (0, 2): -1.0, (1, 3): 1.0})
-
-
-def left_invariant_coframe_view(form: TwoFormAtPoint) -> np.ndarray:
-    """Coefficients of the form in the coframe (dx, dy, dz - x dy, dt).
-
-    Returned as an antisymmetric 4x4 matrix in that coframe order.  The
-    change of basis is dz = (dz - x dy) + x dy at the form's base point.
-    """
-    # coordinate one-forms in terms of the coframe e = (dx, dy, dz-xdy, dt):
-    # dx = e0, dy = e1, dz = e2 + x*e1, dt = e3
-    x = form.point.x
-    basis = np.eye(4)
-    basis[2, 1] = x  # dz row
-    return basis @ form.matrix @ basis.T
 
 
 def quotient_distance(u: KTPoint, v: KTPoint, radius: int = 2) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import theta as th
 from .errors import EquivalentPoints, IllConditioned, SearchFailed, ShiftSumNonzero
-from .manifold import KTPoint, fundamental_domain_samples, quotient_distance
+from .manifold import KTPoint, fundamental_domain_samples, quotient_distance, reduce_point
 
 BASE_TAU = 1j  # modulus of the base-torus factor
 
@@ -68,9 +68,7 @@ def _split_points(pts: np.ndarray):
 
 def theta_kt(u: KTPoint, policy: th.TruncationPolicy = th.DEFAULT_POLICY) -> complex:
     """The degree-one theta function at ``u``."""
-    fib = th.theta(th.ThetaArgument(u.z + 1j * u.x, u.y + 1j), policy)
-    base = th.theta(th.ThetaArgument(u.y + 1j * u.t, BASE_TAU), policy)
-    return fib * base
+    return zeta_action(ZetaShift(0.0, 0.0), u, policy)
 
 
 def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
@@ -116,11 +114,33 @@ def section_gradient(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) ->
     return grads[0, :, idx.flat]
 
 
+def _shift_array(zetas) -> np.ndarray:
+    """(S, 2) complex array from ZetaShifts or from (zeta1, zeta2) rows."""
+    rows = [(z.zeta1, z.zeta2) if isinstance(z, ZetaShift) else z for z in zetas]
+    shifts = np.array(rows, dtype=complex).reshape(len(rows), 2)
+    if not rows or not np.isfinite(shifts).all():
+        raise ValueError("need at least one shift, with finite components")
+    return shifts
+
+
+def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
+    """prod_s theta(w1 + zeta1_s, y + i) * theta(w2 + zeta2_s, i) at points.
+
+    ``zetas`` holds S shifts, as ZetaShifts or an (S, 2) complex array;
+    ``pts`` is an (..., 4) array of points and the result has shape (...,).
+    Every factor at every point is summed in two series evaluations, one
+    for the fiber and one for the base.
+    """
+    shifts = _shift_array(zetas)
+    w1, tau1, w2 = _split_points(pts)
+    fib = th._eval_series(w1[..., None] + shifts[:, 0], tau1[..., None], policy, [(0, 0)])[0]
+    base = th._eval_series(w2[..., None] + shifts[:, 1], BASE_TAU, policy, [(0, 0)])[0]
+    return (fib * base).prod(axis=-1)
+
+
 def zeta_action(zeta: ZetaShift, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
     """Shifted product theta(w1 + zeta1, y+i) * theta(w2 + zeta2, i)."""
-    fib = th.theta(th.ThetaArgument(u.z + 1j * u.x + zeta.zeta1, u.y + 1j), policy)
-    base = th.theta(th.ThetaArgument(u.y + 1j * u.t + zeta.zeta2, BASE_TAU), policy)
-    return fib * base
+    return complex(shift_product([zeta], u.as_array(), policy))
 
 
 def product_of_shifts(zetas, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
@@ -132,26 +152,20 @@ def product_of_shifts(zetas, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
     depend on the fiber modulus y + i, so the combination is constant along
     each leaf but varies from leaf to leaf.
     """
-    zetas = list(zetas)
-    s1 = sum(z.zeta1 for z in zetas)
-    s2 = sum(z.zeta2 for z in zetas)
+    shifts = _shift_array(zetas)
+    s1, s2 = shifts.sum(axis=0)
     if abs(s1) > 1e-12 or abs(s2) > 1e-12:
         raise ShiftSumNonzero(f"shift sums ({s1}, {s2}) are nonzero")
-    return _raw_shift_product(zetas, u, policy)
-
-
-def _raw_shift_product(zetas, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
-    val = 1.0 + 0.0j
-    for z in zetas:
-        val *= zeta_action(z, u, policy)
-    return val
+    return complex(shift_product(shifts, u.as_array(), policy))
 
 
 def fit_in_span(samples, k: int, policy=th.DEFAULT_POLICY):
     """Least-squares fit of sampled values against the k^2 basis sections.
 
     ``samples`` is a sequence of (KTPoint, value) pairs, at least 2*k^2 of
-    them.  Returns (coefficients, relative l2 residual).
+    them.  Returns (coefficients, relative l2 residual).  A value may be a
+    length-m vector holding m functions sampled at that point; they share
+    one design matrix and get a (k^2, m) coefficient array and m residuals.
     """
     pts = np.array([s[0].as_array() for s in samples])
     vals = np.array([s[1] for s in samples], dtype=complex)
@@ -162,8 +176,8 @@ def fit_in_span(samples, k: int, policy=th.DEFAULT_POLICY):
     if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e12:
         raise IllConditioned("sample matrix condition number exceeds 1e12")
     coeffs, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = float(np.linalg.norm(design @ coeffs - vals) / np.linalg.norm(vals))
-    return coeffs, residual
+    residual = np.linalg.norm(design @ coeffs - vals, axis=0) / np.linalg.norm(vals, axis=0)
+    return coeffs, residual if vals.ndim > 1 else float(residual)
 
 
 @dataclass(frozen=True)
@@ -190,7 +204,7 @@ class SeparationResult:
 
 def separating_value(result: SeparationResult, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
     """Evaluate the separating section of ``result`` at a point."""
-    return _raw_shift_product(result.zetas, u, policy)
+    return complex(shift_product(result.zetas, u.as_array(), policy))
 
 
 def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
@@ -207,6 +221,7 @@ def _try_branch(branch, u, v, policy, rng, retries, probes):
     w1u = u.z + 1j * u.x
     w2u = u.y + 1j * u.t
     half = th.theta_zero(BASE_TAU)  # z = 1/2 kills a theta factor
+    pts = np.vstack([probes, u.as_array(), v.as_array()])
     for _ in range(retries):
         if branch == "base":
             gamma = half - w2u
@@ -220,10 +235,9 @@ def _try_branch(branch, u, v, policy, rng, retries, probes):
             complex(alpha), complex(beta), complex(gamma), complex(delta),
             0.0, 0.0, 0.0, branch,
         )
-        zetas = result.zetas
-        scale = max(abs(_raw_shift_product(zetas, KTPoint.from_array(pt), policy)) for pt in probes)
-        s_u = _raw_shift_product(zetas, u, policy)
-        s_v = _raw_shift_product(zetas, v, policy)
+        vals = shift_product(result.zetas, pts, policy)
+        scale = float(np.abs(vals[:-2]).max())
+        s_u, s_v = complex(vals[-2]), complex(vals[-1])
         if scale > 0 and abs(s_u) < 1e-8 * scale and abs(s_v) > 1e-3 * scale:
             return SeparationResult(
                 result.alpha, result.beta, result.gamma, result.delta,
@@ -249,8 +263,8 @@ def separating_section(
     """
     if quotient_distance(u, v) < 1e-8:
         raise EquivalentPoints("points coincide on the quotient")
-    u, _ = reduce_mod_lattice(u)
-    v, _ = reduce_mod_lattice(v)
+    u, _ = reduce_point(u)
+    v, _ = reduce_point(v)
     rng = np.random.default_rng(seed)
     probes = fundamental_domain_samples(24, seed=1729)
 
@@ -265,10 +279,3 @@ def separating_section(
         if found is not None:
             return found
     raise SearchFailed(f"no separating section after {retries} seeded attempts per branch")
-
-
-def reduce_mod_lattice(u: KTPoint):
-    """Thin re-export of the fundamental-domain reduction."""
-    from .manifold import reduce_point
-
-    return reduce_point(u)

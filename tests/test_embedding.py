@@ -1,8 +1,11 @@
 """Projective maps: factorization, ranks, injectivity, invariance."""
 
+import math
+
 import numpy as np
 import pytest
 
+import ktheta.embedding as embedding_module
 from ktheta import (
     AllSectionsVanish,
     DimensionMismatch,
@@ -20,9 +23,11 @@ from ktheta import (
     projective_rank,
     psi_double_prime,
     psi_prime,
+    quotient_distance,
     segre,
 )
 from ktheta.embedding import generator_invariance_residual
+from ktheta.manifold import act_on_array
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -214,3 +219,51 @@ class TestInjectivityScan:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             injectivity_scan(3, 1, 0)
+
+    @pytest.mark.parametrize("k, n, seed", [(3, 2000, 42), (16, 2000, 1), (2, 500, 3)])
+    def test_matches_full_sort_reference(self, k, n, seed):
+        report = injectivity_scan(k, n, seed)
+        assert report_fields(report) == full_sort_scan(k, fundamental_domain_samples(n, seed))
+
+    @pytest.mark.parametrize("case", ["copies", "many_ties", "straddle", "all_equivalent"])
+    def test_duplicated_points_match_reference(self, monkeypatch, case):
+        distinct = fundamental_domain_samples(10, 5)
+        near = distinct[:1] + np.array([0.0, 0.0, 0.01, 0.0])
+        pts = {
+            # repeated points and lattice translates: quotient distance 0
+            "copies": np.vstack([np.repeat(distinct, 4, axis=0),
+                                 act_on_array(GENERATORS["c"], distinct)]),
+            # more tied near-zero pairs than the first candidate batch holds
+            "many_ties": np.vstack([np.repeat(distinct[:1], 30, axis=0), distinct[1:]]),
+            # 55 coincident pairs, then 11 equal separated distances across the 64th
+            "straddle": np.vstack([near, np.repeat(distinct[:1], 11, axis=0), distinct[4:]]),
+            "all_equivalent": np.repeat(distinct[:1], 6, axis=0),
+        }[case]
+        monkeypatch.setattr(embedding_module, "fundamental_domain_samples",
+                            lambda n, seed: pts)
+        report = injectivity_scan(3, len(pts), 0)
+        assert report_fields(report) == full_sort_scan(3, pts)
+        if case == "all_equivalent":
+            assert report.witness_indices == (-1, -1) and report.passed
+
+
+def report_fields(report):
+    return (report.min_image_distance, report.witness_indices,
+            report.witness_quotient_distance)
+
+
+def full_sort_scan(k, pts, d_min=1e-3):
+    """Oracle: stable-sort every pairwise chordal distance, take the first
+    quotient-separated pair."""
+    lifts = phi_batch(k, pts)
+    lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
+    gram = np.abs(lifts @ lifts.conj().T) ** 2
+    np.clip(gram, 0.0, 1.0, out=gram)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    dists = np.sqrt(1.0 - gram)[iu, ju]
+    for pos in np.argsort(dists, kind="stable"):
+        i, j = int(iu[pos]), int(ju[pos])
+        qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
+        if qd > d_min:
+            return float(dists[pos]), (i, j), qd
+    return 1.0, (-1, -1), math.inf

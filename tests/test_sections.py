@@ -1,6 +1,7 @@
 """KT sections: basis, tensor law, shift products, separating sections."""
 
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ktheta import (
     EquivalentPoints,
     GENERATORS,
+    GroupWord,
     IllConditioned,
     KTPoint,
     SectionIndex,
@@ -30,7 +32,8 @@ from ktheta import (
     theta_kt,
     zeta_action,
 )
-from ktheta.sections import BASE_TAU, section_matrix_with_gradients
+from ktheta.checks import RunConfig, check_product_closure, check_separating_sections
+from ktheta.sections import BASE_TAU, section_matrix_with_gradients, shift_product
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -157,10 +160,73 @@ class TestZetaAction:
         assert abs(zeta_action(zeta, U0)) < 1e-12
 
 
+def scalar_shift_product(shifts, u):
+    """Oracle: one scalar theta call per factor, multiplied in order."""
+    val = 1.0 + 0.0j
+    for z1, z2 in shifts:
+        val *= theta(ThetaArgument(u.z + 1j * u.x + z1, u.y + 1j))
+        val *= theta(ThetaArgument(u.y + 1j * u.t + z2, 1j))
+    return val
+
+
+def shift_test_points():
+    """Fundamental-domain samples and lattice moves act(w, U0), exponents in [-2, 2]."""
+    rng = np.random.default_rng(11)
+    moved = [
+        act(GroupWord(*(int(e) for e in rng.integers(-2, 3, 4))), U0).as_array()
+        for _ in range(12)
+    ]
+    return np.vstack([fundamental_domain_samples(12, 12), moved])
+
+
+class TestShiftProduct:
+    @pytest.mark.parametrize("n_shifts", [1, 2, 3, 4])
+    def test_matches_scalar_oracle(self, n_shifts):
+        rng = np.random.default_rng(30 + n_shifts)
+        shifts = rng.random((n_shifts, 2)) + 1j * 0.6 * (rng.random((n_shifts, 2)) - 0.5)
+        pts = shift_test_points()
+        want = np.array([scalar_shift_product(shifts, KTPoint.from_array(p)) for p in pts])
+        batch = shift_product(shifts, pts)
+        assert batch.shape == (len(pts),)
+        assert np.all(np.abs(batch - want) <= 1e-12 * np.abs(want))
+        zetas = [ZetaShift(complex(a), complex(b)) for a, b in shifts]
+        for p, w in zip(pts, want):
+            single = shift_product(zetas, p)
+            assert single.shape == ()
+            assert abs(single - w) <= 1e-12 * abs(w)
+
+    def test_rejects_malformed_shifts(self):
+        with pytest.raises(ValueError):
+            shift_product([], U0.as_array())
+        with pytest.raises(ValueError):
+            shift_product(np.ones((2, 3)), U0.as_array())
+        with pytest.raises(ValueError):
+            shift_product([(np.inf, 0.0)], U0.as_array())
+
+    def test_series_calls_per_shift_list_and_search(self, monkeypatch):
+        # a batched evaluation sums each shift list in a few series calls;
+        # a per-point loop would make thousands
+        theta_module = sys.modules["ktheta.theta"]
+        original = theta_module._eval_series
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "_eval_series", counting)
+        for check, units in ((check_product_closure, 110), (check_separating_sections, 100)):
+            calls.clear()
+            assert check(RunConfig()).passed
+            assert 0 < len(calls) <= 4 * units
+
+
 class TestProductOfShifts:
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ShiftSumNonzero):
             product_of_shifts([ZetaShift(0.1, 0.0), ZetaShift(0.0, 0.0)], U0)
+        with pytest.raises(ShiftSumNonzero):
+            product_of_shifts(np.array([[0.1, 0.2j], [-0.1, 0.0]]), U0)
 
     def test_zero_shifts_cube(self):
         zetas = [ZetaShift(0, 0)] * 3
@@ -259,6 +325,37 @@ class TestSeparatingSections:
         res = separating_section(u, v, seed=8)
         assert abs(separating_value(res, u) - res.value_at_u) < 1e-12 * res.scale
         assert abs(separating_value(res, v) - res.value_at_v) < 1e-12 * res.scale
+
+    @pytest.mark.parametrize(
+        "u, v, seed, expected",
+        [
+            (
+                (0.1, 0.2, 0.3, 0.4), (0.8, 0.6, 0.9, 0.1), 5,
+                (0.8050029237453802 + 0.009195336625285199j,
+                 0.8079407897364937 - 0.12851917194711504j,
+                 0.3 - 0.4j,
+                 0.053930702381656426 - 0.06997867152868906j, "base"),
+            ),
+            (
+                (0.15, 0.5, 0.25, 0.6), (0.75, 0.5, 0.65, 0.6), 6,
+                (0.25 - 0.15j,
+                 0.5381643514719432 - 0.09403747811199693j,
+                 0.36906723979537825 + 0.29246699411187993j,
+                 0.37449676558788236 + 0.07965376356428763j, "fiber"),
+            ),
+            (
+                (0.62, 0.13, 0.91, 0.27), (0.05, 0.71, 0.44, 0.88), 11,
+                (0.12857020276919962 + 0.060899014574014476j,
+                 0.49927786244011496 - 0.2827865949768333j,
+                 0.37 - 0.27j,
+                 0.14792608457745593 + 0.25692661377622167j, "base"),
+            ),
+        ],
+    )
+    def test_seeded_shift_parameters_are_pinned(self, u, v, seed, expected):
+        # the seeded draws and the gates fix the returned shifts exactly
+        res = separating_section(KTPoint(*u), KTPoint(*v), seed=seed)
+        assert (res.alpha, res.beta, res.gamma, res.delta, res.branch) == expected
 
     def test_equivalent_points_rejected(self):
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
