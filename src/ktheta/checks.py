@@ -20,8 +20,6 @@ from .embedding import (
     chordal_distance,
     injectivity_scan,
     phi_batch,
-    psi_double_prime,
-    psi_prime,
     segre,
     ProjectivePoint,
 )
@@ -30,14 +28,14 @@ from .manifold import (
     GENERATORS,
     GroupWord,
     KTPoint,
-    act,
     act_on_array,
     cocycle_residual,
     fundamental_domain_samples,
-    multiplicator,
+    multiplicator_exponent,
 )
 from .sections import (
     ZetaShift,
+    factors,
     fit_in_span,
     section_matrix,
     section_matrix_with_gradients,
@@ -50,6 +48,7 @@ from .symplectic import (
     chern_cocycle,
     chern_via_multiplicators,
     decompose_left_invariant,
+    exterior_derivative_residuals,
     fs_normalization,
     fs_pullback_batch,
     integrate_over_torus,
@@ -213,8 +212,11 @@ def check_dimension_ranks(cfg: RunConfig) -> CheckReport:
     worst = 0.0
     total = 0
     for k in (2, 3):
-        z = rng.random(8 * k) + 1j * 0.4 * (rng.random(8 * k) - 0.5)
-        vals, _ = th._degree_basis_batch(k, z, 1j + 0 * z, policy)
+        # the base factor at (y, t) = (Re z, Im z) is the classical basis at (z, i)
+        base_pts = np.zeros((8 * k, 4))
+        base_pts[:, 1] = rng.random(8 * k)
+        base_pts[:, 3] = 0.4 * (rng.random(8 * k) - 0.5)
+        _, vals = factors(k, base_pts, policy)
         worst = max(worst, abs(_numerical_rank(vals) - k))
         pts = fundamental_domain_samples(8 * k * k, cfg.seed + 4 + k)
         worst = max(worst, abs(_numerical_rank(section_matrix(k, pts, policy)) - k * k))
@@ -234,10 +236,8 @@ def check_tensor_power_law(cfg: RunConfig) -> CheckReport:
         base = section_matrix(k, pts, policy)
         for name, g in GENERATORS.items():
             moved = section_matrix(k, act_on_array(g, pts), policy)
-            factors = np.array(
-                [multiplicator(g, KTPoint.from_array(p)) ** k for p in pts]
-            )
-            num = np.abs(moved - factors[:, None] * base).max(axis=1)
+            e_k = np.exp(-2j * math.pi * k * multiplicator_exponent(g, pts))
+            num = np.abs(moved - e_k[:, None] * base).max(axis=1)
             den = np.maximum(np.abs(moved).max(axis=1), 1e-300)
             res = float((num / den).max())
             if res > worst:
@@ -366,10 +366,10 @@ def check_segre_factorization(cfg: RunConfig) -> CheckReport:
     pts = fundamental_domain_samples(n, cfg.seed + 16)
     policy = cfg.policy
     lifts = phi_batch(cfg.k, pts, policy)
+    fiber, base = factors(cfg.k, pts, policy)
     worst = 0.0
     for i in range(n):
-        u = KTPoint.from_array(pts[i])
-        combined = segre(psi_prime(cfg.k, u, policy), psi_double_prime(cfg.k, u, policy))
+        combined = segre(ProjectivePoint(fiber[i]), ProjectivePoint(base[i]))
         worst = max(worst, chordal_distance(ProjectivePoint(lifts[i]), combined))
     return _finish("segre_factorization", {"k": cfg.k}, n, worst, 1e-12, None, t0)
 
@@ -428,24 +428,7 @@ def check_closedness(cfg: RunConfig) -> CheckReport:
     n = cfg.count(100)
     h = cfg.fd_step
     pts = fundamental_domain_samples(n, cfg.seed + 23)
-    # fourth-order five-point stencil, as in exterior_derivative_residual
-    shifts = np.zeros((16, 4))
-    for i in range(4):
-        shifts[4 * i + 0, i] = 2 * h
-        shifts[4 * i + 1, i] = h
-        shifts[4 * i + 2, i] = -h
-        shifts[4 * i + 3, i] = -2 * h
-    stacked = (pts[:, None, :] + shifts[None, :, :]).reshape(-1, 4)
-    mats = fs_pullback_batch("phi_k", cfg.k, stacked, cfg.policy).reshape(n, 4, 4, 4, 4)
-    deriv = (
-        -mats[:, :, 0] + 8.0 * mats[:, :, 1] - 8.0 * mats[:, :, 2] + mats[:, :, 3]
-    ) / (12.0 * h)  # (n, 4, 4, 4)
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for l in range(j + 1, 4):
-                comp = deriv[:, i, j, l] - deriv[:, j, i, l] + deriv[:, l, i, j]
-                worst = max(worst, float(np.abs(comp).max()))
+    worst = float(exterior_derivative_residuals("phi_k", cfg.k, pts, h, cfg.policy).max())
     return _finish("closedness", {"k": cfg.k, "h": h}, n, worst, 1e-6, None, t0)
 
 

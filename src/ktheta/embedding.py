@@ -1,9 +1,10 @@
 """Projective maps into CP^{k-1} x CP^{k-1} and CP^{k^2-1}, and their rank.
 
-phi_k lists the k^2 basis sections in the fixed flattening p*k + q; it
-factors through the Segre map applied to the fiber map psi' and the base
-map psi''.  Injectivity and the immersion property are verified by seeded
-sampling and SVD rank counts.
+phi_k lists the k^2 basis sections in the fixed flattening p*k + q.  It is
+built as the Segre product of the fiber map psi' and the base map psi'',
+which are the fiber and base lifts of ``sections.factors``.  Injectivity
+and the immersion property are verified by seeded sampling and SVD rank
+counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .manifold import (
     fundamental_domain_samples,
     quotient_distance,
 )
-from .sections import section_matrix, section_matrix_with_gradients
+from .sections import factors, section_matrix, section_matrix_with_gradients
 
 
 @dataclass(frozen=True)
@@ -59,27 +60,14 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return min(1.0, float(np.linalg.norm(resid)))
 
 
-def _fiber_coords(k, pts, policy):
-    w1 = pts[..., 2] + 1j * pts[..., 0]
-    tau1 = pts[..., 1] + 1j
-    vals, _ = th._degree_basis_batch(k, w1, tau1, policy)
-    return np.moveaxis(vals, 0, -1)
-
-
-def _base_coords(k, pts, policy):
-    w2 = pts[..., 1] + 1j * pts[..., 3]
-    vals, _ = th._degree_basis_batch(k, w2, 1j + 0 * w2, policy)
-    return np.moveaxis(vals, 0, -1)
-
-
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)]."""
-    return ProjectivePoint(_fiber_coords(k, u.as_array(), policy))
+    return ProjectivePoint(factors(k, u.as_array(), policy)[0])
 
 
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)]."""
-    return ProjectivePoint(_base_coords(k, u.as_array(), policy))
+    return ProjectivePoint(factors(k, u.as_array(), policy)[1])
 
 
 def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:

@@ -109,39 +109,25 @@ def reduce_point(u: KTPoint) -> tuple[KTPoint, GroupWord]:
     return KTPoint(x0, y0, z0, t0), GroupWord(m, n, p, q)
 
 
-def _gen_exponent(gen: str, u: KTPoint) -> complex:
-    """f with e_gen(u) = exp(-2*pi*i*f(u))."""
-    if gen == "a":
-        return u.z + 1j * u.x
-    if gen == "d":
-        return u.y + 1j * u.t
-    return 0.0 + 0.0j
+def multiplicator_exponent(w: GroupWord, pts: np.ndarray) -> np.ndarray:
+    """f_w with e_w = exp(-2*pi*i*f_w) at an (..., 4) array of points, shape (...,).
+
+    Closed form of the cocycle recursion e_{gw'}(u) = e_g(w'.u) * e_{w'}(u)
+    over the normal form a^m b^n c^p d^q, from e_a(u) = exp(-2*pi*i*(z+ix)),
+    e_d(u) = exp(-2*pi*i*(y+it)) and e_b = e_c = 1; integer real parts,
+    which do not change e_w, are dropped.
+    """
+    pts = np.asarray(pts, dtype=float)
+    # a single point unpacks to Python floats, whose arithmetic is much cheaper
+    x, y, z, t = pts.tolist() if pts.ndim == 1 else np.moveaxis(pts, -1, 0)
+    m, q = w.m, w.q
+    return (m * (z + 1j * x) + (m * (m - 1) / 2.0) * (y + 1j)
+            + q * (y + 1j * t) + 1j * (q * (q - 1) / 2.0))
 
 
 def multiplicator(w: GroupWord, u: KTPoint) -> complex:
-    """Automorphy factor e_w(u), built by the cocycle recursion.
-
-    e_{gw'}(u) = e_g(w'.u) * e_{w'}(u) over the normal-form factorization,
-    with e_a(u) = exp(-2*pi*i*(z+ix)), e_d(u) = exp(-2*pi*i*(y+it)) and
-    e_b = e_c = 1.  The generator exponents are accumulated and
-    exponentiated once, which avoids intermediate overflow and keeps the
-    phase accurate for long words.
-    """
-    expo = 0.0 + 0.0j
-    point = u
-    # rightmost factor acts first
-    for gen, count in (("d", w.q), ("c", w.p), ("b", w.n), ("a", w.m)):
-        g = GENERATORS[gen]
-        if count >= 0:
-            for _ in range(count):
-                expo += _gen_exponent(gen, point)
-                point = act(g, point)
-        else:
-            ginv = inverse(g)
-            for _ in range(-count):
-                point = act(ginv, point)
-                expo -= _gen_exponent(gen, point)
-    return complex(np.exp(-TWO_PI_I * expo))
+    """Automorphy factor e_w(u) = exp(-2*pi*i*f_w(u))."""
+    return complex(np.exp(-TWO_PI_I * multiplicator_exponent(w, u.as_array())))
 
 
 def cocycle_residual(w1: GroupWord, w2: GroupWord, u: KTPoint) -> float:
@@ -179,9 +165,19 @@ def two_form(point: KTPoint, upper: dict[tuple[int, int], float]) -> TwoFormAtPo
     return TwoFormAtPoint(point, mat)
 
 
+def omega_kt_matrix(pts: np.ndarray) -> np.ndarray:
+    """Coefficients of (dz - x dy) ^ dx + dy ^ dt at (..., 4) points, (..., 4, 4)."""
+    pts = np.asarray(pts, dtype=float)
+    upper = np.zeros(pts.shape[:-1] + (4, 4))
+    upper[..., 0, 1] = pts[..., 0]
+    upper[..., 0, 2] = -1.0
+    upper[..., 1, 3] = 1.0
+    return upper - np.swapaxes(upper, -1, -2)
+
+
 def omega_kt(u: KTPoint) -> TwoFormAtPoint:
     """The left-invariant form (dz - x dy) ^ dx + dy ^ dt at ``u``."""
-    return two_form(u, {(0, 1): u.x, (0, 2): -1.0, (1, 3): 1.0})
+    return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
 
 
 def quotient_distance(u: KTPoint, v: KTPoint, radius: int = 2) -> float:

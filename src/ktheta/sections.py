@@ -8,8 +8,12 @@ and the degree-k space is spanned by the k^2 products
 
     s_{p,q}(u) = theta_k^p(z + i x, y + i) * theta_k^q(y + i t, i),
 
-flattened project-wide as index p*k + q.  Sections transform under the
-deck group by the k-th power of the multiplicators.
+flattened project-wide as index p*k + q.  ``factors`` evaluates the two
+factor lifts, the fiber map psi' = theta_k^p(z + i x, y + i) and the base
+map psi'' = theta_k^q(y + i t, i), with their coordinate partials; the
+basis values are their Segre outer product and the basis gradients follow
+by the product rule.  Sections transform under the deck group by the k-th
+power of the multiplicators.
 """
 
 from __future__ import annotations
@@ -71,36 +75,49 @@ def theta_kt(u: KTPoint, policy: th.TruncationPolicy = th.DEFAULT_POLICY) -> com
     return zeta_action(ZetaShift(0.0, 0.0), u, policy)
 
 
-def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Values of all k^2 basis sections at points, shape (B, k^2)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
+    """Fiber and base factor lifts of the degree-k basis at (..., 4) points.
+
+    Returns ``(fiber, base)``, the values theta_k^p(z + i x, y + i) and
+    theta_k^q(y + i t, i) with the residue axis last, shape (..., k).  With
+    ``gradients`` it returns ``(fiber, d_fiber), (base, d_base)``, where the
+    (d/dx, d/dy, d/dz, d/dt) partials have shape (..., 4, k): the fiber
+    depends on x, z through w = z + i x and on y through its modulus, the
+    base on y, t through w = y + i t.
+    """
     w1, tau1, w2 = _split_points(pts)
-    fib, _ = th._degree_basis_batch(k, w1, tau1, policy)          # (k, B)
-    base, _ = th._degree_basis_batch(k, w2, BASE_TAU + 0 * w2, policy)
-    vals = np.einsum("p...,q...->...pq", fib, base)
-    return vals.reshape(pts.shape[:-1] + (k * k,))
+    fiber, fib_w, *fib_tau = th._degree_basis_batch(k, w1, tau1, policy, want_tau=gradients)
+    base, base_w = th._degree_basis_batch(k, w2, np.full_like(w2, BASE_TAU), policy)
+    # The residue and partial axes move last as transposed views, so memory
+    # keeps the point axes innermost; numpy keeps that order in products,
+    # and the k^2 assemblies run long inner loops.
+    to_last = (*range(1, fiber.ndim), 0)
+    if not gradients:
+        return fiber.transpose(to_last), base.transpose(to_last)
+    zero = np.zeros_like(fiber)
+    d_fiber = np.array([1j * fib_w, fib_tau[0], fib_w, zero])
+    d_base = np.array([zero, base_w, zero, 1j * base_w])
+    partials_last = (*range(2, fiber.ndim + 1), 0, 1)
+    return ((fiber.transpose(to_last), d_fiber.transpose(partials_last)),
+            (base.transpose(to_last), d_base.transpose(partials_last)))
+
+
+def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
+    """Values of all k^2 basis sections at (..., 4) points, shape (..., k^2)."""
+    fiber, base = factors(k, np.atleast_2d(pts), policy)
+    return (fiber[..., :, None] * base[..., None, :]).reshape(fiber.shape[:-1] + (k * k,))
 
 
 def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY):
-    """Values (B, k^2) and coordinate gradients (B, 4, k^2) of the basis.
+    """Values (..., k^2) and coordinate gradients (..., 4, k^2) of the basis.
 
     Gradients are analytic chain-rule derivatives; no finite differences.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    w1, tau1, w2 = _split_points(pts)
-    fib, fib_w, fib_tau = th._degree_basis_batch(k, w1, tau1, policy, want_tau=True)
-    base, base_w = th._degree_basis_batch(k, w2, BASE_TAU + 0 * w2, policy)
-
-    vals = np.einsum("pb,qb->bpq", fib, base)
-    grads = np.empty((pts.shape[0], 4, k, k), dtype=complex)
-    fw_g = np.einsum("pb,qb->bpq", fib_w, base)
-    f_gw = np.einsum("pb,qb->bpq", fib, base_w)
-    grads[:, 0] = 1j * fw_g                                        # d/dx
-    grads[:, 1] = np.einsum("pb,qb->bpq", fib_tau, base) + f_gw    # d/dy
-    grads[:, 2] = fw_g                                             # d/dz
-    grads[:, 3] = 1j * f_gw                                        # d/dt
-    n2 = k * k
-    return vals.reshape(-1, n2), grads.reshape(-1, 4, n2)
+    (fiber, d_fiber), (base, d_base) = factors(k, np.atleast_2d(pts), policy, gradients=True)
+    vals = fiber[..., :, None] * base[..., None, :]
+    grads = d_fiber[..., :, None] * base[..., None, None, :]  # product rule
+    grads += fiber[..., None, :, None] * d_base[..., None, :]
+    return vals.reshape(vals.shape[:-2] + (k * k,)), grads.reshape(grads.shape[:-2] + (k * k,))
 
 
 def section(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
@@ -218,8 +235,7 @@ def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
 
 def _try_branch(branch, u, v, policy, rng, retries, probes):
     """One branch of the separating-section search; None when retries run out."""
-    w1u = u.z + 1j * u.x
-    w2u = u.y + 1j * u.t
+    w1u, _, w2u = _split_points(u.as_array())
     half = th.theta_zero(BASE_TAU)  # z = 1/2 kills a theta factor
     pts = np.vstack([probes, u.as_array(), v.as_array()])
     for _ in range(retries):
@@ -273,7 +289,7 @@ def separating_section(
     for branch in order:
         if branch == "fiber" and primary == "base":
             # fallback only makes sense when the fiber coordinates differ
-            if abs((v.z + 1j * v.x) - (u.z + 1j * u.x)) < 1e-8:
+            if abs(_split_points(v.as_array())[0] - _split_points(u.as_array())[0]) < 1e-8:
                 continue
         found = _try_branch(branch, u, v, policy, rng, retries, probes)
         if found is not None:

@@ -13,6 +13,7 @@ over the whole chart and must return 1 before Chern-number runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .manifold import (
     GEN_B,
     GEN_C,
     GEN_D,
+    GENERATORS,
     GroupWord,
     KTPoint,
     TwoFormAtPoint,
@@ -33,9 +35,10 @@ from .manifold import (
     compose,
     inverse,
     multiplicator,
-    omega_kt,
+    multiplicator_exponent,
+    omega_kt_matrix,
 )
-from .sections import section_matrix_with_gradients
+from .sections import factors, section_matrix_with_gradients
 
 MAP_IDS = ("phi_k", "psi_prime", "psi_double_prime", "omega_kt")
 
@@ -43,32 +46,6 @@ MAP_IDS = ("phi_k", "psi_prime", "psi_double_prime", "omega_kt")
 @dataclass(frozen=True)
 class PullbackForm(TwoFormAtPoint):
     """A pulled-back 2-form at a base point, in the (dx, dy, dz, dt) basis."""
-
-
-def _lift_and_partials(map_id: str, k: int, pts: np.ndarray, policy):
-    """Lift values (B, n) and coordinate partials (B, 4, n) for a map."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if map_id == "phi_k":
-        return section_matrix_with_gradients(k, pts, policy)
-
-    nb = pts.shape[0]
-    if map_id == "psi_prime":
-        w = pts[:, 2] + 1j * pts[:, 0]
-        tau = pts[:, 1] + 1j
-        vals, dw, dtau = th._degree_basis_batch(k, w, tau, policy, want_tau=True)
-        grads = np.zeros((nb, 4, k), dtype=complex)
-        grads[:, 0] = (1j * dw).T
-        grads[:, 1] = dtau.T
-        grads[:, 2] = dw.T
-        return vals.T.copy(), grads
-    if map_id == "psi_double_prime":
-        w = pts[:, 1] + 1j * pts[:, 3]
-        vals, dw = th._degree_basis_batch(k, w, 1j + 0 * w, policy)
-        grads = np.zeros((nb, 4, k), dtype=complex)
-        grads[:, 1] = dw.T
-        grads[:, 3] = (1j * dw).T
-        return vals.T.copy(), grads
-    raise ValueError(f"unknown map_id {map_id!r}; expected one of {MAP_IDS}")
 
 
 def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -83,18 +60,15 @@ def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Pullback coefficient matrices at an (B, 4) array of points."""
+    pts = np.atleast_2d(pts)
     if map_id == "omega_kt":
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros((pts.shape[0], 4, 4))
-        out[:, 0, 1] = pts[:, 0]
-        out[:, 1, 0] = -pts[:, 0]
-        out[:, 0, 2] = -1.0
-        out[:, 2, 0] = 1.0
-        out[:, 1, 3] = 1.0
-        out[:, 3, 1] = -1.0
-        return out
-    vals, grads = _lift_and_partials(map_id, k, pts, policy)
-    return _fs_from_lift(vals, grads)
+        return omega_kt_matrix(pts)
+    if map_id == "phi_k":
+        return _fs_from_lift(*section_matrix_with_gradients(k, pts, policy))
+    if map_id in ("psi_prime", "psi_double_prime"):
+        fiber, base = factors(k, pts, policy, gradients=True)
+        return _fs_from_lift(*(fiber if map_id == "psi_prime" else base))
+    raise ValueError(f"unknown map_id {map_id!r}; expected one of {MAP_IDS}")
 
 
 def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> PullbackForm:
@@ -180,36 +154,36 @@ def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
     return m[..., 0, 1] * m[..., 2, 3] - m[..., 0, 2] * m[..., 1, 3] + m[..., 0, 3] * m[..., 1, 2]
 
 
-def exterior_derivative_residual(
-    map_id: str, k: int, u: KTPoint, h: float = 1e-4, policy=th.DEFAULT_POLICY
-) -> float:
-    """Max 3-form component of d(pullback) by finite differences of step ``h``.
+def exterior_derivative_residuals(
+    map_id: str, k: int, pts: np.ndarray, h: float = 1e-4, policy=th.DEFAULT_POLICY
+) -> np.ndarray:
+    """Max 3-form component of d(pullback) at (B, 4) points, shape (B,).
 
-    Uses the fourth-order five-point stencil: the second-order truncation
-    error of plain central differences does not cancel across the d terms
-    and would dominate the residual at the default step.
+    Finite differences of step ``h`` with the fourth-order five-point
+    stencil: the second-order truncation error of plain central differences
+    does not cancel across the d terms and would dominate the residual at
+    the default step.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    base = u.as_array()
-    shifts = np.zeros((16, 4))
-    for i in range(4):
-        shifts[4 * i + 0, i] = 2 * h
-        shifts[4 * i + 1, i] = h
-        shifts[4 * i + 2, i] = -h
-        shifts[4 * i + 3, i] = -2 * h
-    mats = fs_pullback_batch(map_id, k, base + shifts, policy)
-    deriv = np.empty((4, 4, 4))
-    for i in range(4):
-        m = mats[4 * i : 4 * i + 4]
-        deriv[i] = (-m[0] + 8.0 * m[1] - 8.0 * m[2] + m[3]) / (12.0 * h)
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for l in range(j + 1, 4):
-                comp = deriv[i, j, l] - deriv[j, i, l] + deriv[l, i, j]
-                worst = max(worst, abs(comp))
-    return worst
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    steps = np.array([2.0, 1.0, -1.0, -2.0]) * h
+    shifts = np.kron(np.eye(4), steps[:, None])  # row 4*i + s steps coordinate i by steps[s]
+    stacked = (pts[:, None, :] + shifts).reshape(-1, 4)
+    mats = fs_pullback_batch(map_id, k, stacked, policy).reshape(-1, 4, 4, 4, 4)
+    deriv = (
+        -mats[:, :, 0] + 8.0 * mats[:, :, 1] - 8.0 * mats[:, :, 2] + mats[:, :, 3]
+    ) / (12.0 * h)  # deriv[:, i] = d/du_i of the pullback matrix
+    i, j, l = np.array(list(itertools.combinations(range(4), 3))).T
+    comps = deriv[:, i, j, l] - deriv[:, j, i, l] + deriv[:, l, i, j]
+    return np.abs(comps).max(axis=1)
+
+
+def exterior_derivative_residual(
+    map_id: str, k: int, u: KTPoint, h: float = 1e-4, policy=th.DEFAULT_POLICY
+) -> float:
+    """``exterior_derivative_residuals`` at a single point."""
+    return float(exterior_derivative_residuals(map_id, k, u.as_array(), h, policy)[0])
 
 
 TORUS_AXES = {
@@ -294,17 +268,6 @@ def chern_cocycle(w1: GroupWord, w2: GroupWord, w3: GroupWord, u: KTPoint) -> fl
     return float(total.imag / (2.0 * math.pi))
 
 
-BRANCH_EXPONENTS = {
-    # e_w(u) = exp(2*pi*i*f_w(u)) for the generators
-    "a": lambda u: -(u.z + 1j * u.x),
-    "b": lambda u: 0.0 + 0.0j,
-    "c": lambda u: 0.0 + 0.0j,
-    "d": lambda u: -(u.y + 1j * u.t),
-}
-
-_WORD_TO_BRANCH = {GEN_A: "a", GEN_B: "b", GEN_C: "c", GEN_D: "d"}
-
-
 def chern_for_generator_pair(lam: GroupWord, mu: GroupWord, u: KTPoint | None = None) -> int:
     """Chern number f_mu(u) + f_lam(mu.u) - f_lam(u) - f_mu(lam.u) for a pair.
 
@@ -313,13 +276,16 @@ def chern_for_generator_pair(lam: GroupWord, mu: GroupWord, u: KTPoint | None = 
     """
     if compose(lam, mu) != compose(mu, lam):
         raise NonCommutingPair(f"words {lam} and {mu} do not commute")
-    if lam not in _WORD_TO_BRANCH or mu not in _WORD_TO_BRANCH:
+    generators = GENERATORS.values()
+    if lam not in generators or mu not in generators:
         raise ValueError("branch functions are defined for single generators")
     if u is None:
         u = KTPoint(0.31, 0.67, 0.12, 0.84)
-    f_lam = BRANCH_EXPONENTS[_WORD_TO_BRANCH[lam]]
-    f_mu = BRANCH_EXPONENTS[_WORD_TO_BRANCH[mu]]
-    value = complex(f_mu(u) + f_lam(act(mu, u)) - f_lam(u) - f_mu(act(lam, u)))
+
+    def f(w, v):  # branch function, e_w(v) = exp(2*pi*i*f(w, v))
+        return -complex(multiplicator_exponent(w, v.as_array()))
+
+    value = f(mu, u) + f(lam, act(mu, u)) - f(lam, u) - f(mu, act(lam, u))
     nearest = round(value.real)
     if abs(value - nearest) > 1e-9:
         raise ArithmeticError(f"branch combination {value} is not an integer")
@@ -332,8 +298,3 @@ def chern_via_multiplicators(torus_id: str, u: KTPoint | None = None) -> int:
         raise ValueError(f"unknown torus id {torus_id!r}")
     lam, mu = TORUS_WORDS[torus_id]
     return chern_for_generator_pair(lam, mu, u)
-
-
-def omega_kt_form(u: KTPoint) -> PullbackForm:
-    """The invariant form as a PullbackForm, for uniform downstream handling."""
-    return PullbackForm(u, omega_kt(u).matrix)

@@ -32,8 +32,15 @@ from ktheta import (
     theta_kt,
     zeta_action,
 )
-from ktheta.checks import RunConfig, check_product_closure, check_separating_sections
-from ktheta.sections import BASE_TAU, section_matrix_with_gradients, shift_product
+from ktheta.checks import (
+    RunConfig,
+    check_product_closure,
+    check_segre_factorization,
+    check_separating_sections,
+)
+from ktheta.embedding import psi_double_prime, psi_prime
+from ktheta.sections import BASE_TAU, factors, section_matrix_with_gradients, shift_product
+from ktheta.symplectic import MAP_IDS, fs_pullback_batch
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -219,6 +226,75 @@ class TestShiftProduct:
             calls.clear()
             assert check(RunConfig()).passed
             assert 0 < len(calls) <= 4 * units
+
+
+class TestFactors:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_values_match_classical_basis(self, k):
+        pts = shift_test_points()
+        fiber, base = factors(k, pts)
+        assert fiber.shape == base.shape == (len(pts), k)
+        for i, (x, y, z, t) in enumerate(pts):
+            for p in range(k):
+                idx = ThetaBasisIndex(k, p)
+                want_f = theta_degree_k(idx, ThetaArgument(z + 1j * x, y + 1j))
+                want_b = theta_degree_k(idx, ThetaArgument(y + 1j * t, 1j))
+                assert abs(fiber[i, p] - want_f) <= 1e-13 * abs(want_f)
+                assert abs(base[i, p] - want_b) <= 1e-13 * abs(want_b)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_partials_match_finite_differences(self, k):
+        h = 1e-6
+        pts = fundamental_domain_samples(8, 40 + k)
+        (fiber, d_fiber), (base, d_base) = factors(k, pts, gradients=True)
+        assert d_fiber.shape == d_base.shape == (8, 4, k)
+        for axis in range(4):
+            e = np.zeros(4)
+            e[axis] = h
+            plus, minus = factors(k, pts + e), factors(k, pts - e)
+            for which, d in ((0, d_fiber), (1, d_base)):
+                fd = (plus[which] - minus[which]) / (2 * h)
+                scale = np.maximum(np.abs(d[:, axis]), 1.0)
+                assert np.all(np.abs(fd - d[:, axis]) <= 1e-6 * scale)
+
+    def test_nested_batch_shape(self):
+        pts = fundamental_domain_samples(6, 9)
+        flat = section_matrix(3, pts)
+        nested = section_matrix(3, pts.reshape(2, 3, 4))
+        assert nested.shape == (2, 3, 9)
+        assert np.array_equal(nested, flat.reshape(2, 3, 9))
+        vals, grads = section_matrix_with_gradients(3, pts)
+        nvals, ngrads = section_matrix_with_gradients(3, pts.reshape(2, 3, 4))
+        assert np.array_equal(nvals, vals.reshape(2, 3, 9))
+        assert np.array_equal(ngrads, grads.reshape(2, 3, 4, 9))
+
+    def test_basis_calls(self, monkeypatch):
+        # every map is assembled from one fiber and one base evaluation
+        theta_module = sys.modules["ktheta.theta"]
+        original = theta_module._degree_basis_batch
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "_degree_basis_batch", counting)
+        pts = fundamental_domain_samples(20, 5)
+        evaluations = [
+            lambda: section_matrix(3, pts),
+            lambda: section_matrix_with_gradients(3, pts),
+            lambda: psi_prime(3, U0),
+            lambda: psi_double_prime(3, U0),
+        ] + [lambda m=m: fs_pullback_batch(m, 3, pts) for m in MAP_IDS if m != "omega_kt"]
+        for evaluate in evaluations:
+            calls.clear()
+            evaluate()
+            assert len(calls) == 2
+        calls.clear()
+        fs_pullback_batch("omega_kt", 3, pts)
+        assert not calls
+        assert check_segre_factorization(RunConfig()).passed
+        assert 0 < len(calls) <= 4
 
 
 class TestProductOfShifts:

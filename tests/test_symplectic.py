@@ -26,7 +26,12 @@ from ktheta import (
     two_form,
 )
 from ktheta.manifold import IDENTITY, act, compose, inverse
-from ktheta.symplectic import TORUS_AXES, fs_pullback_batch, omega_kt_form, pfaffian_batch
+from ktheta.symplectic import (
+    TORUS_AXES,
+    exterior_derivative_residuals,
+    fs_pullback_batch,
+    pfaffian_batch,
+)
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -48,6 +53,11 @@ class TestPullbackBasics:
     def test_omega_kt_map_id(self):
         form = fs_pullback("omega_kt", 3, U0)
         assert np.allclose(form.matrix, omega_kt(U0).matrix)
+        pts = 4.0 * (fundamental_domain_samples(6, 8) - 0.5)
+        mats = fs_pullback_batch("omega_kt", 3, pts)
+        assert mats.shape == (6, 4, 4)
+        for p, mat in zip(pts, mats):
+            assert np.array_equal(mat, omega_kt(KTPoint.from_array(p)).matrix)
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
@@ -90,7 +100,7 @@ class TestPfaffian:
 
 class TestLeftInvariantDecomposition:
     def test_omega_kt_coefficients(self):
-        dec = decompose_left_invariant(omega_kt_form(U0))
+        dec = decompose_left_invariant(fs_pullback("omega_kt", 1, U0))
         assert abs(dec.zx - 1.0) < 1e-14
         assert abs(dec.yt - 1.0) < 1e-14
         for name in ("zy", "xy", "xt", "zt"):
@@ -132,6 +142,15 @@ class TestClosedness:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             exterior_derivative_residual("phi_k", 3, U0, h=0.0)
+
+    def test_batched_residuals(self):
+        pts = fundamental_domain_samples(10, 12)
+        phi3 = exterior_derivative_residuals("phi_k", 3, pts)
+        assert phi3.shape == (10,)
+        assert phi3.max() < 1e-6
+        assert exterior_derivative_residuals("omega_kt", 3, pts).max() < 1e-10
+        single = exterior_derivative_residual("phi_k", 3, KTPoint.from_array(pts[4]))
+        assert single == exterior_derivative_residuals("phi_k", 3, pts[4:5])[0]
 
 
 class TestTori:
