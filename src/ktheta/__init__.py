@@ -23,6 +23,7 @@ from .errors import (
     IllConditioned,
     InvalidModulus,
     KThetaError,
+    LiftOverflow,
     NonCommutingPair,
     SearchFailed,
     ShiftSumNonzero,

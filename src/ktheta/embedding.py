@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta as th
-from .errors import AllSectionsVanish, DimensionMismatch
+from .errors import AllSectionsVanish, DimensionMismatch, LiftOverflow
 from .manifold import (
     GENERATORS,
     KTPoint,
@@ -112,14 +112,18 @@ def jacobian(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> JacobianMatrix:
 def _differential_ranks(vals, grads, tol):
     """Rank of the projectivized differential for batched lifts.
 
-    ``vals`` has shape (B, n) and ``grads`` (B, 4, n).  Each lift is unit
-    normalized and the partials are projected orthogonally to it before the
-    singular values are thresholded at tol * sigma_max.  The rank is taken
-    over the reals: the map is real 4-dimensional while the lift is
-    holomorphic in z + ix, so the partials in x and z are complex multiples
-    of each other and a complex SVD would report at most 3.  Splitting real
+    ``vals`` has shape (B, n) and ``grads`` (B, 4, n).  Each lift and its
+    partials are divided by the largest |lift entry|, so that the norm
+    cannot overflow; the lift is then unit normalized and the partials are
+    projected orthogonally to it before the singular values are thresholded
+    at tol * sigma_max.  The rank is taken over the reals: the map is real
+    4-dimensional while the lift is holomorphic in z + ix, so the partials
+    in x and z are complex multiples of each other and a complex SVD would
+    report at most 3.  Splitting real
     and imaginary parts gives the rank of the underlying real differential.
     """
+    inv_scale = 1.0 / np.abs(vals).max(axis=1, keepdims=True)
+    vals, grads = vals * inv_scale, grads * inv_scale[:, :, None]
     norms = np.linalg.norm(vals, axis=1, keepdims=True)
     f = vals / norms
     d = grads / norms[:, :, None]
@@ -138,10 +142,15 @@ def _differential_ranks(vals, grads, tol):
 
 
 def projective_rank(k: int, u: KTPoint, tol: float = 1e-8, policy=th.DEFAULT_POLICY) -> int:
-    """Rank of the differential of phi_k at ``u`` (4 for an immersion)."""
+    """Rank of the differential of phi_k at ``u`` (4 for an immersion).
+
+    Raises ``LiftOverflow`` where the lift or its partials are not finite.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     vals, grads = section_matrix_with_gradients(k, u.as_array(), policy)
+    if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
+        raise LiftOverflow(f"the phi_k lift or its partials are not finite at {u}")
     return int(_differential_ranks(vals, grads, tol)[0])
 
 

@@ -43,3 +43,7 @@ class TorusNotClosed(KThetaError):
 
 class NonCommutingPair(KThetaError):
     """The two group words do not commute, so they span no torus."""
+
+
+class LiftOverflow(KThetaError):
+    """The lift of a projective map or its partials are not finite at a point."""

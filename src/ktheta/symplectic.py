@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import theta as th
-from .errors import NonCommutingPair, TorusNotClosed
+from .errors import LiftOverflow, NonCommutingPair, TorusNotClosed
 from .manifold import (
     GEN_A,
     GEN_B,
@@ -49,7 +49,15 @@ class PullbackForm(TwoFormAtPoint):
 
 
 def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Batched pullback matrices (B, 4, 4) from lifts and their partials."""
+    """Batched pullback matrices (B, 4, 4) from lifts and their partials.
+
+    The form does not change when a point's lift and partials are scaled
+    together, so both are divided by the point's largest |lift entry|
+    first: |F|^2 and |F|^4 then stay finite wherever the lift is.
+    """
+    inv_scale = 1.0 / np.abs(vals).max(axis=1)
+    vals = vals * inv_scale[:, None]
+    grads = grads * inv_scale[:, None, None]
     n2 = np.einsum("bn,bn->b", vals.conj(), vals).real
     c = np.einsum("bn,bmn->bm", vals.conj(), grads)
     m = np.einsum("bmn,bln->bml", grads, grads.conj())
@@ -72,8 +80,14 @@ def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_PO
 
 
 def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> PullbackForm:
-    """Pullback of the Fubini-Study form under the named map at ``u``."""
+    """Pullback of the Fubini-Study form under the named map at ``u``.
+
+    Raises ``LiftOverflow`` where the map's lift or its partials are not
+    finite at ``u``; ``fs_pullback_batch`` returns NaN rows there.
+    """
     mat = fs_pullback_batch(map_id, k, u.as_array(), policy)[0]
+    if not np.isfinite(mat).all():
+        raise LiftOverflow(f"the {map_id} lift or its partials are not finite at {u}")
     return PullbackForm(u, mat)
 
 

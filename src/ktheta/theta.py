@@ -4,18 +4,30 @@ The series used throughout the package is
 
     theta(z, tau) = sum_{n in Z} exp(2*pi*i*n*z + pi*i*n*(n-1)*tau),
 
-which converges for Im(tau) > 0.  Every evaluation chooses a symmetric
-index window [-N, N] whose discarded tail is dominated by a geometric
-series and certified below the policy epsilon, so reported values carry
-an absolute error guarantee.  Derivatives are summed termwise with the
-polynomial weight folded into the tail bound.
+which converges for Im(tau) > 0.  ``theta``, ``theta_deriv`` and the
+shifted products choose a symmetric index window [-N, N] whose discarded
+tail is dominated by a geometric series and certified below the policy
+epsilon, so reported values carry an absolute error guarantee.
+Derivatives are summed termwise with the polynomial weight folded into
+the tail bound.
 
 The degree-k basis element with residue p is
 
-    theta_k^p(z, tau) = exp(2*pi*i*p*z) * theta(k*z + p*tau, k*tau),
+    theta_k^p(w, tau) = exp(2*pi*i*p*w) * theta(k*w + p*tau, k*tau)
+        = sum_{n = p mod k} exp(2*pi*i*n*w + pi*i*tau*((n^2 - p^2)/k - (n - p))),
 
-equal termwise to the coefficient-recursion closed form
-sum_m exp(2*pi*i*(p+m*k)*z + 2*pi*i*tau*(m*p + k*m*(m-1)/2)).
+where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).
+``_degree_basis_batch`` evaluates every residue at once from this n-sum.
+Each point b keeps the m-window [lo_b, lo_b + L), the same for all its
+residues and placed per point around the Gaussian peak of the term
+magnitudes exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch
+shares L.  The indices n = k*lo_b + j, 0 <= j < k*L, then form one
+(window, point) array with one complex exponential, and a reshape to
+(L, k) blocks and one contraction over the blocks give each residue's
+value and derivatives.  The certificate is the symmetric windows' one:
+for every point and residue p, the discarded terms of theta(k*w + p*tau,
+k*tau) and of its termwise d/dz (and d/dtau when asked for) sum to at
+most epsilon, each side of the window to at most epsilon / 2.
 """
 
 from __future__ import annotations
@@ -75,34 +87,55 @@ class ThetaBasisIndex:
             raise ValueError(f"residue p={self.p} outside [0, {self.k})")
 
 
-def _tail_bound_arrays(im_z, im_tau, n, z_order=0, tau_order=0):
-    """Vectorized geometric tail bound for the (z_order, tau_order) derivative.
+_SIDE = np.array([-1.0, 1.0])
 
-    ``im_z`` and ``im_tau`` are broadcastable real arrays, ``n >= 1``.  The
-    bound dominates sum_{|index| > n} of the absolute termwise-differentiated
-    terms; it is +inf when the geometric ratio at the window edge is >= 1.
+
+def _power(x, n):
+    return 1.0 if n == 0 else x if n == 1 else x**n
+
+
+def _tail_bound_arrays(z, im_tau, outward, orders=((0, 0),)):
+    """Certified bounds on the terms discarded by windows [lo, hi].
+
+    ``outward`` stacks (-lo, hi) on its first axis and ``z`` stacks an
+    interval (z_min, z_max) of Im(z) the same way; trailing axes broadcast.
+    The result stacks (below, above): bounds on the absolute sums of the
+    termwise-differentiated terms with m < lo and with m > hi, valid for
+    every Im(z) in the interval and every (z_order, tau_order) in ``orders``.
+
+    Each side is a sum over j > s (s its ``outward`` entry) of
+    |t_j| (2 pi j)^zo (pi j (j + o))^to, |t_j| = exp(-2 pi j y - pi j (j + o) im_tau):
+    above m = j, y = Im(z), o = -1; below m = -j, y = -Im(z), o = 1.  The
+    ratio t_{j+1} / t_j falls with j and is largest at the smallest y, and
+    the weight is at most P(j - s - 1) with P(i) = (2 pi (a + i))^zo
+    (pi (a + i)(b + i))^to, a = max(|s + 1|, 1), b = max(|s + 1 + o|, 1),
+    whose ratio P(i+1) / P(i) is largest at i = 0.  So a geometric series
+    from the largest first term over the interval dominates the side; the
+    bound is +inf where that series diverges.
     """
-    im_z = np.asarray(im_z, dtype=float)
-    im_tau = np.asarray(im_tau, dtype=float)
-    k0 = n + 1
-
-    # positive indices k >= k0 (note k0 >= 2, so k0*(k0-1) >= 2)
-    log_t = -TWO_PI * k0 * im_z - math.pi * k0 * (k0 - 1) * im_tau
-    log_p = z_order * math.log(TWO_PI * k0) + tau_order * math.log(math.pi * k0 * (k0 - 1))
-    poly_ratio = ((k0 + 1) / k0) ** z_order * ((k0 + 1) / (k0 - 1)) ** tau_order
-    q = np.exp(-TWO_PI * im_z - TWO_PI * k0 * im_tau) * poly_ratio
-    with np.errstate(divide="ignore", over="ignore"):
-        pos = np.where(q < 1.0, np.exp(log_t + log_p) / np.maximum(1.0 - q, 1e-300), np.inf)
-
-    # negative indices -j, j >= k0
-    log_t2 = TWO_PI * k0 * im_z - math.pi * k0 * (k0 + 1) * im_tau
-    log_p2 = z_order * math.log(TWO_PI * k0) + tau_order * math.log(math.pi * k0 * (k0 + 1))
-    poly_ratio2 = ((k0 + 1) / k0) ** z_order * ((k0 + 2) / k0) ** tau_order
-    q2 = np.exp(TWO_PI * im_z - TWO_PI * (k0 + 1) * im_tau) * poly_ratio2
-    with np.errstate(divide="ignore", over="ignore"):
-        neg = np.where(q2 < 1.0, np.exp(log_t2 + log_p2) / np.maximum(1.0 - q2, 1e-300), np.inf)
-
-    return pos + neg
+    z = np.asarray(z, dtype=float)
+    side = _SIDE.reshape((2,) + (1,) * (z.ndim - 1))
+    y_min, y_max = z[::-1] * side, z * side
+    offset = -side
+    start = np.asarray(outward, dtype=float) + 1.0
+    a = np.maximum(np.abs(start), 1.0)
+    b = np.maximum(np.abs(start + offset), 1.0)
+    weight = ratio = None
+    for zo, to in orders:
+        if zo or to:
+            w = TWO_PI**zo * math.pi**to * _power(a, zo + to) * _power(b, to)
+            r = _power((a + 1.0) / a, zo + to) * _power((b + 1.0) / b, to)
+            weight = w if weight is None else np.maximum(weight, w)
+            ratio = r if ratio is None else np.maximum(ratio, r)
+    log_t = np.maximum(-TWO_PI * start * y_min, -TWO_PI * start * y_max)
+    log_t -= math.pi * start * (start + offset) * im_tau
+    log_q = -TWO_PI * y_min - math.pi * (2.0 * start + 1.0 + offset) * im_tau
+    if weight is not None:
+        log_t += np.log(weight)
+        log_q += np.log(ratio)
+    with np.errstate(over="ignore"):
+        q = np.exp(log_q)
+        return np.where(q < 1.0, np.exp(log_t) / np.maximum(1.0 - q, 1e-300), np.inf)
 
 
 def _pick_window(im_z, im_tau, policy, z_order=0, tau_order=0):
@@ -111,8 +144,9 @@ def _pick_window(im_z, im_tau, policy, z_order=0, tau_order=0):
     im_tau = np.asarray(im_tau, dtype=float)
     crossover = np.max(np.abs(im_z) / im_tau)
     n = max(1, int(math.ceil(crossover)))
+    z = np.stack([im_z, im_z])
     while n <= policy.max_terms:
-        bound = np.max(_tail_bound_arrays(im_z, im_tau, n, z_order, tau_order))
+        bound = np.max(_tail_bound_arrays(z, im_tau, n, [(z_order, tau_order)]).sum(axis=0))
         if bound <= policy.epsilon:
             return n
         # far from the target the bound drops by ~exp(-2*pi*n*im_tau) per step
@@ -156,7 +190,8 @@ def tail_bound(arg: ThetaArgument, n: int, z_order: int = 0, tau_order: int = 0)
     """Certified upper bound on the absolute tail beyond index ``n``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return float(_tail_bound_arrays(arg.z.imag, arg.tau.imag, n, z_order, tau_order))
+    y = arg.z.imag
+    return float(_tail_bound_arrays([y, y], arg.tau.imag, n, [(z_order, tau_order)]).sum())
 
 
 def theta(arg: ThetaArgument, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -187,34 +222,97 @@ def theta_zero(tau: complex) -> complex:
     return 0.5 + 0.0j
 
 
+_CANDIDATES = np.array([-1, 0, 1])[:, None]  # one step in, the guess, one step out
+
+
+def _basis_window(k, im_w, im_tau, policy, orders):
+    """Per-point m-windows [lo, lo + length) of the degree-k kernel.
+
+    Returns ``lo`` (shape (B,)) and the batch's shared length.  The terms of
+    residue p's inner series theta(k*w + p*tau, k*tau) are a Gaussian in m
+    centred at 1/2 - Im(w)/Im(tau) - p/k.  Each side of a window is guessed
+    where that Gaussian falls to epsilon / 4 for residue 0 or k-1, certified
+    for every residue at once (Im(k*w + p*tau) spans [z0, z1]) at the guess
+    and one step either way, and set to the innermost certified step.
+    Windows padded to the shared length, or that no step certified, are
+    certified again and widened where they fail.
+    """
+    im_t = k * im_tau
+    z = k * im_w + np.array([0.0, k - 1.0])[:, None] * im_tau  # (z0, z1)
+    half_eps = 0.5 * policy.epsilon
+    centre = 0.5 - z / im_t
+    reach = np.sqrt(centre * centre + (math.log(2.0) - math.log(half_eps)) / (math.pi * im_t))
+    ends = (reach + _SIDE[:, None, None] * centre).max(axis=1)
+    guess = np.ceil(ends).astype(int) - 1
+    z = z[:, None]
+
+    ok = _tail_bound_arrays(z, im_t, guess[:, None] + _CANDIDATES, orders) <= half_eps
+    certified = ok.any(axis=1)
+    outward = guess - 1 + np.where(certified, ok.argmax(axis=1), 3)
+    while True:
+        if np.abs(outward).max() > policy.max_terms:
+            raise TailNotConverged(
+                f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
+            )
+        width = outward.sum(axis=0) + 1
+        length = max(int(width.max()), 1)
+        if certified.all() and (width == length).all():
+            return -outward[0], length
+        outward[0] += (length - width) // 2
+        outward[1] = length - 1 - outward[0]
+        fail = _tail_bound_arrays(z[:, 0], im_t, outward, orders) > half_eps
+        certified = ~fail
+        outward += fail
+
+
 def _degree_basis_batch(k, ws, taus, policy, want_tau=False):
     """Degree-k basis values and derivatives on arrays of arguments.
 
     Returns arrays of shape (k,) + broadcast(ws, taus).shape: the values,
-    the d/dz derivatives, and (if ``want_tau``) the d/dtau derivatives of
-    every theta_k^p at (ws, taus).
+    the d/dw derivatives, and (if ``want_tau``) the d/dtau derivatives of
+    every theta_k^p at (ws, taus), all from one exponential of the
+    (window, residue, point) index array; see the module docstring.
     """
-    ws = np.asarray(ws, dtype=complex)
-    taus = np.asarray(taus, dtype=complex)
-    ws, taus = np.broadcast_arrays(ws, taus)
-    shape = (k,) + ws.shape
-    vals = np.empty(shape, dtype=complex)
-    dws = np.empty(shape, dtype=complex)
-    dtaus = np.empty(shape, dtype=complex) if want_tau else None
-    orders = [(0, 0), (1, 0), (0, 1)] if want_tau else [(0, 0), (1, 0)]
-    for p in range(k):
-        big_z = k * ws + p * taus
-        big_t = k * taus
-        parts = _eval_series(big_z, big_t, policy, orders)
-        th, th_z = parts[0], parts[1]
-        phase = np.exp(2j * math.pi * p * ws)
-        vals[p] = phase * th
-        dws[p] = 2j * math.pi * p * vals[p] + k * phase * th_z
-        if want_tau:
-            dtaus[p] = phase * (p * th_z + k * parts[2])
+    ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
+    if ws.shape != taus.shape:
+        ws, taus = np.broadcast_arrays(ws, taus)
+    shape = ws.shape
+    w, tau = ws.ravel(), taus.ravel()
+    if not (np.isfinite(w + tau).all() and (tau.imag > 0.0).all()):
+        raise InvalidModulus("theta arguments must be finite with Im(tau) > 0")
+    orders = ((0, 0), (1, 0), (0, 1)) if want_tau else ((0, 0), (1, 0))
+    lo, length = _basis_window(k, w.imag, tau.imag, policy, orders)
+    # theta_k^p has period 1 in w and in tau; removing whole periods is exact
+    w = w - np.round(w.real)
+    tau = tau - np.round(tau.real)
+
+    # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
+    # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m)
+    m = lo + np.arange(length)[:, None]
+    f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
+    g = (2j * math.pi) * (w + tau * m)
+    p = np.arange(k, dtype=float)
+    terms = np.multiply(g[:, None, :], p[:, None])
+    terms += f[:, None, :]
+    np.exp(terms, out=terms)
+
+    # one contraction over a with the weights a'^j (a' = a - centre, j < 3)
+    # gives every residue's sums S_j = sum_a a'^j * term
+    centre = 0.5 * (length - 1)
+    weights = (np.arange(length) - centre) ** np.arange(len(orders))[:, None]
+    sums = weights @ terms.view(float).reshape(length, -1)
+    sums = sums.view(complex).reshape(len(orders), k, -1)
+
+    # with mc = lo + centre, n = nc + k*a' for nc = k*mc + p, and
+    # k*m^2 + (2p - k)*m = mc*(nc + p - k) + (2*nc - k)*a' + k*a'^2
+    mc = lo + centre
+    nc = k * mc + p[:, None]
+    vals = sums[0]
+    out = [vals, (2j * math.pi) * (nc * vals + k * sums[1])]
     if want_tau:
-        return vals, dws, dtaus
-    return vals, dws
+        out.append((1j * math.pi) * (mc * (nc + p[:, None] - k) * vals
+                                     + (2.0 * nc - k) * sums[1] + k * sums[2]))
+    return tuple(x.reshape((k,) + shape) for x in out)
 
 
 def theta_degree_k(
@@ -227,9 +325,8 @@ def theta_degree_k(
     Satisfies theta_k^p(z+1) = theta_k^p(z) and
     theta_k^p(z+tau) = exp(-2*pi*i*k*z) * theta_k^p(z).
     """
-    phase = np.exp(2j * math.pi * idx.p * arg.z)
-    inner = _eval_series(idx.k * arg.z + idx.p * arg.tau, idx.k * arg.tau, policy, [(0, 0)])[0]
-    return complex(phase * inner)
+    vals, _ = _degree_basis_batch(idx.k, arg.z, arg.tau, policy)
+    return complex(vals[idx.p])
 
 
 def theta_degree_k_deriv(

@@ -12,6 +12,7 @@ from ktheta import (
     GENERATORS,
     GroupWord,
     KTPoint,
+    LiftOverflow,
     ProjectivePoint,
     act,
     chordal_distance,
@@ -202,6 +203,18 @@ class TestProjectiveRank:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             projective_rank(3, U0, tol=0.0)
+
+    def test_rank_four_where_lift_norm_is_large(self):
+        # |F|^2 of the k=16 lift is ~2e183 here; the rank divides the lift
+        # by its largest entry before normalizing
+        u = act(GroupWord(1, -2, 1, 2), KTPoint(0.3, 0.2, 0.1, 0.4))
+        assert np.linalg.norm(phi(16, u).coords) > 1e90
+        assert projective_rank(16, u, tol=1e-6) == 4
+
+    def test_non_finite_lift_raises_typed_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LiftOverflow):
+                projective_rank(16, KTPoint(8.0, 0.2, 0.1, 0.4))
 
 
 class TestInjectivityScan:

@@ -8,7 +8,10 @@ from ktheta import (
     GENERATORS,
     GroupWord,
     KTPoint,
+    LiftOverflow,
     NonCommutingPair,
+    PullbackForm,
+    RunConfig,
     TorusNotClosed,
     chern_cocycle,
     chern_for_generator_pair,
@@ -25,7 +28,8 @@ from ktheta import (
     transition_function,
     two_form,
 )
-from ktheta.manifold import IDENTITY, act, compose, inverse
+from ktheta.checks import check_structure_decomposition
+from ktheta.manifold import IDENTITY, act, compose, inverse, reduce_point
 from ktheta.symplectic import (
     TORUS_AXES,
     exterior_derivative_residuals,
@@ -43,6 +47,25 @@ class TestFubiniStudyOracle:
 
     def test_truncated_chart_integral_smaller(self):
         assert fs_normalization(max_radius=1.0) < 1.0
+
+
+class TestLiftScaling:
+    # off the fundamental domain the k=16 lift reaches |F| ~ 5e91, so |F|^4
+    # overflows unless the pullback divides the lift by its largest entry
+    U_FAR = act(GroupWord(1, -2, 1, 2), KTPoint(0.3, 0.2, 0.1, 0.4))
+
+    def test_pullback_finite_where_lift_is_large(self):
+        form = fs_pullback("phi_k", 16, self.U_FAR)
+        assert np.all(np.isfinite(form.matrix))
+        reduced = fs_pullback("phi_k", 16, reduce_point(self.U_FAR)[0])
+        assert abs(pfaffian(form) / pfaffian(reduced) - 1.0) <= 1e-8
+
+    def test_non_finite_lift_raises_typed_error(self):
+        far = KTPoint(8.0, 0.2, 0.1, 0.4)  # the k=16 lift overflows here
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LiftOverflow):
+                fs_pullback("phi_k", 16, far)
+            assert np.isnan(fs_pullback_batch("phi_k", 16, far.as_array())).all()
 
 
 class TestPullbackBasics:
@@ -242,3 +265,18 @@ class TestTwoFormHelpers:
         f = two_form(U0, {(0, 1): 2.0, (2, 3): -1.5})
         assert f.matrix[0, 1] == 2.0 and f.matrix[1, 0] == -2.0
         assert f.matrix[2, 3] == -1.5 and f.matrix[3, 2] == 1.5
+
+
+class TestStructureDecomposition:
+    def test_check_matches_pointwise_decomposition(self):
+        cfg = RunConfig(samples=25)
+        report = check_structure_decomposition(cfg)
+        pts = fundamental_domain_samples(25, cfg.seed + 24)
+        mats = fs_pullback_batch("phi_k", cfg.k, pts)
+        beta, top = [], []
+        for p, mat in zip(pts, mats):
+            dec = decompose_left_invariant(PullbackForm(KTPoint.from_array(p), mat))
+            beta.append(dec.zx)
+            top.append(abs(2.0 * pfaffian_batch(mat) - 2.0 * dec.zx * dec.yt))
+        assert report.witness["beta_min"] == min(beta)
+        assert report.witness["top_power_residual"] == max(top)

@@ -8,13 +8,16 @@ import pytest
 
 from ktheta import (
     DEFAULT_POLICY,
+    GroupWord,
     InvalidModulus,
+    KTPoint,
     ShiftSumNonzero,
     TailNotConverged,
     ThetaArgument,
     ThetaBasisIndex,
     TruncationPolicy,
     classical_product,
+    fundamental_domain_samples,
     tail_bound,
     theta,
     theta_degree_k,
@@ -23,7 +26,10 @@ from ktheta import (
     theta_zero,
 )
 
+from ktheta.manifold import act
+
 th_mod = importlib.import_module("ktheta.theta")
+sections_mod = importlib.import_module("ktheta.sections")
 
 
 def brute_theta(z, tau, n=80, z_order=0, tau_order=0):
@@ -265,3 +271,187 @@ class TestBatchedEvaluator:
         for i in range(0, 50, 7):
             scalar = theta(ThetaArgument(zs[i], taus[i]))
             assert abs(batch[i] - scalar) < 1e-12 * max(1.0, abs(scalar))
+
+
+def loop_degree_basis(k, ws, taus, policy, want_tau=False):
+    """Oracle: the per-residue loop the one-pass kernel replaced, verbatim.
+
+    Each residue p sums theta(k*w + p*tau, k*tau) through ``_eval_series``
+    on its own symmetric window and multiplies by its phase.
+    """
+    _eval_series = th_mod._eval_series
+    ws = np.asarray(ws, dtype=complex)
+    taus = np.asarray(taus, dtype=complex)
+    ws, taus = np.broadcast_arrays(ws, taus)
+    shape = (k,) + ws.shape
+    vals = np.empty(shape, dtype=complex)
+    dws = np.empty(shape, dtype=complex)
+    dtaus = np.empty(shape, dtype=complex) if want_tau else None
+    orders = [(0, 0), (1, 0), (0, 1)] if want_tau else [(0, 0), (1, 0)]
+    for p in range(k):
+        big_z = k * ws + p * taus
+        big_t = k * taus
+        parts = _eval_series(big_z, big_t, policy, orders)
+        th, th_z = parts[0], parts[1]
+        phase = np.exp(2j * math.pi * p * ws)
+        vals[p] = phase * th
+        dws[p] = 2j * math.pi * p * vals[p] + k * phase * th_z
+        if want_tau:
+            dtaus[p] = phase * (p * th_z + k * parts[2])
+    if want_tau:
+        return vals, dws, dtaus
+    return vals, dws
+
+
+def moved_points(n, seed):
+    """act(w, u0) with u0 uniform in [0, 1)^4 and exponents of w in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        act(GroupWord(*(int(e) for e in rng.integers(-2, 3, 4))),
+            KTPoint(*(float(c) for c in rng.random(4)))).as_array()
+        for _ in range(n)
+    ])
+
+
+def factor_arguments(pts):
+    """(w, tau) of the fiber factor and of the base factor, stacked."""
+    w = np.concatenate([pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j * pts[:, 3]])
+    tau = np.concatenate([pts[:, 1] + 1j, np.full(len(pts), 1j)])
+    return w, tau
+
+
+POINT_SETS = {
+    "fundamental": lambda: fundamental_domain_samples(64, 17),
+    "moved": lambda: moved_points(64, 18),
+}
+
+
+class TestDegreeBasisKernel:
+    @pytest.mark.parametrize("where", sorted(POINT_SETS))
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_matches_residue_loop(self, k, where):
+        w, tau = factor_arguments(POINT_SETS[where]())
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape == (k, len(w))
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_values_only_call_matches(self):
+        w, tau = factor_arguments(moved_points(16, 4))
+        vals, dws = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY)
+        full = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, want_tau=True)
+        assert np.abs(vals - full[0]).max() <= 1e-13 * np.abs(full[0]).max()
+        assert np.abs(dws - full[1]).max() <= 1e-13 * np.abs(full[1]).max()
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 16])
+    def test_widened_window_differs_by_at_most_epsilon(self, k, monkeypatch):
+        # The certificate bounds the discarded tail of each residue's inner
+        # series theta(k*w + p*tau, k*tau) and of its termwise d/dz, d/dtau
+        # by epsilon.  theta_k^p is that series times exp(2 pi i p w), and
+        # d/dw, d/dtau are (2 pi i p) theta_k^p + k e^{..} theta_z and
+        # e^{..} (p theta_z + k theta_tau), so the truncation error of the
+        # three outputs is at most |e^{..}| (1, 2 pi p + k, p + k) epsilon.
+        # Roundoff allowance: 1e-14 of the point's largest |entry|.
+        w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
+                                             moved_points(32, 5)]))
+        eps = DEFAULT_POLICY.epsilon
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        window = th_mod._basis_window
+
+        def widened(*args):
+            lo, length = window(*args)
+            return lo - 3, length + 6
+
+        monkeypatch.setattr(th_mod, "_basis_window", widened)
+        ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        p = np.arange(k)[:, None]
+        phase = np.exp(-2.0 * math.pi * p * w.imag)
+        for g, r, factor in zip(got, ref, (1.0, 2.0 * math.pi * p + k, p + k)):
+            roundoff = 1e-14 * np.abs(r).max(axis=0)
+            assert np.all(np.abs(g - r) <= factor * phase * eps + roundoff)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_window_certified_for_every_residue(self, k):
+        w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
+                                             moved_points(32, 5)]))
+        orders = ((0, 0), (1, 0), (0, 1))
+        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, orders)
+        for p in range(k):
+            y = k * w.imag + p * tau.imag
+            bounds = th_mod._tail_bound_arrays([y, y], k * tau.imag, [-lo, lo + length - 1],
+                                               orders)
+            assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_terms_per_point_not_above_residue_loop(self, k, monkeypatch):
+        pts = fundamental_domain_samples(500, 21)
+        pick = th_mod._pick_window
+        windows = []
+
+        def recording(*args):
+            windows.append(pick(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(th_mod, "_pick_window", recording)
+        orders = ((0, 0), (1, 0), (0, 1))
+        for w, tau in ((pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j),
+                       (pts[:, 1] + 1j * pts[:, 3], np.full(500, 1j))):
+            windows.clear()
+            loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
+            loop_terms = sum(2 * n + 1 for n in windows)
+            _, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, orders)
+            assert k * length <= loop_terms
+
+    def test_no_series_calls_and_two_kernel_calls_per_factors(self, monkeypatch):
+        calls = {"_eval_series": 0, "_pick_window": 0, "_degree_basis_batch": 0}
+        for name in calls:
+            original = getattr(th_mod, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(th_mod, name, counting)
+        pts = moved_points(10, 6)
+        for gradients in (False, True):
+            sections_mod.factors(16, pts, gradients=gradients)
+        assert calls == {"_eval_series": 0, "_pick_window": 0, "_degree_basis_batch": 4}
+
+    def test_theta_degree_k_wraps_the_kernel(self):
+        w, tau = 0.37 - 1.6j, -0.8 + 1j
+        vals, _ = th_mod._degree_basis_batch(4, w, tau, DEFAULT_POLICY)
+        assert vals.shape == (4,)
+        for p in range(4):
+            assert theta_degree_k(ThetaBasisIndex(4, p), ThetaArgument(w, tau)) == vals[p]
+
+    def test_window_beyond_max_terms(self):
+        policy = TruncationPolicy(1e-14, max_terms=8)
+        with pytest.raises(TailNotConverged):
+            th_mod._degree_basis_batch(3, np.array([0.1 + 40j]), np.array([1j]), policy)
+
+    @pytest.mark.parametrize("w,tau", [(np.nan, 1j), (0.1, np.inf + 1j), (0.1, 0.3 - 0.2j)])
+    def test_invalid_arguments(self, w, tau):
+        with pytest.raises(InvalidModulus):
+            th_mod._degree_basis_batch(3, w, tau, DEFAULT_POLICY)
+
+
+class TestAsymmetricTailBound:
+    @pytest.mark.parametrize("y_lo,y_hi,im_tau,lo,hi", [
+        (-1.3, 0.4, 0.9, -3, 5),
+        (-1.3, 0.4, 0.9, 2, 7),
+        (-1.3, 0.4, 0.9, -1, 0),
+        (10.0, 11.5, 0.9, -16, -4),  # window and peak below zero
+        (-11.5, -10.0, 0.9, 4, 16),  # and above
+    ])
+    @pytest.mark.parametrize("orders", [((0, 0),), ((1, 0),), ((0, 1),), ((1, 0), (0, 1))])
+    def test_bounds_dominate_actual_tails(self, y_lo, y_hi, im_tau, lo, hi, orders):
+        m = np.arange(-300, 301)
+        quad = m * (m - 1)
+        bounds = th_mod._tail_bound_arrays([y_lo, y_hi], im_tau, [-lo, hi], orders)
+        for y in np.linspace(y_lo, y_hi, 7):
+            mag = np.exp(-2.0 * math.pi * m * y - math.pi * quad * im_tau)
+            for zo, to in orders:
+                terms = mag * np.abs(2 * math.pi * m) ** zo * np.abs(math.pi * quad) ** to
+                assert bounds[0] >= terms[m < lo].sum() * (1 - 1e-12)
+                assert bounds[1] >= terms[m > hi].sum() * (1 - 1e-12)
