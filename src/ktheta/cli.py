@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from .checks import REGISTRY, RunConfig
-from .embedding import injectivity_scan, phi, projective_rank
+from .embedding import ProjectivePoint, injectivity_scan, phi, projective_rank
 from .errors import KThetaError
 from .manifold import KTPoint
 from .symplectic import (
@@ -144,13 +144,13 @@ def check(only, fmt, out, config_path, **overrides):
     sys.exit(0 if all_passed else 1)
 
 
-def _display_normalize(vec: np.ndarray) -> np.ndarray:
+def _display_normalize(point: ProjectivePoint) -> np.ndarray:
     """Unit norm with the first nonzero coordinate real positive.
 
     Presentation only: projective points have no canonical lift, this just
     makes output deterministic across runs.
     """
-    vec = vec / np.linalg.norm(vec)
+    vec = point.normalized()
     nz = np.flatnonzero(np.abs(vec) > 1e-12)
     if nz.size:
         pivot = vec[nz[0]]
@@ -169,7 +169,7 @@ def embed(coords, fmt, out, config_path, **overrides):
     except KThetaError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    lift = _display_normalize(point.coords)
+    lift = _display_normalize(point)
     rows = [
         {"index": i, "re": float(c.real), "im": float(c.imag)}
         for i, c in enumerate(lift)

@@ -35,13 +35,21 @@ class ProjectivePoint:
         c = np.asarray(self.coords, dtype=complex)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coords must be a nonempty vector")
-        if not np.any(np.abs(c) > 0.0):
+        top = np.abs(c).max()  # NaN if any coordinate is NaN
+        if not math.isfinite(top):
+            raise LiftOverflow("homogeneous coordinates are not finite")
+        if top == 0.0:
             raise AllSectionsVanish("all homogeneous coordinates vanish")
         object.__setattr__(self, "coords", c)
 
     def normalized(self) -> np.ndarray:
-        """Unit-norm lift; presentation helpers may further rotate the phase."""
-        return self.coords / np.linalg.norm(self.coords)
+        """Unit-norm lift; presentation helpers may further rotate the phase.
+
+        The coordinates are divided by their largest modulus first, so the
+        norm can neither overflow nor underflow for any finite lift.
+        """
+        c = self.coords / np.abs(self.coords).max()
+        return c / np.linalg.norm(c)
 
 
 def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
@@ -51,11 +59,9 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     lifts, which is the same quantity without the catastrophic cancellation
     of 1 - |<p,q>|^2 near coincident points.
     """
-    a, b = p.coords, q.coords
-    if a.size != b.size:
-        raise DimensionMismatch(f"dimensions {a.size} and {b.size} differ")
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
+    if p.coords.size != q.coords.size:
+        raise DimensionMismatch(f"dimensions {p.coords.size} and {q.coords.size} differ")
+    a, b = p.normalized(), q.normalized()
     resid = b - np.vdot(a, b) * a
     return min(1.0, float(np.linalg.norm(resid)))
 
@@ -121,6 +127,8 @@ def _differential_ranks(vals, grads, tol):
     in x and z are complex multiples of each other and a complex SVD would
     report at most 3.  Splitting real
     and imaginary parts gives the rank of the underlying real differential.
+    Raises ``LiftOverflow`` naming the rows whose lift or partials are not
+    finite.
     """
     inv_scale = 1.0 / np.abs(vals).max(axis=1, keepdims=True)
     vals, grads = vals * inv_scale, grads * inv_scale[:, :, None]
@@ -128,6 +136,14 @@ def _differential_ranks(vals, grads, tol):
     f = vals / norms
     d = grads / norms[:, :, None]
     overlap = np.einsum("bn,bmn->bm", f.conj(), d)
+    # A non-finite lift entry makes its row of f NaN, and a non-finite
+    # partial its row of overlap, which meets every partial (0 * inf is NaN);
+    # scaled partials are far too small to overflow it.  So this finds the
+    # non-finite rows without another pass over the partials.
+    bad = ~np.isfinite(overlap).all(axis=1)
+    if bad.any():
+        raise LiftOverflow(f"the lift or its partials are not finite in rows "
+                           f"{np.flatnonzero(bad).tolist()}")
     proj = d - overlap[:, :, None] * f[:, None, :]
     proj = np.concatenate([proj.real, proj.imag], axis=2)
     sv = np.linalg.svd(proj, compute_uv=False)
@@ -149,8 +165,6 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-8, policy=th.DEFAULT_POL
     if tol <= 0:
         raise ValueError("tol must be positive")
     vals, grads = section_matrix_with_gradients(k, u.as_array(), policy)
-    if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
-        raise LiftOverflow(f"the phi_k lift or its partials are not finite at {u}")
     return int(_differential_ranks(vals, grads, tol)[0])
 
 

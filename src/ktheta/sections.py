@@ -86,16 +86,19 @@ def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool =
     base on y, t through w = y + i t.
     """
     w1, tau1, w2 = _split_points(pts)
-    fiber, fib_w, *fib_tau = th._degree_basis_batch(k, w1, tau1, policy, want_tau=gradients)
-    base, base_w = th._degree_basis_batch(k, w2, np.full_like(w2, BASE_TAU), policy)
+    orders = ((0, 0), (1, 0), (0, 1)) if gradients else ((0, 0),)
+    fiber, *fib_d = th._degree_basis_batch(k, w1, tau1, policy, orders)
+    # the base modulus is the constant BASE_TAU, so no d/dtau there
+    base, *base_d = th._degree_basis_batch(k, w2, np.full_like(w2, BASE_TAU), policy, orders[:2])
     # The residue and partial axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
     to_last = (*range(1, fiber.ndim), 0)
     if not gradients:
         return fiber.transpose(to_last), base.transpose(to_last)
+    (fib_w, fib_tau), (base_w,) = fib_d, base_d
     zero = np.zeros_like(fiber)
-    d_fiber = np.array([1j * fib_w, fib_tau[0], fib_w, zero])
+    d_fiber = np.array([1j * fib_w, fib_tau, fib_w, zero])
     d_base = np.array([zero, base_w, zero, 1j * base_w])
     partials_last = (*range(2, fiber.ndim + 1), 0, 1)
     return ((fiber.transpose(to_last), d_fiber.transpose(partials_last)),
@@ -145,14 +148,15 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
 
     ``zetas`` holds S shifts, as ZetaShifts or an (S, 2) complex array;
     ``pts`` is an (..., 4) array of points and the result has shape (...,).
-    Every factor at every point is summed in two series evaluations, one
-    for the fiber and one for the base.
+    Every fiber and base factor at every point is summed in one series
+    evaluation.
     """
     shifts = _shift_array(zetas)
     w1, tau1, w2 = _split_points(pts)
-    fib = th._eval_series(w1[..., None] + shifts[:, 0], tau1[..., None], policy, [(0, 0)])[0]
-    base = th._eval_series(w2[..., None] + shifts[:, 1], BASE_TAU, policy, [(0, 0)])[0]
-    return (fib * base).prod(axis=-1)
+    # fiber factors against y + i and base factors against i, stacked
+    ws = np.stack([w1[..., None] + shifts[:, 0], w2[..., None] + shifts[:, 1]])
+    taus = np.stack([tau1, np.full_like(tau1, BASE_TAU)])[..., None]
+    return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
 
 
 def zeta_action(zeta: ZetaShift, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:

@@ -1,33 +1,33 @@
-"""Classical Jacobi theta series with certified truncation.
+"""Jacobi theta series with certified truncation, from one summation engine.
 
-The series used throughout the package is
+The classical series used throughout the package is
 
     theta(z, tau) = sum_{n in Z} exp(2*pi*i*n*z + pi*i*n*(n-1)*tau),
 
-which converges for Im(tau) > 0.  ``theta``, ``theta_deriv`` and the
-shifted products choose a symmetric index window [-N, N] whose discarded
-tail is dominated by a geometric series and certified below the policy
-epsilon, so reported values carry an absolute error guarantee.
-Derivatives are summed termwise with the polynomial weight folded into
-the tail bound.
-
-The degree-k basis element with residue p is
+which converges for Im(tau) > 0.  The degree-k basis element with residue
+p is
 
     theta_k^p(w, tau) = exp(2*pi*i*p*w) * theta(k*w + p*tau, k*tau)
         = sum_{n = p mod k} exp(2*pi*i*n*w + pi*i*tau*((n^2 - p^2)/k - (n - p))),
 
-where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).
-``_degree_basis_batch`` evaluates every residue at once from this n-sum.
-Each point b keeps the m-window [lo_b, lo_b + L), the same for all its
-residues and placed per point around the Gaussian peak of the term
-magnitudes exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch
-shares L.  The indices n = k*lo_b + j, 0 <= j < k*L, then form one
-(window, point) array with one complex exponential, and a reshape to
-(L, k) blocks and one contraction over the blocks give each residue's
-value and derivatives.  The certificate is the symmetric windows' one:
-for every point and residue p, the discarded terms of theta(k*w + p*tau,
-k*tau) and of its termwise d/dz (and d/dtau when asked for) sum to at
-most epsilon, each side of the window to at most epsilon / 2.
+where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).  The
+classical series is the degree-one element, theta = theta_1^0, so
+``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``,
+the shifted products and ``_eval_series`` are its k = 1 view.
+
+The kernel evaluates every residue at once from the n-sum.  Each point b
+keeps the m-window [lo_b, lo_b + L), the same for all its residues and
+placed per point around the Gaussian peak of the term magnitudes
+exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch shares L.
+The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, point)
+array with one complex exponential, and a reshape to (L, k) blocks and one
+contraction over the blocks give each residue's centred moments, from
+which every requested termwise derivative follows.  The certificate holds
+per requested (z_order, tau_order): for every point and residue p, the
+discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
+termwise derivative weight, sum to at most epsilon / 2 on each side of the
+window.  For k = 1 that bounds each returned output's truncation error by
+epsilon.
 """
 
 from __future__ import annotations
@@ -116,20 +116,25 @@ def _tail_bound_arrays(z, im_tau, outward, orders=((0, 0),)):
     z = np.asarray(z, dtype=float)
     side = _SIDE.reshape((2,) + (1,) * (z.ndim - 1))
     y_min, y_max = z[::-1] * side, z * side
-    offset = -side
-    start = np.asarray(outward, dtype=float) + 1.0
-    a = np.maximum(np.abs(start), 1.0)
-    b = np.maximum(np.abs(start + offset), 1.0)
+    start = np.asarray(outward) + 1.0
+    start_o = start - side  # s + 1 + o
     weight = ratio = None
     for zo, to in orders:
         if zo or to:
-            w = TWO_PI**zo * math.pi**to * _power(a, zo + to) * _power(b, to)
-            r = _power((a + 1.0) / a, zo + to) * _power((b + 1.0) / b, to)
+            if weight is None:
+                a = np.maximum(np.abs(start), 1.0)
+                b = np.maximum(np.abs(start_o), 1.0)
+            w = TWO_PI**zo * math.pi**to * _power(a, zo + to)
+            r = _power((a + 1.0) / a, zo + to)
+            if to:
+                w = w * _power(b, to)
+                r = r * _power((b + 1.0) / b, to)
             weight = w if weight is None else np.maximum(weight, w)
             ratio = r if ratio is None else np.maximum(ratio, r)
-    log_t = np.maximum(-TWO_PI * start * y_min, -TWO_PI * start * y_max)
-    log_t -= math.pi * start * (start + offset) * im_tau
-    log_q = -TWO_PI * y_min - math.pi * (2.0 * start + 1.0 + offset) * im_tau
+    slope = -TWO_PI * start
+    log_t = np.maximum(slope * y_min, slope * y_max)
+    log_t -= math.pi * start * start_o * im_tau
+    log_q = -TWO_PI * y_min - math.pi * (start + start_o + 1.0) * im_tau
     if weight is not None:
         log_t += np.log(weight)
         log_q += np.log(ratio)
@@ -138,52 +143,14 @@ def _tail_bound_arrays(z, im_tau, outward, orders=((0, 0),)):
         return np.where(q < 1.0, np.exp(log_t) / np.maximum(1.0 - q, 1e-300), np.inf)
 
 
-def _pick_window(im_z, im_tau, policy, z_order=0, tau_order=0):
-    """Smallest window index N whose certified tail is <= policy.epsilon."""
-    im_z = np.asarray(im_z, dtype=float)
-    im_tau = np.asarray(im_tau, dtype=float)
-    crossover = np.max(np.abs(im_z) / im_tau)
-    n = max(1, int(math.ceil(crossover)))
-    z = np.stack([im_z, im_z])
-    while n <= policy.max_terms:
-        bound = np.max(_tail_bound_arrays(z, im_tau, n, [(z_order, tau_order)]).sum(axis=0))
-        if bound <= policy.epsilon:
-            return n
-        # far from the target the bound drops by ~exp(-2*pi*n*im_tau) per step
-        n = n + 1 if bound < policy.epsilon * 1e8 else max(n + 2, int(n * 1.25))
-    raise TailNotConverged(
-        f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
-    )
-
-
 def _eval_series(zs, taus, policy, orders):
-    """Evaluate termwise derivatives of the theta series on arrays.
+    """Termwise derivatives of the theta series on arrays of arguments.
 
-    ``orders`` is a sequence of (z_order, tau_order) pairs; one array per
-    pair is returned, all sharing a single certified window and a fixed
-    summation order.
+    ``orders`` is a sequence of (z_order, tau_order) pairs; one array of
+    shape broadcast(zs, taus).shape per pair is returned.  This is the
+    degree-one view of ``_degree_basis_batch``: theta = theta_1^0.
     """
-    zs = np.asarray(zs, dtype=complex)
-    taus = np.asarray(taus, dtype=complex)
-    zs, taus = np.broadcast_arrays(zs, taus)
-    zo_max = max(o[0] for o in orders)
-    to_max = max(o[1] for o in orders)
-    n = _pick_window(zs.imag, taus.imag, policy, zo_max, to_max)
-
-    idx = np.arange(-n, n + 1)
-    quad = idx * (idx - 1)
-    expo = (2j * math.pi) * zs[..., None] * idx + (1j * math.pi) * taus[..., None] * quad
-    terms = np.exp(expo)
-
-    out = []
-    for zo, to in orders:
-        w = np.ones_like(idx, dtype=complex)
-        if zo:
-            w = w * (2j * math.pi * idx) ** zo
-        if to:
-            w = w * (1j * math.pi * quad) ** to
-        out.append((terms * w).sum(axis=-1))
-    return out
+    return [x[0] for x in _degree_basis_batch(1, zs, taus, policy, orders)]
 
 
 def tail_bound(arg: ThetaArgument, n: int, z_order: int = 0, tau_order: int = 0) -> float:
@@ -265,13 +232,14 @@ def _basis_window(k, im_w, im_tau, policy, orders):
         outward += fail
 
 
-def _degree_basis_batch(k, ws, taus, policy, want_tau=False):
+def _degree_basis_batch(k, ws, taus, policy, orders):
     """Degree-k basis values and derivatives on arrays of arguments.
 
-    Returns arrays of shape (k,) + broadcast(ws, taus).shape: the values,
-    the d/dw derivatives, and (if ``want_tau``) the d/dtau derivatives of
-    every theta_k^p at (ws, taus), all from one exponential of the
-    (window, residue, point) index array; see the module docstring.
+    ``orders`` is a sequence of (w_order, tau_order) pairs.  Returns one
+    array of shape (k,) + broadcast(ws, taus).shape per pair: that
+    termwise derivative of every theta_k^p at (ws, taus), all from one
+    exponential of the (window, residue, point) index array; see the module
+    docstring.
     """
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
     if ws.shape != taus.shape:
@@ -280,11 +248,10 @@ def _degree_basis_batch(k, ws, taus, policy, want_tau=False):
     w, tau = ws.ravel(), taus.ravel()
     if not (np.isfinite(w + tau).all() and (tau.imag > 0.0).all()):
         raise InvalidModulus("theta arguments must be finite with Im(tau) > 0")
-    orders = ((0, 0), (1, 0), (0, 1)) if want_tau else ((0, 0), (1, 0))
     lo, length = _basis_window(k, w.imag, tau.imag, policy, orders)
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
-    w = w - np.round(w.real)
-    tau = tau - np.round(tau.real)
+    w = w - w.real.round()
+    tau = tau - tau.real.round()
 
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
     # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m)
@@ -296,23 +263,32 @@ def _degree_basis_batch(k, ws, taus, policy, want_tau=False):
     terms += f[:, None, :]
     np.exp(terms, out=terms)
 
-    # one contraction over a with the weights a'^j (a' = a - centre, j < 3)
-    # gives every residue's sums S_j = sum_a a'^j * term
-    centre = 0.5 * (length - 1)
-    weights = (np.arange(length) - centre) ** np.arange(len(orders))[:, None]
-    sums = weights @ terms.view(float).reshape(length, -1)
-    sums = sums.view(complex).reshape(len(orders), k, -1)
+    # one contraction over a with the weights a'^j (a' = a - centre) gives
+    # every residue's centred moments M_j = sum_a a'^j * term
+    count = max(zo + 2 * to for zo, to in orders) + 1
+    weights = (np.arange(length) - 0.5 * (length - 1)) ** np.arange(count)[:, None]
+    moments = weights @ terms.view(float).reshape(length, -1)
+    moments = moments.view(complex).reshape(count, k, -1)
 
-    # with mc = lo + centre, n = nc + k*a' for nc = k*mc + p, and
-    # k*m^2 + (2p - k)*m = mc*(nc + p - k) + (2*nc - k)*a' + k*a'^2
-    mc = lo + centre
+    # With mc = lo + centre and nc = k*mc + p, the weight n is nc + k*a' and
+    # the tau-exponent k*m^2 + (2p - k)*m is c0 + c1*a' + k*a'^2, so a factor
+    # n maps M_j to nc*M_j + k*M_{j+1} and a factor tau-exponent maps it to
+    # c0*M_j + c1*M_{j+1} + k*M_{j+2}; order (zo, to) applies zo and to of them.
+    mc = lo + 0.5 * (length - 1)
     nc = k * mc + p[:, None]
-    vals = sums[0]
-    out = [vals, (2j * math.pi) * (nc * vals + k * sums[1])]
-    if want_tau:
-        out.append((1j * math.pi) * (mc * (nc + p[:, None] - k) * vals
-                                     + (2.0 * nc - k) * sums[1] + k * sums[2]))
-    return tuple(x.reshape((k,) + shape) for x in out)
+    if any(to for _, to in orders):
+        c0 = mc * (nc + p[:, None] - k)
+        c1 = 2.0 * nc - k
+    out = []
+    for zo, to in orders:
+        seq = moments[:zo + 2 * to + 1]
+        for _ in range(to):
+            seq = c0 * seq[:-2] + c1 * seq[1:-1] + k * seq[2:]
+        for _ in range(zo):
+            seq = nc * seq[:-1] + k * seq[1:]
+        x = seq[0] if not (zo or to) else (2j * math.pi) ** zo * (1j * math.pi) ** to * seq[0]
+        out.append(x.reshape((k,) + shape))
+    return tuple(out)
 
 
 def theta_degree_k(
@@ -325,7 +301,7 @@ def theta_degree_k(
     Satisfies theta_k^p(z+1) = theta_k^p(z) and
     theta_k^p(z+tau) = exp(-2*pi*i*k*z) * theta_k^p(z).
     """
-    vals, _ = _degree_basis_batch(idx.k, arg.z, arg.tau, policy)
+    (vals,) = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, ((0, 0),))
     return complex(vals[idx.p])
 
 
@@ -335,8 +311,8 @@ def theta_degree_k_deriv(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ):
     """Value, d/dz and d/dtau of theta_k^p at (z, tau) in one series pass."""
-    vals, dws, dtaus = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, want_tau=True)
-    return complex(vals[idx.p]), complex(dws[idx.p]), complex(dtaus[idx.p])
+    out = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, ((0, 0), (1, 0), (0, 1)))
+    return tuple(complex(x[idx.p]) for x in out)
 
 
 def classical_product(

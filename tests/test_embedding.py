@@ -25,9 +25,11 @@ from ktheta import (
     psi_double_prime,
     psi_prime,
     quotient_distance,
+    reduce_point,
     segre,
 )
 from ktheta.embedding import generator_invariance_residual
+from ktheta.sections import section_matrix_with_gradients
 from ktheta.manifold import act_on_array
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
@@ -77,6 +79,25 @@ class TestChordalDistance:
         w = np.array([1.0 + 0j, 1e-12 + 0j])
         d = chordal_distance(ProjectivePoint(v), ProjectivePoint(w))
         assert abs(d - 1e-12) < 1e-14
+
+    def test_lift_above_square_root_of_overflow(self):
+        # the k=16 lift's largest entry is ~9.5e214 here, so its squared norm
+        # overflows; normalizing divides by the largest entry first
+        u = KTPoint(2.6221792294411626, 1.988960147681885, 2.193228993599369,
+                    -1.8397879661421555)
+        p = phi(16, u)
+        assert np.abs(p.coords).max() > 1e200
+        assert abs(np.linalg.norm(p.normalized()) - 1.0) < 1e-14
+        assert chordal_distance(p, phi(16, reduce_point(u)[0])) < 1e-8
+
+    def test_non_finite_coordinates_raise_lift_overflow(self):
+        with pytest.raises(LiftOverflow):
+            ProjectivePoint(np.array([1.0, np.nan]))
+        with pytest.raises(LiftOverflow):
+            ProjectivePoint(np.array([np.inf, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LiftOverflow):
+                phi(16, KTPoint(8.0, 0.2, 0.1, 0.4))
 
 
 class TestSegre:
@@ -215,6 +236,19 @@ class TestProjectiveRank:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LiftOverflow):
                 projective_rank(16, KTPoint(8.0, 0.2, 0.1, 0.4))
+
+    def test_batch_names_the_non_finite_rows(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, grads = section_matrix_with_gradients(
+                16, [[0.3, 0.2, 0.1, 0.4], [8.0, 0.2, 0.1, 0.4]])
+            assert np.isfinite(vals[0]).all() and not np.isfinite(vals[1]).all()
+            with pytest.raises(LiftOverflow, match=r"rows \[1\]"):
+                embedding_module._differential_ranks(vals, grads, 1e-6)
+            # a non-finite partial alone is found too
+            vals, grads = section_matrix_with_gradients(3, fundamental_domain_samples(3, 2))
+            grads[2, 1, 4] = np.inf
+            with pytest.raises(LiftOverflow, match=r"rows \[2\]"):
+                embedding_module._differential_ranks(vals, grads, 1e-6)
 
 
 class TestInjectivityScan:

@@ -30,6 +30,7 @@ from ktheta.manifold import act
 
 th_mod = importlib.import_module("ktheta.theta")
 sections_mod = importlib.import_module("ktheta.sections")
+checks_mod = importlib.import_module("ktheta.checks")
 
 
 def brute_theta(z, tau, n=80, z_order=0, tau_order=0):
@@ -273,13 +274,66 @@ class TestBatchedEvaluator:
             assert abs(batch[i] - scalar) < 1e-12 * max(1.0, abs(scalar))
 
 
+# The symmetric-window series the one engine replaced, verbatim: a window
+# [-N, N] searched until its certified tail is <= epsilon, shared by the batch,
+# and one weighted sum per requested order.
+_tail_bound_arrays = th_mod._tail_bound_arrays
+
+
+def _pick_window(im_z, im_tau, policy, z_order=0, tau_order=0):
+    """Smallest window index N whose certified tail is <= policy.epsilon."""
+    im_z = np.asarray(im_z, dtype=float)
+    im_tau = np.asarray(im_tau, dtype=float)
+    crossover = np.max(np.abs(im_z) / im_tau)
+    n = max(1, int(math.ceil(crossover)))
+    z = np.stack([im_z, im_z])
+    while n <= policy.max_terms:
+        bound = np.max(_tail_bound_arrays(z, im_tau, n, [(z_order, tau_order)]).sum(axis=0))
+        if bound <= policy.epsilon:
+            return n
+        # far from the target the bound drops by ~exp(-2*pi*n*im_tau) per step
+        n = n + 1 if bound < policy.epsilon * 1e8 else max(n + 2, int(n * 1.25))
+    raise TailNotConverged(
+        f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
+    )
+
+
+def _eval_series(zs, taus, policy, orders):
+    """Evaluate termwise derivatives of the theta series on arrays.
+
+    ``orders`` is a sequence of (z_order, tau_order) pairs; one array per
+    pair is returned, all sharing a single certified window and a fixed
+    summation order.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    taus = np.asarray(taus, dtype=complex)
+    zs, taus = np.broadcast_arrays(zs, taus)
+    zo_max = max(o[0] for o in orders)
+    to_max = max(o[1] for o in orders)
+    n = _pick_window(zs.imag, taus.imag, policy, zo_max, to_max)
+
+    idx = np.arange(-n, n + 1)
+    quad = idx * (idx - 1)
+    expo = (2j * math.pi) * zs[..., None] * idx + (1j * math.pi) * taus[..., None] * quad
+    terms = np.exp(expo)
+
+    out = []
+    for zo, to in orders:
+        w = np.ones_like(idx, dtype=complex)
+        if zo:
+            w = w * (2j * math.pi * idx) ** zo
+        if to:
+            w = w * (1j * math.pi * quad) ** to
+        out.append((terms * w).sum(axis=-1))
+    return out
+
+
 def loop_degree_basis(k, ws, taus, policy, want_tau=False):
     """Oracle: the per-residue loop the one-pass kernel replaced, verbatim.
 
-    Each residue p sums theta(k*w + p*tau, k*tau) through ``_eval_series``
-    on its own symmetric window and multiplies by its phase.
+    Each residue p sums theta(k*w + p*tau, k*tau) through the symmetric
+    ``_eval_series`` above on its own window and multiplies by its phase.
     """
-    _eval_series = th_mod._eval_series
     ws = np.asarray(ws, dtype=complex)
     taus = np.asarray(taus, dtype=complex)
     ws, taus = np.broadcast_arrays(ws, taus)
@@ -326,12 +380,15 @@ POINT_SETS = {
 }
 
 
+VALUE_W_TAU = ((0, 0), (1, 0), (0, 1))
+
+
 class TestDegreeBasisKernel:
     @pytest.mark.parametrize("where", sorted(POINT_SETS))
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
     def test_matches_residue_loop(self, k, where):
         w, tau = factor_arguments(POINT_SETS[where]())
-        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
         for g, r in zip(got, want):
             assert g.shape == r.shape == (k, len(w))
@@ -339,10 +396,13 @@ class TestDegreeBasisKernel:
 
     def test_values_only_call_matches(self):
         w, tau = factor_arguments(moved_points(16, 4))
-        vals, dws = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY)
-        full = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, want_tau=True)
-        assert np.abs(vals - full[0]).max() <= 1e-13 * np.abs(full[0]).max()
-        assert np.abs(dws - full[1]).max() <= 1e-13 * np.abs(full[1]).max()
+        full = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+        for orders in (VALUE_W_TAU[:1], VALUE_W_TAU[:2], VALUE_W_TAU[::-1]):
+            got = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, orders)
+            assert len(got) == len(orders)
+            for g, order in zip(got, orders):
+                want = full[VALUE_W_TAU.index(order)]
+                assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("k", [1, 3, 8, 16])
     def test_widened_window_differs_by_at_most_epsilon(self, k, monkeypatch):
@@ -356,7 +416,7 @@ class TestDegreeBasisKernel:
         w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
                                              moved_points(32, 5)]))
         eps = DEFAULT_POLICY.epsilon
-        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         window = th_mod._basis_window
 
         def widened(*args):
@@ -364,7 +424,7 @@ class TestDegreeBasisKernel:
             return lo - 3, length + 6
 
         monkeypatch.setattr(th_mod, "_basis_window", widened)
-        ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         p = np.arange(k)[:, None]
         phase = np.exp(-2.0 * math.pi * p * w.imag)
         for g, r, factor in zip(got, ref, (1.0, 2.0 * math.pi * p + k, p + k)):
@@ -375,52 +435,42 @@ class TestDegreeBasisKernel:
     def test_window_certified_for_every_residue(self, k):
         w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
                                              moved_points(32, 5)]))
-        orders = ((0, 0), (1, 0), (0, 1))
-        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, orders)
+        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
         for p in range(k):
             y = k * w.imag + p * tau.imag
             bounds = th_mod._tail_bound_arrays([y, y], k * tau.imag, [-lo, lo + length - 1],
-                                               orders)
+                                               VALUE_W_TAU)
             assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_terms_per_point_not_above_residue_loop(self, k, monkeypatch):
         pts = fundamental_domain_samples(500, 21)
-        pick = th_mod._pick_window
+        pick = _pick_window
         windows = []
 
         def recording(*args):
             windows.append(pick(*args))
             return windows[-1]
 
-        monkeypatch.setattr(th_mod, "_pick_window", recording)
-        orders = ((0, 0), (1, 0), (0, 1))
+        monkeypatch.setitem(globals(), "_pick_window", recording)
         for w, tau in ((pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j),
                        (pts[:, 1] + 1j * pts[:, 3], np.full(500, 1j))):
             windows.clear()
             loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
             loop_terms = sum(2 * n + 1 for n in windows)
-            _, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, orders)
+            _, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
             assert k * length <= loop_terms
 
     def test_no_series_calls_and_two_kernel_calls_per_factors(self, monkeypatch):
-        calls = {"_eval_series": 0, "_pick_window": 0, "_degree_basis_batch": 0}
-        for name in calls:
-            original = getattr(th_mod, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(th_mod, name, counting)
+        calls = count_calls(monkeypatch, "_eval_series", "_degree_basis_batch")
         pts = moved_points(10, 6)
         for gradients in (False, True):
             sections_mod.factors(16, pts, gradients=gradients)
-        assert calls == {"_eval_series": 0, "_pick_window": 0, "_degree_basis_batch": 4}
+        assert calls == {"_eval_series": 0, "_degree_basis_batch": 4}
 
     def test_theta_degree_k_wraps_the_kernel(self):
         w, tau = 0.37 - 1.6j, -0.8 + 1j
-        vals, _ = th_mod._degree_basis_batch(4, w, tau, DEFAULT_POLICY)
+        (vals,) = th_mod._degree_basis_batch(4, w, tau, DEFAULT_POLICY, ((0, 0),))
         assert vals.shape == (4,)
         for p in range(4):
             assert theta_degree_k(ThetaBasisIndex(4, p), ThetaArgument(w, tau)) == vals[p]
@@ -428,12 +478,101 @@ class TestDegreeBasisKernel:
     def test_window_beyond_max_terms(self):
         policy = TruncationPolicy(1e-14, max_terms=8)
         with pytest.raises(TailNotConverged):
-            th_mod._degree_basis_batch(3, np.array([0.1 + 40j]), np.array([1j]), policy)
+            th_mod._degree_basis_batch(3, np.array([0.1 + 40j]), np.array([1j]), policy,
+                                       ((0, 0),))
 
     @pytest.mark.parametrize("w,tau", [(np.nan, 1j), (0.1, np.inf + 1j), (0.1, 0.3 - 0.2j)])
     def test_invalid_arguments(self, w, tau):
         with pytest.raises(InvalidModulus):
-            th_mod._degree_basis_batch(3, w, tau, DEFAULT_POLICY)
+            th_mod._degree_basis_batch(3, w, tau, DEFAULT_POLICY, ((0, 0),))
+
+
+ALL_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
+
+
+def classical_arguments():
+    """Theta arguments with Re z up to +-3.7 and Re tau up to +-2.6."""
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-3.7, 3.7, 40) + 1j * rng.uniform(-0.6, 0.6, 40)
+    tau = rng.uniform(-2.6, 2.6, 40) + 1j * rng.uniform(0.4, 2.0, 40)
+    z[:4] = [3.7 + 0.3j, -3.7 - 0.2j, 3.7 - 0.5j, -3.7 + 0.45j]
+    tau[:4] = [2.6 + 1j, -2.6 + 0.7j, -2.6 + 1.5j, 2.6 + 0.5j]
+    return z, tau
+
+
+def absolute_series(z, tau, z_order, tau_order, n=40):
+    """sum_n |term_n| |2 pi n|^z_order |pi n (n-1)|^tau_order, the roundoff scale."""
+    idx = np.arange(-n, n + 1)
+    quad = idx * (idx - 1)
+    mag = np.exp(-2 * np.pi * idx * z.imag[:, None] - np.pi * quad * tau.imag[:, None])
+    return (mag * np.abs(2 * np.pi * idx) ** z_order * np.abs(np.pi * quad) ** tau_order).sum(1)
+
+
+def count_calls(monkeypatch, *names):
+    """Counters of the calls made to the named ``ktheta.theta`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(th_mod, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(th_mod, name, counting)
+    return calls
+
+
+class TestOneEngine:
+    """The classical series is the k = 1 view of the degree-k kernel."""
+
+    def test_matches_symmetric_oracle(self):
+        # unreduced symmetric sums against the kernel's reduced ones
+        z, tau = classical_arguments()
+        got = th_mod._eval_series(z, tau, DEFAULT_POLICY, ALL_ORDERS)
+        want = _eval_series(z, tau, DEFAULT_POLICY, ALL_ORDERS)
+        assert len(got) == len(ALL_ORDERS)
+        for g, r in zip(got, want):
+            assert g.shape == r.shape == z.shape
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    def test_widened_window_differs_by_at_most_epsilon(self, monkeypatch):
+        # For k = 1 every requested order's discarded tail is certified to at
+        # most epsilon.  Roundoff allowance: 1e-14 of the point's absolute
+        # series sum_n |term_n * weight_n|.
+        z, tau = classical_arguments()
+        got = th_mod._eval_series(z, tau, DEFAULT_POLICY, ALL_ORDERS)
+        window = th_mod._basis_window
+
+        def widened(*args):
+            lo, length = window(*args)
+            return lo - 3, length + 6
+
+        monkeypatch.setattr(th_mod, "_basis_window", widened)
+        ref = th_mod._eval_series(z, tau, DEFAULT_POLICY, ALL_ORDERS)
+        for g, r, (zo, to) in zip(got, ref, ALL_ORDERS):
+            roundoff = 1e-14 * absolute_series(z, tau, zo, to)
+            assert np.all(np.abs(g - r) <= DEFAULT_POLICY.epsilon + roundoff)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: theta(ThetaArgument(0.3 + 0.1j, 0.2 + 1j)),
+        lambda: theta_deriv(ThetaArgument(0.3 + 0.1j, 0.2 + 1j), 1, 1),
+        lambda: classical_product([0.1, 0.2j, -0.1 - 0.2j], ThetaArgument(0.3, 1j)),
+    ], ids=["theta", "theta_deriv", "classical_product"])
+    def test_one_kernel_call_per_scalar(self, evaluate, monkeypatch):
+        calls = count_calls(monkeypatch, "_degree_basis_batch")
+        evaluate()
+        assert calls == {"_degree_basis_batch": 1}
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: sections_mod.shift_product([(0.1, 0.2), (-0.1, -0.2)],
+                                           fundamental_domain_samples(5, 1)),
+        lambda: checks_mod.check_zero_locus(checks_mod.RunConfig()),
+        lambda: checks_mod.check_quasi_periodicity(checks_mod.RunConfig()),
+    ], ids=["shift_product", "zero_locus", "quasi_periodicity"])
+    def test_one_series_call_per_batch(self, evaluate, monkeypatch):
+        calls = count_calls(monkeypatch, "_eval_series", "_degree_basis_batch")
+        evaluate()
+        assert calls == {"_eval_series": 1, "_degree_basis_batch": 1}
 
 
 class TestAsymmetricTailBound:
@@ -444,7 +583,8 @@ class TestAsymmetricTailBound:
         (10.0, 11.5, 0.9, -16, -4),  # window and peak below zero
         (-11.5, -10.0, 0.9, 4, 16),  # and above
     ])
-    @pytest.mark.parametrize("orders", [((0, 0),), ((1, 0),), ((0, 1),), ((1, 0), (0, 1))])
+    @pytest.mark.parametrize("orders", [((0, 0),), ((1, 0),), ((0, 1),), ((1, 0), (0, 1)),
+                                        ((2, 0),), ((1, 1),), ((0, 2),)])
     def test_bounds_dominate_actual_tails(self, y_lo, y_hi, im_tau, lo, hi, orders):
         m = np.arange(-300, 301)
         quad = m * (m - 1)
