@@ -3,8 +3,8 @@
 phi_k lists the k^2 basis sections in the fixed flattening p*k + q.  It is
 built as the Segre product of the fiber map psi' and the base map psi'',
 which are the fiber and base lifts of ``sections.factors``.  Injectivity
-and the immersion property are verified by seeded sampling and SVD rank
-counts.
+is verified by seeded sampling, and the immersion property by ranks of the
+Fubini-Study metric of the two factors (``symplectic.hermitian_ranks``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .manifold import (
     quotient_distance,
 )
 from .sections import factors, section_matrix, section_matrix_with_gradients
+from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
 @dataclass(frozen=True)
@@ -43,27 +44,35 @@ class ProjectivePoint:
         object.__setattr__(self, "coords", c)
 
     def normalized(self) -> np.ndarray:
-        """Unit-norm lift; presentation helpers may further rotate the phase.
+        """Unit-norm lift; presentation helpers may further rotate the phase."""
+        return _unit_rows(self.coords)
 
-        The coordinates are divided by their largest modulus first, so the
-        norm can neither overflow nor underflow for any finite lift.
-        """
-        c = self.coords / np.abs(self.coords).max()
-        return c / np.linalg.norm(c)
+
+def _unit_rows(lifts: np.ndarray) -> np.ndarray:
+    """Unit-norm lifts along the last axis, scaled by their largest modulus
+    first so that the norm neither overflows nor underflows."""
+    c = lifts / np.abs(lifts).max(axis=-1, keepdims=True)
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+
+def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)) of (B, n) lifts, in [0, 1].
+
+    Computed as the norm of the projection residual q - <p,q>p of unit
+    lifts: the same quantity without the catastrophic cancellation of
+    1 - |<p,q>|^2 near coincident points.
+    """
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    if p.shape[-1] != q.shape[-1]:
+        raise DimensionMismatch(f"dimensions {p.shape[-1]} and {q.shape[-1]} differ")
+    a, b = _unit_rows(p), _unit_rows(q)
+    resid = b - np.einsum("bn,bn->b", a.conj(), b)[:, None] * a
+    return np.minimum(1.0, np.linalg.norm(resid, axis=1))
 
 
 def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    """Scale-invariant metric sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)) in [0, 1].
-
-    Computed as the norm of the projection residual q - <p,q>p of unit
-    lifts, which is the same quantity without the catastrophic cancellation
-    of 1 - |<p,q>|^2 near coincident points.
-    """
-    if p.coords.size != q.coords.size:
-        raise DimensionMismatch(f"dimensions {p.coords.size} and {q.coords.size} differ")
-    a, b = p.normalized(), q.normalized()
-    resid = b - np.vdot(a, b) * a
-    return min(1.0, float(np.linalg.norm(resid)))
+    """``chordal_distances`` of two projective points."""
+    return float(chordal_distances(p.coords, q.coords)[0])
 
 
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -116,56 +125,17 @@ def jacobian(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> JacobianMatrix:
 
 
 def _differential_ranks(vals, grads, tol):
-    """Rank of the projectivized differential for batched lifts.
-
-    ``vals`` has shape (B, n) and ``grads`` (B, 4, n).  Each lift and its
-    partials are divided by the largest |lift entry|, so that the norm
-    cannot overflow; the lift is then unit normalized and the partials are
-    projected orthogonally to it before the singular values are thresholded
-    at tol * sigma_max.  The rank is taken over the reals: the map is real
-    4-dimensional while the lift is holomorphic in z + ix, so the partials
-    in x and z are complex multiples of each other and a complex SVD would
-    report at most 3.  Splitting real
-    and imaginary parts gives the rank of the underlying real differential.
-    Raises ``LiftOverflow`` naming the rows whose lift or partials are not
-    finite.
-    """
-    inv_scale = 1.0 / np.abs(vals).max(axis=1, keepdims=True)
-    vals, grads = vals * inv_scale, grads * inv_scale[:, :, None]
-    norms = np.linalg.norm(vals, axis=1, keepdims=True)
-    f = vals / norms
-    d = grads / norms[:, :, None]
-    overlap = np.einsum("bn,bmn->bm", f.conj(), d)
-    # A non-finite lift entry makes its row of f NaN, and a non-finite
-    # partial its row of overlap, which meets every partial (0 * inf is NaN);
-    # scaled partials are far too small to overflow it.  So this finds the
-    # non-finite rows without another pass over the partials.
-    bad = ~np.isfinite(overlap).all(axis=1)
-    if bad.any():
-        raise LiftOverflow(f"the lift or its partials are not finite in rows "
-                           f"{np.flatnonzero(bad).tolist()}")
-    proj = d - overlap[:, :, None] * f[:, None, :]
-    proj = np.concatenate([proj.real, proj.imag], axis=2)
-    sv = np.linalg.svd(proj, compute_uv=False)
-    top = sv[:, :1]
-    # absolute floor against the unprojected gradient scale: for a constant
-    # map the projection leaves only roundoff, which must count as rank 0
-    # rather than be thresholded against itself
-    gscale = np.linalg.norm(d, axis=(1, 2))[:, None]
-    floor = 1e-10 * np.maximum(gscale, 1.0)
-    ranks = (sv > np.maximum(tol * top, floor)).sum(axis=1)
-    return ranks
+    """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n)."""
+    return hermitian_ranks(*fs_hermitian(vals, grads), tol)
 
 
-def projective_rank(k: int, u: KTPoint, tol: float = 1e-8, policy=th.DEFAULT_POLICY) -> int:
+def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POLICY) -> int:
     """Rank of the differential of phi_k at ``u`` (4 for an immersion).
 
-    Raises ``LiftOverflow`` where the lift or its partials are not finite.
+    ``tol`` must be at least ``symplectic.MIN_RANK_TOL``; raises
+    ``LiftOverflow`` where the lift or its partials are not finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vals, grads = section_matrix_with_gradients(k, u.as_array(), policy)
-    return int(_differential_ranks(vals, grads, tol)[0])
+    return int(hermitian_ranks(*hermitian_pullback_batch("phi_k", k, u.as_array(), policy), tol)[0])
 
 
 @dataclass(frozen=True)

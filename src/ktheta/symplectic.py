@@ -1,14 +1,16 @@
-"""Fubini-Study pullback, nondegeneracy, torus integrals and Chern classes.
+"""Fubini-Study pullback, metric and rank, torus integrals and Chern classes.
 
 The Fubini-Study form is normalized to unit integral over a projective
-line.  For a lift F: R^4 -> C^n \\ {0} with partials dF the pullback is
+line.  For a lift F: R^4 -> C^n \\ {0} with partials dF, ``fs_hermitian``
+builds the Hermitian form
 
-    Omega_{mu nu} = -(1/pi) * Im[ <dF_nu, dF_mu>/|F|^2
-                                  - <F, dF_mu><dF_nu, F>/|F|^4 ],
+    b_{mu nu} = <dF_nu, dF_mu>/|F|^2 - <F, dF_mu><dF_nu, F>/|F|^4,
 
-the real 2-form of (i/2pi) del delbar log |Z|^2.  The chart oracle
-``fs_normalization`` integrates the pullback of the inclusion C -> CP^1
-over the whole chart and must return 1 before Chern-number runs.
+whose real part is the pulled-back metric and whose imaginary part gives
+the pullback Omega = -(1/pi) Im b of (i/2pi) del delbar log |Z|^2.  Every
+pullback and differential rank is a view of this form; phi_k's is the sum
+of its two Segre factors' forms.  The chart oracle ``fs_normalization``
+integrates the pullback of C -> CP^1 over the chart and must return 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import theta as th
 from .errors import LiftOverflow, NonCommutingPair, TorusNotClosed
@@ -38,9 +39,10 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
 )
-from .sections import factors, section_matrix_with_gradients
+from .sections import factors
 
-MAP_IDS = ("phi_k", "psi_prime", "psi_double_prime", "omega_kt")
+FS_MAP_IDS = ("phi_k", "psi_prime", "psi_double_prime")
+MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,14 @@ class PullbackForm(TwoFormAtPoint):
     """A pulled-back 2-form at a base point, in the (dx, dy, dz, dt) basis."""
 
 
-def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Batched pullback matrices (B, 4, 4) from lifts and their partials.
+def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
+    """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
 
-    The form does not change when a point's lift and partials are scaled
-    together, so both are divided by the point's largest |lift entry|
-    first: |F|^2 and |F|^4 then stay finite wherever the lift is.
+    For lifts ``vals`` (B, n) with partials ``grads`` (B, 4, n) returns b of
+    shape (B, 4, 4), as in the module docstring, and scale = sum |dF|^2/|F|^2
+    of shape (B,), which bounds b's terms and so sets their roundoff.  Lift
+    and partials are divided by the point's largest |lift entry| first, so
+    |F|^4 stays finite wherever the lift is.
     """
     inv_scale = 1.0 / np.abs(vals).max(axis=1)
     vals = vals * inv_scale[:, None]
@@ -62,8 +66,54 @@ def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
     c = np.einsum("bn,bmn->bm", vals.conj(), grads)
     m = np.einsum("bmn,bln->bml", grads, grads.conj())
     b = m / n2[:, None, None] - (c[:, :, None] * c.conj()[:, None, :]) / (n2 * n2)[:, None, None]
+    return b, np.einsum("bmm->b", m).real / n2
+
+
+def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY):
+    """``fs_hermitian`` of the named map at an (B, 4) array of points.
+
+    The Segre map pulls the Fubini-Study form and metric back to the sums of
+    the factors' ones, so phi_k's form is the fiber plus the base term of one
+    ``factors`` call, with no k^2 lift; psi' and psi'' are each term alone.
+    """
+    if map_id not in FS_MAP_IDS:
+        raise ValueError(f"unknown map_id {map_id!r}; expected one of {FS_MAP_IDS}")
+    fiber, base = factors(k, np.atleast_2d(pts), policy, gradients=True)
+    if map_id != "phi_k":
+        return fs_hermitian(*(fiber if map_id == "psi_prime" else base))
+    (b_fib, s_fib), (b_base, s_base) = fs_hermitian(*fiber), fs_hermitian(*base)
+    return b_fib + b_base, s_fib + s_base
+
+
+def _form(b: np.ndarray) -> np.ndarray:
+    """The pulled-back 2-form -(1/pi) Im b, antisymmetrised."""
     omega = -(1.0 / math.pi) * b.imag
     return 0.5 * (omega - omega.transpose(0, 2, 1))
+
+
+# Eigenvalues of the metric square the singular values of the differential,
+# so the metric resolves sigma_min / sigma_max only down to about sqrt(u).
+MIN_RANK_TOL = 1e-7
+
+
+def hermitian_ranks(b: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
+    """Real rank of the differential from its ``fs_hermitian`` form, shape (B,).
+
+    Re b is the Gram matrix of the realified projected partials (the rank is
+    real: the lift is holomorphic in z + ix), so its eigenvalues are the
+    squared singular values.  The rank counts those above tol^2 times the
+    largest and above 1e-12 * scale, far above b's roundoff (a few u * scale),
+    so a constant map has rank 0.  Raises ``LiftOverflow`` naming non-finite rows.
+    """
+    if not tol >= MIN_RANK_TOL:
+        raise ValueError(f"tol must be at least {MIN_RANK_TOL}: the metric squares the "
+                         f"singular values, so it cannot resolve smaller ratios")
+    bad = ~np.isfinite(b).all(axis=(1, 2))
+    if bad.any():
+        raise LiftOverflow(f"the lift or its partials are not finite in rows "
+                           f"{np.flatnonzero(bad).tolist()}")
+    lam = np.linalg.eigvalsh(b.real)
+    return (lam > np.maximum(tol * tol * lam[:, -1], 1e-12 * scale)[:, None]).sum(axis=1)
 
 
 def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
@@ -71,12 +121,7 @@ def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_PO
     pts = np.atleast_2d(pts)
     if map_id == "omega_kt":
         return omega_kt_matrix(pts)
-    if map_id == "phi_k":
-        return _fs_from_lift(*section_matrix_with_gradients(k, pts, policy))
-    if map_id in ("psi_prime", "psi_double_prime"):
-        fiber, base = factors(k, pts, policy, gradients=True)
-        return _fs_from_lift(*(fiber if map_id == "psi_prime" else base))
-    raise ValueError(f"unknown map_id {map_id!r}; expected one of {MAP_IDS}")
+    return _form(hermitian_pullback_batch(map_id, k, pts, policy)[0])
 
 
 def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> PullbackForm:
@@ -95,19 +140,19 @@ def fs_normalization(max_radius: float = np.inf) -> float:
     """Integral of the chart pullback C -> CP^1 over the chart; exactly 1.
 
     Runs the production pullback code on the lift w -> (1, w) and
-    integrates the single coefficient radially.
+    integrates the single coefficient radially with a 16-node Gauss-Legendre
+    rule in r = tan(theta), where the integrand is the smooth sin(2 theta).
     """
-
-    def ring(r: float) -> float:
-        vals = np.array([[1.0, r]], dtype=complex)
-        grads = np.zeros((1, 4, 2), dtype=complex)
-        grads[0, 0, 1] = 1.0       # d/du
-        grads[0, 1, 1] = 1.0j      # d/dv
-        coeff = _fs_from_lift(vals, grads)[0, 0, 1]
-        return 2.0 * math.pi * r * coeff
-
-    val, _ = quad(ring, 0.0, max_radius)
-    return float(val)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    top = math.atan(max_radius)
+    theta = 0.5 * top * (nodes + 1.0)
+    r = np.tan(theta)
+    vals = np.stack([np.ones_like(r), r], axis=1).astype(complex)
+    grads = np.zeros((r.size, 4, 2), dtype=complex)
+    grads[:, :2, 1] = 1.0, 1.0j  # d/du, d/dv
+    coeff = _form(fs_hermitian(vals, grads)[0])[:, 0, 1]
+    ring = 2.0 * math.pi * r * coeff / np.cos(theta) ** 2  # dr = sec^2(theta) dtheta
+    return float(0.5 * top * weights @ ring)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from ktheta import (
     ProjectivePoint,
     act,
     chordal_distance,
+    chordal_distances,
     fundamental_domain_samples,
     injectivity_scan,
     jacobian,
@@ -89,6 +90,29 @@ class TestChordalDistance:
         assert np.abs(p.coords).max() > 1e200
         assert abs(np.linalg.norm(p.normalized()) - 1.0) < 1e-14
         assert chordal_distance(p, phi(16, reduce_point(u)[0])) < 1e-8
+
+    def test_rows_match_scalar(self):
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        q = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        q[0] = (2.0 - 1.0j) * p[0]
+        u = KTPoint(2.6221792294411626, 1.988960147681885, 2.193228993599369,
+                    -1.8397879661421555)
+        p = np.vstack([p, phi(16, u).coords[:16]])  # entries up to ~9.5e214
+        q = np.vstack([q, phi(16, reduce_point(u)[0]).coords[:16]])
+        assert np.abs(p[-1]).max() > 1e200
+        rows = chordal_distances(p, q)
+        for i in range(len(p)):
+            assert rows[i] == chordal_distance(ProjectivePoint(p[i]), ProjectivePoint(q[i]))
+        # the naive formula is accurate only away from coincident rows
+        cos2 = np.abs(np.einsum("bn,bn->b", p[:6].conj(), q[:6])) ** 2 / (
+            np.linalg.norm(p[:6], axis=1) * np.linalg.norm(q[:6], axis=1)) ** 2
+        assert np.allclose(rows[1:6], np.sqrt(1.0 - cos2[1:]), atol=1e-12)
+        assert rows[0] < 1e-15 and rows[-1] < 1e-8
+
+    def test_rows_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            chordal_distances(np.ones((2, 3)), np.ones((2, 4)))
 
     def test_non_finite_coordinates_raise_lift_overflow(self):
         with pytest.raises(LiftOverflow):

@@ -1,7 +1,16 @@
 """Fubini-Study pullbacks, Pfaffians, torus integrals, Chern numbers."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import ktheta
+import ktheta.embedding as embedding_module
+import ktheta.sections as sections_module
 
 from ktheta import (
     BasisTorus,
@@ -25,15 +34,20 @@ from ktheta import (
     multiplicator,
     omega_kt,
     pfaffian,
+    projective_rank,
     transition_function,
     two_form,
 )
 from ktheta.checks import check_structure_decomposition
 from ktheta.manifold import IDENTITY, act, compose, inverse, reduce_point
+from ktheta.sections import factors, section_matrix_with_gradients
 from ktheta.symplectic import (
+    FS_MAP_IDS,
     TORUS_AXES,
     exterior_derivative_residuals,
     fs_pullback_batch,
+    hermitian_pullback_batch,
+    hermitian_ranks,
     pfaffian_batch,
 )
 
@@ -47,6 +61,167 @@ class TestFubiniStudyOracle:
 
     def test_truncated_chart_integral_smaller(self):
         assert fs_normalization(max_radius=1.0) < 1.0
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 10.0])
+    def test_truncated_chart_integral_closed_form(self, radius):
+        # the chart form is dA / (pi (1 + r^2)^2), so the disc holds r^2 / (1 + r^2)
+        assert abs(fs_normalization(max_radius=radius) - radius**2 / (1.0 + radius**2)) < 1e-12
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(ktheta.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, ktheta; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+
+# The k^2-lift pullback and SVD rank that the factored Hermitian form replaced,
+# verbatim.
+def _fs_from_lift(vals: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Batched pullback matrices (B, 4, 4) from lifts and their partials.
+
+    The form does not change when a point's lift and partials are scaled
+    together, so both are divided by the point's largest |lift entry|
+    first: |F|^2 and |F|^4 then stay finite wherever the lift is.
+    """
+    inv_scale = 1.0 / np.abs(vals).max(axis=1)
+    vals = vals * inv_scale[:, None]
+    grads = grads * inv_scale[:, None, None]
+    n2 = np.einsum("bn,bn->b", vals.conj(), vals).real
+    c = np.einsum("bn,bmn->bm", vals.conj(), grads)
+    m = np.einsum("bmn,bln->bml", grads, grads.conj())
+    b = m / n2[:, None, None] - (c[:, :, None] * c.conj()[:, None, :]) / (n2 * n2)[:, None, None]
+    omega = -(1.0 / math.pi) * b.imag
+    return 0.5 * (omega - omega.transpose(0, 2, 1))
+
+
+def _differential_ranks(vals, grads, tol):
+    """Rank of the projectivized differential for batched lifts.
+
+    ``vals`` has shape (B, n) and ``grads`` (B, 4, n).  Each lift and its
+    partials are divided by the largest |lift entry|, so that the norm
+    cannot overflow; the lift is then unit normalized and the partials are
+    projected orthogonally to it before the singular values are thresholded
+    at tol * sigma_max.  The rank is taken over the reals: the map is real
+    4-dimensional while the lift is holomorphic in z + ix, so the partials
+    in x and z are complex multiples of each other and a complex SVD would
+    report at most 3.  Splitting real
+    and imaginary parts gives the rank of the underlying real differential.
+    Raises ``LiftOverflow`` naming the rows whose lift or partials are not
+    finite.
+    """
+    inv_scale = 1.0 / np.abs(vals).max(axis=1, keepdims=True)
+    vals, grads = vals * inv_scale, grads * inv_scale[:, :, None]
+    norms = np.linalg.norm(vals, axis=1, keepdims=True)
+    f = vals / norms
+    d = grads / norms[:, :, None]
+    overlap = np.einsum("bn,bmn->bm", f.conj(), d)
+    # A non-finite lift entry makes its row of f NaN, and a non-finite
+    # partial its row of overlap, which meets every partial (0 * inf is NaN);
+    # scaled partials are far too small to overflow it.  So this finds the
+    # non-finite rows without another pass over the partials.
+    bad = ~np.isfinite(overlap).all(axis=1)
+    if bad.any():
+        raise LiftOverflow(f"the lift or its partials are not finite in rows "
+                           f"{np.flatnonzero(bad).tolist()}")
+    proj = d - overlap[:, :, None] * f[:, None, :]
+    proj = np.concatenate([proj.real, proj.imag], axis=2)
+    sv = np.linalg.svd(proj, compute_uv=False)
+    top = sv[:, :1]
+    # absolute floor against the unprojected gradient scale: for a constant
+    # map the projection leaves only roundoff, which must count as rank 0
+    # rather than be thresholded against itself
+    gscale = np.linalg.norm(d, axis=(1, 2))[:, None]
+    floor = 1e-10 * np.maximum(gscale, 1.0)
+    ranks = (sv > np.maximum(tol * top, floor)).sum(axis=1)
+    return ranks
+
+
+def _oracle_lift(map_id, k, pts):
+    """The k^2 lift of phi_k, or the factor lift of psi' or psi''."""
+    if map_id == "phi_k":
+        return section_matrix_with_gradients(k, pts)
+    fiber, base = factors(k, pts, gradients=True)
+    return fiber if map_id == "psi_prime" else base
+
+
+class TestFactoredHermitianForm:
+    PTS = fundamental_domain_samples(400, 61)
+
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_pullback_matches_lift_oracle(self, map_id, k):
+        got = fs_pullback_batch(map_id, k, self.PTS)
+        want = _fs_from_lift(*_oracle_lift(map_id, k, self.PTS))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_phi_form_is_sum_of_factor_forms(self, k):
+        # the Segre additivity that structure_decomposition used to gate,
+        # here against the k^2 lift
+        want = _fs_from_lift(*section_matrix_with_gradients(k, self.PTS))
+        summed = fs_pullback_batch("psi_prime", k, self.PTS) + fs_pullback_batch(
+            "psi_double_prime", k, self.PTS)
+        assert np.abs(summed - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_pfaffian_on_moved_points(self, k):
+        rng = np.random.default_rng(7 + k)
+        base = fundamental_domain_samples(60, 62 + k)
+        moved = np.array([act(GroupWord(*(int(e) for e in rng.integers(-2, 3, 4))),
+                              KTPoint.from_array(p)).as_array() for p in base])
+        reduced = np.array([reduce_point(KTPoint.from_array(p))[0].as_array() for p in moved])
+        pf = pfaffian_batch(fs_pullback_batch("phi_k", k, moved))
+        pf0 = pfaffian_batch(fs_pullback_batch("phi_k", k, reduced))
+        assert np.abs(pf / pf0 - 1.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("map_id,want", [("phi_k", 4), ("psi_prime", 3),
+                                             ("psi_double_prime", 2)])
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_ranks_match_svd_oracle(self, map_id, want, k):
+        ranks = hermitian_ranks(*hermitian_pullback_batch(map_id, k, self.PTS), 1e-6)
+        assert np.array_equal(ranks, _differential_ranks(*_oracle_lift(map_id, k, self.PTS), 1e-6))
+        if map_id == "psi_prime" and k == 2:
+            want = 2
+        assert (ranks == want).all()
+
+    def test_ranks_on_k2_lifts_match_svd_oracle(self):
+        for k in (3, 16):
+            vals, grads = section_matrix_with_gradients(k, self.PTS)
+            assert np.array_equal(embedding_module._differential_ranks(vals, grads, 1e-6),
+                                  _differential_ranks(vals, grads, 1e-6))
+
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    def test_constant_map_has_rank_zero(self, map_id):
+        ranks = hermitian_ranks(*hermitian_pullback_batch(map_id, 1, self.PTS), 1e-6)
+        assert not ranks.any()
+
+    def test_tol_below_metric_resolution_rejected(self):
+        with pytest.raises(ValueError, match="at least 1e-07"):
+            projective_rank(3, U0, tol=5e-8)
+
+    def test_metric_paths_build_no_k2_lift(self, monkeypatch):
+        kernel_calls = []
+        theta_module = sections_module.th  # ktheta.theta is shadowed by the function
+        kernel = theta_module._degree_basis_batch
+
+        def counting_kernel(*args, **kwargs):
+            kernel_calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        def no_lift(*args, **kwargs):
+            raise AssertionError("k^2 lift built on a metric path")
+
+        monkeypatch.setattr(theta_module, "_degree_basis_batch", counting_kernel)
+        for module in (sections_module, embedding_module):
+            monkeypatch.setattr(module, "section_matrix_with_gradients", no_lift)
+        for run in (lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]),
+                    lambda: projective_rank(16, U0),
+                    lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_bd"), grid=8)):
+            kernel_calls.clear()
+            run()
+            assert len(kernel_calls) == 2
 
 
 class TestLiftScaling:
