@@ -2,7 +2,7 @@
 
 phi_k lists the k^2 basis sections in the fixed flattening p*k + q.  It is
 built as the Segre product of the fiber map psi' and the base map psi'',
-which are the fiber and base lifts of ``sections.factors``.  Injectivity
+which are the fiber and base lifts of ``sections.factor``.  Injectivity
 is verified by seeded sampling, and the immersion property by ranks of the
 Fubini-Study metric of the two factors (``symplectic.hermitian_ranks``).
 """
@@ -22,7 +22,7 @@ from .manifold import (
     fundamental_domain_samples,
     quotient_distance,
 )
-from .sections import factors, section_matrix, section_matrix_with_gradients
+from .sections import factor, section_matrix, section_matrix_with_gradients
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
@@ -77,12 +77,12 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)]."""
-    return ProjectivePoint(factors(k, u.as_array(), policy)[0])
+    return ProjectivePoint(factor("fiber", k, u.as_array(), policy))
 
 
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)]."""
-    return ProjectivePoint(factors(k, u.as_array(), policy)[1])
+    return ProjectivePoint(factor("base", k, u.as_array(), policy))
 
 
 def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:

@@ -8,12 +8,15 @@ and the degree-k space is spanned by the k^2 products
 
     s_{p,q}(u) = theta_k^p(z + i x, y + i) * theta_k^q(y + i t, i),
 
-flattened project-wide as index p*k + q.  ``factors`` evaluates the two
-factor lifts, the fiber map psi' = theta_k^p(z + i x, y + i) and the base
-map psi'' = theta_k^q(y + i t, i), with their coordinate partials; the
-basis values are their Segre outer product and the basis gradients follow
-by the product rule.  Sections transform under the deck group by the k-th
-power of the multiplicators.
+flattened project-wide as index p*k + q.  ``factor`` evaluates one of the
+two factor lifts, the fiber map psi' = theta_k^p(z + i x, y + i) or the
+base map psi'' = theta_k^q(y + i t, i), with its coordinate partials, and
+``factors`` evaluates both; the basis values are their Segre outer product
+and the basis gradients follow by the product rule.  ``FACTOR_AXES`` records
+the coordinates each factor depends on, fiber (x, y, z) and base (y, t);
+every other partial is exactly zero, so a caller that needs one factor
+evaluates only that one.  Sections transform under the deck group by the
+k-th power of the multiplicators.
 """
 
 from __future__ import annotations
@@ -61,13 +64,13 @@ class ZetaShift:
             raise ValueError("shift components must be finite")
 
 
-def _split_points(pts: np.ndarray):
-    """Fiber/base arguments for an (..., 4) array of points."""
+def _factor_args(which: str, pts: np.ndarray):
+    """Theta argument w and modulus tau of one factor at (..., 4) points."""
     pts = np.asarray(pts, dtype=float)
-    w1 = pts[..., 2] + 1j * pts[..., 0]
-    tau1 = pts[..., 1] + 1j
-    w2 = pts[..., 1] + 1j * pts[..., 3]
-    return w1, tau1, w2
+    if which == "fiber":
+        return pts[..., 2] + 1j * pts[..., 0], pts[..., 1] + 1j
+    w = pts[..., 1] + 1j * pts[..., 3]
+    return w, np.full_like(w, BASE_TAU)
 
 
 def theta_kt(u: KTPoint, policy: th.TruncationPolicy = th.DEFAULT_POLICY) -> complex:
@@ -75,34 +78,50 @@ def theta_kt(u: KTPoint, policy: th.TruncationPolicy = th.DEFAULT_POLICY) -> com
     return zeta_action(ZetaShift(0.0, 0.0), u, policy)
 
 
-def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
-    """Fiber and base factor lifts of the degree-k basis at (..., 4) points.
+# Each Segre factor's partials along (x, y, z, t), in terms of its
+# theta_k^p(w, tau) (``_factor_args``): "w" is d/dw, "iw" is i d/dw, "tau"
+# is d/dtau and None a coordinate the factor does not depend on.
+_CHAIN = {
+    "fiber": ("iw", "tau", "w", None),
+    "base": (None, "w", None, "iw"),
+}
+# The coordinates each factor depends on: fiber (x, y, z), base (y, t).
+FACTOR_AXES = {name: tuple(i for i, c in enumerate(chain) if c) for name, chain in _CHAIN.items()}
 
-    Returns ``(fiber, base)``, the values theta_k^p(z + i x, y + i) and
-    theta_k^q(y + i t, i) with the residue axis last, shape (..., k).  With
-    ``gradients`` it returns ``(fiber, d_fiber), (base, d_base)``, where the
-    (d/dx, d/dy, d/dz, d/dt) partials have shape (..., 4, k): the fiber
-    depends on x, z through w = z + i x and on y through its modulus, the
-    base on y, t through w = y + i t.
+
+def factor(which: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
+    """One Segre factor lift of the degree-k basis at (..., 4) points.
+
+    ``which`` is "fiber", the values theta_k^p(z + i x, y + i), or "base",
+    theta_k^q(y + i t, i), with the residue axis last, shape (..., k).  With
+    ``gradients`` it returns ``(values, partials)``, where the
+    (d/dx, d/dy, d/dz, d/dt) partials have shape (..., 4, k) and are the
+    literal zero array along every coordinate outside ``FACTOR_AXES[which]``.
+    One kernel call.
     """
-    w1, tau1, w2 = _split_points(pts)
-    orders = ((0, 0), (1, 0), (0, 1)) if gradients else ((0, 0),)
-    fiber, *fib_d = th._degree_basis_batch(k, w1, tau1, policy, orders)
-    # the base modulus is the constant BASE_TAU, so no d/dtau there
-    base, *base_d = th._degree_basis_batch(k, w2, np.full_like(w2, BASE_TAU), policy, orders[:2])
+    if which not in _CHAIN:
+        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(_CHAIN)}")
+    chain = _CHAIN[which]
+    w, tau = _factor_args(which, pts)
+    orders = ((0, 0),)
+    if gradients:
+        orders += ((1, 0), (0, 1)) if "tau" in chain else ((1, 0),)
+    vals, *derivs = th._degree_basis_batch(k, w, tau, policy, orders)
     # The residue and partial axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
-    to_last = (*range(1, fiber.ndim), 0)
+    vals_last = vals.transpose(*range(1, vals.ndim), 0)
     if not gradients:
-        return fiber.transpose(to_last), base.transpose(to_last)
-    (fib_w, fib_tau), (base_w,) = fib_d, base_d
-    zero = np.zeros_like(fiber)
-    d_fiber = np.array([1j * fib_w, fib_tau, fib_w, zero])
-    d_base = np.array([zero, base_w, zero, 1j * base_w])
-    partials_last = (*range(2, fiber.ndim + 1), 0, 1)
-    return ((fiber.transpose(to_last), d_fiber.transpose(partials_last)),
-            (base.transpose(to_last), d_base.transpose(partials_last)))
+        return vals_last
+    rows = dict(zip(("w", "tau"), derivs), iw=1j * derivs[0])
+    rows[None] = np.zeros_like(vals)
+    partials = np.array([rows[c] for c in chain])
+    return vals_last, partials.transpose(*range(2, vals.ndim + 1), 0, 1)
+
+
+def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
+    """``(fiber, base)``: both ``factor`` lifts, each as ``factor`` returns it."""
+    return factor("fiber", k, pts, policy, gradients), factor("base", k, pts, policy, gradients)
 
 
 def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
@@ -152,10 +171,10 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     evaluation.
     """
     shifts = _shift_array(zetas)
-    w1, tau1, w2 = _split_points(pts)
+    (w1, tau1), (w2, tau2) = _factor_args("fiber", pts), _factor_args("base", pts)
     # fiber factors against y + i and base factors against i, stacked
     ws = np.stack([w1[..., None] + shifts[:, 0], w2[..., None] + shifts[:, 1]])
-    taus = np.stack([tau1, np.full_like(tau1, BASE_TAU)])[..., None]
+    taus = np.stack([tau1, tau2])[..., None]
     return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
 
 
@@ -239,16 +258,16 @@ def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
 
 def _try_branch(branch, u, v, policy, rng, retries, probes):
     """One branch of the separating-section search; None when retries run out."""
-    w1u, _, w2u = _split_points(u.as_array())
-    half = th.theta_zero(BASE_TAU)  # z = 1/2 kills a theta factor
+    # z = 1/2 kills a theta factor; the branch names the factor to kill at u
+    zero_at_u = th.theta_zero(BASE_TAU) - _factor_args(branch, u.as_array())[0]
     pts = np.vstack([probes, u.as_array(), v.as_array()])
     for _ in range(retries):
         if branch == "base":
-            gamma = half - w2u
+            gamma = zero_at_u
             alpha, beta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
             delta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
         else:
-            alpha = half - w1u
+            alpha = zero_at_u
             beta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
             gamma, delta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
         result = SeparationResult(
@@ -293,7 +312,8 @@ def separating_section(
     for branch in order:
         if branch == "fiber" and primary == "base":
             # fallback only makes sense when the fiber coordinates differ
-            if abs(_split_points(v.as_array())[0] - _split_points(u.as_array())[0]) < 1e-8:
+            if abs(_factor_args("fiber", v.as_array())[0]
+                   - _factor_args("fiber", u.as_array())[0]) < 1e-8:
                 continue
         found = _try_branch(branch, u, v, policy, rng, retries, probes)
         if found is not None:

@@ -39,9 +39,11 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
 )
-from .sections import factors
+from .sections import FACTOR_AXES, factor
 
-FS_MAP_IDS = ("phi_k", "psi_prime", "psi_double_prime")
+# The Segre factors of each map: phi_k is the product of psi' and psi''.
+MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
+FS_MAP_IDS = tuple(MAP_FACTORS)
 MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
@@ -73,16 +75,22 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     """``fs_hermitian`` of the named map at an (B, 4) array of points.
 
     The Segre map pulls the Fubini-Study form and metric back to the sums of
-    the factors' ones, so phi_k's form is the fiber plus the base term of one
-    ``factors`` call, with no k^2 lift; psi' and psi'' are each term alone.
+    the factors' ones, so phi_k's form is the fiber plus the base term, with
+    no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
+    factors are evaluated, one kernel call each.
     """
-    if map_id not in FS_MAP_IDS:
-        raise ValueError(f"unknown map_id {map_id!r}; expected one of {FS_MAP_IDS}")
-    fiber, base = factors(k, np.atleast_2d(pts), policy, gradients=True)
-    if map_id != "phi_k":
-        return fs_hermitian(*(fiber if map_id == "psi_prime" else base))
-    (b_fib, s_fib), (b_base, s_base) = fs_hermitian(*fiber), fs_hermitian(*base)
-    return b_fib + b_base, s_fib + s_base
+    _check_map(map_id, FS_MAP_IDS)
+    pts = np.atleast_2d(pts)
+    (b, scale), *rest = (fs_hermitian(*factor(which, k, pts, policy, gradients=True))
+                         for which in MAP_FACTORS[map_id])
+    for b_more, scale_more in rest:
+        b, scale = b + b_more, scale + scale_more
+    return b, scale
+
+
+def _check_map(map_id: str, known: tuple) -> None:
+    if map_id not in known:
+        raise ValueError(f"unknown map_id {map_id!r}; expected one of {known}")
 
 
 def _form(b: np.ndarray) -> np.ndarray:
@@ -245,10 +253,14 @@ def exterior_derivative_residual(
     return float(exterior_derivative_residuals(map_id, k, u.as_array(), h, policy)[0])
 
 
+# The coordinates of a torus's two words, in the words' order: a translates
+# x, b y, c z and d t.  The torus is oriented by ds_i ^ ds_j for
+# (i, j) = TORUS_AXES[id], so its curvature integral is k times
+# chern_via_multiplicators(id).
 TORUS_AXES = {
-    "T_ca": (0, 2),  # a-translation in x, c-translation in z
+    "T_ca": (2, 0),
     "T_bd": (1, 3),
-    "T_cb": (1, 2),
+    "T_cb": (2, 1),
     "T_ad": (0, 3),
 }
 
@@ -282,9 +294,14 @@ class BasisTorus:
                 )
 
     def grid_points(self, grid: int) -> np.ndarray:
+        """The grid^2 points of the uniform grid, in coordinate order.
+
+        The order does not depend on the orientation, so reversing it
+        negates an integral exactly.
+        """
         s = np.arange(grid) / grid
         s1, s2 = np.meshgrid(s, s, indexing="ij")
-        axis1, axis2 = TORUS_AXES[self.id]
+        axis1, axis2 = sorted(TORUS_AXES[self.id])
         pts = np.tile(self.basepoint.as_array(), (grid * grid, 1))
         pts[:, axis1] += s1.ravel()
         pts[:, axis2] += s2.ravel()
@@ -294,18 +311,31 @@ class BasisTorus:
 def integrate_over_torus(
     map_id: str, k: int, torus: BasisTorus, grid: int = 64, policy=th.DEFAULT_POLICY
 ) -> float:
-    """Oriented integral of the pulled-back form over the torus (ds1 ^ ds2).
+    """Oriented integral of the pulled-back form over the torus (ds_i ^ ds_j).
 
-    Uniform-grid quadrature; the integrand is smooth and periodic, so the
-    periodic trapezoid rule converges spectrally.
+    The mean of the (i, j) coefficient, (i, j) = TORUS_AXES[torus.id], over
+    a uniform grid; the integrand is smooth and periodic, so the periodic
+    trapezoid rule converges spectrally.  For the Fubini-Study maps the
+    coefficient is the sum of the map's Segre factors' ones, and a factor
+    that does not depend on both coordinates adds exactly zero, so only the
+    factors spanning the torus are evaluated: one kernel call on T_ca, T_bd
+    and T_cb, and none on T_ad, where no factor depends on both x and t and
+    the integral is 0.0.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
+    _check_map(map_id, MAP_IDS)
     torus.validate_closure()
+    i, j = TORUS_AXES[torus.id]
+    if map_id == "omega_kt":
+        return float(np.mean(omega_kt_matrix(torus.grid_points(grid))[:, i, j]))
+    spanning = [w for w in MAP_FACTORS[map_id] if {i, j} <= set(FACTOR_AXES[w])]
+    if not spanning:
+        return 0.0
     pts = torus.grid_points(grid)
-    mats = fs_pullback_batch(map_id, k, pts, policy)
-    axis1, axis2 = TORUS_AXES[torus.id]
-    return float(np.mean(mats[:, axis1, axis2]))
+    coeff = sum(_form(fs_hermitian(*factor(w, k, pts, policy, gradients=True))[0])[:, i, j]
+                for w in spanning)
+    return float(np.mean(coeff))
 
 
 def transition_function(w1: GroupWord, w2: GroupWord, u: KTPoint) -> complex:

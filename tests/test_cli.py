@@ -170,3 +170,14 @@ class TestIntegrateCommand:
         )
         assert result.exit_code == 0
         assert abs(json.loads(result.output)[0]["integral"] - 1.0) < 1e-12
+
+    def test_phi_k_integrals_are_k_times_chern(self, runner):
+        chern = runner.invoke(main, ["chern"])
+        result = runner.invoke(main, ["integrate", "--map", "phi_k", "--k", "3", "--grid", "32"])
+        assert chern.exit_code == result.exit_code == 0
+        c1 = {r["torus"]: r["c1"] for r in json.loads(chern.output)}
+        rows = json.loads(result.output)
+        assert sorted(r["torus"] for r in rows) == sorted(c1)
+        for row in rows:
+            assert row["k"] == 3
+            assert abs(row["integral"] - 3 * c1[row["torus"]]) < 1e-3

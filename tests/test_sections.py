@@ -39,8 +39,15 @@ from ktheta.checks import (
     check_separating_sections,
 )
 from ktheta.embedding import psi_double_prime, psi_prime
-from ktheta.sections import BASE_TAU, factors, section_matrix_with_gradients, shift_product
-from ktheta.symplectic import MAP_IDS, fs_pullback_batch
+from ktheta.sections import (
+    BASE_TAU,
+    FACTOR_AXES,
+    factor,
+    factors,
+    section_matrix_with_gradients,
+    shift_product,
+)
+from ktheta.symplectic import fs_pullback_batch
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -268,8 +275,31 @@ class TestFactors:
         assert np.array_equal(nvals, vals.reshape(2, 3, 9))
         assert np.array_equal(ngrads, grads.reshape(2, 3, 4, 9))
 
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_partials_follow_dependence_table(self, k):
+        pts = fundamental_domain_samples(40, 50 + k)
+        assert FACTOR_AXES == {"fiber": (0, 1, 2), "base": (1, 3)}
+        for which in ("fiber", "base"):
+            _, partials = factor(which, k, pts, gradients=True)
+            for axis in range(4):
+                if axis in FACTOR_AXES[which]:
+                    assert np.any(partials[:, axis] != 0)
+                else:
+                    assert np.all(partials[:, axis] == 0)
+
+    def test_factors_is_the_pair_of_factor(self):
+        pts = fundamental_domain_samples(12, 7)
+        for (got_vals, got_partials), which in zip(factors(3, pts, gradients=True),
+                                                   ("fiber", "base")):
+            vals, partials = factor(which, 3, pts, gradients=True)
+            assert np.array_equal(got_vals, vals) and np.array_equal(got_partials, partials)
+            assert np.array_equal(factor(which, 3, pts), vals)
+        with pytest.raises(ValueError, match="unknown factor"):
+            factor("total", 3, pts)
+
     def test_basis_calls(self, monkeypatch):
-        # every map is assembled from one fiber and one base evaluation
+        # phi_k is assembled from one fiber and one base evaluation, psi' and
+        # psi'' (and their pullbacks) from their own factor alone
         theta_module = sys.modules["ktheta.theta"]
         original = theta_module._degree_basis_batch
         calls = []
@@ -281,15 +311,18 @@ class TestFactors:
         monkeypatch.setattr(theta_module, "_degree_basis_batch", counting)
         pts = fundamental_domain_samples(20, 5)
         evaluations = [
-            lambda: section_matrix(3, pts),
-            lambda: section_matrix_with_gradients(3, pts),
-            lambda: psi_prime(3, U0),
-            lambda: psi_double_prime(3, U0),
-        ] + [lambda m=m: fs_pullback_batch(m, 3, pts) for m in MAP_IDS if m != "omega_kt"]
-        for evaluate in evaluations:
+            (lambda: section_matrix(3, pts), 2),
+            (lambda: section_matrix_with_gradients(3, pts), 2),
+            (lambda: fs_pullback_batch("phi_k", 3, pts), 2),
+            (lambda: psi_prime(3, U0), 1),
+            (lambda: psi_double_prime(3, U0), 1),
+            (lambda: fs_pullback_batch("psi_prime", 3, pts), 1),
+            (lambda: fs_pullback_batch("psi_double_prime", 3, pts), 1),
+        ]
+        for evaluate, want in evaluations:
             calls.clear()
             evaluate()
-            assert len(calls) == 2
+            assert len(calls) == want
         calls.clear()
         fs_pullback_batch("omega_kt", 3, pts)
         assert not calls

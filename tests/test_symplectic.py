@@ -11,6 +11,7 @@ import pytest
 import ktheta
 import ktheta.embedding as embedding_module
 import ktheta.sections as sections_module
+import ktheta.symplectic as symplectic_module
 
 from ktheta import (
     BasisTorus,
@@ -38,7 +39,7 @@ from ktheta import (
     transition_function,
     two_form,
 )
-from ktheta.checks import check_structure_decomposition
+from ktheta.checks import check_structure_decomposition, check_torus_integrals
 from ktheta.manifold import IDENTITY, act, compose, inverse, reduce_point
 from ktheta.sections import factors, section_matrix_with_gradients
 from ktheta.symplectic import (
@@ -216,12 +217,13 @@ class TestFactoredHermitianForm:
         monkeypatch.setattr(theta_module, "_degree_basis_batch", counting_kernel)
         for module in (sections_module, embedding_module):
             monkeypatch.setattr(module, "section_matrix_with_gradients", no_lift)
-        for run in (lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]),
-                    lambda: projective_rank(16, U0),
-                    lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_bd"), grid=8)):
+        for run, want in ((lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]), 2),
+                          (lambda: projective_rank(16, U0), 2),
+                          (lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_bd"), 8), 1),
+                          (lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_ad"), 8), 0)):
             kernel_calls.clear()
             run()
-            assert len(kernel_calls) == 2
+            assert len(kernel_calls) == want
 
 
 class TestLiftScaling:
@@ -372,8 +374,9 @@ class TestTori:
             tid: integrate_over_torus("omega_kt", 1, BasisTorus(tid), grid=16)
             for tid in TORUS_AXES
         }
-        # omega_KT = -dx^dz + x dx^dy + dy^dt on the coordinate axes
-        assert abs(vals["T_ca"] + 1.0) < 1e-12   # integrand Omega_xz = -1
+        # omega_KT = -dx^dz + x dx^dy + dy^dt on the coordinate axes, and
+        # T_ca is oriented by dz^dx
+        assert abs(vals["T_ca"] - 1.0) < 1e-12   # integrand Omega_zx = +1
         assert abs(vals["T_bd"] - 1.0) < 1e-12
         assert abs(vals["T_cb"]) < 1e-12
         assert abs(vals["T_ad"]) < 1e-12
@@ -386,6 +389,45 @@ class TestTori:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             integrate_over_torus("omega_kt", 1, BasisTorus("T_bd"), grid=4)
+
+    def test_orientation_follows_torus_words(self):
+        assert TORUS_AXES == {"T_ca": (2, 0), "T_bd": (1, 3), "T_cb": (2, 1), "T_ad": (0, 3)}
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_phi_integrals_are_k_times_chern(self, k):
+        for tid in TORUS_AXES:
+            got = integrate_over_torus("phi_k", k, BasisTorus(tid), grid=64)
+            assert abs(got - k * chern_via_multiplicators(tid)) < 1e-4
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    def test_matches_all_factor_oracle(self, map_id, k):
+        # the deleted path: every factor, every partial, every grid point
+        tori = [BasisTorus(tid) for tid in TORUS_AXES]
+        tori.append(BasisTorus("T_bd", basepoint=KTPoint(0.3, 0.25, 0.1, 0.7)))
+        for torus in tori:
+            i, j = TORUS_AXES[torus.id]
+            mats = fs_pullback_batch(map_id, k, torus.grid_points(16))
+            want = float(np.mean(mats[:, i, j]))
+            assert integrate_over_torus(map_id, k, torus, 16) == want
+
+    def test_checks_run_before_the_structural_zero(self):
+        t_ad = BasisTorus("T_ad")
+        assert integrate_over_torus("phi_k", 3, t_ad, 8) == 0.0
+        with pytest.raises(ValueError, match="grid"):
+            integrate_over_torus("phi_k", 3, t_ad, 4)
+        with pytest.raises(ValueError, match="unknown map_id"):
+            integrate_over_torus("psi", 3, t_ad, 8)
+        with pytest.raises(TorusNotClosed):
+            integrate_over_torus("phi_k", 3, BasisTorus("T_ad", KTPoint(0.0, 0.5, 0.0, 0.0)), 8)
+
+    def test_sign_flipped_pullback_fails_the_suite(self, monkeypatch):
+        form = symplectic_module._form
+        assert check_torus_integrals(RunConfig()).passed
+        monkeypatch.setattr(symplectic_module, "_form", lambda b: -form(b))
+        report = check_torus_integrals(RunConfig())
+        assert not report.passed
+        assert report.witness["integrals"]["T_ca"] < 0 < report.witness["expected"]["T_ca"]
 
 
 class TestChern:
