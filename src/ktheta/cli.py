@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -39,15 +40,8 @@ def _load_config_file(path):
     return values
 
 
-_CONFIG_TYPES = {
-    "k": int,
-    "epsilon": float,
-    "samples": int,
-    "seed": int,
-    "grid": int,
-    "fd_step": float,
-    "max_terms": int,
-}
+# config-file keys are RunConfig's constructor fields, each typed as its default
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig) if f.init}
 
 
 def _build_config(config_path, **overrides) -> RunConfig:
@@ -87,16 +81,15 @@ def _emit(rows, fieldnames, fmt, out):
         click.echo(text, nl=False)
 
 
-def _point_from_coords(coords) -> KTPoint:
-    return KTPoint(*(float(c) for c in coords))
-
+_DEFAULTS = RunConfig()
 
 _shared = [
-    click.option("--k", type=int, default=None, help="Bundle degree (default 3)."),
+    click.option("--k", type=int, default=None, help=f"Bundle degree (default {_DEFAULTS.k})."),
     click.option("--eps", "epsilon", type=float, default=None, help="Series tail tolerance."),
     click.option("--samples", type=int, default=None, help="Sample-count override."),
-    click.option("--seed", type=int, default=None, help="RNG seed (default 42)."),
-    click.option("--grid", type=int, default=None, help="Torus quadrature grid (default 64)."),
+    click.option("--seed", type=int, default=None, help=f"RNG seed (default {_DEFAULTS.seed})."),
+    click.option("--grid", type=int, default=None,
+                 help=f"Torus quadrature grid (default {_DEFAULTS.grid})."),
     click.option("--fd-step", type=float, default=None, help="Finite-difference step."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="key=value config file; flags override it."),
@@ -112,7 +105,18 @@ def shared_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a library error of any command as ``error: ...`` and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KThetaError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main():
     """Theta functions and projective embeddings on the Kodaira-Thurston manifold."""
 
@@ -164,11 +168,7 @@ def _display_normalize(point: ProjectivePoint) -> np.ndarray:
 def embed(coords, fmt, out, config_path, **overrides):
     """Projective image of the point (x y z t) under phi_k."""
     cfg = _build_config(config_path, **overrides)
-    try:
-        point = phi(cfg.k, _point_from_coords(coords), cfg.policy)
-    except KThetaError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    point = phi(cfg.k, KTPoint(*coords), cfg.policy)
     lift = _display_normalize(point)
     rows = [
         {"index": i, "re": float(c.real), "im": float(c.imag)}
@@ -183,11 +183,7 @@ def embed(coords, fmt, out, config_path, **overrides):
 def rank(coords, fmt, out, config_path, **overrides):
     """Rank of the differential of phi_k at the point (x y z t)."""
     cfg = _build_config(config_path, **overrides)
-    try:
-        r = projective_rank(cfg.k, _point_from_coords(coords), tol=1e-6, policy=cfg.policy)
-    except KThetaError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    r = projective_rank(cfg.k, KTPoint(*coords), policy=cfg.policy)
     _emit([{"k": cfg.k, "rank": r}], ["k", "rank"], fmt, out)
 
 
@@ -196,12 +192,7 @@ def rank(coords, fmt, out, config_path, **overrides):
 def injectivity(fmt, out, config_path, **overrides):
     """Seeded image-collision scan for phi_k; exit 1 on a near-collision."""
     cfg = _build_config(config_path, **overrides)
-    n = cfg.samples if cfg.samples > 0 else 2000
-    try:
-        report = injectivity_scan(cfg.k, n, cfg.seed, cfg.policy)
-    except KThetaError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = injectivity_scan(cfg.k, cfg.count(2000), cfg.seed, cfg.policy)
     row = {
         "k": report.k,
         "n_samples": report.n_samples,
@@ -223,11 +214,7 @@ def injectivity(fmt, out, config_path, **overrides):
 def pullback(map_id, coords, fmt, out, config_path, **overrides):
     """Fubini-Study pullback matrix of a map at the point (x y z t)."""
     cfg = _build_config(config_path, **overrides)
-    try:
-        form = fs_pullback(map_id, cfg.k, _point_from_coords(coords), cfg.policy)
-    except KThetaError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    form = fs_pullback(map_id, cfg.k, KTPoint(*coords), cfg.policy)
     axes = ["x", "y", "z", "t"]
     rows = [
         {"component": f"d{axes[i]}^d{axes[j]}", "value": float(form.matrix[i, j])}
@@ -243,15 +230,9 @@ def pullback(map_id, coords, fmt, out, config_path, **overrides):
               help="Restrict to one torus (default: all four).")
 def chern(torus_id, fmt, out, config_path, **overrides):
     """First Chern numbers on the basis tori, from the branch functions."""
-    cfg = _build_config(config_path, **overrides)
+    _build_config(config_path, **overrides)
     ids = [torus_id] if torus_id else sorted(TORUS_AXES)
-    rows = []
-    for tid in ids:
-        try:
-            rows.append({"torus": tid, "c1": chern_via_multiplicators(tid)})
-        except KThetaError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+    rows = [{"torus": tid, "c1": chern_via_multiplicators(tid)} for tid in ids]
     _emit(rows, ["torus", "c1"], fmt, out)
 
 
@@ -264,14 +245,11 @@ def integrate(map_id, torus_id, fmt, out, config_path, **overrides):
     """Integral of the pulled-back form over the basis tori."""
     cfg = _build_config(config_path, **overrides)
     ids = [torus_id] if torus_id else sorted(TORUS_AXES)
-    rows = []
-    for tid in ids:
-        try:
-            val = integrate_over_torus(map_id, cfg.k, BasisTorus(tid), cfg.grid, cfg.policy)
-        except KThetaError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        rows.append({"torus": tid, "map": map_id, "k": cfg.k, "integral": val})
+    rows = [
+        {"torus": tid, "map": map_id, "k": cfg.k,
+         "integral": integrate_over_torus(map_id, cfg.k, BasisTorus(tid), cfg.grid, cfg.policy)}
+        for tid in ids
+    ]
     _emit(rows, ["torus", "map", "k", "integral"], fmt, out)
 
 

@@ -19,6 +19,7 @@ from .errors import AllSectionsVanish, DimensionMismatch, LiftOverflow
 from .manifold import (
     GENERATORS,
     KTPoint,
+    act_on_array,
     fundamental_domain_samples,
     quotient_distance,
 )
@@ -165,8 +166,10 @@ def injectivity_scan(
 
     Pairs closer than ``d_min`` on the quotient are excluded; the report
     passes iff the smallest remaining image distance exceeds ``threshold``.
-    The extremal pair is deterministic for a fixed seed (ties broken by
-    sample index order).
+    Pairs are ranked by sqrt(1 - |<a,b>|^2) of their unit lifts, which
+    resolves only about 1e-8; the witness pair's reported distance is its
+    ``chordal_distances``, which resolves about 1e-12.  The extremal pair is
+    deterministic for a fixed seed (ties broken by sample index order).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -194,7 +197,7 @@ def injectivity_scan(
             i, j = divmod(int(pairs[pos]), n_samples)
             qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
             if qd > d_min:
-                dist = float(dists[pos])
+                dist = float(chordal_distances(lifts[i], lifts[j])[0])
                 return InjectivityReport(
                     k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
                 )
@@ -205,11 +208,16 @@ def injectivity_scan(
     )
 
 
-def generator_invariance_residual(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> float:
-    """Largest chordal distance between phi_k(g.u) and phi_k(u) over generators."""
-    from .manifold import act
+def generator_invariance_residuals(k: int, pts: np.ndarray,
+                                   policy=th.DEFAULT_POLICY) -> np.ndarray:
+    """Largest chordal distance between phi_k(g.u) and phi_k(u) over the
+    generators g, at an (B, 4) array of points u, shape (B,)."""
+    pts = np.atleast_2d(pts)
+    base = phi_batch(k, pts, policy)
+    return np.max([chordal_distances(base, phi_batch(k, act_on_array(g, pts), policy))
+                   for g in GENERATORS.values()], axis=0)
 
-    base = phi(k, u, policy)
-    return max(
-        chordal_distance(phi(k, act(g, u), policy), base) for g in GENERATORS.values()
-    )
+
+def generator_invariance_residual(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> float:
+    """``generator_invariance_residuals`` at a single point."""
+    return float(generator_invariance_residuals(k, u.as_array(), policy)[0])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -197,17 +197,24 @@ class LeftInvariantDecomposition:
         return PullbackForm(self.point, mat)
 
 
+def decompose_left_invariant_batch(pts: np.ndarray, mats: np.ndarray) -> dict:
+    """Exact change of basis into the left-invariant coframe at (..., 4) points.
+
+    ``mats`` (..., 4, 4) are 2-form coefficient matrices at ``pts``; returns
+    the coefficient arrays (...,) keyed by the ``LeftInvariantDecomposition``
+    field names.
+    """
+    x = np.asarray(pts)[..., 0]
+    zx = -mats[..., 0, 2]
+    zt = mats[..., 2, 3]
+    return {"zx": zx, "zy": -mats[..., 1, 2], "xy": mats[..., 0, 1] - zx * x,
+            "yt": mats[..., 1, 3] + x * zt, "xt": mats[..., 0, 3], "zt": zt}
+
+
 def decompose_left_invariant(form: TwoFormAtPoint) -> LeftInvariantDecomposition:
-    """Exact change of basis into the left-invariant coframe at the base point."""
-    mat = form.matrix
-    x = form.point.x
-    zx = -mat[0, 2]
-    zy = -mat[1, 2]
-    xt = mat[0, 3]
-    zt = mat[2, 3]
-    yt = mat[1, 3] + x * zt
-    xy = mat[0, 1] - zx * x
-    return LeftInvariantDecomposition(form.point, zx, zy, xy, yt, xt, zt)
+    """``decompose_left_invariant_batch`` at the form's base point."""
+    coeffs = decompose_left_invariant_batch(form.point.as_array(), form.matrix)
+    return LeftInvariantDecomposition(form.point, **{f: float(c) for f, c in coeffs.items()})
 
 
 def pfaffian(form: TwoFormAtPoint) -> float:
@@ -253,23 +260,18 @@ def exterior_derivative_residual(
     return float(exterior_derivative_residuals(map_id, k, u.as_array(), h, policy)[0])
 
 
-# The coordinates of a torus's two words, in the words' order: a translates
-# x, b y, c z and d t.  The torus is oriented by ds_i ^ ds_j for
-# (i, j) = TORUS_AXES[id], so its curvature integral is k times
-# chern_via_multiplicators(id).
-TORUS_AXES = {
-    "T_ca": (2, 0),
-    "T_bd": (1, 3),
-    "T_cb": (2, 1),
-    "T_ad": (0, 3),
-}
-
 TORUS_WORDS = {
     "T_ca": (GEN_C, GEN_A),
     "T_bd": (GEN_B, GEN_D),
     "T_cb": (GEN_C, GEN_B),
     "T_ad": (GEN_A, GEN_D),
 }
+
+# The coordinates of a torus's two words, in the words' order: each
+# generator has one unit exponent, and a translates x, b y, c z and d t.
+# The torus is oriented by ds_i ^ ds_j for (i, j) = TORUS_AXES[id], so its
+# curvature integral is k times chern_via_multiplicators(id).
+TORUS_AXES = {tid: tuple(astuple(w).index(1) for w in words) for tid, words in TORUS_WORDS.items()}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from ktheta.checks import REGISTRY, RunConfig
+from ktheta import checks
+from ktheta.checks import REGISTRY, RunConfig, run_all
 
 CFG = RunConfig()
 
@@ -96,8 +97,26 @@ class TestRunConfigValidation:
             {"samples": -1},
             {"grid": 4},
             {"fd_step": 0.0},
+            {"max_terms": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+
+class TestRegistry:
+    # small samples: these tests check names and timing, not verdicts
+    CFG = RunConfig(samples=4)
+
+    def test_run_all_follows_registry_order(self):
+        # perfbench/run.py zips REGISTRY with run_all's reports
+        assert [r.check for r in run_all(self.CFG)] == list(REGISTRY)
+
+    def test_suites_called_directly_are_named_and_timed(self):
+        assert len(REGISTRY) == 22
+        assert REGISTRY["tau_shift_invariance"] is checks.check_tau_shift
+        for name, runner in REGISTRY.items():
+            report = getattr(checks, runner.__name__)(self.CFG)
+            assert report.check == name
+            assert report.ms > 0.0

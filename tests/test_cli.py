@@ -83,6 +83,16 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", [["check", "--only", "zero_locus"],
+                                         ["embed", "0.1", "0.2", "0.3", "0.4"]])
+    def test_invalid_config_value_usage_error(self, runner, tmp_path, command):
+        # max_terms is a config-file key without a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_terms=0\n")
+        result = runner.invoke(main, command + ["--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "max_terms must be at least 1" in result.output
+
     def test_invalid_parameter_combination(self, runner):
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--grid", "2"])
         assert result.exit_code == 2
@@ -181,3 +191,28 @@ class TestIntegrateCommand:
         for row in rows:
             assert row["k"] == 3
             assert abs(row["integral"] - 3 * c1[row["torus"]]) < 1e-3
+
+
+OVERFLOW_POINT = ["--k", "16", "8", "0.2", "0.1", "0.4"]  # the k = 16 lift overflows here
+
+
+@pytest.mark.parametrize("command, max_terms, error", [
+    # LiftOverflow
+    (["embed"] + OVERFLOW_POINT, None, "error: "),
+    (["rank"] + OVERFLOW_POINT, None, "error: "),
+    (["pullback"] + OVERFLOW_POINT, None, "error: "),
+    # TailNotConverged: two series terms cannot reach the default tail bound
+    (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
+    (["integrate", "--torus", "T_ca", "--grid", "8"], 2, "error: "),
+    (["injectivity", "--samples", "10"], 2, "error: "),
+])
+def test_library_error_exits_one(runner, tmp_path, command, max_terms, error):
+    if max_terms is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"max_terms={max_terms}\n")
+        command = command + ["--config", str(cfg)]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "Traceback" not in result.output
+    assert any(line.startswith(error) for line in result.stderr.splitlines())

@@ -317,6 +317,18 @@ class TestInjectivityScan:
         if case == "all_equivalent":
             assert report.witness_indices == (-1, -1) and report.passed
 
+    def test_witness_distance_resolves_a_collision(self, monkeypatch):
+        # phi_2(x, y, z, t) = phi_2(-x, y, -z, t): the Gram form reads this
+        # reduced pair as 2.6e-8 apart, the chordal distance as ~1e-16
+        u = KTPoint(0.81, 0.91, 0.61, 0.73)
+        pts = np.array([u.as_array(), reduce_point(KTPoint(-u.x, u.y, -u.z, u.t))[0].as_array()])
+        monkeypatch.setattr(embedding_module, "fundamental_domain_samples",
+                            lambda n, seed: pts)
+        report = injectivity_scan(2, 2, 0)
+        assert report.witness_indices == (0, 1) and report.witness_quotient_distance > 0.1
+        assert report.min_image_distance < 1e-12
+        assert not report.passed
+
 
 def report_fields(report):
     return (report.min_image_distance, report.witness_indices,
@@ -324,8 +336,8 @@ def report_fields(report):
 
 
 def full_sort_scan(k, pts, d_min=1e-3):
-    """Oracle: stable-sort every pairwise chordal distance, take the first
-    quotient-separated pair."""
+    """Oracle: stable-sort every pairwise Gram distance, take the first
+    quotient-separated pair, and report its chordal distance."""
     lifts = phi_batch(k, pts)
     lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
     gram = np.abs(lifts @ lifts.conj().T) ** 2
@@ -336,5 +348,5 @@ def full_sort_scan(k, pts, d_min=1e-3):
         i, j = int(iu[pos]), int(ju[pos])
         qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
         if qd > d_min:
-            return float(dists[pos]), (i, j), qd
+            return float(chordal_distances(lifts[i], lifts[j])[0]), (i, j), qd
     return 1.0, (-1, -1), math.inf
