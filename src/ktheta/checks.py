@@ -164,8 +164,8 @@ def check_quasi_periodicity(cfg: RunConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     z, tau = _random_theta_args(rng, n)
     policy = cfg.policy
-    base, shift1, shift_tau = th._eval_series(np.stack([z, z + 1.0, z + tau]), tau, policy,
-                                              [(0, 0)])[0]
+    base, shift1, shift_tau = th.theta_batch(np.stack([z, z + 1.0, z + tau]), tau,
+                                             policy=policy)[0]
     factor = np.exp(-2j * math.pi * z)
     r1 = np.abs(shift1 - base) / np.maximum(np.abs(base), 1e-300)
     r2 = np.abs(shift_tau - factor * base) / np.maximum(
@@ -188,7 +188,7 @@ def check_tau_shift(cfg: RunConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed + 1)
     z, tau = _random_theta_args(rng, n)
     policy = cfg.policy
-    base, shifted = th._eval_series(z, np.stack([tau, tau + 1.0]), policy, [(0, 0)])[0]
+    base, shifted = th.theta_batch(z, np.stack([tau, tau + 1.0]), policy=policy)[0]
     worst = float((np.abs(shifted - base) / np.maximum(np.abs(base), 1e-300)).max())
     return _finish({"eps": cfg.epsilon}, n, worst, 1e-10)
 
@@ -201,7 +201,7 @@ def check_heat_equation(cfg: RunConfig) -> CheckReport:
     z = rng.random(n) + 1j * (rng.random(n) - 0.5)
     tau = rng.random(n) + 1j
     policy = cfg.policy
-    dt, dzz, dz = th._eval_series(z, tau, policy, [(0, 1), (2, 0), (1, 0)])
+    dt, dzz, dz = th.theta_batch(z, tau, [(0, 1), (2, 0), (1, 0)], policy)
     residual = np.abs(dt - dzz / (4j * math.pi) + 0.5 * dz)
     worst = float(residual.max())
     i = int(np.argmax(residual))
@@ -218,7 +218,7 @@ def check_zero_locus(cfg: RunConfig) -> CheckReport:
     """
     tau = np.array([1j, 0.3 + 0.8j, -0.4 + 1.7j])[:, None]
     m, nn = (np.indices((3, 3)) - 1).reshape(2, -1)  # the lattice steps in {-1, 0, 1}^2
-    vals = th._eval_series(0.5 + m + nn * tau, tau, cfg.policy, [(0, 0)])[0]
+    vals = th.theta_batch(0.5 + m + nn * tau, tau, policy=cfg.policy)[0]
     return _finish({}, vals.size, np.abs(vals).max(), 1e-10)
 
 
@@ -451,11 +451,10 @@ def check_structure_decomposition(cfg: RunConfig) -> CheckReport:
     fiber_mats = fs_pullback_batch("psi_prime", cfg.k, pts, policy)
     full_mats = fs_pullback_batch("phi_k", cfg.k, pts, policy)
 
-    worst = 0.0
     # psi'' is alpha * dy^dt only, alpha > 0
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 3] = mask[3, 1] = False
-    worst = max(worst, float(np.abs(base_mats[:, mask]).max()))
+    worst = float(np.abs(base_mats[:, mask]).max())
     alpha = base_mats[:, 1, 3]
     # psi' has no dt components
     worst = max(worst, float(np.abs(fiber_mats[:, :, 3]).max()))
@@ -558,8 +557,6 @@ def check_derivative_crosscheck(cfg: RunConfig) -> CheckReport:
         scale = np.maximum(np.abs(grads[:, axis, :]), 1.0)
         worst = max(worst, float((np.abs(fd - grads[:, axis, :]) / scale).max()))
     return _finish({"k": cfg.k, "h": h}, n, worst, 1e-6)
-
-
 
 
 def run_all(cfg: RunConfig) -> list[CheckReport]:

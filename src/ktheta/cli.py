@@ -99,6 +99,17 @@ _shared = [
 ]
 
 
+def _point(ctx, param, coords) -> KTPoint:
+    """The point of a command's four coordinates; a non-finite one is bad usage."""
+    try:
+        return KTPoint(*coords)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from exc
+
+
+point_argument = click.argument("point", metavar="X Y Z T", nargs=4, type=float, callback=_point)
+
+
 def shared_options(fn):
     for opt in reversed(_shared):
         fn = opt(fn)
@@ -141,10 +152,7 @@ def check(only, fmt, out, config_path, **overrides):
             sys.exit(1)
         rows.append(report.to_dict())
         all_passed = all_passed and report.passed
-    fields = ["check", "samples", "max_residual", "threshold", "pass", "ms"]
-    if fmt == "csv":
-        rows = [{k: r[k] for k in fields} for r in rows]
-    _emit(rows, fields, fmt, out)
+    _emit(rows, ["check", "samples", "max_residual", "threshold", "pass", "ms"], fmt, out)
     sys.exit(0 if all_passed else 1)
 
 
@@ -164,12 +172,11 @@ def _display_normalize(point: ProjectivePoint) -> np.ndarray:
 
 @main.command()
 @shared_options
-@click.argument("coords", nargs=4, type=float)
-def embed(coords, fmt, out, config_path, **overrides):
+@point_argument
+def embed(point, fmt, out, config_path, **overrides):
     """Projective image of the point (x y z t) under phi_k."""
     cfg = _build_config(config_path, **overrides)
-    point = phi(cfg.k, KTPoint(*coords), cfg.policy)
-    lift = _display_normalize(point)
+    lift = _display_normalize(phi(cfg.k, point, cfg.policy))
     rows = [
         {"index": i, "re": float(c.real), "im": float(c.imag)}
         for i, c in enumerate(lift)
@@ -179,11 +186,11 @@ def embed(coords, fmt, out, config_path, **overrides):
 
 @main.command()
 @shared_options
-@click.argument("coords", nargs=4, type=float)
-def rank(coords, fmt, out, config_path, **overrides):
+@point_argument
+def rank(point, fmt, out, config_path, **overrides):
     """Rank of the differential of phi_k at the point (x y z t)."""
     cfg = _build_config(config_path, **overrides)
-    r = projective_rank(cfg.k, KTPoint(*coords), policy=cfg.policy)
+    r = projective_rank(cfg.k, point, policy=cfg.policy)
     _emit([{"k": cfg.k, "rank": r}], ["k", "rank"], fmt, out)
 
 
@@ -210,11 +217,11 @@ def injectivity(fmt, out, config_path, **overrides):
 @main.command()
 @shared_options
 @click.option("--map", "map_id", type=click.Choice(MAP_IDS), default="phi_k")
-@click.argument("coords", nargs=4, type=float)
-def pullback(map_id, coords, fmt, out, config_path, **overrides):
+@point_argument
+def pullback(map_id, point, fmt, out, config_path, **overrides):
     """Fubini-Study pullback matrix of a map at the point (x y z t)."""
     cfg = _build_config(config_path, **overrides)
-    form = fs_pullback(map_id, cfg.k, KTPoint(*coords), cfg.policy)
+    form = fs_pullback(map_id, cfg.k, point, cfg.policy)
     axes = ["x", "y", "z", "t"]
     rows = [
         {"component": f"d{axes[i]}^d{axes[j]}", "value": float(form.matrix[i, j])}

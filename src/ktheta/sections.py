@@ -8,11 +8,11 @@ and the degree-k space is spanned by the k^2 products
 
     s_{p,q}(u) = theta_k^p(z + i x, y + i) * theta_k^q(y + i t, i),
 
-flattened project-wide as index p*k + q.  ``factor`` evaluates one of the
-two factor lifts, the fiber map psi' = theta_k^p(z + i x, y + i) or the
-base map psi'' = theta_k^q(y + i t, i), with its coordinate partials, and
-``factors`` evaluates both; the basis values are their Segre outer product
-and the basis gradients follow by the product rule.  ``FACTOR_AXES`` records
+flattened project-wide as index p*k + q.  ``factor`` evaluates the fiber
+map psi' = theta_k^p(z + i x, y + i), the base map psi'' = theta_k^q(y + i t, i)
+or both, with their coordinate partials, in one kernel call; ``factors``
+is the pair.  The basis values are their Segre outer product and the basis
+gradients follow by the product rule.  ``FACTOR_AXES`` records
 the coordinates each factor depends on, fiber (x, y, z) and base (y, t);
 every other partial is exactly zero, so a caller that needs one factor
 evaluates only that one.  Sections transform under the deck group by the
@@ -89,39 +89,45 @@ _CHAIN = {
 FACTOR_AXES = {name: tuple(i for i, c in enumerate(chain) if c) for name, chain in _CHAIN.items()}
 
 
-def factor(which: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
-    """One Segre factor lift of the degree-k basis at (..., 4) points.
+def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
+    """Segre factor lifts of the degree-k basis at (..., 4) points, one kernel call.
 
     ``which`` is "fiber", the values theta_k^p(z + i x, y + i), or "base",
     theta_k^q(y + i t, i), with the residue axis last, shape (..., k).  With
     ``gradients`` it returns ``(values, partials)``, where the
     (d/dx, d/dy, d/dz, d/dt) partials have shape (..., 4, k) and are the
     literal zero array along every coordinate outside ``FACTOR_AXES[which]``.
-    One kernel call.
+    A tuple of names stacks their factors on a leading axis, in one kernel
+    call: shape (F, ..., k) and (F, ..., 4, k).
     """
-    if which not in _CHAIN:
+    names = (which,) if isinstance(which, str) else tuple(which)
+    if not set(names) <= set(_CHAIN):
         raise ValueError(f"unknown factor {which!r}; expected one of {tuple(_CHAIN)}")
-    chain = _CHAIN[which]
-    w, tau = _factor_args(which, pts)
+    w, tau = np.stack([_factor_args(name, pts) for name in names], axis=1)
     orders = ((0, 0),)
     if gradients:
-        orders += ((1, 0), (0, 1)) if "tau" in chain else ((1, 0),)
+        orders += ((1, 0), (0, 1)) if any("tau" in _CHAIN[n] for n in names) else ((1, 0),)
     vals, *derivs = th._degree_basis_batch(k, w, tau, policy, orders)
     # The residue and partial axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
-    vals_last = vals.transpose(*range(1, vals.ndim), 0)
-    if not gradients:
-        return vals_last
-    rows = dict(zip(("w", "tau"), derivs), iw=1j * derivs[0])
-    rows[None] = np.zeros_like(vals)
-    partials = np.array([rows[c] for c in chain])
-    return vals_last, partials.transpose(*range(2, vals.ndim + 1), 0, 1)
+    out = vals.transpose(*range(1, vals.ndim), 0)
+    if gradients:
+        rows = dict(zip(("w", "tau"), derivs), iw=1j * derivs[0])
+        partials = np.zeros((4,) + vals.shape, dtype=complex)
+        for f, name in enumerate(names):
+            for axis in FACTOR_AXES[name]:
+                partials[axis, :, f] = rows[_CHAIN[name][axis]][:, f]
+        out = out, partials.transpose(*range(2, vals.ndim + 1), 0, 1)
+    if isinstance(which, str):  # one factor: drop the stacking axis
+        return tuple(x[0] for x in out) if gradients else out[0]
+    return out
 
 
 def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
     """``(fiber, base)``: both ``factor`` lifts, each as ``factor`` returns it."""
-    return factor("fiber", k, pts, policy, gradients), factor("base", k, pts, policy, gradients)
+    both = factor(("fiber", "base"), k, pts, policy, gradients)
+    return tuple(zip(*both)) if gradients else tuple(both)
 
 
 def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:

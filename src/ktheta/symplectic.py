@@ -38,6 +38,7 @@ from .manifold import (
     multiplicator,
     multiplicator_exponent,
     omega_kt_matrix,
+    two_form,
 )
 from .sections import FACTOR_AXES, factor
 
@@ -52,6 +53,7 @@ class PullbackForm(TwoFormAtPoint):
     """A pulled-back 2-form at a base point, in the (dx, dy, dz, dt) basis."""
 
 
+@np.errstate(invalid="ignore")
 def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
 
@@ -59,7 +61,8 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     shape (B, 4, 4), as in the module docstring, and scale = sum |dF|^2/|F|^2
     of shape (B,), which bounds b's terms and so sets their roundoff.  Lift
     and partials are divided by the point's largest |lift entry| first, so
-    |F|^4 stays finite wherever the lift is.
+    |F|^4 stays finite wherever the lift is; a non-finite lift or partial
+    leaves its row non-finite, without a warning.
     """
     inv_scale = 1.0 / np.abs(vals).max(axis=1)
     vals = vals * inv_scale[:, None]
@@ -77,15 +80,12 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
-    factors are evaluated, one kernel call each.
+    factors are evaluated, in one kernel call and one ``fs_hermitian`` call.
     """
     _check_map(map_id, FS_MAP_IDS)
-    pts = np.atleast_2d(pts)
-    (b, scale), *rest = (fs_hermitian(*factor(which, k, pts, policy, gradients=True))
-                         for which in MAP_FACTORS[map_id])
-    for b_more, scale_more in rest:
-        b, scale = b + b_more, scale + scale_more
-    return b, scale
+    vals, grads = factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, gradients=True)
+    b, scale = fs_hermitian(vals.reshape(-1, k), grads.reshape(-1, 4, k))  # the F*B rows
+    return b.reshape(len(vals), -1, 4, 4).sum(axis=0), scale.reshape(len(vals), -1).sum(axis=0)
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -182,19 +182,15 @@ class LeftInvariantDecomposition:
 
     def reassemble(self) -> PullbackForm:
         x = self.point.x
-        mat = np.zeros((4, 4))
-        pairs = {
+        form = two_form(self.point, {
             (0, 1): self.zx * x + self.xy,
             (0, 2): -self.zx,
             (0, 3): self.xt,
             (1, 2): -self.zy,
             (1, 3): self.yt - x * self.zt,
             (2, 3): self.zt,
-        }
-        for (i, j), v in pairs.items():
-            mat[i, j] = v
-            mat[j, i] = -v
-        return PullbackForm(self.point, mat)
+        })
+        return PullbackForm(self.point, form.matrix)
 
 
 def decompose_left_invariant_batch(pts: np.ndarray, mats: np.ndarray) -> dict:
@@ -219,8 +215,7 @@ def decompose_left_invariant(form: TwoFormAtPoint) -> LeftInvariantDecomposition
 
 def pfaffian(form: TwoFormAtPoint) -> float:
     """Pf(Omega) = O_xy O_zt - O_xz O_yt + O_xt O_yz; nonzero iff nondegenerate."""
-    m = form.matrix
-    return float(m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2])
+    return float(pfaffian_batch(form.matrix))
 
 
 def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
@@ -331,13 +326,13 @@ def integrate_over_torus(
     i, j = TORUS_AXES[torus.id]
     if map_id == "omega_kt":
         return float(np.mean(omega_kt_matrix(torus.grid_points(grid))[:, i, j]))
-    spanning = [w for w in MAP_FACTORS[map_id] if {i, j} <= set(FACTOR_AXES[w])]
+    spanning = tuple(w for w in MAP_FACTORS[map_id] if {i, j} <= set(FACTOR_AXES[w]))
     if not spanning:
         return 0.0
-    pts = torus.grid_points(grid)
-    coeff = sum(_form(fs_hermitian(*factor(w, k, pts, policy, gradients=True))[0])[:, i, j]
-                for w in spanning)
-    return float(np.mean(coeff))
+    # the spanning factors are themselves a map: psi', psi'' or phi_k
+    sub_map = next(m for m, names in MAP_FACTORS.items() if names == spanning)
+    b, _ = hermitian_pullback_batch(sub_map, k, torus.grid_points(grid), policy)
+    return float(np.mean(_form(b)[:, i, j]))
 
 
 def transition_function(w1: GroupWord, w2: GroupWord, u: KTPoint) -> complex:

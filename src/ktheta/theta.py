@@ -13,7 +13,7 @@ p is
 where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).  The
 classical series is the degree-one element, theta = theta_1^0, so
 ``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``,
-the shifted products and ``_eval_series`` are its k = 1 view.
+the shifted products and ``theta_batch`` are its k = 1 view.
 
 The kernel evaluates every residue at once from the n-sum.  Each point b
 keeps the m-window [lo_b, lo_b + L), the same for all its residues and
@@ -144,13 +144,15 @@ def _tail_bound_arrays(z, im_tau, outward, orders=((0, 0),)):
 
 
 def _eval_series(zs, taus, policy, orders):
-    """Termwise derivatives of the theta series on arrays of arguments.
-
-    ``orders`` is a sequence of (z_order, tau_order) pairs; one array of
-    shape broadcast(zs, taus).shape per pair is returned.  This is the
-    degree-one view of ``_degree_basis_batch``: theta = theta_1^0.
-    """
+    """``theta_batch``, the degree-one view of ``_degree_basis_batch``: theta = theta_1^0."""
     return [x[0] for x in _degree_basis_batch(1, zs, taus, policy, orders)]
+
+
+def theta_batch(zs, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_POLICY):
+    """Termwise derivatives of theta on arrays of arguments, in one series
+    evaluation: one array of shape broadcast(zs, taus).shape per
+    (z_order, tau_order) in ``orders``, each within policy.epsilon."""
+    return _eval_series(zs, taus, policy, orders)
 
 
 def tail_bound(arg: ThetaArgument, n: int, z_order: int = 0, tau_order: int = 0) -> float:
@@ -200,9 +202,10 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     centred at 1/2 - Im(w)/Im(tau) - p/k.  Each side of a window is guessed
     where that Gaussian falls to epsilon / 4 for residue 0 or k-1, certified
     for every residue at once (Im(k*w + p*tau) spans [z0, z1]) at the guess
-    and one step either way, and set to the innermost certified step.
-    Windows padded to the shared length, or that no step certified, are
-    certified again and widened where they fail.
+    and one step either way, and set to the innermost certified step; a side
+    no step certified is retried one step further out until it certifies.
+    Padding to the shared length keeps every window certified: it only drops
+    terms from the discarded tails.
     """
     im_t = k * im_tau
     z = k * im_w + np.array([0.0, k - 1.0])[:, None] * im_tau  # (z0, z1)
@@ -211,27 +214,25 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     reach = np.sqrt(centre * centre + (math.log(2.0) - math.log(half_eps)) / (math.pi * im_t))
     ends = (reach + _SIDE[:, None, None] * centre).max(axis=1)
     guess = np.ceil(ends).astype(int) - 1
-    z = z[:, None]
 
-    ok = _tail_bound_arrays(z, im_t, guess[:, None] + _CANDIDATES, orders) <= half_eps
+    ok = _tail_bound_arrays(z[:, None], im_t, guess[:, None] + _CANDIDATES, orders) <= half_eps
     certified = ok.any(axis=1)
     outward = guess - 1 + np.where(certified, ok.argmax(axis=1), 3)
-    while True:
-        if np.abs(outward).max() > policy.max_terms:
-            raise TailNotConverged(
-                f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
-            )
-        width = outward.sum(axis=0) + 1
-        length = max(int(width.max()), 1)
-        if certified.all() and (width == length).all():
-            return -outward[0], length
-        outward[0] += (length - width) // 2
-        outward[1] = length - 1 - outward[0]
-        fail = _tail_bound_arrays(z[:, 0], im_t, outward, orders) > half_eps
-        certified = ~fail
-        outward += fail
+    while not certified.all() and np.abs(outward).max() <= policy.max_terms:
+        certified |= _tail_bound_arrays(z, im_t, outward, orders) <= half_eps
+        outward += ~certified
+    width = outward.sum(axis=0) + 1
+    length = max(int(width.max()), 1)
+    outward[0] += (length - width) // 2
+    outward[1] = length - 1 - outward[0]
+    if not certified.all() or np.abs(outward).max() > policy.max_terms:
+        raise TailNotConverged(
+            f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
+        )
+    return -outward[0], length
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _degree_basis_batch(k, ws, taus, policy, orders):
     """Degree-k basis values and derivatives on arrays of arguments.
 
@@ -239,7 +240,7 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     array of shape (k,) + broadcast(ws, taus).shape per pair: that
     termwise derivative of every theta_k^p at (ws, taus), all from one
     exponential of the (window, residue, point) index array; see the module
-    docstring.
+    docstring.  Overflow leaves inf or NaN, without a warning, for callers to type.
     """
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
     if ws.shape != taus.shape:

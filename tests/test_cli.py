@@ -196,6 +196,7 @@ class TestIntegrateCommand:
 OVERFLOW_POINT = ["--k", "16", "8", "0.2", "0.1", "0.4"]  # the k = 16 lift overflows here
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
 @pytest.mark.parametrize("command, max_terms, error", [
     # LiftOverflow
     (["embed"] + OVERFLOW_POINT, None, "error: "),
@@ -216,3 +217,15 @@ def test_library_error_exits_one(runner, tmp_path, command, max_terms, error):
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
     assert "Traceback" not in result.output
     assert any(line.startswith(error) for line in result.stderr.splitlines())
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "nan", "0", "0", "0"],
+    ["rank", "--k", "3", "inf", "0", "0", "0"],
+    ["pullback", "0", "0", "0", "nan"],
+])
+def test_non_finite_coordinate_usage_error(runner, command):
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert "coordinates must be finite" in result.stderr

@@ -298,8 +298,8 @@ class TestFactors:
             factor("total", 3, pts)
 
     def test_basis_calls(self, monkeypatch):
-        # phi_k is assembled from one fiber and one base evaluation, psi' and
-        # psi'' (and their pullbacks) from their own factor alone
+        # phi_k is assembled from one stacked fiber-and-base evaluation, psi'
+        # and psi'' (and their pullbacks) from their own factor alone
         theta_module = sys.modules["ktheta.theta"]
         original = theta_module._degree_basis_batch
         calls = []
@@ -311,9 +311,9 @@ class TestFactors:
         monkeypatch.setattr(theta_module, "_degree_basis_batch", counting)
         pts = fundamental_domain_samples(20, 5)
         evaluations = [
-            (lambda: section_matrix(3, pts), 2),
-            (lambda: section_matrix_with_gradients(3, pts), 2),
-            (lambda: fs_pullback_batch("phi_k", 3, pts), 2),
+            (lambda: section_matrix(3, pts), 1),
+            (lambda: section_matrix_with_gradients(3, pts), 1),
+            (lambda: fs_pullback_batch("phi_k", 3, pts), 1),
             (lambda: psi_prime(3, U0), 1),
             (lambda: psi_double_prime(3, U0), 1),
             (lambda: fs_pullback_batch("psi_prime", 3, pts), 1),
@@ -327,7 +327,7 @@ class TestFactors:
         fs_pullback_batch("omega_kt", 3, pts)
         assert not calls
         assert check_segre_factorization(RunConfig()).passed
-        assert 0 < len(calls) <= 4
+        assert len(calls) == 2  # phi_batch and factors
 
 
 class TestProductOfShifts:

@@ -217,8 +217,8 @@ class TestFactoredHermitianForm:
         monkeypatch.setattr(theta_module, "_degree_basis_batch", counting_kernel)
         for module in (sections_module, embedding_module):
             monkeypatch.setattr(module, "section_matrix_with_gradients", no_lift)
-        for run, want in ((lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]), 2),
-                          (lambda: projective_rank(16, U0), 2),
+        for run, want in ((lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]), 1),
+                          (lambda: projective_rank(16, U0), 1),
                           (lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_bd"), 8), 1),
                           (lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_ad"), 8), 0)):
             kernel_calls.clear()

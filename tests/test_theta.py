@@ -20,6 +20,7 @@ from ktheta import (
     fundamental_domain_samples,
     tail_bound,
     theta,
+    theta_batch,
     theta_degree_k,
     theta_degree_k_deriv,
     theta_deriv,
@@ -368,10 +369,17 @@ def moved_points(n, seed):
 
 
 def factor_arguments(pts):
-    """(w, tau) of the fiber factor and of the base factor, stacked."""
+    """(w, tau) of the fiber factor and of the base factor, concatenated."""
     w = np.concatenate([pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j * pts[:, 3]])
     tau = np.concatenate([pts[:, 1] + 1j, np.full(len(pts), 1j)])
     return w, tau
+
+
+def argument_shapes(pts):
+    """``factor_arguments`` concatenated (2B,) and stacked (2, B), the shape
+    of a stacked ``sections.factor`` call."""
+    w, tau = factor_arguments(pts)
+    return (w, tau), (w.reshape(2, -1), tau.reshape(2, -1))
 
 
 POINT_SETS = {
@@ -413,34 +421,50 @@ class TestDegreeBasisKernel:
         # e^{..} (p theta_z + k theta_tau), so the truncation error of the
         # three outputs is at most |e^{..}| (1, 2 pi p + k, p + k) epsilon.
         # Roundoff allowance: 1e-14 of the point's largest |entry|.
-        w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
-                                             moved_points(32, 5)]))
+        # Both argument shapes: concatenated and stacked as ``factor`` stacks.
         eps = DEFAULT_POLICY.epsilon
-        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         window = th_mod._basis_window
 
         def widened(*args):
             lo, length = window(*args)
             return lo - 3, length + 6
 
-        monkeypatch.setattr(th_mod, "_basis_window", widened)
-        ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
-        p = np.arange(k)[:, None]
-        phase = np.exp(-2.0 * math.pi * p * w.imag)
-        for g, r, factor in zip(got, ref, (1.0, 2.0 * math.pi * p + k, p + k)):
-            roundoff = 1e-14 * np.abs(r).max(axis=0)
-            assert np.all(np.abs(g - r) <= factor * phase * eps + roundoff)
+        for w, tau in argument_shapes(np.vstack([fundamental_domain_samples(32, 3),
+                                                 moved_points(32, 5)])):
+            got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+            with monkeypatch.context() as patch:
+                patch.setattr(th_mod, "_basis_window", widened)
+                ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+            p = np.arange(k).reshape((k,) + (1,) * w.ndim)
+            phase = np.exp(-2.0 * math.pi * p * w.imag)
+            for g, r, factor in zip(got, ref, (1.0, 2.0 * math.pi * p + k, p + k)):
+                roundoff = 1e-14 * np.abs(r).max(axis=0)
+                assert np.all(np.abs(g - r) <= factor * phase * eps + roundoff)
 
     @pytest.mark.parametrize("k", [1, 3, 16])
-    def test_window_certified_for_every_residue(self, k):
-        w, tau = factor_arguments(np.vstack([fundamental_domain_samples(32, 3),
-                                             moved_points(32, 5)]))
-        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
-        for p in range(k):
-            y = k * w.imag + p * tau.imag
-            bounds = th_mod._tail_bound_arrays([y, y], k * tau.imag, [-lo, lo + length - 1],
-                                               VALUE_W_TAU)
-            assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
+    def test_window_certified_for_every_residue(self, k, monkeypatch):
+        # Both argument shapes: the concatenated arguments directly, and the
+        # window the kernel takes for them stacked as ``factor`` stacks them.
+        flat, stacked = argument_shapes(np.vstack([fundamental_domain_samples(32, 3),
+                                                   moved_points(32, 5)]))
+        window = th_mod._basis_window
+        taken = []
+
+        def recording(*args):
+            taken.append((args, window(*args)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(th_mod, "_basis_window", recording)
+        recording(k, flat[0].imag, flat[1].imag, DEFAULT_POLICY, VALUE_W_TAU)
+        th_mod._degree_basis_batch(k, *stacked, DEFAULT_POLICY, VALUE_W_TAU)
+        assert len(taken) == 2
+        for (_, im_w, im_tau, _, _), (lo, length) in taken:
+            assert im_w.shape == lo.shape == (flat[0].size,)
+            for p in range(k):
+                y = k * im_w + p * im_tau
+                bounds = th_mod._tail_bound_arrays([y, y], k * im_tau, [-lo, lo + length - 1],
+                                                   VALUE_W_TAU)
+                assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_terms_per_point_not_above_residue_loop(self, k, monkeypatch):
@@ -461,12 +485,39 @@ class TestDegreeBasisKernel:
             _, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
             assert k * length <= loop_terms
 
-    def test_no_series_calls_and_two_kernel_calls_per_factors(self, monkeypatch):
+    def test_no_series_calls_and_one_kernel_call_per_factors(self, monkeypatch):
         calls = count_calls(monkeypatch, "_eval_series", "_degree_basis_batch")
         pts = moved_points(10, 6)
         for gradients in (False, True):
             sections_mod.factors(16, pts, gradients=gradients)
-        assert calls == {"_eval_series": 0, "_degree_basis_batch": 4}
+        assert calls == {"_eval_series": 0, "_degree_basis_batch": 2}
+
+    @pytest.mark.parametrize("where", sorted(POINT_SETS))
+    @pytest.mark.parametrize("k", [1, 3, 8, 16])
+    def test_stacked_factors_match_single_factor_calls(self, k, where):
+        # The stacked call shares one window length between the factors, so
+        # it may sum more terms than a single call: equal up to roundoff, 1e-14
+        # of the point's largest entry.
+        pts = POINT_SETS[where]()
+        vals, partials = sections_mod.factor(("fiber", "base"), k, pts, gradients=True)
+        assert vals.shape == (2, len(pts), k) and partials.shape == (2, len(pts), 4, k)
+        for f, which in enumerate(("fiber", "base")):
+            for got, want in zip((vals[f], partials[f]),
+                                 sections_mod.factor(which, k, pts, gradients=True)):
+                scale = np.abs(want).reshape(len(pts), -1).max(axis=1)
+                diff = np.abs(got - want).reshape(len(pts), -1).max(axis=1)
+                assert np.isfinite(scale).all() and np.all(diff <= 1e-14 * scale)
+
+    def test_certified_windows_are_padded_without_recertifying(self, monkeypatch):
+        # fiber and base windows of one point differ in width; the stacked
+        # call pads the narrower one and evaluates the tail bound only once
+        calls = count_calls(monkeypatch, "_tail_bound_arrays")
+        w, tau = factor_arguments(moved_points(1, 6))
+        lo, length = th_mod._basis_window(16, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
+        assert calls == {"_tail_bound_arrays": 1}
+        widths = [th_mod._basis_window(16, w.imag[i:i + 1], tau.imag[i:i + 1], DEFAULT_POLICY,
+                                       VALUE_W_TAU)[1] for i in range(2)]
+        assert min(widths) < max(widths) == length
 
     def test_theta_degree_k_wraps_the_kernel(self):
         w, tau = 0.37 - 1.6j, -0.8 + 1j
@@ -534,6 +585,9 @@ class TestOneEngine:
         for g, r in zip(got, want):
             assert g.shape == r.shape == z.shape
             assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+        # the public batched theta is this view, with the policy last
+        for g, b in zip(theta_batch(z, tau, ALL_ORDERS, DEFAULT_POLICY), got):
+            assert np.array_equal(g, b)
 
     def test_widened_window_differs_by_at_most_epsilon(self, monkeypatch):
         # For k = 1 every requested order's discarded tail is certified to at
