@@ -1,21 +1,21 @@
 """Numerical theta functions, line-bundle sections, and projective embeddings
-on the Kodaira-Thurston nilmanifold."""
+on the Kodaira-Thurston nilmanifold.
 
-from .checks import CheckReport, RunConfig, run_all, REGISTRY
+The package root exports the names README's examples use, the entry points
+of the benchmark and every error class; every other name is
+``ktheta.<module>.<name>``.  ``ktheta.theta`` is the submodule: the
+classical theta function is ``ktheta.theta.theta``.
+"""
+
+from .checks import RunConfig
 from .embedding import (
-    InjectivityReport,
-    JacobianMatrix,
-    ProjectivePoint,
-    chordal_distance,
     chordal_distances,
     injectivity_scan,
-    jacobian,
     phi,
     phi_batch,
     projective_rank,
     psi_double_prime,
     psi_prime,
-    segre,
 )
 from .errors import (
     AllSectionsVanish,
@@ -31,66 +31,9 @@ from .errors import (
     TailNotConverged,
     TorusNotClosed,
 )
-from .manifold import (
-    GENERATORS,
-    GroupWord,
-    KTPoint,
-    TwoFormAtPoint,
-    act,
-    cocycle_residual,
-    compose,
-    fundamental_domain_samples,
-    inverse,
-    multiplicator,
-    omega_kt,
-    quotient_distance,
-    reduce_point,
-    two_form,
-)
-from .sections import (
-    SectionIndex,
-    SeparationResult,
-    ZetaShift,
-    fit_in_span,
-    product_of_shifts,
-    section,
-    section_gradient,
-    section_matrix,
-    separating_section,
-    separating_value,
-    shift_product,
-    theta_kt,
-    zeta_action,
-)
-from .symplectic import (
-    BasisTorus,
-    LeftInvariantDecomposition,
-    PullbackForm,
-    chern_cocycle,
-    chern_for_generator_pair,
-    chern_via_multiplicators,
-    decompose_left_invariant,
-    exterior_derivative_residual,
-    fs_normalization,
-    fs_pullback,
-    fs_pullback_batch,
-    integrate_over_torus,
-    pfaffian,
-    transition_function,
-)
-from .theta import (
-    DEFAULT_POLICY,
-    ThetaArgument,
-    ThetaBasisIndex,
-    TruncationPolicy,
-    classical_product,
-    tail_bound,
-    theta,
-    theta_batch,
-    theta_degree_k,
-    theta_degree_k_deriv,
-    theta_deriv,
-    theta_zero,
-)
+from .manifold import GroupWord, KTPoint, act, fundamental_domain_samples, reduce_point
+from .sections import SectionIndex, ZetaShift, fit_in_span, section, shift_product
+from .symplectic import BasisTorus, chern_via_multiplicators, fs_pullback, integrate_over_torus
+from .theta import theta_batch
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from .embedding import (
     generator_invariance_residuals,
     injectivity_scan,
     phi_batch,
+    unit_rows,
 )
 from .errors import SearchFailed
 from .manifold import (
@@ -55,6 +56,7 @@ from .symplectic import (
     chern_cocycle,
     chern_via_multiplicators,
     decompose_left_invariant_batch,
+    FD_STEP,
     exterior_derivative_residuals,
     fs_normalization,
     fs_pullback_batch,
@@ -77,7 +79,6 @@ class RunConfig:
     samples: int = 0  # 0 means each suite uses its documented default
     seed: int = 42
     grid: int = 64
-    fd_step: float = 1e-4
     max_terms: int = 512
     policy: th.TruncationPolicy = field(init=False, repr=False, compare=False)
 
@@ -88,8 +89,6 @@ class RunConfig:
             raise ValueError("samples must be nonnegative")
         if self.grid < 8:
             raise ValueError("grid must be at least 8")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         # the policy validates epsilon and max_terms
         object.__setattr__(self, "policy", th.TruncationPolicy(self.epsilon, self.max_terms))
 
@@ -222,11 +221,12 @@ def check_zero_locus(cfg: RunConfig) -> CheckReport:
     return _finish({}, vals.size, np.abs(vals).max(), 1e-10)
 
 
-def _numerical_rank(matrix, rel_tol=1e-8):
+def _numerical_rank(matrix):
+    """Singular values above 1e-8 times the largest."""
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int((sv > rel_tol * sv[0]).sum())
+    return int((sv > 1e-8 * sv[0]).sum())
 
 
 @suite("dimension_ranks")
@@ -411,8 +411,7 @@ def check_basepoint_freeness(cfg: RunConfig) -> CheckReport:
     """Some section stays uniformly away from zero at every sampled point."""
     n = cfg.count(10000)
     pts = fundamental_domain_samples(n, cfg.seed + 21)
-    lifts = phi_batch(cfg.k, pts, cfg.policy)
-    lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
+    lifts = unit_rows(phi_batch(cfg.k, pts, cfg.policy))
     min_max_coord = float(np.abs(lifts).max(axis=1).min())
     residual = max(0.0, 1e-6 - min_max_coord)
     return _finish({"k": cfg.k}, n, residual, 0.0, {"min_max_coordinate": min_max_coord})
@@ -435,10 +434,9 @@ def check_pullback_nondegenerate(cfg: RunConfig) -> CheckReport:
 def check_closedness(cfg: RunConfig) -> CheckReport:
     """Finite-difference exterior derivative of the pullback vanishes."""
     n = cfg.count(100)
-    h = cfg.fd_step
     pts = fundamental_domain_samples(n, cfg.seed + 23)
-    worst = float(exterior_derivative_residuals("phi_k", cfg.k, pts, h, cfg.policy).max())
-    return _finish({"k": cfg.k, "h": h}, n, worst, 1e-6)
+    worst = float(exterior_derivative_residuals("phi_k", cfg.k, pts, cfg.policy).max())
+    return _finish({"k": cfg.k, "h": FD_STEP}, n, worst, 1e-6)
 
 
 @suite("structure_decomposition")

@@ -90,7 +90,6 @@ _shared = [
     click.option("--seed", type=int, default=None, help=f"RNG seed (default {_DEFAULTS.seed})."),
     click.option("--grid", type=int, default=None,
                  help=f"Torus quadrature grid (default {_DEFAULTS.grid})."),
-    click.option("--fd-step", type=float, default=None, help="Finite-difference step."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="key=value config file; flags override it."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),

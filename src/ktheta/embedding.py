@@ -46,10 +46,10 @@ class ProjectivePoint:
 
     def normalized(self) -> np.ndarray:
         """Unit-norm lift; presentation helpers may further rotate the phase."""
-        return _unit_rows(self.coords)
+        return unit_rows(self.coords)
 
 
-def _unit_rows(lifts: np.ndarray) -> np.ndarray:
+def unit_rows(lifts: np.ndarray) -> np.ndarray:
     """Unit-norm lifts along the last axis, scaled by their largest modulus
     first so that the norm neither overflows nor underflows."""
     c = lifts / np.abs(lifts).max(axis=-1, keepdims=True)
@@ -66,7 +66,7 @@ def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     if p.shape[-1] != q.shape[-1]:
         raise DimensionMismatch(f"dimensions {p.shape[-1]} and {q.shape[-1]} differ")
-    a, b = _unit_rows(p), _unit_rows(q)
+    a, b = unit_rows(p), unit_rows(q)
     resid = b - np.einsum("bn,bn->b", a.conj(), b)[:, None] * a
     return np.minimum(1.0, np.linalg.norm(resid, axis=1))
 
@@ -154,28 +154,23 @@ class InjectivityReport:
     passed: bool
 
 
-def injectivity_scan(
-    k: int,
-    n_samples: int,
-    seed: int,
-    policy=th.DEFAULT_POLICY,
-    d_min: float = 1e-3,
-    threshold: float = 1e-6,
-) -> InjectivityReport:
+def injectivity_scan(k: int, n_samples: int, seed: int,
+                     policy=th.DEFAULT_POLICY) -> InjectivityReport:
     """Search sampled fundamental-domain pairs for image near-collisions.
 
-    Pairs closer than ``d_min`` on the quotient are excluded; the report
-    passes iff the smallest remaining image distance exceeds ``threshold``.
-    Pairs are ranked by sqrt(1 - |<a,b>|^2) of their unit lifts, which
-    resolves only about 1e-8; the witness pair's reported distance is its
-    ``chordal_distances``, which resolves about 1e-12.  The extremal pair is
-    deterministic for a fixed seed (ties broken by sample index order).
+    Pairs closer than ``d_min`` = 1e-3 on the quotient are excluded; the
+    report passes iff the smallest remaining image distance exceeds
+    ``threshold`` = 1e-6.  Pairs are ranked by sqrt(1 - |<a,b>|^2) of their
+    ``unit_rows``, which resolves only about 1e-8; the witness pair's
+    reported distance is its ``chordal_distances``, which resolves about
+    1e-12.  The extremal pair is deterministic for a fixed seed (ties broken
+    by sample index order).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    d_min, threshold = 1e-3, 1e-6
     pts = fundamental_domain_samples(n_samples, seed)
-    lifts = phi_batch(k, pts, policy)
-    lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
+    lifts = unit_rows(phi_batch(k, pts, policy))
 
     # row-major flat indices of the pairs i < j
     pairs = np.flatnonzero(np.triu(np.ones((n_samples, n_samples), dtype=bool), 1))

@@ -180,16 +180,16 @@ def omega_kt(u: KTPoint) -> TwoFormAtPoint:
     return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
 
 
-def quotient_distance(u: KTPoint, v: KTPoint, radius: int = 2) -> float:
+def quotient_distance(u: KTPoint, v: KTPoint) -> float:
     """Distance between the images of u and v on the quotient.
 
     Minimum Euclidean distance between reduce(u) and word translates of
-    reduce(v) over words with all exponents bounded by ``radius``.
+    reduce(v) over words with all exponents bounded by 2.
     """
     u0, _ = reduce_point(u)
     v0, _ = reduce_point(v)
     ua = u0.as_array()
-    offs = np.arange(-radius, radius + 1, dtype=float)
+    offs = np.arange(-2.0, 3.0)
     m, n, p, q = np.meshgrid(offs, offs, offs, offs, indexing="ij")
     translates = np.stack(
         [

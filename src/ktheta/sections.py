@@ -31,6 +31,7 @@ from .errors import EquivalentPoints, IllConditioned, SearchFailed, ShiftSumNonz
 from .manifold import KTPoint, fundamental_domain_samples, quotient_distance, reduce_point
 
 BASE_TAU = 1j  # modulus of the base-torus factor
+RETRIES = 32  # seeded attempts per branch of the separating-section search
 
 
 @dataclass(frozen=True)
@@ -262,12 +263,12 @@ def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
     return math.hypot(dy, dt)
 
 
-def _try_branch(branch, u, v, policy, rng, retries, probes):
+def _try_branch(branch, u, v, policy, rng, probes):
     """One branch of the separating-section search; None when retries run out."""
     # z = 1/2 kills a theta factor; the branch names the factor to kill at u
     zero_at_u = th.theta_zero(BASE_TAU) - _factor_args(branch, u.as_array())[0]
     pts = np.vstack([probes, u.as_array(), v.as_array()])
-    for _ in range(retries):
+    for _ in range(RETRIES):
         if branch == "base":
             gamma = zero_at_u
             alpha, beta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
@@ -291,20 +292,16 @@ def _try_branch(branch, u, v, policy, rng, retries, probes):
     return None
 
 
-def separating_section(
-    u: KTPoint,
-    v: KTPoint,
-    policy=th.DEFAULT_POLICY,
-    seed: int = 0,
-    retries: int = 32,
-) -> SeparationResult:
+def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
+                       seed: int = 0) -> SeparationResult:
     """Degree-3 section with s(u) = 0 and s(v) != 0, by the zero-placement search.
 
     The base branch places a zero of the base factor at u (gamma = 1/2 - w2(u));
     when u and v share base coordinates modulo the lattice the fiber branch
     places the zero in the fiber factor instead (alpha = 1/2 - w1(u)).  The
-    remaining shifts are drawn from a seeded generator until the other
-    factors stay away from zero at v, judged against a probe-set scale.
+    remaining shifts are drawn from a seeded generator, at most ``RETRIES``
+    times per branch, until the other factors stay away from zero at v,
+    judged against a probe-set scale.
     """
     if quotient_distance(u, v) < 1e-8:
         raise EquivalentPoints("points coincide on the quotient")
@@ -321,7 +318,7 @@ def separating_section(
             if abs(_factor_args("fiber", v.as_array())[0]
                    - _factor_args("fiber", u.as_array())[0]) < 1e-8:
                 continue
-        found = _try_branch(branch, u, v, policy, rng, retries, probes)
+        found = _try_branch(branch, u, v, policy, rng, probes)
         if found is not None:
             return found
-    raise SearchFailed(f"no separating section after {retries} seeded attempts per branch")
+    raise SearchFailed(f"no separating section after {RETRIES} seeded attempts per branch")

@@ -223,36 +223,37 @@ def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
     return m[..., 0, 1] * m[..., 2, 3] - m[..., 0, 2] * m[..., 1, 3] + m[..., 0, 3] * m[..., 1, 2]
 
 
+# Step of the finite differences in ``exterior_derivative_residuals``.
+FD_STEP = 1e-4
+
+
 def exterior_derivative_residuals(
-    map_id: str, k: int, pts: np.ndarray, h: float = 1e-4, policy=th.DEFAULT_POLICY
+    map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY
 ) -> np.ndarray:
     """Max 3-form component of d(pullback) at (B, 4) points, shape (B,).
 
-    Finite differences of step ``h`` with the fourth-order five-point
+    Finite differences of step ``FD_STEP`` with the fourth-order five-point
     stencil: the second-order truncation error of plain central differences
     does not cancel across the d terms and would dominate the residual at
-    the default step.
+    that step.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    steps = np.array([2.0, 1.0, -1.0, -2.0]) * h
+    steps = np.array([2.0, 1.0, -1.0, -2.0]) * FD_STEP
     shifts = np.kron(np.eye(4), steps[:, None])  # row 4*i + s steps coordinate i by steps[s]
     stacked = (pts[:, None, :] + shifts).reshape(-1, 4)
     mats = fs_pullback_batch(map_id, k, stacked, policy).reshape(-1, 4, 4, 4, 4)
     deriv = (
         -mats[:, :, 0] + 8.0 * mats[:, :, 1] - 8.0 * mats[:, :, 2] + mats[:, :, 3]
-    ) / (12.0 * h)  # deriv[:, i] = d/du_i of the pullback matrix
+    ) / (12.0 * FD_STEP)  # deriv[:, i] = d/du_i of the pullback matrix
     i, j, l = np.array(list(itertools.combinations(range(4), 3))).T
     comps = deriv[:, i, j, l] - deriv[:, j, i, l] + deriv[:, l, i, j]
     return np.abs(comps).max(axis=1)
 
 
-def exterior_derivative_residual(
-    map_id: str, k: int, u: KTPoint, h: float = 1e-4, policy=th.DEFAULT_POLICY
-) -> float:
+def exterior_derivative_residual(map_id: str, k: int, u: KTPoint,
+                                 policy=th.DEFAULT_POLICY) -> float:
     """``exterior_derivative_residuals`` at a single point."""
-    return float(exterior_derivative_residuals(map_id, k, u.as_array(), h, policy)[0])
+    return float(exterior_derivative_residuals(map_id, k, u.as_array(), policy)[0])
 
 
 TORUS_WORDS = {

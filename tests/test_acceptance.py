@@ -96,7 +96,6 @@ class TestRunConfigValidation:
             {"epsilon": 0.0},
             {"samples": -1},
             {"grid": 4},
-            {"fd_step": 0.0},
             {"max_terms": 0},
         ],
     )

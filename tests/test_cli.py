@@ -97,6 +97,16 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--grid", "2"])
         assert result.exit_code == 2
 
+    def test_fd_step_is_not_an_option(self, runner, tmp_path):
+        # the closedness stencil's step is the constant symplectic.FD_STEP
+        result = runner.invoke(main, ["check", "--only", "zero_locus", "--fd-step", "1e-4"])
+        assert result.exit_code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fd_step=1e-4\n")
+        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "unknown config key 'fd_step'" in result.output
+
 
 class TestEmbedCommand:
     def test_json_output(self, runner):

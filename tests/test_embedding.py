@@ -9,29 +9,30 @@ import ktheta.embedding as embedding_module
 from ktheta import (
     AllSectionsVanish,
     DimensionMismatch,
-    GENERATORS,
     GroupWord,
     KTPoint,
     LiftOverflow,
-    ProjectivePoint,
     act,
-    chordal_distance,
     chordal_distances,
     fundamental_domain_samples,
     injectivity_scan,
-    jacobian,
     phi,
     phi_batch,
     projective_rank,
     psi_double_prime,
     psi_prime,
-    quotient_distance,
     reduce_point,
-    segre,
 )
-from ktheta.embedding import generator_invariance_residual
+from ktheta.embedding import (
+    ProjectivePoint,
+    chordal_distance,
+    generator_invariance_residual,
+    jacobian,
+    segre,
+    unit_rows,
+)
 from ktheta.sections import section_matrix_with_gradients
-from ktheta.manifold import act_on_array
+from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -338,8 +339,7 @@ def report_fields(report):
 def full_sort_scan(k, pts, d_min=1e-3):
     """Oracle: stable-sort every pairwise Gram distance, take the first
     quotient-separated pair, and report its chordal distance."""
-    lifts = phi_batch(k, pts)
-    lifts = lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
+    lifts = unit_rows(phi_batch(k, pts))
     gram = np.abs(lifts @ lifts.conj().T) ** 2
     np.clip(gram, 0.0, 1.0, out=gram)
     iu, ju = np.triu_indices(len(pts), k=1)

@@ -7,22 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktheta import (
+from ktheta import GroupWord, KTPoint, act, fundamental_domain_samples, reduce_point
+from ktheta.manifold import (
     GENERATORS,
-    GroupWord,
-    KTPoint,
-    act,
+    IDENTITY,
+    act_on_array,
     cocycle_residual,
     compose,
-    fundamental_domain_samples,
     inverse,
     multiplicator,
     omega_kt,
     quotient_distance,
-    reduce_point,
     two_form,
 )
-from ktheta.manifold import IDENTITY, act_on_array
 
 words = st.builds(
     GroupWord,

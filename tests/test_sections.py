@@ -1,36 +1,23 @@
 """KT sections: basis, tensor law, shift products, separating sections."""
 
 import cmath
-import sys
 
 import numpy as np
 import pytest
 
+import ktheta.theta as theta_module
 from ktheta import (
     EquivalentPoints,
-    GENERATORS,
     GroupWord,
     IllConditioned,
     KTPoint,
     SectionIndex,
     ShiftSumNonzero,
-    ThetaArgument,
-    ThetaBasisIndex,
     ZetaShift,
     act,
     fit_in_span,
     fundamental_domain_samples,
-    multiplicator,
-    product_of_shifts,
     section,
-    section_gradient,
-    section_matrix,
-    separating_section,
-    separating_value,
-    theta,
-    theta_degree_k,
-    theta_kt,
-    zeta_action,
 )
 from ktheta.checks import (
     RunConfig,
@@ -39,15 +26,24 @@ from ktheta.checks import (
     check_separating_sections,
 )
 from ktheta.embedding import psi_double_prime, psi_prime
+from ktheta.manifold import GENERATORS, multiplicator
 from ktheta.sections import (
     BASE_TAU,
     FACTOR_AXES,
     factor,
     factors,
+    product_of_shifts,
+    section_gradient,
+    section_matrix,
     section_matrix_with_gradients,
+    separating_section,
+    separating_value,
     shift_product,
+    theta_kt,
+    zeta_action,
 )
 from ktheta.symplectic import fs_pullback_batch
+from ktheta.theta import ThetaArgument, ThetaBasisIndex, theta, theta_degree_k
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -220,7 +216,6 @@ class TestShiftProduct:
     def test_series_calls_per_shift_list_and_search(self, monkeypatch):
         # a batched evaluation sums each shift list in a few series calls;
         # a per-point loop would make thousands
-        theta_module = sys.modules["ktheta.theta"]
         original = theta_module._eval_series
         calls = []
 
@@ -300,7 +295,6 @@ class TestFactors:
     def test_basis_calls(self, monkeypatch):
         # phi_k is assembled from one stacked fiber-and-base evaluation, psi'
         # and psi'' (and their pullbacks) from their own factor alone
-        theta_module = sys.modules["ktheta.theta"]
         original = theta_module._degree_basis_batch
         calls = []
 

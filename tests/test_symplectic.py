@@ -12,44 +12,51 @@ import ktheta
 import ktheta.embedding as embedding_module
 import ktheta.sections as sections_module
 import ktheta.symplectic as symplectic_module
+import ktheta.theta as theta_module
 
 from ktheta import (
     BasisTorus,
-    GENERATORS,
     GroupWord,
     KTPoint,
     LiftOverflow,
     NonCommutingPair,
-    PullbackForm,
     RunConfig,
     TorusNotClosed,
-    chern_cocycle,
-    chern_for_generator_pair,
     chern_via_multiplicators,
-    decompose_left_invariant,
-    exterior_derivative_residual,
-    fs_normalization,
     fs_pullback,
     fundamental_domain_samples,
     integrate_over_torus,
-    multiplicator,
-    omega_kt,
-    pfaffian,
     projective_rank,
-    transition_function,
-    two_form,
 )
 from ktheta.checks import check_structure_decomposition, check_torus_integrals
-from ktheta.manifold import IDENTITY, act, compose, inverse, reduce_point
+from ktheta.manifold import (
+    GENERATORS,
+    IDENTITY,
+    act,
+    compose,
+    inverse,
+    multiplicator,
+    omega_kt,
+    reduce_point,
+    two_form,
+)
 from ktheta.sections import factors, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
     TORUS_AXES,
+    PullbackForm,
+    chern_cocycle,
+    chern_for_generator_pair,
+    decompose_left_invariant,
+    exterior_derivative_residual,
     exterior_derivative_residuals,
+    fs_normalization,
     fs_pullback_batch,
     hermitian_pullback_batch,
     hermitian_ranks,
+    pfaffian,
     pfaffian_batch,
+    transition_function,
 )
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
@@ -204,7 +211,6 @@ class TestFactoredHermitianForm:
 
     def test_metric_paths_build_no_k2_lift(self, monkeypatch):
         kernel_calls = []
-        theta_module = sections_module.th  # ktheta.theta is shadowed by the function
         kernel = theta_module._degree_basis_batch
 
         def counting_kernel(*args, **kwargs):
@@ -338,10 +344,6 @@ class TestClosedness:
 
     def test_exterior_derivative_omega_kt(self):
         assert exterior_derivative_residual("omega_kt", 3, U0) < 1e-10
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            exterior_derivative_residual("phi_k", 3, U0, h=0.0)
 
     def test_batched_residuals(self):
         pts = fundamental_domain_samples(10, 12)

@@ -1,26 +1,30 @@
 """Theta series core: oracles are independent brute-force summations."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import ktheta.checks as checks_mod
+import ktheta.sections as sections_mod
+import ktheta.theta as th_mod
 from ktheta import (
-    DEFAULT_POLICY,
     GroupWord,
     InvalidModulus,
     KTPoint,
     ShiftSumNonzero,
     TailNotConverged,
+    fundamental_domain_samples,
+    theta_batch,
+)
+from ktheta.theta import (
+    DEFAULT_POLICY,
     ThetaArgument,
     ThetaBasisIndex,
     TruncationPolicy,
     classical_product,
-    fundamental_domain_samples,
     tail_bound,
     theta,
-    theta_batch,
     theta_degree_k,
     theta_degree_k_deriv,
     theta_deriv,
@@ -28,10 +32,6 @@ from ktheta import (
 )
 
 from ktheta.manifold import act
-
-th_mod = importlib.import_module("ktheta.theta")
-sections_mod = importlib.import_module("ktheta.sections")
-checks_mod = importlib.import_module("ktheta.checks")
 
 
 def brute_theta(z, tau, n=80, z_order=0, tau_order=0):
@@ -649,3 +649,34 @@ class TestAsymmetricTailBound:
                 terms = mag * np.abs(2 * math.pi * m) ** zo * np.abs(math.pi * quad) ** to
                 assert bounds[0] >= terms[m < lo].sum() * (1 - 1e-12)
                 assert bounds[1] >= terms[m > hi].sum() * (1 - 1e-12)
+
+
+class TestPackageSurface:
+    def test_theta_is_the_submodule(self):
+        import sys
+
+        import ktheta
+        from ktheta import theta as theta_attr
+
+        assert theta_attr is sys.modules["ktheta.theta"] is ktheta.theta is th_mod
+        assert ktheta.theta.theta is theta
+
+    def test_root_exports_the_documented_surface(self):
+        import types
+
+        import ktheta
+        import ktheta.errors as errors
+
+        error_classes = {name for name, c in vars(errors).items()
+                         if isinstance(c, type) and issubclass(c, errors.KThetaError)}
+        readme = {"KTPoint", "SectionIndex", "ZetaShift", "section", "shift_product",
+                  "fit_in_span", "fundamental_domain_samples", "phi", "psi_prime",
+                  "psi_double_prime", "chordal_distances", "fs_pullback",
+                  "chern_via_multiplicators", "theta_batch"}
+        perfbench = {"BasisTorus", "GroupWord", "KTPoint", "KThetaError", "RunConfig", "act",
+                     "fs_pullback", "injectivity_scan", "integrate_over_torus", "phi",
+                     "phi_batch", "projective_rank", "reduce_point"}
+        exported = {name for name, v in vars(ktheta).items()
+                    if not name.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert exported == readme | perfbench | error_classes
+        assert len(exported) == 35
