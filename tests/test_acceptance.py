@@ -96,6 +96,7 @@ class TestRunConfigValidation:
             {"epsilon": 0.0},
             {"samples": -1},
             {"grid": 4},
+            {"grid": 7},  # just below the minimum of 8
             {"max_terms": 0},
         ],
     )
