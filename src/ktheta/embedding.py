@@ -22,6 +22,7 @@ from .manifold import (
     act_on_array,
     fundamental_domain_samples,
     quotient_distance,
+    reduce_point,
 )
 from .sections import factor, section_matrix, section_matrix_with_gradients
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
@@ -50,10 +51,18 @@ class ProjectivePoint:
 
 
 def unit_rows(lifts: np.ndarray) -> np.ndarray:
-    """Unit-norm lifts along the last axis, scaled by their largest modulus
-    first so that the norm neither overflows nor underflows."""
-    c = lifts / np.abs(lifts).max(axis=-1, keepdims=True)
-    return c / np.linalg.norm(c, axis=-1, keepdims=True)
+    """Unit-norm lifts along the last axis, scaled by their largest |Re| or
+    |Im| first so that the norm neither overflows nor underflows.
+
+    Both scales are read from the real view of the lifts, with no complex
+    modulus per entry.
+    """
+    c = np.ascontiguousarray(lifts, dtype=complex)
+    v = c.view(float)
+    c = c * (1.0 / np.maximum(v.max(axis=-1), -v.min(axis=-1)))[..., None]
+    v = c.view(float)
+    c *= (1.0 / np.sqrt(np.einsum("...i,...i->...", v, v)))[..., None]
+    return c
 
 
 def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -76,14 +85,20 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return float(chordal_distances(p.coords, q.coords)[0])
 
 
+def _domain_point(u: KTPoint) -> np.ndarray:
+    """The fundamental-domain representative of ``u``, where the single-point
+    maps evaluate: they descend to the quotient, and there the lift is moderate."""
+    return reduce_point(u)[0].as_array()
+
+
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
-    """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)]."""
-    return ProjectivePoint(factor("fiber", k, u.as_array(), policy))
+    """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)], at ``reduce_point(u)``."""
+    return ProjectivePoint(factor("fiber", k, _domain_point(u), policy))
 
 
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
-    """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)]."""
-    return ProjectivePoint(factor("base", k, u.as_array(), policy))
+    """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)], at ``reduce_point(u)``."""
+    return ProjectivePoint(factor("base", k, _domain_point(u), policy))
 
 
 def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
@@ -94,12 +109,20 @@ def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
 
 
 def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
-    """The full map u -> [s_1 : ... : s_{k^2}] into CP^{k^2-1}."""
-    return ProjectivePoint(section_matrix(k, u.as_array(), policy)[0])
+    """The full map u -> [s_1 : ... : s_{k^2}] into CP^{k^2-1}.
+
+    Evaluated at ``reduce_point(u)``: the lift differs from ``phi_batch``'s
+    at ``u`` by a nonzero scalar, and stays finite for every finite ``u``.
+    """
+    return ProjectivePoint(section_matrix(k, _domain_point(u), policy)[0])
 
 
 def phi_batch(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Lift coordinates of phi_k at an (B, 4) array of points, shape (B, k^2)."""
+    """Lift coordinates of phi_k at an (B, 4) array of points, shape (B, k^2).
+
+    The points are taken as given, so the lift can overflow far off the
+    fundamental domain; ``phi`` evaluates at the reduced point instead.
+    """
     return section_matrix(k, pts, policy)
 
 
@@ -133,10 +156,13 @@ def _differential_ranks(vals, grads, tol):
 def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POLICY) -> int:
     """Rank of the differential of phi_k at ``u`` (4 for an immersion).
 
-    ``tol`` must be at least ``symplectic.MIN_RANK_TOL``; raises
-    ``LiftOverflow`` where the lift or its partials are not finite.
+    Evaluated at ``reduce_point(u)``, which has the same rank: phi_k descends
+    and the deck group acts by diffeomorphisms.  ``tol`` must be at least
+    ``symplectic.MIN_RANK_TOL``; raises ``LiftOverflow`` where the lift or
+    its partials are not finite.
     """
-    return int(hermitian_ranks(*hermitian_pullback_batch("phi_k", k, u.as_array(), policy), tol)[0])
+    b, scale = hermitian_pullback_batch("phi_k", k, _domain_point(u), policy)
+    return int(hermitian_ranks(b, scale, tol)[0])
 
 
 @dataclass(frozen=True)

@@ -101,12 +101,18 @@ def _wrap_unit(v: float) -> tuple[float, int]:
 
 
 def reduce_point(u: KTPoint) -> tuple[KTPoint, GroupWord]:
-    """Fundamental-domain representative u0 in [0,1)^4 and w with act(w, u0) = u."""
+    """Fundamental-domain representative u0 in [0,1)^4 and w with act(w, u0) = u.
+
+    The product m*y of z - m*y is split exactly, in integers, into its whole
+    and fractional parts, so u0 stays accurate and finite for every finite u.
+    """
     x0, m = _wrap_unit(u.x)
     y0, n = _wrap_unit(u.y)
-    z0, p = _wrap_unit(u.z - m * u.y)
+    num, den = float(u.y).as_integer_ratio()
+    whole, part = divmod(m * num, den)  # m*y = whole + part/den, 0 <= part < den
+    z0, p = _wrap_unit(u.z - part / den)
     t0, q = _wrap_unit(u.t)
-    return KTPoint(x0, y0, z0, t0), GroupWord(m, n, p, q)
+    return KTPoint(x0, y0, z0, t0), GroupWord(m, n, p - whole, q)
 
 
 def multiplicator_exponent(w: GroupWord, pts: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .manifold import (
     GEN_C,
     GEN_D,
     GENERATORS,
+    IDENTITY,
     GroupWord,
     KTPoint,
     TwoFormAtPoint,
@@ -38,6 +39,7 @@ from .manifold import (
     multiplicator,
     multiplicator_exponent,
     omega_kt_matrix,
+    reduce_point,
     two_form,
 )
 from .sections import FACTOR_AXES, factor
@@ -135,10 +137,18 @@ def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_PO
 def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> PullbackForm:
     """Pullback of the Fubini-Study form under the named map at ``u``.
 
-    Raises ``LiftOverflow`` where the map's lift or its partials are not
-    finite at ``u``; ``fs_pullback_batch`` returns NaN rows there.
+    The maps descend to the quotient, so with u = act(w, u0) and u0 =
+    ``reduce_point(u)`` the form is J^T Omega(u0) J, where J = I - m e_z e_y^T
+    is the inverse of w's differential and m its a-exponent; ``omega_kt`` is
+    evaluated at ``u`` itself.  Raises ``LiftOverflow`` where the map's lift
+    or its partials are not finite at u0; ``fs_pullback_batch``, which
+    evaluates the raw point, returns NaN rows there.
     """
-    mat = fs_pullback_batch(map_id, k, u.as_array(), policy)[0]
+    u0, w = (u, IDENTITY) if map_id == "omega_kt" else reduce_point(u)
+    mat = fs_pullback_batch(map_id, k, u0.as_array(), policy)[0]
+    if w.m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
+        mat[:, 1] -= w.m * mat[:, 2]
+        mat[1, :] -= w.m * mat[2, :]
     if not np.isfinite(mat).all():
         raise LiftOverflow(f"the {map_id} lift or its partials are not finite at {u}")
     return PullbackForm(u, mat)

@@ -28,10 +28,21 @@ discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
 termwise derivative weight, sum to at most epsilon / 2 on each side of the
 window.  For k = 1 that bounds each returned output's truncation error by
 epsilon.
+
+Arguments reduced to the fundamental domain have Im(tau) = 1 and Im(w) in
+[0, 1].  A batch of such arguments skips the per-point search: each point
+takes lo from the cell [j, j + 1] / CELLS of Im(w) it lies in, and the
+batch takes the table's shared L.  The table is built once per (k, policy,
+orders) by ``_basis_window`` itself, each cell passed as its two edges, so
+every cell's window carries the same certificate over the whole cell.  It
+is certified for the requested orders together with the value and both
+first derivatives, so value-only and gradient calls at one point sum the
+same terms.  Every other batch keeps the per-point window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,7 +208,9 @@ _CANDIDATES = np.array([-1, 0, 1])[:, None]  # one step in, the guess, one step 
 def _basis_window(k, im_w, im_tau, policy, orders):
     """Per-point m-windows [lo, lo + length) of the degree-k kernel.
 
-    Returns ``lo`` (shape (B,)) and the batch's shared length.  The terms of
+    Returns ``lo`` (shape (B,)) and the batch's shared length.  ``im_w`` is
+    either B values or, stacked as (2, B), B intervals (low, high) of Im(w),
+    each window then certified over its whole interval.  The terms of
     residue p's inner series theta(k*w + p*tau, k*tau) are a Gaussian in m
     centred at 1/2 - Im(w)/Im(tau) - p/k.  Each side of a window is guessed
     where that Gaussian falls to epsilon / 4 for residue 0 or k-1, certified
@@ -232,6 +245,27 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     return -outward[0], length
 
 
+CELLS = 8  # cells of Im(w) in [0, 1] with one certified window each; a power of two
+# Orders every cell window is certified for besides the requested ones, so a
+# value-only call and a gradient call at one point share their window.
+_CELL_ORDERS = frozenset({(0, 0), (1, 0), (0, 1)})
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_windows(k, policy, orders):
+    """``_basis_window`` of the CELLS cells [j, j + 1] / CELLS of Im(w) at Im(tau) = 1.
+
+    Each cell is passed as its stacked edges, so the certified interval of
+    Im(k*w + p*tau) spans the whole cell for every residue p: ``lo`` (CELLS,)
+    and the shared length hold for every point of the cell.  ``lo`` is
+    read-only, since every caller shares it.
+    """
+    edges = np.arange(CELLS + 1) / CELLS
+    lo, length = _basis_window(k, np.stack([edges[:-1], edges[1:]]), 1.0, policy, orders)
+    lo.flags.writeable = False
+    return lo, length
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _degree_basis_batch(k, ws, taus, policy, orders):
     """Degree-k basis values and derivatives on arrays of arguments.
@@ -249,7 +283,14 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     w, tau = ws.ravel(), taus.ravel()
     if not (np.isfinite(w + tau).all() and (tau.imag > 0.0).all()):
         raise InvalidModulus("theta arguments must be finite with Im(tau) > 0")
-    lo, length = _basis_window(k, w.imag, tau.imag, policy, orders)
+    im_w = w.imag
+    if (tau.imag == 1.0).all() and (im_w >= 0.0).all() and (im_w <= 1.0).all():
+        # the fundamental domain's arguments: each point takes its cell's window
+        key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
+        cell_lo, length = _cell_windows(k, policy, key)
+        lo = cell_lo[np.minimum((im_w * CELLS).astype(int), CELLS - 1)]
+    else:
+        lo, length = _basis_window(k, im_w, tau.imag, policy, orders)
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
     w = w - w.real.round()
     tau = tau - tau.real.round()

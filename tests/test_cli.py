@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from ktheta.cli import main
+from ktheta.manifold import KTPoint, reduce_point
 
 
 @pytest.fixture()
@@ -203,15 +204,36 @@ class TestIntegrateCommand:
             assert abs(row["integral"] - 3 * c1[row["torus"]]) < 1e-3
 
 
-OVERFLOW_POINT = ["--k", "16", "8", "0.2", "0.1", "0.4"]  # the k = 16 lift overflows here
+# The raw k = 16 lift overflows at both points: at the first the series
+# does, at the second the Segre product of two finite factors.
+OFF_DOMAIN_POINTS = [["8", "0.2", "0.1", "0.4"], ["4", "0.2", "0.1", "4"]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow, not even a warning
+@pytest.mark.parametrize("coords", OFF_DOMAIN_POINTS, ids=" ".join)
+def test_point_commands_print_the_reduced_point(runner, coords):
+    u0, w = reduce_point(KTPoint(*map(float, coords)))
+    reduced = [repr(v) for v in (u0.x, u0.y, u0.z, u0.t)]
+    outputs = {}
+    for command in ("embed", "rank", "pullback"):
+        got, want = (runner.invoke(main, [command, "--k", "16"] + c) for c in (coords, reduced))
+        assert got.exit_code == want.exit_code == 0 and not got.stderr
+        outputs[command] = json.loads(got.output), json.loads(want.output)
+    for command in ("embed", "rank"):
+        assert outputs[command][0] == outputs[command][1]
+    # the pullback at u = act(w, u0) is J^T Omega(u0) J, J = I - w.m e_z e_y^T
+    got, want = ([row["value"] for row in rows] for rows in outputs["pullback"])
+    omega = np.zeros((4, 4))
+    omega[np.triu_indices(4, 1)] = want
+    omega -= omega.T
+    jac = np.eye(4)
+    jac[2, 1] = -w.m
+    assert w.m and np.allclose(got, (jac.T @ omega @ jac)[np.triu_indices(4, 1)],
+                               rtol=0.0, atol=1e-12 * np.abs(got).max())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
 @pytest.mark.parametrize("command, max_terms, error", [
-    # LiftOverflow
-    (["embed"] + OVERFLOW_POINT, None, "error: "),
-    (["rank"] + OVERFLOW_POINT, None, "error: "),
-    (["pullback"] + OVERFLOW_POINT, None, "error: "),
     # TailNotConverged: two series terms cannot reach the default tail bound
     (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
     (["integrate", "--torus", "T_ca", "--grid", "8"], 2, "error: "),

@@ -31,10 +31,16 @@ from ktheta.embedding import (
     segre,
     unit_rows,
 )
-from ktheta.sections import section_matrix_with_gradients
+from ktheta.sections import factor, section_matrix_with_gradients
 from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
+from ktheta.symplectic import hermitian_pullback_batch, hermitian_ranks
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
+
+
+def raw_ranks(k, pts, tol=1e-6):
+    """phi_k's differential ranks at the raw points, unreduced."""
+    return hermitian_ranks(*hermitian_pullback_batch("phi_k", k, pts), tol)
 
 
 class TestProjectivePoint:
@@ -83,11 +89,11 @@ class TestChordalDistance:
         assert abs(d - 1e-12) < 1e-14
 
     def test_lift_above_square_root_of_overflow(self):
-        # the k=16 lift's largest entry is ~9.5e214 here, so its squared norm
-        # overflows; normalizing divides by the largest entry first
+        # the raw k=16 lift's largest entry is ~9.5e214 here, so its squared
+        # norm overflows; normalizing divides by the largest entry first
         u = KTPoint(2.6221792294411626, 1.988960147681885, 2.193228993599369,
                     -1.8397879661421555)
-        p = phi(16, u)
+        p = ProjectivePoint(phi_batch(16, u.as_array())[0])
         assert np.abs(p.coords).max() > 1e200
         assert abs(np.linalg.norm(p.normalized()) - 1.0) < 1e-14
         assert chordal_distance(p, phi(16, reduce_point(u)[0])) < 1e-8
@@ -99,7 +105,7 @@ class TestChordalDistance:
         q[0] = (2.0 - 1.0j) * p[0]
         u = KTPoint(2.6221792294411626, 1.988960147681885, 2.193228993599369,
                     -1.8397879661421555)
-        p = np.vstack([p, phi(16, u).coords[:16]])  # entries up to ~9.5e214
+        p = np.vstack([p, phi_batch(16, u.as_array())[0, :16]])  # entries up to ~9.5e214
         q = np.vstack([q, phi(16, reduce_point(u)[0]).coords[:16]])
         assert np.abs(p[-1]).max() > 1e200
         rows = chordal_distances(p, q)
@@ -121,8 +127,8 @@ class TestChordalDistance:
         with pytest.raises(LiftOverflow):
             ProjectivePoint(np.array([np.inf, 0.0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LiftOverflow):
-                phi(16, KTPoint(8.0, 0.2, 0.1, 0.4))
+            with pytest.raises(LiftOverflow):  # the raw lift, which phi never takes
+                ProjectivePoint(phi_batch(16, [8.0, 0.2, 0.1, 0.4])[0])
 
 
 class TestSegre:
@@ -167,6 +173,9 @@ class TestPhi:
         g = GENERATORS[gen]
         d = chordal_distance(phi(k, act(g, U0)), phi(k, U0))
         assert d < 1e-10
+        # phi reduces both points to one u0; the raw lifts differ by a scalar
+        raw = chordal_distances(phi_batch(k, act(g, U0).as_array()), phi_batch(k, U0.as_array()))
+        assert raw[0] < 1e-10
 
     def test_generator_invariance_residual_helper(self):
         assert generator_invariance_residual(3, U0) < 1e-10
@@ -183,6 +192,9 @@ class TestPsiMaps:
     def test_psi_prime_invariant_under_c(self):
         d = chordal_distance(psi_prime(3, act(GENERATORS["c"], U0)), psi_prime(3, U0))
         assert d < 1e-10
+        raw = chordal_distances(factor("fiber", 3, act(GENERATORS["c"], U0).as_array()),
+                                factor("fiber", 3, U0.as_array()))
+        assert raw[0] < 1e-10
 
     def test_psi_double_prime_depends_only_on_base(self):
         u = KTPoint(0.11, 0.52, 0.73, 0.29)
@@ -194,6 +206,9 @@ class TestPsiMaps:
         g = GENERATORS[gen]
         d = chordal_distance(psi_double_prime(3, act(g, U0)), psi_double_prime(3, U0))
         assert d < 1e-10
+        raw = chordal_distances(factor("base", 3, act(g, U0).as_array()),
+                                factor("base", 3, U0.as_array()))
+        assert raw[0] < 1e-10
 
 
 class TestJacobian:
@@ -245,22 +260,25 @@ class TestProjectiveRank:
     def test_invariance_under_group(self):
         w = GroupWord(1, -1, 2, 1)
         assert projective_rank(3, U0) == projective_rank(3, act(w, U0))
+        pts = np.stack([U0.as_array(), act(w, U0).as_array()])
+        assert raw_ranks(3, pts).tolist() == [4, 4]
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             projective_rank(3, U0, tol=0.0)
 
     def test_rank_four_where_lift_norm_is_large(self):
-        # |F|^2 of the k=16 lift is ~2e183 here; the rank divides the lift
+        # |F|^2 of the raw k=16 lift is ~2e183 here; the rank divides the lift
         # by its largest entry before normalizing
         u = act(GroupWord(1, -2, 1, 2), KTPoint(0.3, 0.2, 0.1, 0.4))
-        assert np.linalg.norm(phi(16, u).coords) > 1e90
+        assert np.linalg.norm(phi_batch(16, u.as_array())[0]) > 1e90
         assert projective_rank(16, u, tol=1e-6) == 4
+        assert raw_ranks(16, u.as_array()).tolist() == [4]
 
     def test_non_finite_lift_raises_typed_error(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(LiftOverflow):
-                projective_rank(16, KTPoint(8.0, 0.2, 0.1, 0.4))
+            with pytest.raises(LiftOverflow):  # the raw point, which projective_rank never takes
+                raw_ranks(16, [8.0, 0.2, 0.1, 0.4])
 
     def test_batch_names_the_non_finite_rows(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,8 @@
 """Lattice group arithmetic, multiplicators, 2-forms, quotient geometry."""
 
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +124,16 @@ class TestGroupArithmetic:
         assert 0.0 <= v.x < 1.0 and 0.0 <= v.y < 1.0
         assert 0.0 <= v.z < 1.0 and 0.0 <= v.t < 1.0
         assert np.allclose(act(w, v).as_array(), u.as_array(), atol=1e-9)
+
+    @pytest.mark.parametrize("u", [KTPoint(3e17, 0.3, 0.2, 0.1), KTPoint(1e200, 1e200, 0.3, -1e250),
+                                   KTPoint(-1e300, -7.3, 1e300, 1e-300), KTPoint(-2.5, 0.1, 4.9, 0.0)])
+    def test_reduce_point_exact_for_huge_coordinates(self, u):
+        # z0 = frac(z - m*y) from exact rationals; the float product m*y
+        # would lose every fractional digit, or overflow
+        v, w = reduce_point(u)
+        exact = Fraction(u.z) - w.m * Fraction(u.y)
+        assert abs(v.z - float(exact % 1)) <= 2.0**-52 and w.p == math.floor(exact)
+        assert 0.0 <= min(v.as_array()) and max(v.as_array()) < 1.0
 
     def test_act_on_array_matches_scalar(self):
         pts = fundamental_domain_samples(10, 1)

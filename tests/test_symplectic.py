@@ -242,13 +242,17 @@ class TestLiftScaling:
         assert np.all(np.isfinite(form.matrix))
         reduced = fs_pullback("phi_k", 16, reduce_point(self.U_FAR)[0])
         assert abs(pfaffian(form) / pfaffian(reduced) - 1.0) <= 1e-8
+        # the raw point's batched pullback, which fs_pullback does not take
+        raw = fs_pullback_batch("phi_k", 16, self.U_FAR.as_array())[0]
+        assert np.abs(raw - form.matrix).max() <= 1e-8 * np.abs(raw).max()
 
     def test_non_finite_lift_raises_typed_error(self):
-        far = KTPoint(8.0, 0.2, 0.1, 0.4)  # the k=16 lift overflows here
+        far = KTPoint(8.0, 0.2, 0.1, 0.4)  # the raw k=16 lift overflows here
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LiftOverflow):
-                fs_pullback("phi_k", 16, far)
+                hermitian_ranks(*hermitian_pullback_batch("phi_k", 16, far.as_array()), 1e-6)
             assert np.isnan(fs_pullback_batch("phi_k", 16, far.as_array())).all()
+        assert np.isfinite(fs_pullback("phi_k", 16, far).matrix).all()  # at reduce_point(far)
 
 
 class TestPullbackBasics:

@@ -466,6 +466,34 @@ class TestDegreeBasisKernel:
                                                    VALUE_W_TAU)
                 assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
 
+    @pytest.mark.parametrize("orders", [((0, 0),), VALUE_W_TAU, ((2, 0), (1, 1))])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_cell_windows_certified_over_their_cells(self, k, orders):
+        # Sampled points of each cell of Im(w), edges included, at Im(tau) = 1:
+        # for every residue the cell's window leaves at most epsilon / 2 on
+        # each side, for the requested orders and those every cell carries.
+        key = tuple(sorted(th_mod._CELL_ORDERS.union(orders)))
+        lo, length = th_mod._cell_windows(k, DEFAULT_POLICY, key)
+        assert lo.shape == (th_mod.CELLS,)
+        rng = np.random.default_rng(k)
+        for cell in range(th_mod.CELLS):
+            im_w = (cell + np.r_[0.0, rng.random(30), 1.0]) / th_mod.CELLS
+            outward = np.array([-lo[cell], lo[cell] + length - 1])[:, None]
+            for p in range(k):
+                y = k * im_w + p
+                bounds = th_mod._tail_bound_arrays([y, y], float(k), outward, key)
+                assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_cell_edges_match_residue_loop(self, k):
+        im_w = np.r_[np.arange(th_mod.CELLS + 1) / th_mod.CELLS, np.nextafter(0.5, 0.0)]
+        w = 0.3 + 1j * im_w
+        tau = np.full_like(w, 0.6 + 1j)
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+        want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        for g, r in zip(got, want):
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
     @pytest.mark.parametrize("k", [8, 16])
     def test_terms_per_point_not_above_residue_loop(self, k, monkeypatch):
         pts = fundamental_domain_samples(500, 21)
