@@ -211,18 +211,18 @@ OFF_DOMAIN_POINTS = [["8", "0.2", "0.1", "0.4"], ["4", "0.2", "0.1", "4"]]
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow, not even a warning
 @pytest.mark.parametrize("coords", OFF_DOMAIN_POINTS, ids=" ".join)
-def test_point_commands_print_the_reduced_point(runner, coords):
+@pytest.mark.parametrize("command", ["embed", "rank", "pullback"])
+def test_point_commands_print_the_reduced_point(runner, command, coords):
     u0, w = reduce_point(KTPoint(*map(float, coords)))
     reduced = [repr(v) for v in (u0.x, u0.y, u0.z, u0.t)]
-    outputs = {}
-    for command in ("embed", "rank", "pullback"):
-        got, want = (runner.invoke(main, [command, "--k", "16"] + c) for c in (coords, reduced))
-        assert got.exit_code == want.exit_code == 0 and not got.stderr
-        outputs[command] = json.loads(got.output), json.loads(want.output)
-    for command in ("embed", "rank"):
-        assert outputs[command][0] == outputs[command][1]
+    got, want = (runner.invoke(main, [command, "--k", "16"] + c) for c in (coords, reduced))
+    assert got.exit_code == want.exit_code == 0 and not got.stderr
+    got, want = json.loads(got.output), json.loads(want.output)
+    if command != "pullback":
+        assert got == want
+        return
     # the pullback at u = act(w, u0) is J^T Omega(u0) J, J = I - w.m e_z e_y^T
-    got, want = ([row["value"] for row in rows] for rows in outputs["pullback"])
+    got, want = ([row["value"] for row in rows] for rows in (got, want))
     omega = np.zeros((4, 4))
     omega[np.triu_indices(4, 1)] = want
     omega -= omega.T
@@ -235,15 +235,17 @@ def test_point_commands_print_the_reduced_point(runner, coords):
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
 @pytest.mark.parametrize("command, max_terms, error", [
     # TailNotConverged: two series terms cannot reach the default tail bound
+    (["embed", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
+    (["rank", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
+    (["pullback", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
     (["integrate", "--torus", "T_ca", "--grid", "8"], 2, "error: "),
     (["injectivity", "--samples", "10"], 2, "error: "),
 ])
 def test_library_error_exits_one(runner, tmp_path, command, max_terms, error):
-    if max_terms is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"max_terms={max_terms}\n")
-        command = command + ["--config", str(cfg)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"max_terms={max_terms}\n")
+    command = command + ["--config", str(cfg)]
     result = runner.invoke(main, command)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled, no traceback
