@@ -85,8 +85,8 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.samples < 0:
-            raise ValueError("samples must be nonnegative")
+        if self.samples < 0 or self.samples == 1:
+            raise ValueError("samples must be 0 (suite defaults) or at least 2")
         if self.grid < 8:
             raise ValueError("grid must be at least 8")
         # the policy validates epsilon and max_terms

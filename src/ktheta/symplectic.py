@@ -76,18 +76,24 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     return b, np.einsum("bmm->b", m).real / n2
 
 
-def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY):
+def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY,
+                             axes=(0, 1, 2, 3)):
     """``fs_hermitian`` of the named map at an (B, 4) array of points.
 
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
     factors are evaluated, in one kernel call and one ``fs_hermitian`` call.
+    ``axes`` selects the partials, in order: b has shape (B, n, n) for n
+    axes, its entries those of the full form, and scale sums over them.
     """
     _check_map(map_id, FS_MAP_IDS)
     vals, grads = factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, gradients=True)
-    b, scale = fs_hermitian(vals.reshape(-1, k), grads.reshape(-1, 4, k))  # the F*B rows
-    return b.reshape(len(vals), -1, 4, 4).sum(axis=0), scale.reshape(len(vals), -1).sum(axis=0)
+    if axes != (0, 1, 2, 3):  # the gather copies, so the full form skips it
+        grads = grads.take(axes, axis=-2)
+    n = len(axes)
+    b, scale = fs_hermitian(vals.reshape(-1, k), grads.reshape(-1, n, k))  # the F*B rows
+    return b.reshape(len(vals), -1, n, n).sum(axis=0), scale.reshape(len(vals), -1).sum(axis=0)
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -326,9 +332,9 @@ def integrate_over_torus(
     trapezoid rule converges spectrally.  For the Fubini-Study maps the
     coefficient is the sum of the map's Segre factors' ones, and a factor
     that does not depend on both coordinates adds exactly zero, so only the
-    factors spanning the torus are evaluated: one kernel call on T_ca, T_bd
-    and T_cb, and none on T_ad, where no factor depends on both x and t and
-    the integral is 0.0.
+    factors spanning the torus are evaluated, and only their i and j partial
+    rows enter the form: one kernel call on T_ca, T_bd and T_cb, and none on
+    T_ad, where no factor depends on both x and t and the integral is 0.0.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -342,8 +348,8 @@ def integrate_over_torus(
         return 0.0
     # the spanning factors are themselves a map: psi', psi'' or phi_k
     sub_map = next(m for m, names in MAP_FACTORS.items() if names == spanning)
-    b, _ = hermitian_pullback_batch(sub_map, k, torus.grid_points(grid), policy)
-    return float(np.mean(_form(b)[:, i, j]))
+    b, _ = hermitian_pullback_batch(sub_map, k, torus.grid_points(grid), policy, axes=(i, j))
+    return float(np.mean(_form(b)[:, 0, 1]))
 
 
 def transition_function(w1: GroupWord, w2: GroupWord, u: KTPoint) -> complex:

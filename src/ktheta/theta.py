@@ -19,12 +19,16 @@ The kernel evaluates every residue at once from the n-sum.  Each point b
 keeps the m-window [lo_b, lo_b + L), the same for all its residues and
 placed per point around the Gaussian peak of the term magnitudes
 exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch shares L.
-The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, point)
-array with one complex exponential, and a reshape to (L, k) blocks and one
-contraction over the blocks give each residue's centred moments, from
-which every requested termwise derivative follows.  The certificate holds
-per requested (z_order, tau_order): for every point and residue p, the
-discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
+The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, residue,
+point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), so it
+is its modulus exp(Re f + p*Re g), from one real exponential, times its
+phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: the
+trigonometry runs over (window, point) only, no product can overflow, and
+every modulus has the exponent of the direct complex exponential.  One
+contraction over the window axis gives each residue's centred moments,
+from which every requested termwise derivative follows.  The certificate
+holds per requested (z_order, tau_order): for every point and residue p,
+the discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
 termwise derivative weight, sum to at most epsilon / 2 on each side of the
 window.  For k = 1 that bounds each returned output's truncation error by
 epsilon.
@@ -75,8 +79,10 @@ class TruncationPolicy:
     max_terms: int = 512
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        # the window search takes log(epsilon / 2)
+        if not (math.isfinite(self.epsilon) and 0.5 * self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive with a nonzero half, "
+                             f"got {self.epsilon}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -266,6 +272,18 @@ def _cell_windows(k, policy, orders):
     return lo, length
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_constants(k, length, count):
+    """The kernel's shape-only arrays, read-only: the window offsets a and
+    the residues p as float columns, and the moment weights a'^j, j < count."""
+    a = np.arange(length, dtype=float)[:, None]
+    weights = (a.T - 0.5 * (length - 1)) ** np.arange(count)[:, None]
+    out = a, np.arange(k, dtype=float)[:, None], weights
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _degree_basis_batch(k, ws, taus, policy, orders):
     """Degree-k basis values and derivatives on arrays of arguments.
@@ -273,7 +291,7 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     ``orders`` is a sequence of (w_order, tau_order) pairs.  Returns one
     array of shape (k,) + broadcast(ws, taus).shape per pair: that
     termwise derivative of every theta_k^p at (ws, taus), all from one
-    exponential of the (window, residue, point) index array; see the module
+    (window, residue, point) array of series terms; see the module
     docstring.  Overflow leaves inf or NaN, without a warning, for callers to type.
     """
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
@@ -284,11 +302,11 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     if not (np.isfinite(w + tau).all() and (tau.imag > 0.0).all()):
         raise InvalidModulus("theta arguments must be finite with Im(tau) > 0")
     im_w = w.imag
-    if (tau.imag == 1.0).all() and (im_w >= 0.0).all() and (im_w <= 1.0).all():
+    if (tau.imag == 1.0).all() and ((im_w >= 0.0) & (im_w <= 1.0)).all():
         # the fundamental domain's arguments: each point takes its cell's window
         key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
         cell_lo, length = _cell_windows(k, policy, key)
-        lo = cell_lo[np.minimum((im_w * CELLS).astype(int), CELLS - 1)]
+        lo = cell_lo.take((im_w * CELLS).astype(int), mode="clip")  # Im(w) = 1: the last cell
     else:
         lo, length = _basis_window(k, im_w, tau.imag, policy, orders)
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
@@ -297,18 +315,24 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
 
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
     # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m)
-    m = lo + np.arange(length)[:, None]
+    count = max(zo + 2 * to for zo, to in orders) + 1
+    a, p, weights = _kernel_constants(k, length, count)
+    m = lo + a
     f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
     g = (2j * math.pi) * (w + tau * m)
-    p = np.arange(k, dtype=float)
-    terms = np.multiply(g[:, None, :], p[:, None])
-    terms += f[:, None, :]
-    np.exp(terms, out=terms)
+    # each term is its modulus exp(Re f + p*Re g), one real exponential, times
+    # its phase exp(i*Im f) * exp(i*Im g)^p, a running product of unit
+    # factors over p that cannot overflow
+    terms = np.empty((length, k, len(w)), dtype=complex)
+    terms[:, 0] = np.exp(1j * f.imag)
+    terms[:, 1:] = np.exp(1j * g.imag)[:, None, :]
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    modulus = np.multiply(g.real[:, None, :], p)
+    modulus += f.real[:, None, :]
+    terms *= np.exp(modulus, out=modulus)
 
     # one contraction over a with the weights a'^j (a' = a - centre) gives
     # every residue's centred moments M_j = sum_a a'^j * term
-    count = max(zo + 2 * to for zo, to in orders) + 1
-    weights = (np.arange(length) - 0.5 * (length - 1)) ** np.arange(count)[:, None]
     moments = weights @ terms.view(float).reshape(length, -1)
     moments = moments.view(complex).reshape(count, k, -1)
 
@@ -317,9 +341,9 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     # n maps M_j to nc*M_j + k*M_{j+1} and a factor tau-exponent maps it to
     # c0*M_j + c1*M_{j+1} + k*M_{j+2}; order (zo, to) applies zo and to of them.
     mc = lo + 0.5 * (length - 1)
-    nc = k * mc + p[:, None]
+    nc = k * mc + p
     if any(to for _, to in orders):
-        c0 = mc * (nc + p[:, None] - k)
+        c0 = mc * (nc + p - k)
         c1 = 2.0 * nc - k
     out = []
     for zo, to in orders:

@@ -5,6 +5,7 @@ ktheta.checks with the default RunConfig (k=3, eps=1e-14, seed=42) and the
 tolerances stated in the suite thresholds.
 """
 
+import math
 import time
 
 import pytest
@@ -98,6 +99,10 @@ class TestRunConfigValidation:
             {"grid": 4},
             {"grid": 7},  # just below the minimum of 8
             {"max_terms": 0},
+            {"epsilon": 5e-324},  # its half underflows to 0
+            {"epsilon": math.inf},
+            {"epsilon": math.nan},
+            {"samples": 1},  # no suite can use a single sample
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -98,6 +98,17 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--grid", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command, message", [
+        (["embed", "--eps", "5e-324", "0.1", "0.3", "0.2", "0.4"], "epsilon must be finite"),
+        (["injectivity", "--samples", "1"], "samples must be 0 (suite defaults) or at least 2"),
+        (["check", "--only", "injectivity", "--samples", "1"], "samples must be 0"),
+    ])
+    def test_unusable_option_value_usage_error(self, runner, command, message):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert message in result.stderr
+
     def test_fd_step_is_not_an_option(self, runner, tmp_path):
         # the closedness stencil's step is the constant symplectic.FD_STEP
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--fd-step", "1e-4"])

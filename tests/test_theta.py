@@ -166,13 +166,16 @@ class TestTailBound:
 
 
 class TestDegreeK:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    # k = 16 and 64 make the running product of unit phases over the residues
+    # long; the points add the domain's edges, a large Im(tau) and Im(w) < 0
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 16, 64])
     def test_against_direct_m_sum(self, k):
-        z, tau = 0.21 + 0.13j, 0.3 + 1.2j
-        for p in range(k):
-            val = theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau))
-            ref = brute_degree_k(k, p, z, tau)
-            assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
+        for z, tau in [(0.21 + 0.13j, 0.3 + 1.2j), (0.4 + 0.9j, 0.7 + 1j), (0.1, 1j),
+                       (0.33 + 2.5j, 0.2 + 40j), (0.6 - 1.7j, -0.4 + 3j)]:
+            for p in range(k):
+                val = theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau))
+                ref = brute_degree_k(k, p, z, tau)
+                assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
 
     def test_degree_one_reduces_to_theta(self):
         z, tau = 0.37 - 0.21j, 0.8j
