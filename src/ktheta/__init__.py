@@ -27,7 +27,6 @@ from .errors import (
     LiftOverflow,
     NonCommutingPair,
     SearchFailed,
-    ShiftSumNonzero,
     TailNotConverged,
     TorusNotClosed,
 )

@@ -24,7 +24,7 @@ from .manifold import (
     quotient_distance,
     reduce_point,
 )
-from .sections import factor, section_matrix, section_matrix_with_gradients
+from .sections import factor, section_matrix
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
@@ -126,28 +126,6 @@ def phi_batch(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     return section_matrix(k, pts, policy)
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """Rows (s, d/dx s, d/dy s, d/dz s, d/dt s) over the k^2 sections."""
-
-    point: KTPoint
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != 5:
-            raise ValueError("expected a 5 x k^2 matrix")
-        if not np.any(np.abs(mat[0]) > 0.0):
-            raise AllSectionsVanish("section row of the Jacobian vanishes")
-        object.__setattr__(self, "matrix", mat)
-
-
-def jacobian(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> JacobianMatrix:
-    """Assemble the 5 x k^2 matrix from analytic section gradients."""
-    vals, grads = section_matrix_with_gradients(k, u.as_array(), policy)
-    return JacobianMatrix(u, np.vstack([vals[0][None, :], grads[0]]))
-
-
 def _differential_ranks(vals, grads, tol):
     """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n)."""
     return hermitian_ranks(*fs_hermitian(vals, grads), tol)
@@ -238,7 +216,3 @@ def generator_invariance_residuals(k: int, pts: np.ndarray,
     return np.max([chordal_distances(base, phi_batch(k, act_on_array(g, pts), policy))
                    for g in GENERATORS.values()], axis=0)
 
-
-def generator_invariance_residual(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> float:
-    """``generator_invariance_residuals`` at a single point."""
-    return float(generator_invariance_residuals(k, u.as_array(), policy)[0])

@@ -13,10 +13,6 @@ class TailNotConverged(KThetaError):
     """The truncation window hit ``max_terms`` before the tail bound met epsilon."""
 
 
-class ShiftSumNonzero(KThetaError):
-    """A product of shifted theta factors requires shifts summing to zero."""
-
-
 class IllConditioned(KThetaError):
     """A least-squares sample matrix is numerically singular."""
 

@@ -162,15 +162,6 @@ class TwoFormAtPoint:
         object.__setattr__(self, "matrix", mat)
 
 
-def two_form(point: KTPoint, upper: dict[tuple[int, int], float]) -> TwoFormAtPoint:
-    """Build a TwoFormAtPoint from its upper-triangle coefficients."""
-    mat = np.zeros((4, 4))
-    for (i, j), v in upper.items():
-        mat[i, j] = v
-        mat[j, i] = -v
-    return TwoFormAtPoint(point, mat)
-
-
 def omega_kt_matrix(pts: np.ndarray) -> np.ndarray:
     """Coefficients of (dz - x dy) ^ dx + dy ^ dt at (..., 4) points, (..., 4, 4)."""
     pts = np.asarray(pts, dtype=float)
@@ -179,11 +170,6 @@ def omega_kt_matrix(pts: np.ndarray) -> np.ndarray:
     upper[..., 0, 2] = -1.0
     upper[..., 1, 3] = 1.0
     return upper - np.swapaxes(upper, -1, -2)
-
-
-def omega_kt(u: KTPoint) -> TwoFormAtPoint:
-    """The left-invariant form (dz - x dy) ^ dx + dy ^ dt at ``u``."""
-    return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
 
 
 def quotient_distance(u: KTPoint, v: KTPoint) -> float:

@@ -2,9 +2,10 @@
 
 The degree-one section is
 
-    theta_kt(x, y, z, t) = theta(z + i x, y + i) * theta(y + i t, i)
+    s(x, y, z, t) = theta(z + i x, y + i) * theta(y + i t, i),
 
-and the degree-k space is spanned by the k^2 products
+``shift_product`` multiplies shifted copies of it, and the degree-k space
+is spanned by the k^2 products
 
     s_{p,q}(u) = theta_k^p(z + i x, y + i) * theta_k^q(y + i t, i),
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta as th
-from .errors import EquivalentPoints, IllConditioned, SearchFailed, ShiftSumNonzero
+from .errors import EquivalentPoints, IllConditioned, SearchFailed
 from .manifold import KTPoint, fundamental_domain_samples, quotient_distance, reduce_point
 
 BASE_TAU = 1j  # modulus of the base-torus factor
@@ -72,11 +73,6 @@ def _factor_args(which: str, pts: np.ndarray):
         return pts[..., 2] + 1j * pts[..., 0], pts[..., 1] + 1j
     w = pts[..., 1] + 1j * pts[..., 3]
     return w, np.full_like(w, BASE_TAU)
-
-
-def theta_kt(u: KTPoint, policy: th.TruncationPolicy = th.DEFAULT_POLICY) -> complex:
-    """The degree-one theta function at ``u``."""
-    return zeta_action(ZetaShift(0.0, 0.0), u, policy)
 
 
 # Each Segre factor's partials along (x, y, z, t), in terms of its
@@ -131,12 +127,16 @@ def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool =
     return tuple(zip(*both)) if gradients else tuple(both)
 
 
+# The Segre products overflow where both factors are finite but large; like
+# the kernel's, they leave inf or NaN without a warning, for callers to type.
+@np.errstate(over="ignore", invalid="ignore")
 def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Values of all k^2 basis sections at (..., 4) points, shape (..., k^2)."""
     fiber, base = factors(k, np.atleast_2d(pts), policy)
     return (fiber[..., :, None] * base[..., None, :]).reshape(fiber.shape[:-1] + (k * k,))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY):
     """Values (..., k^2) and coordinate gradients (..., 4, k^2) of the basis.
 
@@ -154,12 +154,6 @@ def section(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
     return complex(section_matrix(idx.k, u.as_array(), policy)[0, idx.flat])
 
 
-def section_gradient(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Analytic (d/dx, d/dy, d/dz, d/dt) of s_{p,q} at ``u``."""
-    _, grads = section_matrix_with_gradients(idx.k, u.as_array(), policy)
-    return grads[0, :, idx.flat]
-
-
 def _shift_array(zetas) -> np.ndarray:
     """(S, 2) complex array from ZetaShifts or from (zeta1, zeta2) rows."""
     rows = [(z.zeta1, z.zeta2) if isinstance(z, ZetaShift) else z for z in zetas]
@@ -175,7 +169,8 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     ``zetas`` holds S shifts, as ZetaShifts or an (S, 2) complex array;
     ``pts`` is an (..., 4) array of points and the result has shape (...,).
     Every fiber and base factor at every point is summed in one series
-    evaluation.
+    evaluation.  Componentwise zero-sum shifts give a degree-S section, in
+    the span of the S^2 basis sections on each leaf of constant y.
     """
     shifts = _shift_array(zetas)
     (w1, tau1), (w2, tau2) = _factor_args("fiber", pts), _factor_args("base", pts)
@@ -183,27 +178,6 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     ws = np.stack([w1[..., None] + shifts[:, 0], w2[..., None] + shifts[:, 1]])
     taus = np.stack([tau1, tau2])[..., None]
     return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
-
-
-def zeta_action(zeta: ZetaShift, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
-    """Shifted product theta(w1 + zeta1, y+i) * theta(w2 + zeta2, i)."""
-    return complex(shift_product([zeta], u.as_array(), policy))
-
-
-def product_of_shifts(zetas, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
-    """Product of shifted degree-one sections; requires componentwise zero sum.
-
-    With sum(zeta_i) = (0, 0) the product transforms as a degree-k section,
-    k = len(zetas), and lies in the span of the k^2 basis sections on every
-    leaf of constant y.  The expansion coefficients of the fiber factors
-    depend on the fiber modulus y + i, so the combination is constant along
-    each leaf but varies from leaf to leaf.
-    """
-    shifts = _shift_array(zetas)
-    s1, s2 = shifts.sum(axis=0)
-    if abs(s1) > 1e-12 or abs(s2) > 1e-12:
-        raise ShiftSumNonzero(f"shift sums ({s1}, {s2}) are nonzero")
-    return complex(shift_product(shifts, u.as_array(), policy))
 
 
 def fit_in_span(samples, k: int, policy=th.DEFAULT_POLICY):
@@ -247,11 +221,6 @@ class SeparationResult:
             ZetaShift(self.beta, self.delta),
             ZetaShift(-self.alpha - self.beta, -self.gamma - self.delta),
         )
-
-
-def separating_value(result: SeparationResult, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
-    """Evaluate the separating section of ``result`` at a point."""
-    return complex(shift_product(result.zetas, u.as_array(), policy))
 
 
 def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:

@@ -40,7 +40,6 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
     reduce_point,
-    two_form,
 )
 from .sections import FACTOR_AXES, factor
 
@@ -179,54 +178,20 @@ def fs_normalization(max_radius: float = np.inf) -> float:
     return float(0.5 * top * weights @ ring)
 
 
-@dataclass(frozen=True)
-class LeftInvariantDecomposition:
-    """Coefficients in the left-invariant 2-form basis at a point.
-
-    Basis order: (dz-xdy)^dx, (dz-xdy)^dy, dx^dy, dy^dt, dx^dt,
-    (dz-xdy)^dt.  The last two slots are residuals that vanish for maps
-    factoring through (x, y, z) and (y, t).
-    """
-
-    point: KTPoint
-    zx: float   # (dz - x dy) ^ dx
-    zy: float   # (dz - x dy) ^ dy
-    xy: float   # dx ^ dy
-    yt: float   # dy ^ dt
-    xt: float   # dx ^ dt
-    zt: float   # (dz - x dy) ^ dt
-
-    def reassemble(self) -> PullbackForm:
-        x = self.point.x
-        form = two_form(self.point, {
-            (0, 1): self.zx * x + self.xy,
-            (0, 2): -self.zx,
-            (0, 3): self.xt,
-            (1, 2): -self.zy,
-            (1, 3): self.yt - x * self.zt,
-            (2, 3): self.zt,
-        })
-        return PullbackForm(self.point, form.matrix)
-
-
 def decompose_left_invariant_batch(pts: np.ndarray, mats: np.ndarray) -> dict:
     """Exact change of basis into the left-invariant coframe at (..., 4) points.
 
     ``mats`` (..., 4, 4) are 2-form coefficient matrices at ``pts``; returns
-    the coefficient arrays (...,) keyed by the ``LeftInvariantDecomposition``
-    field names.
+    the coefficient arrays (...,) of the basis, in order, zx: (dz - x dy)^dx,
+    zy: (dz - x dy)^dy, xy: dx^dy, yt: dy^dt, xt: dx^dt and zt: (dz - x dy)^dt.
+    The last two are residuals that vanish for maps factoring through
+    (x, y, z) and (y, t).
     """
     x = np.asarray(pts)[..., 0]
     zx = -mats[..., 0, 2]
     zt = mats[..., 2, 3]
     return {"zx": zx, "zy": -mats[..., 1, 2], "xy": mats[..., 0, 1] - zx * x,
             "yt": mats[..., 1, 3] + x * zt, "xt": mats[..., 0, 3], "zt": zt}
-
-
-def decompose_left_invariant(form: TwoFormAtPoint) -> LeftInvariantDecomposition:
-    """``decompose_left_invariant_batch`` at the form's base point."""
-    coeffs = decompose_left_invariant_batch(form.point.as_array(), form.matrix)
-    return LeftInvariantDecomposition(form.point, **{f: float(c) for f, c in coeffs.items()})
 
 
 def pfaffian(form: TwoFormAtPoint) -> float:
@@ -264,12 +229,6 @@ def exterior_derivative_residuals(
     i, j, l = np.array(list(itertools.combinations(range(4), 3))).T
     comps = deriv[:, i, j, l] - deriv[:, j, i, l] + deriv[:, l, i, j]
     return np.abs(comps).max(axis=1)
-
-
-def exterior_derivative_residual(map_id: str, k: int, u: KTPoint,
-                                 policy=th.DEFAULT_POLICY) -> float:
-    """``exterior_derivative_residuals`` at a single point."""
-    return float(exterior_derivative_residuals(map_id, k, u.as_array(), policy)[0])
 
 
 TORUS_WORDS = {

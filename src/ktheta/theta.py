@@ -13,7 +13,8 @@ p is
 where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).  The
 classical series is the degree-one element, theta = theta_1^0, so
 ``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``,
-the shifted products and ``theta_batch`` are its k = 1 view.
+``theta_batch`` and the theta factors of ``sections.shift_product`` are its
+k = 1 view.
 
 The kernel evaluates every residue at once from the n-sum.  Each point b
 keeps the m-window [lo_b, lo_b + L), the same for all its residues and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModulus, ShiftSumNonzero, TailNotConverged
+from .errors import InvalidModulus, TailNotConverged
 
 TWO_PI = 2.0 * math.pi
 
@@ -170,14 +171,6 @@ def theta_batch(zs, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_P
     evaluation: one array of shape broadcast(zs, taus).shape per
     (z_order, tau_order) in ``orders``, each within policy.epsilon."""
     return _eval_series(zs, taus, policy, orders)
-
-
-def tail_bound(arg: ThetaArgument, n: int, z_order: int = 0, tau_order: int = 0) -> float:
-    """Certified upper bound on the absolute tail beyond index ``n``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    y = arg.z.imag
-    return float(_tail_bound_arrays([y, y], arg.tau.imag, n, [(z_order, tau_order)]).sum())
 
 
 def theta(arg: ThetaArgument, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -380,22 +373,3 @@ def theta_degree_k_deriv(
     out = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, ((0, 0), (1, 0), (0, 1)))
     return tuple(complex(x[idx.p]) for x in out)
 
-
-def classical_product(
-    shifts,
-    arg: ThetaArgument,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Product of shifted theta factors prod_i theta(z + a_i, tau).
-
-    The shifts must sum to zero; the product then lies in the span of the
-    degree-k basis at the same tau, k = len(shifts).
-    """
-    shifts = np.asarray(list(shifts), dtype=complex)
-    if shifts.size < 1:
-        raise ValueError("at least one shift is required")
-    total = shifts.sum()
-    if abs(total) > 1e-12:
-        raise ShiftSumNonzero(f"shifts sum to {total}, expected 0")
-    factors = _eval_series(arg.z + shifts, arg.tau, policy, [(0, 0)])[0]
-    return complex(np.prod(factors))

@@ -26,8 +26,7 @@ from ktheta import (
 from ktheta.embedding import (
     ProjectivePoint,
     chordal_distance,
-    generator_invariance_residual,
-    jacobian,
+    generator_invariance_residuals,
     segre,
     unit_rows,
 )
@@ -36,6 +35,12 @@ from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
 from ktheta.symplectic import hermitian_pullback_batch, hermitian_ranks
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
+
+
+def jacobian_rows(k, u):
+    """Rows (s, d/dx s, d/dy s, d/dz s, d/dt s) over the k^2 sections at ``u``."""
+    vals, grads = section_matrix_with_gradients(k, u.as_array())
+    return np.vstack([vals, grads[0]])
 
 
 def raw_ranks(k, pts, tol=1e-6):
@@ -177,8 +182,22 @@ class TestPhi:
         raw = chordal_distances(phi_batch(k, act(g, U0).as_array()), phi_batch(k, U0.as_array()))
         assert raw[0] < 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_batched_segre_overflow_is_silent_and_typed(self):
+        # both factors are finite at this raw point and only their Segre
+        # product overflows: the batched lift stays raw, without a warning,
+        # and the projective point types the overflow
+        pt = [[4.0, 0.2, 0.1, 4.0]]
+        assert np.isfinite(factor(("fiber", "base"), 16, pt)).all()
+        row = phi_batch(16, pt)[0]
+        assert not np.isfinite(row).all()
+        with pytest.raises(LiftOverflow):
+            ProjectivePoint(row)
+        vals, grads = section_matrix_with_gradients(16, pt)
+        assert not np.isfinite(vals).all() and not np.isfinite(grads).all()
+
     def test_generator_invariance_residual_helper(self):
-        assert generator_invariance_residual(3, U0) < 1e-10
+        assert generator_invariance_residuals(3, U0.as_array())[0] < 1e-10
 
     def test_batch_matches_scalar(self):
         pts = fundamental_domain_samples(6, 4)
@@ -213,19 +232,19 @@ class TestPsiMaps:
 
 class TestJacobian:
     def test_row_zero_is_lift(self):
-        J = jacobian(3, U0).matrix
+        J = jacobian_rows(3, U0)
         lift = phi(3, U0).coords
         assert np.allclose(J[0], lift, rtol=1e-12, atol=1e-12)
 
     def test_cauchy_riemann_row_combination(self):
-        J = jacobian(3, U0).matrix
+        J = jacobian_rows(3, U0)
         # rows: (s, d_x, d_y, d_z, d_t); (d_z + i d_x) s = 0
         comb = J[3] + 1j * J[1]
         assert np.abs(comb).max() < 1e-10 * np.abs(J).max()
 
     def test_finite_difference_rows(self):
         h = 1e-5
-        J = jacobian(3, U0).matrix
+        J = jacobian_rows(3, U0)
         base = U0.as_array()
         for axis in range(4):
             e = np.zeros(4)
@@ -239,7 +258,7 @@ class TestJacobian:
     def test_realified_rank_five(self):
         # over C the CR relation kills one row, so the rank statement
         # is about the realified matrix
-        J = jacobian(3, U0).matrix
+        J = jacobian_rows(3, U0)
         real = np.concatenate([J.real, J.imag], axis=1)
         sv = np.linalg.svd(real, compute_uv=False)
         assert sv[4] > 1e-6 * sv[0]

@@ -13,14 +13,14 @@ from ktheta import GroupWord, KTPoint, act, fundamental_domain_samples, reduce_p
 from ktheta.manifold import (
     GENERATORS,
     IDENTITY,
+    TwoFormAtPoint,
     act_on_array,
     cocycle_residual,
     compose,
     inverse,
     multiplicator,
-    omega_kt,
+    omega_kt_matrix,
     quotient_distance,
-    two_form,
 )
 
 words = st.builds(
@@ -184,18 +184,16 @@ class TestMultiplicators:
 class TestTwoForms:
     def test_antisymmetry_enforced(self):
         with pytest.raises(ValueError):
-            two_form(KTPoint(0, 0, 0, 0), {}).__class__(
-                KTPoint(0, 0, 0, 0), np.eye(4)
-            )
+            TwoFormAtPoint(KTPoint(0, 0, 0, 0), np.eye(4))
 
     def test_omega_kt_components(self):
         u = KTPoint(0.7, 0.2, 0.9, 0.4)
-        form = omega_kt(u)
+        form = omega_kt_matrix(u.as_array())
         # (dz - x dy)^dx + dy^dt = -dx^dz + x dx^dy + dy^dt
-        assert form.matrix[0, 2] == -1.0
-        assert form.matrix[0, 1] == u.x
-        assert form.matrix[1, 3] == 1.0
-        assert form.matrix[2, 3] == 0.0
+        assert form[0, 2] == -1.0
+        assert form[0, 1] == u.x
+        assert form[1, 3] == 1.0
+        assert form[2, 3] == 0.0
 
 
 class TestQuotientDistance:

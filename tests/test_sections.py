@@ -12,7 +12,6 @@ from ktheta import (
     IllConditioned,
     KTPoint,
     SectionIndex,
-    ShiftSumNonzero,
     ZetaShift,
     act,
     fit_in_span,
@@ -32,15 +31,10 @@ from ktheta.sections import (
     FACTOR_AXES,
     factor,
     factors,
-    product_of_shifts,
-    section_gradient,
     section_matrix,
     section_matrix_with_gradients,
     separating_section,
-    separating_value,
     shift_product,
-    theta_kt,
-    zeta_action,
 )
 from ktheta.symplectic import fs_pullback_batch
 from ktheta.theta import ThetaArgument, ThetaBasisIndex, theta, theta_degree_k
@@ -51,7 +45,17 @@ U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 def leaf_samples(n, seed, y):
     pts = fundamental_domain_samples(n, seed).copy()
     pts[:, 1] = y
-    return [KTPoint.from_array(p) for p in pts]
+    return pts
+
+
+def product_fit_residual(zetas, k, pts):
+    """``fit_in_span`` residual of the shift product sampled at (n, 4) points."""
+    return fit_in_span(list(zip(map(KTPoint.from_array, pts), shift_product(zetas, pts))), k)[1]
+
+
+def gradient_at(idx, u):
+    """Row ``idx`` of the batched basis gradients at the single point ``u``."""
+    return section_matrix_with_gradients(idx.k, u.as_array())[1][0, :, idx.flat]
 
 
 class TestThetaKT:
@@ -60,14 +64,15 @@ class TestThetaKT:
         expected = theta(ThetaArgument(u.z + 1j * u.x, u.y + 1j)) * theta(
             ThetaArgument(u.y + 1j * u.t, 1j)
         )
-        assert abs(theta_kt(u) - expected) < 1e-13 * max(1.0, abs(expected))
+        got = shift_product([ZetaShift(0, 0)], u.as_array())
+        assert abs(got - expected) < 1e-13 * max(1.0, abs(expected))
 
     def test_base_tau_is_i(self):
         assert BASE_TAU == 1j
 
     def test_degree_one_section_is_theta_kt(self):
         val = section(SectionIndex(1, 0, 0), U0)
-        assert abs(val - theta_kt(U0)) < 1e-13
+        assert abs(val - shift_product([ZetaShift(0, 0)], U0.as_array())) < 1e-13
 
 
 class TestSectionBasis:
@@ -125,14 +130,14 @@ class TestTensorPowerLaw:
 class TestGradients:
     def test_cauchy_riemann_in_fiber(self):
         idx = SectionIndex(3, 1, 2)
-        grad = section_gradient(idx, U0)
+        grad = gradient_at(idx, U0)
         # holomorphic in z + ix: (d_z + i d_x) s = 0 exactly by construction
         assert abs(grad[2] + 1j * grad[0]) < 1e-12
 
     def test_finite_difference(self):
         idx = SectionIndex(3, 2, 1)
         h = 1e-5
-        grad = section_gradient(idx, U0)
+        grad = gradient_at(idx, U0)
         base = U0.as_array()
         for axis in range(4):
             e = np.zeros(4)
@@ -152,22 +157,23 @@ class TestGradients:
                 for q in range(2):
                     idx = SectionIndex(2, p, q)
                     assert abs(vals[i, 2 * p + q] - section(idx, u)) < 1e-11
-                    g = section_gradient(idx, u)
+                    g = gradient_at(idx, u)
                     assert np.allclose(grads[i, :, 2 * p + q], g, rtol=1e-9, atol=1e-11)
 
 
 class TestZetaAction:
     def test_zero_shift_is_theta_kt(self):
-        assert abs(zeta_action(ZetaShift(0, 0), U0) - theta_kt(U0)) < 1e-13
+        got = shift_product([ZetaShift(0, 0)], U0.as_array())
+        assert abs(got - scalar_shift_product([(0, 0)], U0)) < 1e-13
 
     def test_unit_shift_is_periodic(self):
-        a = zeta_action(ZetaShift(1.0, 0.0), U0)
-        b = theta_kt(U0)
+        a = shift_product([ZetaShift(1.0, 0.0)], U0.as_array())
+        b = section(SectionIndex(1, 0, 0), U0)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_shift_onto_zero(self):
         zeta = ZetaShift(0.5 - (U0.z + 1j * U0.x), 0.0)
-        assert abs(zeta_action(zeta, U0)) < 1e-12
+        assert abs(shift_product([zeta], U0.as_array())) < 1e-12
 
 
 def scalar_shift_product(shifts, u):
@@ -326,22 +332,21 @@ class TestFactors:
 
 class TestProductOfShifts:
     def test_nonzero_sum_rejected(self):
-        with pytest.raises(ShiftSumNonzero):
-            product_of_shifts([ZetaShift(0.1, 0.0), ZetaShift(0.0, 0.0)], U0)
-        with pytest.raises(ShiftSumNonzero):
-            product_of_shifts(np.array([[0.1, 0.2j], [-0.1, 0.0]]), U0)
+        # the negative control of the zero-sum law: shifts with a nonzero
+        # sum leave the degree-k span even on a leaf
+        pts = leaf_samples(64, 21, 0.42)
+        for zetas in ([ZetaShift(0.1, 0.0), ZetaShift(0.0, 0.0)],
+                      np.array([[0.1, 0.2j], [-0.1, 0.0]])):
+            assert product_fit_residual(zetas, 2, pts) > 0.1
 
     def test_zero_shifts_cube(self):
-        zetas = [ZetaShift(0, 0)] * 3
-        got = product_of_shifts(zetas, U0)
-        assert abs(got - theta_kt(U0) ** 3) < 1e-10 * max(1.0, abs(got))
+        got = shift_product([ZetaShift(0, 0)] * 3, U0.as_array())
+        single = shift_product([ZetaShift(0, 0)], U0.as_array())
+        assert abs(got - single ** 3) < 1e-10 * max(1.0, abs(got))
 
     def test_cube_fits_span_on_leaf(self):
         pts = leaf_samples(64, 21, 0.42)
-        zetas = [ZetaShift(0, 0)] * 3
-        samples = [(p, product_of_shifts(zetas, p)) for p in pts]
-        _, res = fit_in_span(samples, 3)
-        assert res < 1e-8
+        assert product_fit_residual([ZetaShift(0, 0)] * 3, 3, pts) < 1e-8
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_random_zero_sum_fits_span_on_leaf(self, k):
@@ -351,9 +356,7 @@ class TestProductOfShifts:
         zetas = [ZetaShift(complex(a), complex(b)) for a, b in zip(z1, z2)]
         zetas.append(ZetaShift(-z1.sum(), -z2.sum()))
         pts = leaf_samples(64, 50 + k, 0.13)
-        samples = [(p, product_of_shifts(zetas, p)) for p in pts]
-        _, res = fit_in_span(samples, k)
-        assert res < 1e-8
+        assert product_fit_residual(zetas, k, pts) < 1e-8
 
     def test_membership_is_leafwise_only(self):
         # the same zero-sum product sampled across varying y leaves the span:
@@ -363,10 +366,7 @@ class TestProductOfShifts:
             ZetaShift(0.25 - 0.05j, 0.15),
             ZetaShift(-0.55 - 0.05j, -0.35),
         ]
-        pts = [KTPoint.from_array(p) for p in fundamental_domain_samples(64, 60)]
-        samples = [(p, product_of_shifts(zetas, p)) for p in pts]
-        _, res = fit_in_span(samples, 3)
-        assert res > 1e-5
+        assert product_fit_residual(zetas, 3, fundamental_domain_samples(64, 60)) > 1e-5
 
 
 class TestFitInSpan:
@@ -394,7 +394,7 @@ class TestFitInSpan:
     def test_ill_conditioned(self):
         # repeating one sample point makes the design matrix rank deficient
         p = U0
-        samples = [(p, theta_kt(p))] * 16
+        samples = [(p, section(SectionIndex(1, 0, 0), p))] * 16
         with pytest.raises(IllConditioned):
             fit_in_span(samples, 2)
 
@@ -426,8 +426,9 @@ class TestSeparatingSections:
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
         v = KTPoint(0.8, 0.6, 0.9, 0.1)
         res = separating_section(u, v, seed=8)
-        assert abs(separating_value(res, u) - res.value_at_u) < 1e-12 * res.scale
-        assert abs(separating_value(res, v) - res.value_at_v) < 1e-12 * res.scale
+        at_u, at_v = shift_product(res.zetas, np.stack([u.as_array(), v.as_array()]))
+        assert abs(at_u - res.value_at_u) < 1e-12 * res.scale
+        assert abs(at_v - res.value_at_v) < 1e-12 * res.scale
 
     @pytest.mark.parametrize(
         "u, v, seed, expected",
@@ -473,6 +474,6 @@ class TestSeparatingSections:
         res = separating_section(u, v, seed=9)
         w = KTPoint(0.51, 0.23, 0.77, 0.35)
         g = GENERATORS["a"]
-        lhs = separating_value(res, act(g, w))
-        rhs = multiplicator(g, w) ** 3 * separating_value(res, w)
+        lhs, at_w = shift_product(res.zetas, np.stack([act(g, w).as_array(), w.as_array()]))
+        rhs = multiplicator(g, w) ** 3 * at_w
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))

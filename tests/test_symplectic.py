@@ -32,23 +32,20 @@ from ktheta.checks import check_structure_decomposition, check_torus_integrals
 from ktheta.manifold import (
     GENERATORS,
     IDENTITY,
+    TwoFormAtPoint,
     act,
-    compose,
     inverse,
     multiplicator,
-    omega_kt,
+    omega_kt_matrix,
     reduce_point,
-    two_form,
 )
 from ktheta.sections import factors, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
     TORUS_AXES,
-    PullbackForm,
     chern_cocycle,
     chern_for_generator_pair,
-    decompose_left_invariant,
-    exterior_derivative_residual,
+    decompose_left_invariant_batch,
     exterior_derivative_residuals,
     fs_normalization,
     fs_pullback_batch,
@@ -221,8 +218,8 @@ class TestFactoredHermitianForm:
             raise AssertionError("k^2 lift built on a metric path")
 
         monkeypatch.setattr(theta_module, "_degree_basis_batch", counting_kernel)
-        for module in (sections_module, embedding_module):
-            monkeypatch.setattr(module, "section_matrix_with_gradients", no_lift)
+        # sections is the only module that binds it
+        monkeypatch.setattr(sections_module, "section_matrix_with_gradients", no_lift)
         for run, want in ((lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]), 1),
                           (lambda: projective_rank(16, U0), 1),
                           (lambda: integrate_over_torus("phi_k", 3, BasisTorus("T_bd"), 8), 1),
@@ -262,12 +259,12 @@ class TestPullbackBasics:
 
     def test_omega_kt_map_id(self):
         form = fs_pullback("omega_kt", 3, U0)
-        assert np.allclose(form.matrix, omega_kt(U0).matrix)
+        assert np.allclose(form.matrix, omega_kt_matrix(U0.as_array()))
         pts = 4.0 * (fundamental_domain_samples(6, 8) - 0.5)
         mats = fs_pullback_batch("omega_kt", 3, pts)
         assert mats.shape == (6, 4, 4)
         for p, mat in zip(pts, mats):
-            assert np.array_equal(mat, omega_kt(KTPoint.from_array(p)).matrix)
+            assert np.array_equal(mat, omega_kt_matrix(p))
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
@@ -291,8 +288,8 @@ class TestPullbackBasics:
 
 class TestPfaffian:
     def test_omega_kt_pfaffian_is_one(self):
-        for p in fundamental_domain_samples(10, 3):
-            assert abs(pfaffian(omega_kt(KTPoint.from_array(p))) - 1.0) < 1e-12
+        pf = pfaffian_batch(omega_kt_matrix(fundamental_domain_samples(10, 3)))
+        assert np.all(np.abs(pf - 1.0) < 1e-12)
 
     def test_matches_determinant(self):
         rng = np.random.default_rng(0)
@@ -308,46 +305,60 @@ class TestPfaffian:
         assert np.all(np.sign(pf) == np.sign(pf[0]))
 
 
+def decompose(form):
+    """``decompose_left_invariant_batch`` of a form at its base point."""
+    return decompose_left_invariant_batch(form.point.as_array(), form.matrix)
+
+
+def wedge(a, b):
+    return np.outer(a, b) - np.outer(b, a)
+
+
 class TestLeftInvariantDecomposition:
     def test_omega_kt_coefficients(self):
-        dec = decompose_left_invariant(fs_pullback("omega_kt", 1, U0))
-        assert abs(dec.zx - 1.0) < 1e-14
-        assert abs(dec.yt - 1.0) < 1e-14
+        dec = decompose(fs_pullback("omega_kt", 1, U0))
+        assert abs(dec["zx"] - 1.0) < 1e-14
+        assert abs(dec["yt"] - 1.0) < 1e-14
         for name in ("zy", "xy", "xt", "zt"):
-            assert abs(getattr(dec, name)) < 1e-14
+            assert abs(dec[name]) < 1e-14
 
     def test_roundtrip(self):
+        # reassemble the form from the coefficients over the coframe
+        # dz - x dy, dx, dy, dt
         form = fs_pullback("phi_k", 3, U0)
-        dec = decompose_left_invariant(form)
-        assert np.allclose(dec.reassemble().matrix, form.matrix, atol=1e-12)
+        dec = decompose(form)
+        theta1, dx, dy, dt = np.array([0.0, -U0.x, 1.0, 0.0]), *np.eye(4)[[0, 1, 3]]
+        basis = {"zx": (theta1, dx), "zy": (theta1, dy), "xy": (dx, dy),
+                 "yt": (dy, dt), "xt": (dx, dt), "zt": (theta1, dt)}
+        assert set(dec) == set(basis)
+        reassembled = sum(dec[name] * wedge(*pair) for name, pair in basis.items())
+        assert np.allclose(reassembled, form.matrix, atol=1e-12)
 
     def test_psi_double_prime_is_pure_base(self):
-        form = fs_pullback("psi_double_prime", 3, U0)
-        dec = decompose_left_invariant(form)
-        assert dec.yt > 0
+        dec = decompose(fs_pullback("psi_double_prime", 3, U0))
+        assert dec["yt"] > 0
         for name in ("zx", "zy", "xy", "xt", "zt"):
-            assert abs(getattr(dec, name)) < 1e-10
+            assert abs(dec[name]) < 1e-10
 
     def test_psi_prime_has_no_dt(self):
-        form = fs_pullback("psi_prime", 3, U0)
-        dec = decompose_left_invariant(form)
-        assert dec.zx > 0
+        dec = decompose(fs_pullback("psi_prime", 3, U0))
+        assert dec["zx"] > 0
         for name in ("yt", "xt", "zt"):
-            assert abs(getattr(dec, name)) < 1e-10
+            assert abs(dec[name]) < 1e-10
 
     def test_top_power_identity(self):
         form = fs_pullback("phi_k", 3, U0)
-        dec = decompose_left_invariant(form)
+        dec = decompose(form)
         # omega^2 = 2 Pf(omega) vol; the structural form gives 2 alpha beta
-        assert abs(2.0 * pfaffian(form) - 2.0 * dec.zx * dec.yt) < 1e-8
+        assert abs(2.0 * pfaffian(form) - 2.0 * dec["zx"] * dec["yt"]) < 1e-8
 
 
 class TestClosedness:
     def test_exterior_derivative_small_phi3(self):
-        assert exterior_derivative_residual("phi_k", 3, U0) < 1e-6
+        assert exterior_derivative_residuals("phi_k", 3, U0.as_array())[0] < 1e-6
 
     def test_exterior_derivative_omega_kt(self):
-        assert exterior_derivative_residual("omega_kt", 3, U0) < 1e-10
+        assert exterior_derivative_residuals("omega_kt", 3, U0.as_array())[0] < 1e-10
 
     def test_batched_residuals(self):
         pts = fundamental_domain_samples(10, 12)
@@ -355,7 +366,7 @@ class TestClosedness:
         assert phi3.shape == (10,)
         assert phi3.max() < 1e-6
         assert exterior_derivative_residuals("omega_kt", 3, pts).max() < 1e-10
-        single = exterior_derivative_residual("phi_k", 3, KTPoint.from_array(pts[4]))
+        single = exterior_derivative_residuals("phi_k", 3, pts[4])[0]
         assert single == exterior_derivative_residuals("phi_k", 3, pts[4:5])[0]
 
 
@@ -482,12 +493,13 @@ class TestChern:
 class TestTwoFormHelpers:
     def test_two_form_antisymmetry_validation(self):
         with pytest.raises(ValueError):
-            type(omega_kt(U0))(U0, np.ones((4, 4)))
+            TwoFormAtPoint(U0, np.ones((4, 4)))
 
     def test_two_form_builder(self):
-        f = two_form(U0, {(0, 1): 2.0, (2, 3): -1.5})
-        assert f.matrix[0, 1] == 2.0 and f.matrix[1, 0] == -2.0
-        assert f.matrix[2, 3] == -1.5 and f.matrix[3, 2] == 1.5
+        # omega_kt_matrix mirrors its upper-triangle coefficients
+        m = omega_kt_matrix(U0.as_array())
+        assert m[0, 1] == U0.x and m[1, 0] == -U0.x
+        assert m[1, 3] == 1.0 and m[3, 1] == -1.0
 
 
 class TestStructureDecomposition:
@@ -498,8 +510,8 @@ class TestStructureDecomposition:
         mats = fs_pullback_batch("phi_k", cfg.k, pts)
         beta, top = [], []
         for p, mat in zip(pts, mats):
-            dec = decompose_left_invariant(PullbackForm(KTPoint.from_array(p), mat))
-            beta.append(dec.zx)
-            top.append(abs(2.0 * pfaffian_batch(mat) - 2.0 * dec.zx * dec.yt))
+            dec = decompose_left_invariant_batch(p, mat)
+            beta.append(dec["zx"])
+            top.append(abs(2.0 * pfaffian_batch(mat) - 2.0 * dec["zx"] * dec["yt"]))
         assert report.witness["beta_min"] == min(beta)
         assert report.witness["top_power_residual"] == max(top)

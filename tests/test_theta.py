@@ -1,6 +1,7 @@
 """Theta series core: oracles are independent brute-force summations."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ktheta import (
     GroupWord,
     InvalidModulus,
     KTPoint,
-    ShiftSumNonzero,
     TailNotConverged,
     fundamental_domain_samples,
     theta_batch,
@@ -22,8 +22,6 @@ from ktheta.theta import (
     ThetaArgument,
     ThetaBasisIndex,
     TruncationPolicy,
-    classical_product,
-    tail_bound,
     theta,
     theta_degree_k,
     theta_degree_k_deriv,
@@ -129,6 +127,12 @@ class TestZeroLocus:
             theta_zero(1.0)
 
 
+def tail_bound(z, tau, n, z_order=0, tau_order=0):
+    """Certified bound on the terms of theta(z, tau) outside the window [-n, n]."""
+    y = complex(z).imag
+    return th_mod._tail_bound_arrays([y, y], complex(tau).imag, n, [(z_order, tau_order)]).sum()
+
+
 class TestTailBound:
     def test_bound_dominates_actual_tail(self):
         for z, tau in SAMPLE_ARGS:
@@ -139,7 +143,7 @@ class TestTailBound:
                 terms = np.exp(2j * np.pi * z * idx_all + 1j * np.pi * tau * quad)
                 actual = np.abs(terms[~inside]).sum()
                 # 1-ulp slack: both sides are float evaluations of exact sums
-                assert tail_bound(ThetaArgument(z, tau), n) >= actual * (1 - 1e-12)
+                assert tail_bound(z, tau, n) >= actual * (1 - 1e-12)
 
     def test_bound_for_derivatives(self):
         z, tau = 0.3 + 0.4j, 1j
@@ -148,7 +152,7 @@ class TestTailBound:
         terms = np.exp(2j * np.pi * z * idx_all + 1j * np.pi * tau * quad)
         w = np.abs(2j * np.pi * idx_all) ** 2
         actual = (np.abs(terms) * w)[np.abs(idx_all) > 8].sum()
-        assert tail_bound(ThetaArgument(z, tau), 8, z_order=2) >= actual * (1 - 1e-12)
+        assert tail_bound(z, tau, 8, z_order=2) >= actual * (1 - 1e-12)
 
     def test_not_converged(self):
         # enormous Im z forces a window beyond the cap
@@ -161,8 +165,8 @@ class TestTailBound:
             TruncationPolicy(-1e-10)
         with pytest.raises(ValueError):
             theta_deriv(ThetaArgument(0.1, 1j), -1, 0)
-        with pytest.raises(ValueError):
-            tail_bound(ThetaArgument(0.1, 1j), 0)
+        with pytest.raises(ValueError):  # a window of no terms
+            TruncationPolicy(1e-14, max_terms=0)
 
 
 class TestDegreeK:
@@ -233,6 +237,23 @@ class TestDegreeK:
             ThetaBasisIndex(2, -1)
 
 
+def classical_products(shifts, zs, tau):
+    """prod_i theta(z + a_i, tau) at each z in ``zs``, from one ``theta_batch`` call."""
+    return theta_batch(np.asarray(zs)[..., None] + np.asarray(shifts), tau)[0].prod(axis=-1)
+
+
+def degree_k_fit_residual(shifts, zs, tau):
+    """Relative residual of the classical product against the degree-k span, k = len(shifts)."""
+    k = len(shifts)
+    vals = classical_products(shifts, zs, tau)
+    design = np.array(
+        [[theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau)) for p in range(k)]
+         for z in zs]
+    )
+    coeff, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    return np.linalg.norm(design @ coeff - vals) / np.linalg.norm(vals)
+
+
 class TestClassicalProduct:
     def test_zero_sum_product_fits_degree_k_span(self):
         rng = np.random.default_rng(11)
@@ -241,30 +262,22 @@ class TestClassicalProduct:
             a = rng.random(k - 1) + 1j * 0.3 * (rng.random(k - 1) - 0.5)
             shifts = list(a) + [-a.sum()]
             zs = rng.random(32) + 1j * 0.3 * (rng.random(32) - 0.5)
-            vals = np.array(
-                [classical_product(shifts, ThetaArgument(z, tau)) for z in zs]
-            )
-            design = np.array(
-                [
-                    [theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau)) for p in range(k)]
-                    for z in zs
-                ]
-            )
-            coeff, *_ = np.linalg.lstsq(design, vals, rcond=None)
-            res = np.linalg.norm(design @ coeff - vals) / np.linalg.norm(vals)
-            assert res < 1e-8
+            assert degree_k_fit_residual(shifts, zs, tau) < 1e-8
 
     def test_nonzero_sum_rejected(self):
-        with pytest.raises(ShiftSumNonzero):
-            classical_product([0.25, 0.25], ThetaArgument(0.1, 1j))
+        # the negative control of the zero-sum law: shifts summing to 1/2
+        # leave the degree-2 span
+        rng = np.random.default_rng(11)
+        zs = rng.random(32) + 1j * 0.3 * (rng.random(32) - 0.5)
+        assert degree_k_fit_residual([0.25, 0.25], zs, 1j) > 0.1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            classical_product([], ThetaArgument(0.1, 1j))
+            sections_mod.shift_product([], KTPoint(0.1, 0.2, 0.3, 0.4).as_array())
 
     def test_single_zero_shift_is_theta(self):
         arg = ThetaArgument(0.31 + 0.07j, 0.9j)
-        assert abs(classical_product([0.0], arg) - theta(arg)) < 1e-13
+        assert abs(classical_products([0.0], arg.z, arg.tau) - theta(arg)) < 1e-13
 
 
 class TestBatchedEvaluator:
@@ -641,7 +654,8 @@ class TestOneEngine:
     @pytest.mark.parametrize("evaluate", [
         lambda: theta(ThetaArgument(0.3 + 0.1j, 0.2 + 1j)),
         lambda: theta_deriv(ThetaArgument(0.3 + 0.1j, 0.2 + 1j), 1, 1),
-        lambda: classical_product([0.1, 0.2j, -0.1 - 0.2j], ThetaArgument(0.3, 1j)),
+        lambda: sections_mod.shift_product([(0.1, 0.0), (0.2j, 0.0), (-0.1 - 0.2j, 0.0)],
+                                           KTPoint(0.0, 0.0, 0.3, 0.0).as_array()),
     ], ids=["theta", "theta_deriv", "classical_product"])
     def test_one_kernel_call_per_scalar(self, evaluate, monkeypatch):
         calls = count_calls(monkeypatch, "_degree_basis_batch")
@@ -710,4 +724,36 @@ class TestPackageSurface:
         exported = {name for name, v in vars(ktheta).items()
                     if not name.startswith("_") and not isinstance(v, types.ModuleType)}
         assert exported == readme | perfbench | error_classes
-        assert len(exported) == 35
+        assert len(exported) == 34
+
+    # removed single-point wrappers, and the error only they raised
+    @pytest.mark.parametrize("module, name", [
+        ("ktheta.theta", "tail_bound"), ("ktheta.theta", "classical_product"),
+        ("ktheta.sections", "theta_kt"), ("ktheta.sections", "zeta_action"),
+        ("ktheta.sections", "product_of_shifts"), ("ktheta.sections", "separating_value"),
+        ("ktheta.sections", "section_gradient"), ("ktheta.embedding", "JacobianMatrix"),
+        ("ktheta.embedding", "jacobian"), ("ktheta.embedding", "generator_invariance_residual"),
+        ("ktheta.symplectic", "exterior_derivative_residual"),
+        ("ktheta.symplectic", "decompose_left_invariant"),
+        ("ktheta.symplectic", "LeftInvariantDecomposition"), ("ktheta.manifold", "two_form"),
+        ("ktheta.manifold", "omega_kt"), ("ktheta.errors", "ShiftSumNonzero"),
+        ("ktheta", "ShiftSumNonzero"),
+    ])
+    def test_removed_name_is_absent(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("module", sorted(
+        p.stem for p in Path(th_mod.__file__).parent.glob("*.py") if p.stem != "__init__"))
+    def test_every_import_is_used(self, module):
+        import ast
+
+        tree = ast.parse((Path(th_mod.__file__).parent / f"{module}.py").read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                    getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used == set()
