@@ -23,7 +23,7 @@ k-th power of the multiplicators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,18 +246,15 @@ def _try_branch(branch, u, v, policy, rng, probes):
             alpha = zero_at_u
             beta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
             gamma, delta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
-        result = SeparationResult(
+        candidate = SeparationResult(
             complex(alpha), complex(beta), complex(gamma), complex(delta),
             0.0, 0.0, 0.0, branch,
         )
-        vals = shift_product(result.zetas, pts, policy)
+        vals = shift_product(candidate.zetas, pts, policy)
         scale = float(np.abs(vals[:-2]).max())
         s_u, s_v = complex(vals[-2]), complex(vals[-1])
         if scale > 0 and abs(s_u) < 1e-8 * scale and abs(s_v) > 1e-3 * scale:
-            return SeparationResult(
-                result.alpha, result.beta, result.gamma, result.delta,
-                s_u, s_v, scale, branch,
-            )
+            return replace(candidate, value_at_u=s_u, value_at_v=s_v, scale=scale)
     return None
 
 

@@ -49,11 +49,6 @@ FS_MAP_IDS = tuple(MAP_FACTORS)
 MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
-@dataclass(frozen=True)
-class PullbackForm(TwoFormAtPoint):
-    """A pulled-back 2-form at a base point, in the (dx, dy, dz, dt) basis."""
-
-
 @np.errstate(invalid="ignore")
 def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
@@ -139,7 +134,7 @@ def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_PO
     return _form(hermitian_pullback_batch(map_id, k, pts, policy)[0])
 
 
-def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> PullbackForm:
+def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> TwoFormAtPoint:
     """Pullback of the Fubini-Study form under the named map at ``u``.
 
     The maps descend to the quotient, so with u = act(w, u0) and u0 =
@@ -156,7 +151,7 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Pu
         mat[1, :] -= w.m * mat[2, :]
     if not np.isfinite(mat).all():
         raise LiftOverflow(f"the {map_id} lift or its partials are not finite at {u}")
-    return PullbackForm(u, mat)
+    return TwoFormAtPoint(u, mat)
 
 
 def fs_normalization(max_radius: float = np.inf) -> float:

@@ -1,8 +1,10 @@
 """Acceptance gate: eleven criteria, each printing one pass/fail line.
 
-Each criterion delegates to the registered verification suites in
-ktheta.checks with the default RunConfig (k=3, eps=1e-14, seed=42) and the
-tolerances stated in the suite thresholds.
+Each criterion delegates to some of the 22 registered verification suites
+in ktheta.checks with the default RunConfig (k=3, eps=1e-14, seed=42) and
+the tolerances stated in the suite thresholds.  A suite's residual is the
+NaN-propagating maximum of its residuals, so a NaN fails its criterion;
+tests/test_mutations.py shows that every suite can fail.
 """
 
 import math

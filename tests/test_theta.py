@@ -98,6 +98,18 @@ class TestQuasiPeriodicity:
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
+    def test_tau_period_one(self, z, tau):
+        # this series and every theta_k^p are invariant under tau -> tau + 1
+        a = theta(ThetaArgument(z, tau + 1))
+        b = theta(ThetaArgument(z, tau))
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        for p in range(3):
+            idx = ThetaBasisIndex(3, p)
+            a = theta_degree_k(idx, ThetaArgument(z, tau + 1))
+            b = theta_degree_k(idx, ThetaArgument(z, tau))
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_tau_quasi_period(self, z, tau):
         a = theta(ThetaArgument(z + tau, tau))
         b = np.exp(-2j * np.pi * z) * theta(ThetaArgument(z, tau))
@@ -726,7 +738,8 @@ class TestPackageSurface:
         assert exported == readme | perfbench | error_classes
         assert len(exported) == 34
 
-    # removed single-point wrappers, and the error only they raised
+    # removed single-point wrappers, the error only they raised and an empty
+    # subclass
     @pytest.mark.parametrize("module, name", [
         ("ktheta.theta", "tail_bound"), ("ktheta.theta", "classical_product"),
         ("ktheta.sections", "theta_kt"), ("ktheta.sections", "zeta_action"),
@@ -737,7 +750,7 @@ class TestPackageSurface:
         ("ktheta.symplectic", "decompose_left_invariant"),
         ("ktheta.symplectic", "LeftInvariantDecomposition"), ("ktheta.manifold", "two_form"),
         ("ktheta.manifold", "omega_kt"), ("ktheta.errors", "ShiftSumNonzero"),
-        ("ktheta", "ShiftSumNonzero"),
+        ("ktheta", "ShiftSumNonzero"), ("ktheta.symplectic", "PullbackForm"),
     ])
     def test_removed_name_is_absent(self, module, name):
         import importlib
