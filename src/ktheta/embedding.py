@@ -50,12 +50,14 @@ class ProjectivePoint:
         return unit_rows(self.coords)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def unit_rows(lifts: np.ndarray) -> np.ndarray:
     """Unit-norm lifts along the last axis, scaled by their largest |Re| or
     |Im| first so that the norm neither overflows nor underflows.
 
     Both scales are read from the real view of the lifts, with no complex
-    modulus per entry.
+    modulus per entry.  A row that vanishes or is not finite comes out NaN,
+    without a warning.
     """
     c = np.ascontiguousarray(lifts, dtype=complex)
     v = c.view(float)
@@ -143,6 +145,10 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     return int(hermitian_ranks(b, scale, tol)[0])
 
 
+# Rows per block of the injectivity scan's Gram triangle.
+SCAN_ROWS = 64
+
+
 @dataclass(frozen=True)
 class InjectivityReport:
     """Outcome of a seeded image-collision scan."""
@@ -176,11 +182,21 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     pts = fundamental_domain_samples(n_samples, seed)
     lifts = unit_rows(phi_batch(k, pts, policy))
 
-    # row-major flat indices of the pairs i < j
-    pairs = np.flatnonzero(np.triu(np.ones((n_samples, n_samples), dtype=bool), 1))
-    gram = np.abs((lifts @ lifts.conj().T).ravel()[pairs]) ** 2
+    # The Gram's upper triangle |<a_i, a_j>|^2, i < j, in row-major pair
+    # order, SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS) against
+    # the columns [r, n), of which the entries with j > i are kept.
+    conj = lifts.conj()
+    blocks = []
+    for r in range(0, n_samples, SCAN_ROWS):
+        block = lifts[r:r + SCAN_ROWS] @ conj[r:].T
+        above = np.arange(n_samples - r) > np.arange(len(block))[:, None]
+        blocks.append(np.abs(block[above]) ** 2)
+    gram = np.concatenate(blocks)
     np.clip(gram, 0.0, 1.0, out=gram)
     dists = np.sqrt(1.0 - gram)
+    # position of the pair (i, i + 1): each row i' < i holds n - 1 - i' pairs
+    rows = np.arange(n_samples)
+    row_start = rows * (2 * n_samples - rows - 1) // 2
 
     # Scan pairs in stable (distance, index) order without sorting them all:
     # the pairs at or below the m-th smallest distance are a prefix of that
@@ -193,7 +209,8 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
         else:
             cand = np.argsort(dists, kind="stable")
         for pos in cand[seen:]:
-            i, j = divmod(int(pairs[pos]), n_samples)
+            i = int(np.searchsorted(row_start, pos, side="right")) - 1
+            j = int(pos - row_start[i]) + i + 1
             qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
             if qd > d_min:
                 dist = float(chordal_distances(lifts[i], lifts[j])[0])

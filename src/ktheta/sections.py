@@ -144,8 +144,17 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
     """
     (fiber, d_fiber), (base, d_base) = factors(k, np.atleast_2d(pts), policy, gradients=True)
     vals = fiber[..., :, None] * base[..., None, :]
-    grads = d_fiber[..., :, None] * base[..., None, None, :]  # product rule
-    grads += fiber[..., None, :, None] * d_base[..., None, :]
+    # The product rule, term by term only along the axes where the factor's
+    # partial is not identically zero; every axis has at least one term.
+    grads = np.empty(fiber.shape[:-1] + (4, k, k), dtype=complex)
+    for axis in FACTOR_AXES["fiber"]:
+        np.multiply(d_fiber[..., axis, :, None], base[..., None, :], out=grads[..., axis, :, :])
+    for axis in FACTOR_AXES["base"]:
+        out = grads[..., axis, :, :]
+        if axis in FACTOR_AXES["fiber"]:
+            out += fiber[..., :, None] * d_base[..., axis, None, :]
+        else:
+            np.multiply(fiber[..., :, None], d_base[..., axis, None, :], out=out)
     return vals.reshape(vals.shape[:-2] + (k * k,)), grads.reshape(grads.shape[:-2] + (k * k,))
 
 

@@ -49,7 +49,7 @@ FS_MAP_IDS = tuple(MAP_FACTORS)
 MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")
 def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
 
@@ -57,16 +57,23 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     shape (B, 4, 4), as in the module docstring, and scale = sum |dF|^2/|F|^2
     of shape (B,), which bounds b's terms and so sets their roundoff.  Lift
     and partials are divided by the point's largest |lift entry| first, so
-    |F|^4 stays finite wherever the lift is; a non-finite lift or partial
-    leaves its row non-finite, without a warning.
+    |F|^4 stays finite wherever the lift is; a lift that vanishes or is not
+    finite, or a non-finite partial, leaves its row non-finite, without a
+    warning.
     """
     inv_scale = 1.0 / np.abs(vals).max(axis=1)
     vals = vals * inv_scale[:, None]
     grads = grads * inv_scale[:, None, None]
     n2 = np.einsum("bn,bn->b", vals.conj(), vals).real
     c = np.einsum("bn,bmn->bm", vals.conj(), grads)
-    m = np.einsum("bmn,bln->bml", grads, grads.conj())
-    b = m / n2[:, None, None] - (c[:, :, None] * c.conj()[:, None, :]) / (n2 * n2)[:, None, None]
+    m = np.vecdot(grads[:, None], grads[:, :, None])  # conjugates its first argument
+    # b = (m - c c^H / |F|^2) / |F|^2 in place, scaled by the real 1/|F|^2:
+    # dividing by |F|^2 would make it complex and divide entry by entry
+    inv_n2 = (1.0 / n2)[:, None, None]
+    b = c[:, :, None] * c.conj()[:, None, :]
+    b *= -inv_n2
+    b += m
+    b *= inv_n2
     return b, np.einsum("bmm->b", m).real / n2
 
 
@@ -83,8 +90,12 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     """
     _check_map(map_id, FS_MAP_IDS)
     vals, grads = factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, gradients=True)
-    if axes != (0, 1, 2, 3):  # the gather copies, so the full form skips it
-        grads = grads.take(axes, axis=-2)
+    if axes != (0, 1, 2, 3):
+        # The gather copies, so the full form skips it.  Gathering on
+        # ``factor``'s (4, k, ...) storage keeps the point axis innermost, so
+        # the Gram sums in the full form's order and its entries are bit-equal.
+        grads = np.moveaxis(np.moveaxis(grads, (-2, -1), (0, 1)).take(axes, axis=0),
+                            (0, 1), (-2, -1))
     n = len(axes)
     b, scale = fs_hermitian(vals.reshape(-1, k), grads.reshape(-1, n, k))  # the F*B rows
     return b.reshape(len(vals), -1, n, n).sum(axis=0), scale.reshape(len(vals), -1).sum(axis=0)

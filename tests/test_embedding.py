@@ -24,6 +24,7 @@ from ktheta import (
     reduce_point,
 )
 from ktheta.embedding import (
+    SCAN_ROWS,
     ProjectivePoint,
     chordal_distance,
     generator_invariance_residuals,
@@ -134,6 +135,14 @@ class TestChordalDistance:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LiftOverflow):  # the raw lift, which phi never takes
                 ProjectivePoint(phi_batch(16, [8.0, 0.2, 0.1, 0.4])[0])
+
+
+class TestUnitRows:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanishing_row_is_nan_without_warning(self):
+        rows = unit_rows(np.array([[0.0, 0.0, 0.0], [3.0, 4.0j, 0.0]]))
+        assert np.isnan(rows[0]).all()
+        assert np.allclose(rows[1], [0.6, 0.8j, 0.0], rtol=0.0, atol=1e-15)
 
 
 class TestSegre:
@@ -333,6 +342,11 @@ class TestInjectivityScan:
     def test_matches_full_sort_reference(self, k, n, seed):
         report = injectivity_scan(k, n, seed)
         assert report_fields(report) == full_sort_scan(k, fundamental_domain_samples(n, seed))
+
+    @pytest.mark.parametrize("n", [2, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3])
+    def test_block_edges_match_reference(self, n):
+        report = injectivity_scan(3, n, 11)
+        assert report_fields(report) == full_sort_scan(3, fundamental_domain_samples(n, 11))
 
     @pytest.mark.parametrize("case", ["copies", "many_ties", "straddle", "all_equivalent"])
     def test_duplicated_points_match_reference(self, monkeypatch, case):

@@ -1,6 +1,7 @@
 """KT sections: basis, tensor law, shift products, separating sections."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ class TestGradients:
                     assert abs(vals[i, 2 * p + q] - section(idx, u)) < 1e-11
                     g = gradient_at(idx, u)
                     assert np.allclose(grads[i, :, 2 * p + q], g, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 5, 4)])
+    def test_matches_two_term_product_rule(self, k, shape):
+        pts = fundamental_domain_samples(10, 40 + k)[:math.prod(shape[:-1])].reshape(shape)
+        vals, grads = section_matrix_with_gradients(k, pts)
+        # the product rule along every axis, adding the factors' zero partials too
+        (fiber, d_fiber), (base, d_base) = factors(k, np.atleast_2d(pts), gradients=True)
+        want = d_fiber[..., :, None] * base[..., None, None, :]
+        want += fiber[..., None, :, None] * d_base[..., None, :]
+        want_vals = fiber[..., :, None] * base[..., None, :]
+        assert np.array_equal(vals, want_vals.reshape(want_vals.shape[:-2] + (k * k,)))
+        assert np.array_equal(grads, want.reshape(want.shape[:-2] + (k * k,)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_rows_stay_non_finite(self):
+        # at k = 16 the Segre product overflows at the second point, the
+        # fiber factor at the third and the base factor at the fourth
+        pts = np.array([[0.3, 0.2, 0.1, 0.4], [4, 0.2, 0.1, 4], [8, 0.2, 0.1, 0.4],
+                        [0, 0.3, 0, 9]])
+        vals, grads = section_matrix_with_gradients(16, pts)
+        assert np.isfinite(vals[0]).all() and np.isfinite(grads[0]).all()
+        assert not np.isfinite(vals[1:]).all(axis=-1).any()
+        assert not np.isfinite(grads[1:]).all(axis=-1).any()
 
 
 class TestZetaAction:

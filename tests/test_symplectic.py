@@ -39,7 +39,7 @@ from ktheta.manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from ktheta.sections import factors, section_matrix_with_gradients
+from ktheta.sections import factor, factors, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
     TORUS_AXES,
@@ -47,6 +47,7 @@ from ktheta.symplectic import (
     chern_for_generator_pair,
     decompose_left_invariant_batch,
     exterior_derivative_residuals,
+    fs_hermitian,
     fs_normalization,
     fs_pullback_batch,
     hermitian_pullback_batch,
@@ -149,6 +150,54 @@ def _oracle_lift(map_id, k, pts):
         return section_matrix_with_gradients(k, pts)
     fiber, base = factors(k, pts, gradients=True)
     return fiber if map_id == "psi_prime" else base
+
+
+def _fs_vdot_reference(vals, grads):
+    """``fs_hermitian`` point by point from np.vdot, which conjugates its first
+    argument: b_{mu nu} = <dF_nu, dF_mu>/|F|^2 - <F, dF_mu><dF_nu, F>/|F|^4."""
+    b = np.empty((len(vals), 4, 4), dtype=complex)
+    scale = np.empty(len(vals))
+    for p, (f, df) in enumerate(zip(vals, grads)):
+        n2 = np.vdot(f, f).real
+        for mu in range(4):
+            for nu in range(4):
+                b[p, mu, nu] = (np.vdot(df[nu], df[mu]) / n2
+                                - np.vdot(f, df[mu]) * np.vdot(df[nu], f) / n2**2)
+        scale[p] = sum(np.vdot(d, d).real for d in df) / n2
+    return b, scale
+
+
+def _lift_rows(layout, n, pts):
+    """Lifts (B, n) and partials (B, 4, n): the stacked factor rows as
+    ``factor`` lays them out (point axis innermost), or C-ordered arrays,
+    the k^2 lifts where n is a square."""
+    if layout == "factor" or math.isqrt(n) ** 2 != n:
+        vals, grads = factor(("fiber", "base"), n, pts, gradients=True)
+        vals, grads = vals.reshape(-1, n), grads.reshape(-1, 4, n)
+        if layout == "c":
+            vals, grads = np.ascontiguousarray(vals), np.ascontiguousarray(grads)
+    else:
+        vals, grads = section_matrix_with_gradients(math.isqrt(n), pts)
+    assert grads.flags.c_contiguous == (layout == "c")
+    return vals, grads
+
+
+class TestFubiniStudyForm:
+    @pytest.mark.parametrize("layout", ["factor", "c"])
+    @pytest.mark.parametrize("n", [3, 16, 256])
+    def test_matches_vdot_reference(self, layout, n):
+        vals, grads = _lift_rows(layout, n, fundamental_domain_samples(12, 70 + n))
+        b, scale = fs_hermitian(vals, grads)
+        want_b, want_scale = _fs_vdot_reference(vals, grads)
+        assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
+        assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanishing_lift_row_is_nan_without_warning(self):
+        vals = np.array([[0.0, 0.0, 0.0], [1.0, 2.0j, 0.5]])
+        b, scale = fs_hermitian(vals, np.ones((2, 4, 3), dtype=complex))
+        assert np.isnan(b[0]).all() and np.isnan(scale[0])
+        assert np.isfinite(b[1]).all() and np.isfinite(scale[1])
 
 
 class TestFactoredHermitianForm:
@@ -416,7 +465,7 @@ class TestTori:
             got = integrate_over_torus("phi_k", k, BasisTorus(tid), grid=64)
             assert abs(got - k * chern_via_multiplicators(tid)) < 1e-4
 
-    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
     def test_matches_all_factor_oracle(self, map_id, k):
         # the deleted path: every factor, every partial, every grid point
