@@ -172,6 +172,12 @@ def omega_kt_matrix(pts: np.ndarray) -> np.ndarray:
     return upper - np.swapaxes(upper, -1, -2)
 
 
+# The exponents m, n, p, q (rows) of the 625 words a^m b^n c^p d^q with
+# every exponent in [-2, 2] (columns), read-only.
+_NEAR_WORDS = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 4, indexing="ij")).reshape(4, -1)
+_NEAR_WORDS.flags.writeable = False
+
+
 def quotient_distance(u: KTPoint, v: KTPoint) -> float:
     """Distance between the images of u and v on the quotient.
 
@@ -180,19 +186,12 @@ def quotient_distance(u: KTPoint, v: KTPoint) -> float:
     """
     u0, _ = reduce_point(u)
     v0, _ = reduce_point(v)
-    ua = u0.as_array()
-    offs = np.arange(-2.0, 3.0)
-    m, n, p, q = np.meshgrid(offs, offs, offs, offs, indexing="ij")
-    translates = np.stack(
-        [
-            v0.x + m,
-            v0.y + n,
-            v0.z + p + m * (v0.y + n),
-            v0.t + q,
-        ],
-        axis=-1,
-    ).reshape(-1, 4)
-    return float(np.min(np.linalg.norm(translates - ua, axis=1)))
+    # (x + m, y + n, z + p + m*(y + n), t + q): each word's translate of v0
+    diff = v0.as_array()[:, None] + _NEAR_WORDS
+    diff[2] += _NEAR_WORDS[0] * diff[1]
+    diff -= u0.as_array()[:, None]
+    diff *= diff
+    return math.sqrt((diff[0] + diff[1] + diff[2] + diff[3]).min())
 
 
 def fundamental_domain_samples(n: int, seed: int) -> np.ndarray:

@@ -22,6 +22,7 @@ k-th power of the multiplicators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -100,7 +101,11 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: 
     names = (which,) if isinstance(which, str) else tuple(which)
     if not set(names) <= set(_CHAIN):
         raise ValueError(f"unknown factor {which!r}; expected one of {tuple(_CHAIN)}")
-    w, tau = np.stack([_factor_args(name, pts) for name in names], axis=1)
+    pts = np.asarray(pts, dtype=float)
+    w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
+    tau = np.empty_like(w)
+    for f, name in enumerate(names):
+        w[f], tau[f] = _factor_args(name, pts)
     orders = ((0, 0),)
     if gradients:
         orders += ((1, 0), (0, 1)) if any("tau" in _CHAIN[n] for n in names) else ((1, 0),)
@@ -241,11 +246,21 @@ def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
     return math.hypot(dy, dt)
 
 
-def _try_branch(branch, u, v, policy, rng, probes):
+@functools.cache
+def _probes():
+    """The fixed probe points whose values set a search candidate's scale,
+    read-only; built on first use, so that importing the package does not
+    import numpy.random."""
+    pts = fundamental_domain_samples(24, seed=1729)
+    pts.flags.writeable = False
+    return pts
+
+
+def _try_branch(branch, u, v, policy, rng):
     """One branch of the separating-section search; None when retries run out."""
     # z = 1/2 kills a theta factor; the branch names the factor to kill at u
     zero_at_u = th.theta_zero(BASE_TAU) - _factor_args(branch, u.as_array())[0]
-    pts = np.vstack([probes, u.as_array(), v.as_array()])
+    pts = np.vstack([_probes(), u.as_array(), v.as_array()])
     for _ in range(RETRIES):
         if branch == "base":
             gamma = zero_at_u
@@ -283,7 +298,6 @@ def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
     u, _ = reduce_point(u)
     v, _ = reduce_point(v)
     rng = np.random.default_rng(seed)
-    probes = fundamental_domain_samples(24, seed=1729)
 
     primary = "fiber" if _base_torus_distance(u, v) < 1e-4 else "base"
     order = (primary, "fiber" if primary == "base" else "base")
@@ -293,7 +307,7 @@ def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
             if abs(_factor_args("fiber", v.as_array())[0]
                    - _factor_args("fiber", u.as_array())[0]) < 1e-8:
                 continue
-        found = _try_branch(branch, u, v, policy, rng, probes)
+        found = _try_branch(branch, u, v, policy, rng)
         if found is not None:
             return found
     raise SearchFailed(f"no separating section after {RETRIES} seeded attempts per branch")

@@ -23,11 +23,22 @@ exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch shares L.
 The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, residue,
 point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), so it
 is its modulus exp(Re f + p*Re g), from one real exponential, times its
-phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: the
-trigonometry runs over (window, point) only, no product can overflow, and
-every modulus has the exponent of the direct complex exponential.  One
-contraction over the window axis gives each residue's centred moments,
-from which every requested termwise derivative follows.  The certificate
+phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: no product
+can overflow, and every modulus has the exponent of the direct complex
+exponential.  Real cos and sin write the two unit factors straight into
+the term array, over (window, point) only.  The residue powers take one of
+two paths.  A batch of at least FEW_POINTS points fills residues [s, 2s)
+as residues [0, s) times exp(i*Im g)^s, s = 1, 2, 4, ..., one product per
+level over contiguous slabs whose inner loop runs over the points, with
+exp(i*Im g)^s from repeated squaring.  A smaller batch runs one
+np.multiply.accumulate over the residue axis: its inner loops are only k
+long, but it is one numpy call where the levels take about 2*log2(k), and
+below about 32 points (24-48 for k = 3 to 16, measured on a 2-vCPU x86-64
+VM) the calls cost more than the short loops.  The two paths agree to
+roundoff.  At k = 1 there is only p = 0: g is never formed, and the
+modulus is exp(Re f).  One contraction over the window axis gives each
+residue's centred moments, from which every requested termwise derivative
+follows.  The certificate
 holds per requested (z_order, tau_order): for every point and residue p,
 the discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
 termwise derivative weight, sum to at most epsilon / 2 on each side of the
@@ -248,6 +259,7 @@ CELLS = 8  # cells of Im(w) in [0, 1] with one certified window each; a power of
 # Orders every cell window is certified for besides the requested ones, so a
 # value-only call and a gradient call at one point share their window.
 _CELL_ORDERS = frozenset({(0, 0), (1, 0), (0, 1)})
+_CELL_EDGES = np.arange(1, CELLS) / CELLS  # interior edges: searchsorted gives the cell
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,13 +277,21 @@ def _cell_windows(k, policy, orders):
     return lo, length
 
 
+# A batch of fewer points fills its residue powers with one running product
+# over the residue axis, a larger one by doubling over contiguous slabs; see
+# the module docstring.  The measured crossover is at 24 to 48 points.
+FEW_POINTS = 32
+
+
 @functools.lru_cache(maxsize=None)
 def _kernel_constants(k, length, count):
-    """The kernel's shape-only arrays, read-only: the window offsets a and
-    the residues p as float columns, and the moment weights a'^j, j < count."""
+    """The kernel's shape-only arrays, read-only: the window offsets a, the
+    residues p and p - k as float columns, and the moment weights a'^j,
+    j < count, with a' = a - (length - 1) / 2."""
     a = np.arange(length, dtype=float)[:, None]
+    p = np.arange(k, dtype=float)[:, None]
     weights = (a.T - 0.5 * (length - 1)) ** np.arange(count)[:, None]
-    out = a, np.arange(k, dtype=float)[:, None], weights
+    out = a, p, p - k, weights
     for x in out:
         x.flags.writeable = False
     return out
@@ -292,16 +312,17 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
         ws, taus = np.broadcast_arrays(ws, taus)
     shape = ws.shape
     w, tau = ws.ravel(), taus.ravel()
-    if not (np.isfinite(w + tau).all() and (tau.imag > 0.0).all()):
+    im_w, im_tau = w.imag, tau.imag
+    # the fundamental domain's arguments each take their cell's window
+    on_domain = (im_tau == 1.0).all() and ((im_w >= 0.0) & (im_w <= 1.0)).all()
+    if not (np.isfinite(w + tau).all() and (on_domain or (im_tau > 0.0).all())):
         raise InvalidModulus("theta arguments must be finite with Im(tau) > 0")
-    im_w = w.imag
-    if (tau.imag == 1.0).all() and ((im_w >= 0.0) & (im_w <= 1.0)).all():
-        # the fundamental domain's arguments: each point takes its cell's window
+    if on_domain:
         key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
         cell_lo, length = _cell_windows(k, policy, key)
-        lo = cell_lo.take((im_w * CELLS).astype(int), mode="clip")  # Im(w) = 1: the last cell
+        lo = cell_lo.take(_CELL_EDGES.searchsorted(im_w, side="right"))
     else:
-        lo, length = _basis_window(k, im_w, tau.imag, policy, orders)
+        lo, length = _basis_window(k, im_w, im_tau, policy, orders)
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
     w = w - w.real.round()
     tau = tau - tau.real.round()
@@ -309,20 +330,38 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
     # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m)
     count = max(zo + 2 * to for zo, to in orders) + 1
-    a, p, weights = _kernel_constants(k, length, count)
+    a, p, p_minus_k, weights = _kernel_constants(k, length, count)
     m = lo + a
     f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
-    g = (2j * math.pi) * (w + tau * m)
     # each term is its modulus exp(Re f + p*Re g), one real exponential, times
-    # its phase exp(i*Im f) * exp(i*Im g)^p, a running product of unit
-    # factors over p that cannot overflow
+    # its phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors that
+    # cannot overflow; cos and sin write each factor in place
     terms = np.empty((length, k, len(w)), dtype=complex)
-    terms[:, 0] = np.exp(1j * f.imag)
-    terms[:, 1:] = np.exp(1j * g.imag)[:, None, :]
-    np.multiply.accumulate(terms, axis=1, out=terms)
-    modulus = np.multiply(g.real[:, None, :], p)
-    modulus += f.real[:, None, :]
-    terms *= np.exp(modulus, out=modulus)
+    phase = terms[:, 0]
+    np.cos(f.imag, out=phase.real)
+    np.sin(f.imag, out=phase.imag)
+    if k == 1:  # p = 0 only: g is not needed
+        terms *= np.exp(f.real)[:, None, :]
+    else:
+        g = (2j * math.pi) * (w + tau * m)
+        few = len(w) < FEW_POINTS
+        step = terms[:, 1] if few else np.empty(g.shape, dtype=complex)
+        np.cos(g.imag, out=step.real)
+        np.sin(g.imag, out=step.imag)
+        if few:  # one running product over the residue axis
+            terms[:, 2:] = terms[:, 1:2]
+            np.multiply.accumulate(terms, axis=1, out=terms)
+        else:  # residues [s, 2s) are residues [0, s) times exp(i*Im g)^s
+            s = 1
+            while s < k:
+                end = min(2 * s, k)
+                np.multiply(terms[:, :end - s], step[:, None, :], out=terms[:, s:end])
+                s = end
+                if s < k:
+                    step *= step
+        modulus = np.multiply(g.real[:, None, :], p)
+        modulus += f.real[:, None, :]
+        terms *= np.exp(modulus, out=modulus)
 
     # one contraction over a with the weights a'^j (a' = a - centre) gives
     # every residue's centred moments M_j = sum_a a'^j * term
@@ -333,11 +372,16 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     # the tau-exponent k*m^2 + (2p - k)*m is c0 + c1*a' + k*a'^2, so a factor
     # n maps M_j to nc*M_j + k*M_{j+1} and a factor tau-exponent maps it to
     # c0*M_j + c1*M_{j+1} + k*M_{j+2}; order (zo, to) applies zo and to of them.
-    mc = lo + 0.5 * (length - 1)
-    nc = k * mc + p
-    if any(to for _, to in orders):
-        c0 = mc * (nc + p - k)
-        c1 = 2.0 * nc - k
+    # With d = nc + p - k, c0 = mc*d and c1 = 2*nc - k = k*mc + d; all are
+    # small multiples of 1/4, so exact.
+    if any(zo or to for zo, to in orders):
+        mc = lo + 0.5 * (length - 1)
+        kmc = k * mc
+        nc = kmc + p
+        if any(to for _, to in orders):
+            d = nc + p_minus_k
+            c0 = mc * d
+            c1 = kmc + d
     out = []
     for zo, to in orders:
         seq = moments[:zo + 2 * to + 1]

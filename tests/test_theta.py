@@ -419,16 +419,53 @@ POINT_SETS = {
 VALUE_W_TAU = ((0, 0), (1, 0), (0, 1))
 
 
+# POINT_SETS and the same kinds of point in a batch below th_mod.FEW_POINTS:
+# inside the cell table ("fundamental") and outside it ("moved").
+KERNEL_POINT_SETS = {
+    **POINT_SETS,
+    "fundamental-few": lambda: fundamental_domain_samples(5, 19),
+    "moved-few": lambda: moved_points(5, 20),
+}
+
+
 class TestDegreeBasisKernel:
-    @pytest.mark.parametrize("where", sorted(POINT_SETS))
-    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("where", sorted(KERNEL_POINT_SETS))
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
     def test_matches_residue_loop(self, k, where):
-        w, tau = factor_arguments(POINT_SETS[where]())
+        w, tau = factor_arguments(KERNEL_POINT_SETS[where]())
+        assert (len(w) < th_mod.FEW_POINTS) == where.endswith("-few")
         got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
         for g, r in zip(got, want):
             assert g.shape == r.shape == (k, len(w))
             assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("where", sorted(POINT_SETS))
+    @pytest.mark.parametrize("k", [2, 3, 5, 16])
+    def test_batch_matches_single_points(self, k, where, monkeypatch):
+        # A batch of FEW_POINTS or more doubles its residue powers over slabs
+        # and a single point takes the running product.  On the same window
+        # the two agree to roundoff: 1e-13 of each row's largest entry for the
+        # value and w orders.  An order with a tau factor passes through the
+        # step c0*M_j + c1*M_{j+1} + k*M_{j+2}, whose cancellation magnifies
+        # term roundoff (up to 3e-12 here), so those get 1e-11.  A single
+        # point off the cells is given the batch's window; one on the cells is
+        # compared only with a batch on them.
+        w, tau = factor_arguments(POINT_SETS[where]())
+        assert len(w) >= th_mod.FEW_POINTS
+        on_cells = (tau.imag == 1.0) & (w.imag >= 0.0) & (w.imag <= 1.0)
+        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, ALL_ORDERS)
+        batch = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, ALL_ORDERS)
+        compared = 0
+        for b in np.flatnonzero(on_cells == on_cells.all()):
+            monkeypatch.setattr(th_mod, "_basis_window", lambda *args: (lo[b:b + 1], length))
+            single = th_mod._degree_basis_batch(k, w[b:b + 1], tau[b:b + 1], DEFAULT_POLICY,
+                                                ALL_ORDERS)
+            for (_, to), got, want in zip(ALL_ORDERS, batch, single):
+                bound = 1e-11 if to else 1e-13
+                assert np.abs(got[:, b] - want[:, 0]).max() <= bound * np.abs(want).max()
+            compared += 1
+        assert compared >= len(w) // 2
 
     def test_values_only_call_matches(self):
         w, tau = factor_arguments(moved_points(16, 4))
