@@ -24,7 +24,7 @@ from .manifold import (
     quotient_distance,
     reduce_point,
 )
-from .sections import factor, section_matrix
+from .sections import factor, factors, section_matrix
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
@@ -171,29 +171,33 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     Pairs closer than ``d_min`` = 1e-3 on the quotient are excluded; the
     report passes iff the smallest remaining image distance exceeds
     ``threshold`` = 1e-6.  Pairs are ranked by sqrt(1 - |<a,b>|^2) of their
-    ``unit_rows``, which resolves only about 1e-8; the witness pair's
-    reported distance is its ``chordal_distances``, which resolves about
-    1e-12.  The extremal pair is deterministic for a fixed seed (ties broken
-    by sample index order).
+    unit lifts, which resolves only about 1e-8; phi_k is a Segre product,
+    so |<a,b>| is the product of the k-wide fiber and base overlaps.  The
+    witness pair's reported distance is the ``chordal_distances`` of its two
+    k^2 lifts, the only ones formed, which resolves about 1e-12.  The
+    extremal pair is deterministic for a fixed seed (ties broken by sample
+    index order).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     d_min, threshold = 1e-3, 1e-6
     pts = fundamental_domain_samples(n_samples, seed)
-    lifts = unit_rows(phi_batch(k, pts, policy))
+    raw = factors(k, pts, policy)
+    fiber, base = (unit_rows(f) for f in raw)
 
-    # The Gram's upper triangle |<a_i, a_j>|^2, i < j, in row-major pair
-    # order, SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS) against
-    # the columns [r, n), of which the entries with j > i are kept.
-    conj = lifts.conj()
+    # The Gram's upper triangle |<f_i, f_j> <g_i, g_j>|^2, i < j, in row-major
+    # pair order, SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS)
+    # against the columns [r, n), of which the entries with j > i are kept.
+    conj = fiber.conj(), base.conj()
     blocks = []
     for r in range(0, n_samples, SCAN_ROWS):
-        block = lifts[r:r + SCAN_ROWS] @ conj[r:].T
+        block = fiber[r:r + SCAN_ROWS] @ conj[0][r:].T
+        block *= base[r:r + SCAN_ROWS] @ conj[1][r:].T
         above = np.arange(n_samples - r) > np.arange(len(block))[:, None]
-        blocks.append(np.abs(block[above]) ** 2)
-    gram = np.concatenate(blocks)
-    np.clip(gram, 0.0, 1.0, out=gram)
-    dists = np.sqrt(1.0 - gram)
+        blocks.append(np.abs(block)[above])
+    dists = np.concatenate(blocks)
+    np.minimum(np.square(dists, out=dists), 1.0, out=dists)
+    np.sqrt(np.subtract(1.0, dists, out=dists), out=dists)
     # position of the pair (i, i + 1): each row i' < i holds n - 1 - i' pairs
     rows = np.arange(n_samples)
     row_start = rows * (2 * n_samples - rows - 1) // 2
@@ -213,7 +217,9 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
             j = int(pos - row_start[i]) + i + 1
             qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
             if qd > d_min:
-                dist = float(chordal_distances(lifts[i], lifts[j])[0])
+                # the pair's k^2 lifts, as ``phi_batch`` forms them
+                pair = (raw[0][[i, j], :, None] * raw[1][[i, j], None, :]).reshape(2, -1)
+                dist = float(chordal_distances(*unit_rows(pair))[0])
                 return InjectivityReport(
                     k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
                 )

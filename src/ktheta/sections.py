@@ -11,13 +11,13 @@ is spanned by the k^2 products
 
 flattened project-wide as index p*k + q.  ``factor`` evaluates the fiber
 map psi' = theta_k^p(z + i x, y + i), the base map psi'' = theta_k^q(y + i t, i)
-or both, with their coordinate partials, in one kernel call; ``factors``
-is the pair.  The basis values are their Segre outer product and the basis
-gradients follow by the product rule.  ``FACTOR_AXES`` records
-the coordinates each factor depends on, fiber (x, y, z) and base (y, t);
-every other partial is exactly zero, so a caller that needs one factor
-evaluates only that one.  Sections transform under the deck group by the
-k-th power of the multiplicators.
+or both in one kernel call, with the derivative rows d/dw and d/dtau the
+requested coordinates need; ``factors`` is the pair.  The chain table
+``CHAIN`` gives each coordinate partial as one row times 1 or i, and
+``FACTOR_AXES`` the coordinates each factor depends on, fiber (x, y, z) and
+base (y, t).  The basis values are the factors' Segre outer product and the
+basis gradients follow by the product rule.  Sections transform under the
+deck group by the k-th power of the multiplicators.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,51 +77,73 @@ def _factor_args(which: str, pts: np.ndarray):
     return w, np.full_like(w, BASE_TAU)
 
 
-# Each Segre factor's partials along (x, y, z, t), in terms of its
-# theta_k^p(w, tau) (``_factor_args``): "w" is d/dw, "iw" is i d/dw, "tau"
-# is d/dtau and None a coordinate the factor does not depend on.
-_CHAIN = {
-    "fiber": ("iw", "tau", "w", None),
-    "base": (None, "w", None, "iw"),
-}
-# The coordinates each factor depends on: fiber (x, y, z), base (y, t).
-FACTOR_AXES = {name: tuple(i for i, c in enumerate(chain) if c) for name, chain in _CHAIN.items()}
+# The chain table: each Segre factor's partials along (x, y, z, t) from its
+# kernel rows (d/dw, d/dtau) (``_factor_args``): partial mu is
+# sum_r CHAIN[name][mu, r] * row r, since w is z + i x or y + i t.
+CHAIN = MappingProxyType({"fiber": np.array([[1j, 0], [0, 1], [1, 0], [0, 0]]),
+                          "base": np.array([[0, 0], [1, 0], [0, 0], [1j, 0]])})
+for _table in CHAIN.values():
+    _table.flags.writeable = False
+AXES = (0, 1, 2, 3)  # the coordinates (x, y, z, t)
+_ROW_ORDERS = ((1, 0), (0, 1))  # the kernel (w_order, tau_order) of each row
+FACTOR_AXES = {name: tuple(np.flatnonzero(t.any(axis=1)).tolist()) for name, t in CHAIN.items()}
 
 
-def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
+def _names(which, axes) -> tuple:
+    names = (which,) if isinstance(which, str) else tuple(which)
+    if not set(names) <= set(CHAIN):
+        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(CHAIN)}")
+    if axes is not AXES and not (isinstance(axes, tuple) and axes and len(set(axes)) == len(axes)
+                                 and all(type(a) is int and 0 <= a < 4 for a in axes)):
+        raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
+    return names
+
+
+@functools.cache  # CHAIN is constant: a test that rebinds it replaces this cache too
+def _chain(names, axes):
+    """``chain`` of checked arguments, read-only, and the slice of the rows
+    (d/dw, d/dtau) it acts on: those the partials use, at least d/dw."""
+    used = [r for r in (0, 1) if any(CHAIN[n][a, r] for n in names for a in axes)] or [0]
+    rows = slice(used[0], used[-1] + 1)
+    tables = np.stack([CHAIN[n] for n in names])[:, axes, rows]
+    tables.flags.writeable = False
+    return tables, rows
+
+
+def chain(which, axes=AXES) -> np.ndarray:
+    """The chain table of ``factor(which, ..., gradients=True, axes=axes)``:
+    row mu gives the partial along ``axes[mu]`` from the R returned rows,
+    shape (len(axes), R), or (F, len(axes), R) for a tuple of F names."""
+    tables = _chain(_names(which, axes), axes)[0]
+    return tables[0] if isinstance(which, str) else tables
+
+
+def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False,
+           axes=AXES):
     """Segre factor lifts of the degree-k basis at (..., 4) points, one kernel call.
 
     ``which`` is "fiber", the values theta_k^p(z + i x, y + i), or "base",
     theta_k^q(y + i t, i), with the residue axis last, shape (..., k).  With
-    ``gradients`` it returns ``(values, partials)``, where the
-    (d/dx, d/dy, d/dz, d/dt) partials have shape (..., 4, k) and are the
-    literal zero array along every coordinate outside ``FACTOR_AXES[which]``.
-    A tuple of names stacks their factors on a leading axis, in one kernel
-    call: shape (F, ..., k) and (F, ..., 4, k).
+    ``gradients`` it returns ``(values, rows)``: of the kernel's derivative
+    rows d/dw and d/dtau only those the partials along ``axes`` need, shape
+    (..., R, k), which ``chain(which, axes)`` maps to the partials.  A tuple
+    of names stacks their factors on a leading axis, in one kernel call:
+    shape (F, ..., k) and (F, ..., R, k).
     """
-    names = (which,) if isinstance(which, str) else tuple(which)
-    if not set(names) <= set(_CHAIN):
-        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(_CHAIN)}")
+    names = _names(which, axes)
     pts = np.asarray(pts, dtype=float)
     w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
     tau = np.empty_like(w)
     for f, name in enumerate(names):
         w[f], tau[f] = _factor_args(name, pts)
-    orders = ((0, 0),)
-    if gradients:
-        orders += ((1, 0), (0, 1)) if any("tau" in _CHAIN[n] for n in names) else ((1, 0),)
-    vals, *derivs = th._degree_basis_batch(k, w, tau, policy, orders)
-    # The residue and partial axes move last as transposed views, so memory
+    orders = ((0, 0),) + (_ROW_ORDERS[_chain(names, axes)[1]] if gradients else ())
+    basis = th._degree_basis_batch(k, w, tau, policy, orders)
+    # The residue and row axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
-    out = vals.transpose(*range(1, vals.ndim), 0)
+    out = basis[0].transpose(*range(1, basis.ndim - 1), 0)
     if gradients:
-        rows = dict(zip(("w", "tau"), derivs), iw=1j * derivs[0])
-        partials = np.zeros((4,) + vals.shape, dtype=complex)
-        for f, name in enumerate(names):
-            for axis in FACTOR_AXES[name]:
-                partials[axis, :, f] = rows[_CHAIN[name][axis]][:, f]
-        out = out, partials.transpose(*range(2, vals.ndim + 1), 0, 1)
+        out = out, basis[1:].transpose(*range(2, basis.ndim), 0, 1)
     if isinstance(which, str):  # one factor: drop the stacking axis
         return tuple(x[0] for x in out) if gradients else out[0]
     return out
@@ -129,7 +152,16 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: 
 def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
     """``(fiber, base)``: both ``factor`` lifts, each as ``factor`` returns it."""
     both = factor(("fiber", "base"), k, pts, policy, gradients)
-    return tuple(zip(*both)) if gradients else tuple(both)
+    if not gradients:
+        return tuple(both)
+    return tuple((vals, rows[..., _chain((name,), AXES)[1], :])
+                 for name, vals, rows in zip(("fiber", "base"), *both))
+
+
+def _partial(rows, coefs):
+    """The partial a chain table row ``coefs`` gives: one row times 1 or i."""
+    r = coefs.nonzero()[0][0]
+    return rows[..., r, :] if coefs[r] == 1 else coefs[r] * rows[..., r, :]
 
 
 # The Segre products overflow where both factors are finite but large; like
@@ -153,13 +185,15 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
     # partial is not identically zero; every axis has at least one term.
     grads = np.empty(fiber.shape[:-1] + (4, k, k), dtype=complex)
     for axis in FACTOR_AXES["fiber"]:
-        np.multiply(d_fiber[..., axis, :, None], base[..., None, :], out=grads[..., axis, :, :])
+        np.multiply(_partial(d_fiber, CHAIN["fiber"][axis])[..., :, None], base[..., None, :],
+                    out=grads[..., axis, :, :])
     for axis in FACTOR_AXES["base"]:
         out = grads[..., axis, :, :]
+        d = _partial(d_base, CHAIN["base"][axis])[..., None, :]
         if axis in FACTOR_AXES["fiber"]:
-            out += fiber[..., :, None] * d_base[..., axis, None, :]
+            out += fiber[..., :, None] * d
         else:
-            np.multiply(fiber[..., :, None], d_base[..., axis, None, :], out=out)
+            np.multiply(fiber[..., :, None], d, out=out)
     return vals.reshape(vals.shape[:-2] + (k * k,)), grads.reshape(grads.shape[:-2] + (k * k,))
 
 

@@ -9,12 +9,15 @@ builds the Hermitian form
 whose real part is the pulled-back metric and whose imaginary part gives
 the pullback Omega = -(1/pi) Im b of (i/2pi) del delbar log |Z|^2.  Every
 pullback and differential rank is a view of this form; phi_k's is the sum
-of its two Segre factors' forms.  The chart oracle ``fs_normalization``
-integrates the pullback of C -> CP^1 over the chart and must return 1.
+of its two Segre factors' forms, each from at most two holomorphic rows
+through its chain table (``fs_hermitian``, ``sections.chain``).  The chart
+oracle ``fs_normalization`` integrates the pullback of C -> CP^1 over the
+chart and must return 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass
@@ -41,7 +44,7 @@ from .manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from .sections import FACTOR_AXES, factor
+from .sections import AXES, FACTOR_AXES, chain, factor
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -50,7 +53,7 @@ MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
+def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray | None = None):
     """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
 
     For lifts ``vals`` (B, n) with partials ``grads`` (B, 4, n) returns b of
@@ -59,46 +62,60 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray):
     and partials are divided by the point's largest |lift entry| first, so
     |F|^4 stays finite wherever the lift is; a lift that vanishes or is not
     finite, or a non-finite partial, leaves its row non-finite, without a
-    warning.
+    warning.  With chain ``tables`` (F, m, R), F stacked lifts (F, B, n)
+    take R rows each, (F, B, R, n), the partials are dF = table @ rows, and
+    b (B, m, m) and scale (B,) sum over the F lifts: the form of their Segre
+    product.
     """
-    inv_scale = 1.0 / np.abs(vals).max(axis=1)
-    vals = vals * inv_scale[:, None]
-    grads = grads * inv_scale[:, None, None]
-    n2 = np.einsum("bn,bn->b", vals.conj(), vals).real
-    c = np.einsum("bn,bmn->bm", vals.conj(), grads)
-    m = np.vecdot(grads[:, None], grads[:, :, None])  # conjugates its first argument
+    inv_scale = 1.0 / np.abs(vals).max(axis=-1)
+    vals = vals * inv_scale[..., None]
+    grads = grads * inv_scale[..., None, None]
+    conj = vals.conj()
+    n2 = np.einsum("...n,...n->...", conj, vals).real
+    c = np.einsum("...n,...mn->...m", conj, grads)
+    m = np.vecdot(grads[..., None, :, :], grads[..., :, None, :])  # conjugates its first argument
     # b = (m - c c^H / |F|^2) / |F|^2 in place, scaled by the real 1/|F|^2:
     # dividing by |F|^2 would make it complex and divide entry by entry
-    inv_n2 = (1.0 / n2)[:, None, None]
-    b = c[:, :, None] * c.conj()[:, None, :]
-    b *= -inv_n2
-    b += m
+    inv_n2 = (1.0 / n2)[..., None, None]
+    b = c[..., :, None] * c.conj()[..., None, :]
     b *= inv_n2
-    return b, np.einsum("bmm->b", m).real / n2
+    np.subtract(m, b, out=b)
+    b *= inv_n2
+    if tables is None:
+        return b, np.einsum("...mm->...", m).real / n2
+    npts, nm = b.shape[1], tables.shape[1]
+    kron, weights = _kron(tables.shape, np.asarray(tables, dtype=complex).tobytes())
+    b = (b.swapaxes(0, 1).reshape(npts, -1) @ kron).reshape(npts, nm, nm)
+    return b, np.einsum("fbrr,fbr->b", m.real, weights * inv_n2[..., 0])
+
+
+@functools.cache
+def _kron(shape, data):
+    """Chain tables (F, m, R), from their bytes, as the map (F*R*R, m*m) of the
+    rows' forms to the sum of the partials' forms chain b chain^H, exact: each
+    entry is one entry of b per lift times 0, +-1 or +-i; and each row's
+    weight in sum_mu |dF_mu|^2."""
+    c = np.frombuffer(data, dtype=complex).reshape(shape)
+    kron = np.einsum("fmr,fns->frsmn", c, c.conj()).reshape(-1, shape[1] ** 2)
+    return kron, (abs(c) ** 2).sum(axis=1)[:, None]
 
 
 def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY,
-                             axes=(0, 1, 2, 3)):
+                             axes=AXES):
     """``fs_hermitian`` of the named map at an (B, 4) array of points.
 
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
-    factors are evaluated, in one kernel call and one ``fs_hermitian`` call.
-    ``axes`` selects the partials, in order: b has shape (B, n, n) for n
-    axes, its entries those of the full form, and scale sums over them.
+    factors are evaluated, with the rows ``axes`` needs, in one kernel call
+    and one ``fs_hermitian`` call.  ``axes``, distinct ints in 0..3, selects
+    the partials, in order: b has shape (B, n, n) for n axes, its entries
+    those of the full form, and scale sums over them.
     """
     _check_map(map_id, FS_MAP_IDS)
-    vals, grads = factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, gradients=True)
-    if axes != (0, 1, 2, 3):
-        # The gather copies, so the full form skips it.  Gathering on
-        # ``factor``'s (4, k, ...) storage keeps the point axis innermost, so
-        # the Gram sums in the full form's order and its entries are bit-equal.
-        grads = np.moveaxis(np.moveaxis(grads, (-2, -1), (0, 1)).take(axes, axis=0),
-                            (0, 1), (-2, -1))
-    n = len(axes)
-    b, scale = fs_hermitian(vals.reshape(-1, k), grads.reshape(-1, n, k))  # the F*B rows
-    return b.reshape(len(vals), -1, n, n).sum(axis=0), scale.reshape(len(vals), -1).sum(axis=0)
+    names = MAP_FACTORS[map_id]
+    vals, rows = factor(names, k, np.atleast_2d(pts), policy, gradients=True, axes=axes)
+    return fs_hermitian(vals, rows, chain(names, axes))
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -177,9 +194,10 @@ def fs_normalization(max_radius: float = np.inf) -> float:
     theta = 0.5 * top * (nodes + 1.0)
     r = np.tan(theta)
     vals = np.stack([np.ones_like(r), r], axis=1).astype(complex)
-    grads = np.zeros((r.size, 4, 2), dtype=complex)
-    grads[:, :2, 1] = 1.0, 1.0j  # d/du, d/dv
-    coeff = _form(fs_hermitian(vals, grads)[0])[:, 0, 1]
+    # the lift's one row d/dw, with d/du = d/dw and d/dv = i d/dw
+    rows = np.broadcast_to([0.0, 1.0 + 0j], (1, r.size, 1, 2))
+    table = np.array([[[1], [1j], [0], [0]]])
+    coeff = _form(fs_hermitian(vals[None], rows, table)[0])[:, 0, 1]
     ring = 2.0 * math.pi * r * coeff / np.cos(theta) ** 2  # dr = sec^2(theta) dtheta
     return float(0.5 * top * weights @ ring)
 

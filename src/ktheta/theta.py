@@ -302,8 +302,8 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     """Degree-k basis values and derivatives on arrays of arguments.
 
     ``orders`` is a sequence of (w_order, tau_order) pairs.  Returns one
-    array of shape (k,) + broadcast(ws, taus).shape per pair: that
-    termwise derivative of every theta_k^p at (ws, taus), all from one
+    array of shape (len(orders), k) + broadcast(ws, taus).shape, per pair
+    that termwise derivative of every theta_k^p at (ws, taus), all from one
     (window, residue, point) array of series terms; see the module
     docstring.  Overflow leaves inf or NaN, without a warning, for callers to type.
     """
@@ -382,16 +382,17 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
             d = nc + p_minus_k
             c0 = mc * d
             c1 = kmc + d
-    out = []
-    for zo, to in orders:
+    if count == 1 and len(orders) == 1:  # the value alone: its moment is the output
+        return moments.reshape((1, k) + shape)
+    out = np.empty((len(orders), k) + shape, dtype=complex)
+    for x, (zo, to) in zip(out.reshape(len(orders), k, w.size), orders):
         seq = moments[:zo + 2 * to + 1]
         for _ in range(to):
             seq = c0 * seq[:-2] + c1 * seq[1:-1] + k * seq[2:]
         for _ in range(zo):
             seq = nc * seq[:-1] + k * seq[1:]
-        x = seq[0] if not (zo or to) else (2j * math.pi) ** zo * (1j * math.pi) ** to * seq[0]
-        out.append(x.reshape((k,) + shape))
-    return tuple(out)
+        x[...] = seq[0] if not (zo or to) else (2j * math.pi) ** zo * (1j * math.pi) ** to * seq[0]
+    return out
 
 
 def theta_degree_k(

@@ -338,10 +338,31 @@ class TestInjectivityScan:
         with pytest.raises(ValueError):
             injectivity_scan(3, 1, 0)
 
-    @pytest.mark.parametrize("k, n, seed", [(3, 2000, 42), (16, 2000, 1), (2, 500, 3)])
+    @pytest.mark.parametrize("k, n, seed", [(3, 2000, 42), (16, 2000, 1), (2, 500, 3),
+                                            (5, 2000, 7), (16, 2000, 7)])
     def test_matches_full_sort_reference(self, k, n, seed):
         report = injectivity_scan(k, n, seed)
         assert report_fields(report) == full_sort_scan(k, fundamental_domain_samples(n, seed))
+
+    def test_builds_no_k2_lift_beyond_the_witness_pair(self, monkeypatch):
+        # the Gram comes from the factor Grams; only the witness pair's two
+        # k^2 rows are formed, for its chordal distance
+        k, widths = 16, []
+        normalize = embedding_module.unit_rows
+
+        def recording(lifts):
+            widths.append(np.shape(lifts))
+            return normalize(lifts)
+
+        def no_lift(*args, **kwargs):
+            raise AssertionError("k^2 lift built by the injectivity scan")
+
+        monkeypatch.setattr(embedding_module, "unit_rows", recording)
+        monkeypatch.setattr(embedding_module, "section_matrix", no_lift)
+        monkeypatch.setattr(embedding_module, "phi_batch", no_lift)
+        report = injectivity_scan(k, 300, 7)
+        wide = [shape for shape in widths if shape[-1] == k * k]
+        assert report.passed and wide and all(math.prod(shape[:-1]) <= 2 for shape in wide)
 
     @pytest.mark.parametrize("n", [2, SCAN_ROWS, SCAN_ROWS + 1, 2 * SCAN_ROWS + 3])
     def test_block_edges_match_reference(self, n):

@@ -9,6 +9,7 @@ reaches the report's residual.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -198,10 +199,13 @@ def projection_term_dropped(monkeypatch):
     """The Fubini-Study form keeps <dF, dF>/|F|^2 and drops the projection term."""
 
     def make(fs_hermitian):
-        def faulty(vals, grads):
-            n2 = np.einsum("bn,bn->b", vals.conj(), vals).real
-            m = np.einsum("bmn,bln->bml", grads, grads.conj())
-            return m / n2[:, None, None], fs_hermitian(vals, grads)[1]
+        def faulty(vals, grads, tables=None):
+            if tables is not None:  # the partials from the holomorphic rows, summed
+                b, scale = faulty(vals, np.einsum("fmr,fbrn->fbmn", tables, grads))
+                return b.sum(axis=0), scale.sum(axis=0)
+            n2 = np.einsum("...n,...n->...", vals.conj(), vals).real
+            m = np.einsum("...mn,...ln->...ml", grads, grads.conj())
+            return m / n2[..., None, None], fs_hermitian(vals, grads)[1]
 
         return faulty
 
@@ -245,7 +249,9 @@ def nan_integral(monkeypatch):
 @mutation("derivative_crosscheck")
 def chain_rule_y_and_t_swapped(monkeypatch):
     """The base factor's chain rule swaps its y and t rows."""
-    monkeypatch.setitem(sections._CHAIN, "base", (None, "iw", None, "w"))
+    swapped = np.array([[0, 0], [1j, 0], [0, 0], [1, 0]])
+    monkeypatch.setattr(sections, "CHAIN", {**sections.CHAIN, "base": swapped})
+    monkeypatch.setattr(sections, "_chain", functools.cache(sections._chain.__wrapped__))
 
 
 def test_every_suite_has_a_mutation():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -39,9 +40,10 @@ from ktheta.manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from ktheta.sections import factor, factors, section_matrix_with_gradients
+from ktheta.sections import chain, factor, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
+    MAP_FACTORS,
     TORUS_AXES,
     chern_cocycle,
     chern_for_generator_pair,
@@ -144,23 +146,36 @@ def _differential_ranks(vals, grads, tol):
     return ranks
 
 
+def _factor_partials(k, pts):
+    """Stacked fiber and base lifts (2, B, k) and their (d/dx, d/dy, d/dz, d/dt)
+    partials (2, B, 4, k), the kernel rows through the chain tables, with the
+    point axis innermost in memory, as ``factor`` lays out its arrays."""
+    vals, rows = factor(("fiber", "base"), k, pts, gradients=True)
+    grads = np.einsum("fmr,rnfb->mnfb", chain(("fiber", "base")), rows.transpose(2, 3, 0, 1),
+                      order="C")
+    return vals, grads.transpose(2, 3, 0, 1)
+
+
 def _oracle_lift(map_id, k, pts):
     """The k^2 lift of phi_k, or the factor lift of psi' or psi''."""
     if map_id == "phi_k":
         return section_matrix_with_gradients(k, pts)
-    fiber, base = factors(k, pts, gradients=True)
-    return fiber if map_id == "psi_prime" else base
+    vals, grads = _factor_partials(k, pts)
+    f = 0 if map_id == "psi_prime" else 1
+    return vals[f], grads[f]
 
 
 def _fs_vdot_reference(vals, grads):
     """``fs_hermitian`` point by point from np.vdot, which conjugates its first
-    argument: b_{mu nu} = <dF_nu, dF_mu>/|F|^2 - <F, dF_mu><dF_nu, F>/|F|^4."""
-    b = np.empty((len(vals), 4, 4), dtype=complex)
+    argument: b_{mu nu} = <dF_nu, dF_mu>/|F|^2 - <F, dF_mu><dF_nu, F>/|F|^4,
+    over the partials that ``grads`` (B, m, n) holds."""
+    rows = grads.shape[1]
+    b = np.empty((len(vals), rows, rows), dtype=complex)
     scale = np.empty(len(vals))
     for p, (f, df) in enumerate(zip(vals, grads)):
         n2 = np.vdot(f, f).real
-        for mu in range(4):
-            for nu in range(4):
+        for mu in range(rows):
+            for nu in range(rows):
                 b[p, mu, nu] = (np.vdot(df[nu], df[mu]) / n2
                                 - np.vdot(f, df[mu]) * np.vdot(df[nu], f) / n2**2)
         scale[p] = sum(np.vdot(d, d).real for d in df) / n2
@@ -172,7 +187,7 @@ def _lift_rows(layout, n, pts):
     ``factor`` lays them out (point axis innermost), or C-ordered arrays,
     the k^2 lifts where n is a square."""
     if layout == "factor" or math.isqrt(n) ** 2 != n:
-        vals, grads = factor(("fiber", "base"), n, pts, gradients=True)
+        vals, grads = _factor_partials(n, pts)
         vals, grads = vals.reshape(-1, n), grads.reshape(-1, 4, n)
         if layout == "c":
             vals, grads = np.ascontiguousarray(vals), np.ascontiguousarray(grads)
@@ -254,6 +269,47 @@ class TestFactoredHermitianForm:
     def test_tol_below_metric_resolution_rejected(self):
         with pytest.raises(ValueError, match="at least 1e-07"):
             projective_rank(3, U0, tol=5e-8)
+
+    @pytest.mark.parametrize("n", [1, 500])
+    @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (0, 2), (1, 3), (1, 2)])
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_holomorphic_rows_match_four_row_vdot_reference(self, k, map_id, axes, n):
+        # the form from the kernel's rows and the chain table against the
+        # per-point vdot form of each factor's four coordinate partials
+        pts = fundamental_domain_samples(n, 90 + k)
+        b, scale = hermitian_pullback_batch(map_id, k, pts, axes=axes)
+        vals, grads = _factor_partials(k, pts)
+        refs = [_fs_vdot_reference(vals[f], grads[f][:, list(axes)])
+                for f, name in enumerate(("fiber", "base")) if name in MAP_FACTORS[map_id]]
+        want_b, want_scale = sum(r[0] for r in refs), sum(r[1] for r in refs)
+        assert b.shape == (n, len(axes), len(axes)) and scale.shape == (n,)
+        assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
+        assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
+
+    @pytest.mark.parametrize("axes", [(0, 4), (), (-1,), (0.5,), (1, 1), [0, 1], (True,)])
+    def test_invalid_axes_rejected(self, axes):
+        with pytest.raises(ValueError, match=re.escape(f"got {axes!r}")):
+            hermitian_pullback_batch("phi_k", 3, self.PTS[:2], axes=axes)
+
+    def test_kernel_orders_follow_axes(self, monkeypatch):
+        # T_ca and T_bd need only d/dw rows; T_cb's fiber needs d/dtau for y
+        requested = []
+        kernel = theta_module._degree_basis_batch
+
+        def recording(k, ws, taus, policy, orders):
+            requested.append(tuple(orders))
+            return kernel(k, ws, taus, policy, orders)
+
+        monkeypatch.setattr(theta_module, "_degree_basis_batch", recording)
+        for tid, want in (("T_ca", ((0, 0), (1, 0))), ("T_bd", ((0, 0), (1, 0))),
+                          ("T_cb", ((0, 0), (1, 0), (0, 1)))):
+            requested.clear()
+            integrate_over_torus("phi_k", 3, BasisTorus(tid), 8)
+            assert requested == [want]
+        requested.clear()
+        hermitian_pullback_batch("psi_double_prime", 3, self.PTS[:5])
+        assert requested == [((0, 0), (1, 0))]
 
     def test_metric_paths_build_no_k2_lift(self, monkeypatch):
         kernel_calls = []

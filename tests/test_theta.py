@@ -592,11 +592,15 @@ class TestDegreeBasisKernel:
         # it may sum more terms than a single call: equal up to roundoff, 1e-14
         # of the point's largest entry.
         pts = POINT_SETS[where]()
-        vals, partials = sections_mod.factor(("fiber", "base"), k, pts, gradients=True)
-        assert vals.shape == (2, len(pts), k) and partials.shape == (2, len(pts), 4, k)
+        # The partials compared are the rows through each factor's chain table.
+        vals, rows = sections_mod.factor(("fiber", "base"), k, pts, gradients=True)
+        assert vals.shape == (2, len(pts), k) and rows.shape == (2, len(pts), 2, k)
+        tables = sections_mod.chain(("fiber", "base"))
         for f, which in enumerate(("fiber", "base")):
-            for got, want in zip((vals[f], partials[f]),
-                                 sections_mod.factor(which, k, pts, gradients=True)):
+            one_vals, one_rows = sections_mod.factor(which, k, pts, gradients=True)
+            for got, want in ((vals[f], one_vals),
+                              (np.einsum("mr,brn->bmn", tables[f], rows[f]),
+                               np.einsum("mr,brn->bmn", sections_mod.chain(which), one_rows))):
                 scale = np.abs(want).reshape(len(pts), -1).max(axis=1)
                 diff = np.abs(got - want).reshape(len(pts), -1).max(axis=1)
                 assert np.isfinite(scale).all() and np.all(diff <= 1e-14 * scale)
