@@ -45,7 +45,6 @@ from .manifold import (
 from .sections import (
     ZetaShift,
     factor,
-    factors,
     fit_in_span,
     section_matrix,
     section_matrix_with_gradients,
@@ -385,7 +384,7 @@ def check_segre_factorization(cfg: RunConfig) -> CheckReport:
     pts = fundamental_domain_samples(n, cfg.seed + 16)
     policy = cfg.policy
     lifts = phi_batch(cfg.k, pts, policy)
-    fiber, base = factors(cfg.k, pts, policy)
+    fiber, base = factor(("fiber", "base"), cfg.k, pts, policy)
     combined = np.einsum("bp,bq->bpq", fiber, base).reshape(n, -1)
     return _finish({"k": cfg.k}, n, chordal_distances(lifts, combined), 1e-12)
 

@@ -24,7 +24,7 @@ from .manifold import (
     quotient_distance,
     reduce_point,
 )
-from .sections import factor, factors, section_matrix
+from .sections import factor, section_matrix
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
@@ -130,7 +130,7 @@ def phi_batch(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
 
 def _differential_ranks(vals, grads, tol):
     """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n)."""
-    return hermitian_ranks(*fs_hermitian(vals, grads), tol)
+    return hermitian_ranks(*fs_hermitian(vals[None], grads[None], np.eye(4)[None]), tol)
 
 
 def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POLICY) -> int:
@@ -182,7 +182,7 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
         raise ValueError("need at least two samples")
     d_min, threshold = 1e-3, 1e-6
     pts = fundamental_domain_samples(n_samples, seed)
-    raw = factors(k, pts, policy)
+    raw = factor(("fiber", "base"), k, pts, policy)
     fiber, base = (unit_rows(f) for f in raw)
 
     # The Gram's upper triangle |<f_i, f_j> <g_i, g_j>|^2, i < j, in row-major

@@ -11,13 +11,13 @@ is spanned by the k^2 products
 
 flattened project-wide as index p*k + q.  ``factor`` evaluates the fiber
 map psi' = theta_k^p(z + i x, y + i), the base map psi'' = theta_k^q(y + i t, i)
-or both in one kernel call, with the derivative rows d/dw and d/dtau the
-requested coordinates need; ``factors`` is the pair.  The chain table
-``CHAIN`` gives each coordinate partial as one row times 1 or i, and
-``FACTOR_AXES`` the coordinates each factor depends on, fiber (x, y, z) and
-base (y, t).  The basis values are the factors' Segre outer product and the
-basis gradients follow by the product rule.  Sections transform under the
-deck group by the k-th power of the multiplicators.
+or both in one kernel call; given coordinate axes, it adds the derivative
+rows d/dw and d/dtau their partials need and the chain table, cut from
+``CHAIN``, that gives each partial as one row times 1 or i.
+``FACTOR_AXES`` gives the coordinates each factor depends on, fiber
+(x, y, z) and base (y, t).  The basis values are the factors' Segre outer
+product and the basis gradients follow by the product rule.  Sections
+transform under the deck group by the k-th power of the multiplicators.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class ZetaShift:
 def _factor_args(which: str, pts: np.ndarray):
     """Theta argument w and modulus tau of one factor at (..., 4) points."""
     pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1:] != (4,):
+        raise ValueError(f"points must have shape (..., 4), got {pts.shape}")
     if which == "fiber":
         return pts[..., 2] + 1j * pts[..., 0], pts[..., 1] + 1j
     w = pts[..., 1] + 1j * pts[..., 3]
@@ -89,20 +91,11 @@ _ROW_ORDERS = ((1, 0), (0, 1))  # the kernel (w_order, tau_order) of each row
 FACTOR_AXES = {name: tuple(np.flatnonzero(t.any(axis=1)).tolist()) for name, t in CHAIN.items()}
 
 
-def _names(which, axes) -> tuple:
-    names = (which,) if isinstance(which, str) else tuple(which)
-    if not set(names) <= set(CHAIN):
-        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(CHAIN)}")
-    if axes is not AXES and not (isinstance(axes, tuple) and axes and len(set(axes)) == len(axes)
-                                 and all(type(a) is int and 0 <= a < 4 for a in axes)):
-        raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
-    return names
-
-
 @functools.cache  # CHAIN is constant: a test that rebinds it replaces this cache too
 def _chain(names, axes):
-    """``chain`` of checked arguments, read-only, and the slice of the rows
-    (d/dw, d/dtau) it acts on: those the partials use, at least d/dw."""
+    """The read-only chain tables ``factor`` returns for checked names and
+    axes, and the slice of the rows (d/dw, d/dtau) they act on: those the
+    partials use, at least d/dw."""
     used = [r for r in (0, 1) if any(CHAIN[n][a, r] for n in names for a in axes)] or [0]
     rows = slice(used[0], used[-1] + 1)
     tables = np.stack([CHAIN[n] for n in names])[:, axes, rows]
@@ -110,52 +103,41 @@ def _chain(names, axes):
     return tables, rows
 
 
-def chain(which, axes=AXES) -> np.ndarray:
-    """The chain table of ``factor(which, ..., gradients=True, axes=axes)``:
-    row mu gives the partial along ``axes[mu]`` from the R returned rows,
-    shape (len(axes), R), or (F, len(axes), R) for a tuple of F names."""
-    tables = _chain(_names(which, axes), axes)[0]
-    return tables[0] if isinstance(which, str) else tables
-
-
-def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False,
-           axes=AXES):
+def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
     """Segre factor lifts of the degree-k basis at (..., 4) points, one kernel call.
 
     ``which`` is "fiber", the values theta_k^p(z + i x, y + i), or "base",
-    theta_k^q(y + i t, i), with the residue axis last, shape (..., k).  With
-    ``gradients`` it returns ``(values, rows)``: of the kernel's derivative
-    rows d/dw and d/dtau only those the partials along ``axes`` need, shape
-    (..., R, k), which ``chain(which, axes)`` maps to the partials.  A tuple
-    of names stacks their factors on a leading axis, in one kernel call:
-    shape (F, ..., k) and (F, ..., R, k).
+    theta_k^q(y + i t, i), with the residue axis last, shape (..., k).  Given
+    ``axes``, distinct ints in 0..3, it returns ``(values, rows, table)``:
+    the kernel's derivative rows d/dw and d/dtau that the partials along
+    ``axes`` need, shape (..., R, k), and the read-only chain table
+    (len(axes), R) whose row mu gives the partial along ``axes[mu]`` as
+    ``table[mu] @ rows``.  A tuple of F names stacks their factors on a
+    leading axis in one kernel call: (F, ..., k), (F, ..., R, k), (F, len(axes), R).
     """
-    names = _names(which, axes)
+    names = (which,) if isinstance(which, str) else tuple(which)
+    if not set(names) <= set(CHAIN):
+        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(CHAIN)}")
+    if axes is not None and axes is not AXES and not (
+            isinstance(axes, tuple) and axes and len(set(axes)) == len(axes)
+            and all(type(a) is int and 0 <= a < 4 for a in axes)):
+        raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
     pts = np.asarray(pts, dtype=float)
     w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
     tau = np.empty_like(w)
     for f, name in enumerate(names):
         w[f], tau[f] = _factor_args(name, pts)
-    orders = ((0, 0),) + (_ROW_ORDERS[_chain(names, axes)[1]] if gradients else ())
-    basis = th._degree_basis_batch(k, w, tau, policy, orders)
+    tables, rows = (None, slice(0)) if axes is None else _chain(names, axes)
+    basis = th._degree_basis_batch(k, w, tau, policy, ((0, 0),) + _ROW_ORDERS[rows])
     # The residue and row axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
-    out = basis[0].transpose(*range(1, basis.ndim - 1), 0)
-    if gradients:
-        out = out, basis[1:].transpose(*range(2, basis.ndim), 0, 1)
+    out = (basis[0].transpose(*range(1, basis.ndim - 1), 0),)
+    if axes is not None:
+        out += (basis[1:].transpose(*range(2, basis.ndim), 0, 1), tables)
     if isinstance(which, str):  # one factor: drop the stacking axis
-        return tuple(x[0] for x in out) if gradients else out[0]
-    return out
-
-
-def factors(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, gradients: bool = False):
-    """``(fiber, base)``: both ``factor`` lifts, each as ``factor`` returns it."""
-    both = factor(("fiber", "base"), k, pts, policy, gradients)
-    if not gradients:
-        return tuple(both)
-    return tuple((vals, rows[..., _chain((name,), AXES)[1], :])
-                 for name, vals, rows in zip(("fiber", "base"), *both))
+        out = tuple(x[0] for x in out)
+    return out[0] if axes is None else out
 
 
 def _partial(rows, coefs):
@@ -169,7 +151,7 @@ def _partial(rows, coefs):
 @np.errstate(over="ignore", invalid="ignore")
 def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Values of all k^2 basis sections at (..., 4) points, shape (..., k^2)."""
-    fiber, base = factors(k, np.atleast_2d(pts), policy)
+    fiber, base = factor(("fiber", "base"), k, np.atleast_2d(pts), policy)
     return (fiber[..., :, None] * base[..., None, :]).reshape(fiber.shape[:-1] + (k * k,))
 
 
@@ -179,17 +161,18 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
 
     Gradients are analytic chain-rule derivatives; no finite differences.
     """
-    (fiber, d_fiber), (base, d_base) = factors(k, np.atleast_2d(pts), policy, gradients=True)
+    (fiber, base), (d_fiber, d_base), (c_fiber, c_base) = factor(
+        ("fiber", "base"), k, np.atleast_2d(pts), policy, AXES)
     vals = fiber[..., :, None] * base[..., None, :]
     # The product rule, term by term only along the axes where the factor's
     # partial is not identically zero; every axis has at least one term.
     grads = np.empty(fiber.shape[:-1] + (4, k, k), dtype=complex)
     for axis in FACTOR_AXES["fiber"]:
-        np.multiply(_partial(d_fiber, CHAIN["fiber"][axis])[..., :, None], base[..., None, :],
+        np.multiply(_partial(d_fiber, c_fiber[axis])[..., :, None], base[..., None, :],
                     out=grads[..., axis, :, :])
     for axis in FACTOR_AXES["base"]:
         out = grads[..., axis, :, :]
-        d = _partial(d_base, CHAIN["base"][axis])[..., None, :]
+        d = _partial(d_base, c_base[axis])[..., None, :]
         if axis in FACTOR_AXES["fiber"]:
             out += fiber[..., :, None] * d
         else:

@@ -10,7 +10,7 @@ whose real part is the pulled-back metric and whose imaginary part gives
 the pullback Omega = -(1/pi) Im b of (i/2pi) del delbar log |Z|^2.  Every
 pullback and differential rank is a view of this form; phi_k's is the sum
 of its two Segre factors' forms, each from at most two holomorphic rows
-through its chain table (``fs_hermitian``, ``sections.chain``).  The chart
+through the chain table ``sections.factor`` returns with them.  The chart
 oracle ``fs_normalization`` integrates the pullback of C -> CP^1 over the
 chart and must return 1.
 """
@@ -44,7 +44,7 @@ from .manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from .sections import AXES, FACTOR_AXES, chain, factor
+from .sections import AXES, FACTOR_AXES, factor
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -53,19 +53,18 @@ MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray | None = None):
-    """Fubini-Study Hermitian form of batched lifts, and its roundoff scale.
+def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
+    """Fubini-Study Hermitian form of the Segre product of F lifts, and its scale.
 
-    For lifts ``vals`` (B, n) with partials ``grads`` (B, 4, n) returns b of
-    shape (B, 4, 4), as in the module docstring, and scale = sum |dF|^2/|F|^2
-    of shape (B,), which bounds b's terms and so sets their roundoff.  Lift
-    and partials are divided by the point's largest |lift entry| first, so
-    |F|^4 stays finite wherever the lift is; a lift that vanishes or is not
-    finite, or a non-finite partial, leaves its row non-finite, without a
-    warning.  With chain ``tables`` (F, m, R), F stacked lifts (F, B, n)
-    take R rows each, (F, B, R, n), the partials are dF = table @ rows, and
-    b (B, m, m) and scale (B,) sum over the F lifts: the form of their Segre
-    product.
+    The lifts ``vals`` (F, B, n) take R rows each, ``grads`` (F, B, R, n),
+    and lift f's m partials are dF = tables[f] @ rows, ``tables`` (F, m, R);
+    one lift (B, n) with partials (B, 4, n) takes ``np.eye(4)[None]``.
+    Returns b (B, m, m), the module docstring's form summed over the lifts,
+    and scale = sum |dF|^2/|F|^2 (B,), which bounds b's terms and so sets
+    their roundoff.  Lift and rows are divided by the point's largest |lift
+    entry| first, so |F|^4 stays finite wherever the lift is; a lift that
+    vanishes or is not finite, or a non-finite row, leaves its b and scale
+    non-finite, without a warning.
     """
     inv_scale = 1.0 / np.abs(vals).max(axis=-1)
     vals = vals * inv_scale[..., None]
@@ -81,8 +80,6 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray | None 
     b *= inv_n2
     np.subtract(m, b, out=b)
     b *= inv_n2
-    if tables is None:
-        return b, np.einsum("...mm->...", m).real / n2
     npts, nm = b.shape[1], tables.shape[1]
     kron, weights = _kron(tables.shape, np.asarray(tables, dtype=complex).tobytes())
     b = (b.swapaxes(0, 1).reshape(npts, -1) @ kron).reshape(npts, nm, nm)
@@ -100,22 +97,16 @@ def _kron(shape, data):
     return kron, (abs(c) ** 2).sum(axis=1)[:, None]
 
 
-def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY,
-                             axes=AXES):
+def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY):
     """``fs_hermitian`` of the named map at an (B, 4) array of points.
 
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
-    factors are evaluated, with the rows ``axes`` needs, in one kernel call
-    and one ``fs_hermitian`` call.  ``axes``, distinct ints in 0..3, selects
-    the partials, in order: b has shape (B, n, n) for n axes, its entries
-    those of the full form, and scale sums over them.
+    factors are evaluated, in one kernel call and one ``fs_hermitian`` call.
     """
     _check_map(map_id, FS_MAP_IDS)
-    names = MAP_FACTORS[map_id]
-    vals, rows = factor(names, k, np.atleast_2d(pts), policy, gradients=True, axes=axes)
-    return fs_hermitian(vals, rows, chain(names, axes))
+    return fs_hermitian(*factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, AXES))
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -329,9 +320,7 @@ def integrate_over_torus(
     spanning = tuple(w for w in MAP_FACTORS[map_id] if {i, j} <= set(FACTOR_AXES[w]))
     if not spanning:
         return 0.0
-    # the spanning factors are themselves a map: psi', psi'' or phi_k
-    sub_map = next(m for m, names in MAP_FACTORS.items() if names == spanning)
-    b, _ = hermitian_pullback_batch(sub_map, k, torus.grid_points(grid), policy, axes=(i, j))
+    b, _ = fs_hermitian(*factor(spanning, k, torus.grid_points(grid), policy, (i, j)))
     return float(np.mean(_form(b)[:, 0, 1]))
 
 

@@ -177,11 +177,24 @@ def _eval_series(zs, taus, policy, orders):
     return [x[0] for x in _degree_basis_batch(1, zs, taus, policy, orders)]
 
 
+def _check_orders(orders) -> tuple:
+    """``orders`` as a tuple, if it is a nonempty sequence of (z_order,
+    tau_order) pairs of nonnegative ints; otherwise ValueError."""
+    orders = tuple(orders)
+    if not orders:
+        raise ValueError("orders must hold at least one (z_order, tau_order) pair")
+    for order in orders:
+        if not (isinstance(order, (tuple, list, np.ndarray)) and len(order) == 2
+                and all(isinstance(n, (int, np.integer)) and n >= 0 for n in order)):
+            raise ValueError(f"derivative order {order!r} is not a pair of nonnegative ints")
+    return orders
+
+
 def theta_batch(zs, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_POLICY):
     """Termwise derivatives of theta on arrays of arguments, in one series
     evaluation: one array of shape broadcast(zs, taus).shape per
     (z_order, tau_order) in ``orders``, each within policy.epsilon."""
-    return _eval_series(zs, taus, policy, orders)
+    return _eval_series(zs, taus, policy, _check_orders(orders))
 
 
 def theta(arg: ThetaArgument, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -196,9 +209,7 @@ def theta_deriv(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Termwise derivative d^{z_order}/dz d^{tau_order}/dtau of theta."""
-    if z_order < 0 or tau_order < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    return complex(_eval_series(arg.z, arg.tau, policy, [(z_order, tau_order)])[0])
+    return complex(theta_batch(arg.z, arg.tau, [(z_order, tau_order)], policy)[0])
 
 
 def theta_zero(tau: complex) -> complex:

@@ -199,13 +199,11 @@ def projection_term_dropped(monkeypatch):
     """The Fubini-Study form keeps <dF, dF>/|F|^2 and drops the projection term."""
 
     def make(fs_hermitian):
-        def faulty(vals, grads, tables=None):
-            if tables is not None:  # the partials from the holomorphic rows, summed
-                b, scale = faulty(vals, np.einsum("fmr,fbrn->fbmn", tables, grads))
-                return b.sum(axis=0), scale.sum(axis=0)
+        def faulty(vals, grads, tables):
+            d = np.einsum("fmr,fbrn->fbmn", tables, grads)  # the partials from the rows
             n2 = np.einsum("...n,...n->...", vals.conj(), vals).real
-            m = np.einsum("...mn,...ln->...ml", grads, grads.conj())
-            return m / n2[..., None, None], fs_hermitian(vals, grads)[1]
+            m = np.einsum("...mn,...ln->...ml", d, d.conj())
+            return (m / n2[..., None, None]).sum(axis=0), fs_hermitian(vals, grads, tables)[1]
 
         return faulty
 

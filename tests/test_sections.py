@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,14 +26,13 @@ from ktheta.checks import (
     check_segre_factorization,
     check_separating_sections,
 )
-from ktheta.embedding import psi_double_prime, psi_prime
+from ktheta.embedding import phi_batch, psi_double_prime, psi_prime
 from ktheta.manifold import GENERATORS, multiplicator
 from ktheta.sections import (
+    AXES,
     BASE_TAU,
     FACTOR_AXES,
-    chain,
     factor,
-    factors,
     section_matrix,
     section_matrix_with_gradients,
     separating_section,
@@ -55,10 +55,10 @@ def product_fit_residual(zetas, k, pts):
     return fit_in_span(list(zip(map(KTPoint.from_array, pts), shift_product(zetas, pts))), k)[1]
 
 
-def partials(which, rows):
+def partials(rows, table):
     """A factor's (d/dx, d/dy, d/dz, d/dt) partials (..., 4, k) from its
     kernel rows, through its chain table."""
-    return np.einsum("mr,...rn->...mn", chain(which), rows)
+    return np.einsum("mr,...rn->...mn", table, rows)
 
 
 def gradient_at(idx, u):
@@ -174,8 +174,8 @@ class TestGradients:
         pts = fundamental_domain_samples(10, 40 + k)[:math.prod(shape[:-1])].reshape(shape)
         vals, grads = section_matrix_with_gradients(k, pts)
         # the product rule along every axis, adding the factors' zero partials too
-        (fiber, d_fiber), (base, d_base) = factors(k, np.atleast_2d(pts), gradients=True)
-        d_fiber, d_base = partials("fiber", d_fiber), partials("base", d_base)
+        (fiber, base), rows, tables = factor(("fiber", "base"), k, np.atleast_2d(pts), axes=AXES)
+        d_fiber, d_base = partials(rows[0], tables[0]), partials(rows[1], tables[1])
         want = d_fiber[..., :, None] * base[..., None, None, :]
         want += fiber[..., None, :, None] * d_base[..., None, :]
         want_vals = fiber[..., :, None] * base[..., None, :]
@@ -273,7 +273,7 @@ class TestFactors:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_values_match_classical_basis(self, k):
         pts = shift_test_points()
-        fiber, base = factors(k, pts)
+        fiber, base = factor(("fiber", "base"), k, pts)
         assert fiber.shape == base.shape == (len(pts), k)
         for i, (x, y, z, t) in enumerate(pts):
             for p in range(k):
@@ -287,13 +287,14 @@ class TestFactors:
     def test_partials_match_finite_differences(self, k):
         h = 1e-6
         pts = fundamental_domain_samples(8, 40 + k)
-        (fiber, d_fiber), (base, d_base) = factors(k, pts, gradients=True)
+        _, d_fiber, c_fiber = factor("fiber", k, pts, axes=AXES)
+        _, d_base, c_base = factor("base", k, pts, axes=AXES)
         assert d_fiber.shape == (8, 2, k) and d_base.shape == (8, 1, k)
-        d_fiber, d_base = partials("fiber", d_fiber), partials("base", d_base)
+        d_fiber, d_base = partials(d_fiber, c_fiber), partials(d_base, c_base)
         for axis in range(4):
             e = np.zeros(4)
             e[axis] = h
-            plus, minus = factors(k, pts + e), factors(k, pts - e)
+            plus, minus = (factor(("fiber", "base"), k, pts + s * e) for s in (1, -1))
             for which, d in ((0, d_fiber), (1, d_base)):
                 fd = (plus[which] - minus[which]) / (2 * h)
                 scale = np.maximum(np.abs(d[:, axis]), 1.0)
@@ -315,7 +316,7 @@ class TestFactors:
         pts = fundamental_domain_samples(40, 50 + k)
         assert FACTOR_AXES == {"fiber": (0, 1, 2), "base": (1, 3)}
         for which in ("fiber", "base"):
-            d = partials(which, factor(which, k, pts, gradients=True)[1])
+            d = partials(*factor(which, k, pts, axes=AXES)[1:])
             for axis in range(4):
                 if axis in FACTOR_AXES[which]:
                     assert np.any(d[:, axis] != 0)
@@ -324,13 +325,24 @@ class TestFactors:
 
     def test_factors_is_the_pair_of_factor(self):
         pts = fundamental_domain_samples(12, 7)
-        for (got_vals, got_partials), which in zip(factors(3, pts, gradients=True),
-                                                   ("fiber", "base")):
-            vals, partials = factor(which, 3, pts, gradients=True)
-            assert np.array_equal(got_vals, vals) and np.array_equal(got_partials, partials)
+        got_vals, got_rows, got_tables = factor(("fiber", "base"), 3, pts, axes=AXES)
+        for f, which in enumerate(("fiber", "base")):
+            vals, rows, table = factor(which, 3, pts, axes=AXES)
+            assert np.array_equal(got_vals[f], vals)
+            assert np.array_equal(partials(got_rows[f], got_tables[f]), partials(rows, table))
             assert np.array_equal(factor(which, 3, pts), vals)
         with pytest.raises(ValueError, match="unknown factor"):
             factor("total", 3, pts)
+
+    @pytest.mark.parametrize("call", [
+        lambda pts: factor("fiber", 3, pts), lambda pts: phi_batch(3, pts),
+        lambda pts: fs_pullback_batch("phi_k", 3, pts),
+        lambda pts: shift_product([ZetaShift(0.1, 0.2)], pts),
+    ], ids=["factor", "phi_batch", "fs_pullback_batch", "shift_product"])
+    @pytest.mark.parametrize("shape", [(2, 3), (5,), (2, 4, 1)])
+    def test_points_without_four_coordinates_rejected(self, call, shape):
+        with pytest.raises(ValueError, match=re.escape("points must have shape (..., 4), got (")):
+            call(np.zeros(shape))
 
     def test_basis_calls(self, monkeypatch):
         # phi_k is assembled from one stacked fiber-and-base evaluation, psi'

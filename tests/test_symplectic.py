@@ -40,7 +40,7 @@ from ktheta.manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from ktheta.sections import chain, factor, section_matrix_with_gradients
+from ktheta.sections import AXES, factor, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
     MAP_FACTORS,
@@ -150,9 +150,8 @@ def _factor_partials(k, pts):
     """Stacked fiber and base lifts (2, B, k) and their (d/dx, d/dy, d/dz, d/dt)
     partials (2, B, 4, k), the kernel rows through the chain tables, with the
     point axis innermost in memory, as ``factor`` lays out its arrays."""
-    vals, rows = factor(("fiber", "base"), k, pts, gradients=True)
-    grads = np.einsum("fmr,rnfb->mnfb", chain(("fiber", "base")), rows.transpose(2, 3, 0, 1),
-                      order="C")
+    vals, rows, tables = factor(("fiber", "base"), k, pts, axes=AXES)
+    grads = np.einsum("fmr,rnfb->mnfb", tables, rows.transpose(2, 3, 0, 1), order="C")
     return vals, grads.transpose(2, 3, 0, 1)
 
 
@@ -202,7 +201,7 @@ class TestFubiniStudyForm:
     @pytest.mark.parametrize("n", [3, 16, 256])
     def test_matches_vdot_reference(self, layout, n):
         vals, grads = _lift_rows(layout, n, fundamental_domain_samples(12, 70 + n))
-        b, scale = fs_hermitian(vals, grads)
+        b, scale = fs_hermitian(vals[None], grads[None], np.eye(4)[None])
         want_b, want_scale = _fs_vdot_reference(vals, grads)
         assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
         assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
@@ -210,7 +209,7 @@ class TestFubiniStudyForm:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vanishing_lift_row_is_nan_without_warning(self):
         vals = np.array([[0.0, 0.0, 0.0], [1.0, 2.0j, 0.5]])
-        b, scale = fs_hermitian(vals, np.ones((2, 4, 3), dtype=complex))
+        b, scale = fs_hermitian(vals[None], np.ones((1, 2, 4, 3), dtype=complex), np.eye(4)[None])
         assert np.isnan(b[0]).all() and np.isnan(scale[0])
         assert np.isfinite(b[1]).all() and np.isfinite(scale[1])
 
@@ -278,7 +277,7 @@ class TestFactoredHermitianForm:
         # the form from the kernel's rows and the chain table against the
         # per-point vdot form of each factor's four coordinate partials
         pts = fundamental_domain_samples(n, 90 + k)
-        b, scale = hermitian_pullback_batch(map_id, k, pts, axes=axes)
+        b, scale = fs_hermitian(*factor(MAP_FACTORS[map_id], k, pts, axes=axes))
         vals, grads = _factor_partials(k, pts)
         refs = [_fs_vdot_reference(vals[f], grads[f][:, list(axes)])
                 for f, name in enumerate(("fiber", "base")) if name in MAP_FACTORS[map_id]]
@@ -290,7 +289,7 @@ class TestFactoredHermitianForm:
     @pytest.mark.parametrize("axes", [(0, 4), (), (-1,), (0.5,), (1, 1), [0, 1], (True,)])
     def test_invalid_axes_rejected(self, axes):
         with pytest.raises(ValueError, match=re.escape(f"got {axes!r}")):
-            hermitian_pullback_batch("phi_k", 3, self.PTS[:2], axes=axes)
+            factor(("fiber", "base"), 3, self.PTS[:2], axes=axes)
 
     def test_kernel_orders_follow_axes(self, monkeypatch):
         # T_ca and T_bd need only d/dw rows; T_cb's fiber needs d/dtau for y

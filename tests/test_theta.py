@@ -1,6 +1,7 @@
 """Theta series core: oracles are independent brute-force summations."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,16 @@ class TestTailBound:
         policy = TruncationPolicy(1e-14, max_terms=8)
         with pytest.raises(TailNotConverged):
             theta(ThetaArgument(0.5 + 40j, 0.2j), policy)
+
+    @pytest.mark.parametrize("orders, named", [
+        ([(2, -1)], "(2, -1)"), ([(-1, 0)], "(-1, 0)"), ([(-1, 1)], "(-1, 1)"),
+        ([], "at least one"), ([(0.5, 0)], "(0.5, 0)"),
+    ])
+    def test_malformed_orders_rejected(self, orders, named):
+        # unchecked, (2, -1) sums a wrong series silently and the others fail
+        # with errors that do not name the order
+        with pytest.raises(ValueError, match=re.escape(named)):
+            theta_batch(0.1 + 0.2j, 1j, orders)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -581,8 +592,8 @@ class TestDegreeBasisKernel:
     def test_no_series_calls_and_one_kernel_call_per_factors(self, monkeypatch):
         calls = count_calls(monkeypatch, "_eval_series", "_degree_basis_batch")
         pts = moved_points(10, 6)
-        for gradients in (False, True):
-            sections_mod.factors(16, pts, gradients=gradients)
+        for axes in (None, sections_mod.AXES):
+            sections_mod.factor(("fiber", "base"), 16, pts, axes=axes)
         assert calls == {"_eval_series": 0, "_degree_basis_batch": 2}
 
     @pytest.mark.parametrize("where", sorted(POINT_SETS))
@@ -593,14 +604,13 @@ class TestDegreeBasisKernel:
         # of the point's largest entry.
         pts = POINT_SETS[where]()
         # The partials compared are the rows through each factor's chain table.
-        vals, rows = sections_mod.factor(("fiber", "base"), k, pts, gradients=True)
+        vals, rows, tables = sections_mod.factor(("fiber", "base"), k, pts, axes=sections_mod.AXES)
         assert vals.shape == (2, len(pts), k) and rows.shape == (2, len(pts), 2, k)
-        tables = sections_mod.chain(("fiber", "base"))
         for f, which in enumerate(("fiber", "base")):
-            one_vals, one_rows = sections_mod.factor(which, k, pts, gradients=True)
+            one_vals, one_rows, table = sections_mod.factor(which, k, pts, axes=sections_mod.AXES)
             for got, want in ((vals[f], one_vals),
                               (np.einsum("mr,brn->bmn", tables[f], rows[f]),
-                               np.einsum("mr,brn->bmn", sections_mod.chain(which), one_rows))):
+                               np.einsum("mr,brn->bmn", table, one_rows))):
                 scale = np.abs(want).reshape(len(pts), -1).max(axis=1)
                 diff = np.abs(got - want).reshape(len(pts), -1).max(axis=1)
                 assert np.isfinite(scale).all() and np.all(diff <= 1e-14 * scale)
@@ -792,6 +802,7 @@ class TestPackageSurface:
         ("ktheta.symplectic", "LeftInvariantDecomposition"), ("ktheta.manifold", "two_form"),
         ("ktheta.manifold", "omega_kt"), ("ktheta.errors", "ShiftSumNonzero"),
         ("ktheta", "ShiftSumNonzero"), ("ktheta.symplectic", "PullbackForm"),
+        ("ktheta.sections", "factors"), ("ktheta.sections", "chain"),
     ])
     def test_removed_name_is_absent(self, module, name):
         import importlib
