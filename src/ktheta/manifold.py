@@ -10,6 +10,12 @@ The deck group is generated by
 with the single relation a*b = c*b*a (c central).  Words are stored in
 the normal form a^m b^n c^p d^q, so all group arithmetic is exact
 integer arithmetic.
+
+A word's exponents may also be equal-shape integer arrays, a batch of
+words: ``compose``, ``inverse``, ``act_on_array``, ``multiplicator_exponent``
+and ``cocycle_residual`` are plain arithmetic on the exponents, so they
+broadcast them against the leading axes of (..., 4) point arrays, and one
+call covers a whole sample of words and points.
 """
 
 from __future__ import annotations
@@ -46,7 +52,12 @@ class KTPoint:
 
 @dataclass(frozen=True)
 class GroupWord:
-    """Normal-form lattice element a^m b^n c^p d^q."""
+    """Normal-form lattice element a^m b^n c^p d^q.
+
+    The exponents are ints, or equal-shape integer arrays for a batch of
+    words (see the module docstring); neither is checked, so that building
+    a word stays a plain tuple construction.
+    """
 
     m: int
     n: int
@@ -68,13 +79,11 @@ def act(w: GroupWord, u: KTPoint) -> KTPoint:
 
 
 def act_on_array(w: GroupWord, pts: np.ndarray) -> np.ndarray:
-    """Vectorized ``act`` on an (..., 4) array of points."""
-    out = np.array(pts, dtype=float, copy=True)
-    out[..., 0] += w.m
-    out[..., 1] += w.n
-    out[..., 2] += w.p + w.m * out[..., 1]
-    out[..., 3] += w.q
-    return out
+    """Vectorized ``act`` on an (..., 4) array of points; array exponents
+    broadcast against the leading axes."""
+    x, y, z, t = np.moveaxis(np.asarray(pts, dtype=float), -1, 0)
+    y = y + w.n
+    return np.stack(np.broadcast_arrays(x + w.m, y, z + (w.p + w.m * y), t + w.q), axis=-1)
 
 
 def compose(w1: GroupWord, w2: GroupWord) -> GroupWord:
@@ -118,6 +127,8 @@ def reduce_point(u: KTPoint) -> tuple[KTPoint, GroupWord]:
 def multiplicator_exponent(w: GroupWord, pts: np.ndarray) -> np.ndarray:
     """f_w with e_w = exp(-2*pi*i*f_w) at an (..., 4) array of points, shape (...,).
 
+    Array exponents broadcast against the points' leading axes.
+
     Closed form of the cocycle recursion e_{gw'}(u) = e_g(w'.u) * e_{w'}(u)
     over the normal form a^m b^n c^p d^q, from e_a(u) = exp(-2*pi*i*(z+ix)),
     e_d(u) = exp(-2*pi*i*(y+it)) and e_b = e_c = 1; integer real parts,
@@ -131,16 +142,22 @@ def multiplicator_exponent(w: GroupWord, pts: np.ndarray) -> np.ndarray:
             + q * (y + 1j * t) + 1j * (q * (q - 1) / 2.0))
 
 
+def multiplicator_batch(w: GroupWord, pts: np.ndarray) -> np.ndarray:
+    """Automorphy factor e_w = exp(-2*pi*i*f_w) at an (..., 4) array of points, (...,)."""
+    return np.exp(-TWO_PI_I * multiplicator_exponent(w, pts))
+
+
 def multiplicator(w: GroupWord, u: KTPoint) -> complex:
     """Automorphy factor e_w(u) = exp(-2*pi*i*f_w(u))."""
-    return complex(np.exp(-TWO_PI_I * multiplicator_exponent(w, u.as_array())))
+    return complex(multiplicator_batch(w, u.as_array()))
 
 
-def cocycle_residual(w1: GroupWord, w2: GroupWord, u: KTPoint) -> float:
-    """Relative defect of e_{w1}(w2.u) * e_{w2}(u) = e_{w1 w2}(u)."""
-    lhs = multiplicator(w1, act(w2, u)) * multiplicator(w2, u)
-    rhs = multiplicator(compose(w1, w2), u)
-    return abs(lhs - rhs) / abs(rhs)
+def cocycle_residual(w1: GroupWord, w2: GroupWord, pts: np.ndarray) -> np.ndarray:
+    """Relative defect of e_{w1}(w2.u) * e_{w2}(u) = e_{w1 w2}(u) at (..., 4) points, (...,)."""
+    pts = np.asarray(pts, dtype=float)
+    lhs = multiplicator_batch(w1, act_on_array(w2, pts)) * multiplicator_batch(w2, pts)
+    rhs = multiplicator_batch(compose(w1, w2), pts)
+    return np.abs(lhs - rhs) / np.abs(rhs)
 
 
 @dataclass(frozen=True)

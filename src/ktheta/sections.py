@@ -18,13 +18,19 @@ rows d/dw and d/dtau their partials need and the chain table, cut from
 (x, y, z) and base (y, t).  The basis values are the factors' Segre outer
 product and the basis gradients follow by the product rule.  Sections
 transform under the deck group by the k-th power of the multiplicators.
+
+``shift_product`` also takes a stack (..., S, 2) of shift lists whose
+leading axes broadcast against the points'.  The separating-section
+search is batched on it: ``separating_sections`` takes B point pairs with
+one seed each, draws every pair's seeded candidates up front, and round r
+evaluates candidate r of every pair still unresolved in one
+``shift_product`` call; ``separating_section`` is its one-pair call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -186,28 +192,34 @@ def section(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
 
 
 def _shift_array(zetas) -> np.ndarray:
-    """(S, 2) complex array from ZetaShifts or from (zeta1, zeta2) rows."""
-    rows = [(z.zeta1, z.zeta2) if isinstance(z, ZetaShift) else z for z in zetas]
-    shifts = np.array(rows, dtype=complex).reshape(len(rows), 2)
-    if not rows or not np.isfinite(shifts).all():
-        raise ValueError("need at least one shift, with finite components")
+    """(..., S, 2) complex array from ZetaShifts, (zeta1, zeta2) rows or an array."""
+    if not isinstance(zetas, np.ndarray):
+        zetas = [(z.zeta1, z.zeta2) if isinstance(z, ZetaShift) else z for z in zetas]
+    shifts = np.array(zetas, dtype=complex)
+    if shifts.ndim < 2 or shifts.shape[-1] != 2 or not shifts.shape[-2]:
+        raise ValueError(f"shifts must have shape (..., S, 2) with S >= 1, got {shifts.shape}")
+    if not np.isfinite(shifts).all():
+        raise ValueError("shift components must be finite")
     return shifts
 
 
 def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """prod_s theta(w1 + zeta1_s, y + i) * theta(w2 + zeta2_s, i) at points.
 
-    ``zetas`` holds S shifts, as ZetaShifts or an (S, 2) complex array;
-    ``pts`` is an (..., 4) array of points and the result has shape (...,).
-    Every fiber and base factor at every point is summed in one series
-    evaluation.  Componentwise zero-sum shifts give a degree-S section, in
-    the span of the S^2 basis sections on each leaf of constant y.
+    ``zetas`` holds S shifts, as ZetaShifts or an (S, 2) complex array, or
+    is an (..., S, 2) array of shift lists whose leading axes broadcast
+    against the points'; ``pts`` is an (..., 4) array of points and the
+    result has the broadcast leading shape.  Every fiber and base factor at
+    every point is summed in one series evaluation.  Componentwise zero-sum
+    shifts give a degree-S section, in the span of the S^2 basis sections
+    on each leaf of constant y.
     """
     shifts = _shift_array(zetas)
     (w1, tau1), (w2, tau2) = _factor_args("fiber", pts), _factor_args("base", pts)
+    lead = np.broadcast_shapes(w1.shape, shifts.shape[:-2])
     # fiber factors against y + i and base factors against i, stacked
-    ws = np.stack([w1[..., None] + shifts[:, 0], w2[..., None] + shifts[:, 1]])
-    taus = np.stack([tau1, tau2])[..., None]
+    ws = np.stack([w1[..., None] + shifts[..., 0], w2[..., None] + shifts[..., 1]])
+    taus = np.stack([np.broadcast_to(tau1, lead), np.broadcast_to(tau2, lead)])[..., None]
     return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
 
 
@@ -254,15 +266,6 @@ class SeparationResult:
         )
 
 
-def _base_torus_distance(u: KTPoint, v: KTPoint) -> float:
-    """Distance of the (y, t) base coordinates modulo unit translations."""
-    dy = (v.y - u.y) % 1.0
-    dt = (v.t - u.t) % 1.0
-    dy = min(dy, 1.0 - dy)
-    dt = min(dt, 1.0 - dt)
-    return math.hypot(dy, dt)
-
-
 @functools.cache
 def _probes():
     """The fixed probe points whose values set a search candidate's scale,
@@ -273,30 +276,93 @@ def _probes():
     return pts
 
 
-def _try_branch(branch, u, v, policy, rng):
-    """One branch of the separating-section search; None when retries run out."""
-    # z = 1/2 kills a theta factor; the branch names the factor to kill at u
-    zero_at_u = th.theta_zero(BASE_TAU) - _factor_args(branch, u.as_array())[0]
-    pts = np.vstack([_probes(), u.as_array(), v.as_array()])
-    for _ in range(RETRIES):
-        if branch == "base":
-            gamma = zero_at_u
-            alpha, beta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
-            delta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
-        else:
-            alpha = zero_at_u
-            beta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
-            gamma, delta = (rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6)
-        candidate = SeparationResult(
-            complex(alpha), complex(beta), complex(gamma), complex(delta),
-            0.0, 0.0, 0.0, branch,
-        )
-        vals = shift_product(candidate.zetas, pts, policy)
-        scale = float(np.abs(vals[:-2]).max())
-        s_u, s_v = complex(vals[-2]), complex(vals[-1])
-        if scale > 0 and abs(s_u) < 1e-8 * scale and abs(s_v) > 1e-3 * scale:
-            return replace(candidate, value_at_u=s_u, value_at_v=s_v, scale=scale)
-    return None
+# A candidate from its six uniform draws d, in the order the search reads
+# them: the branch's zero at u fills one slot of (alpha, beta, gamma,
+# delta) and the free shifts d[re] + 0.6i (d[im] - 1/2) the other three.
+_DRAW_LAYOUT = {  # branch: (zero slot, free slots, re columns, im columns)
+    "base": (2, [0, 1, 3], [0, 1, 4], [2, 3, 5]),
+    "fiber": (0, [1, 2, 3], [0, 2, 3], [1, 4, 5]),
+}
+
+
+def _candidates(branch, us: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Shifts (alpha, beta, gamma, delta) of the branch's candidates, (B, N, 4),
+    at (B, 4) points u from their (B, N, 6) draws.
+
+    z = 1/2 kills a theta factor; the branch names the factor to kill at u.
+    """
+    zero, free, re, im = _DRAW_LAYOUT[branch]
+    out = np.empty(draws.shape[:-1] + (4,), dtype=complex)
+    out[..., zero] = (th.theta_zero(BASE_TAU) - _factor_args(branch, us)[0])[:, None]
+    out.real[..., free] = draws[..., re]
+    out.imag[..., free] = (draws[..., im] - 0.5) * 0.6
+    return out
+
+
+def _zeta_array(shifts: np.ndarray) -> np.ndarray:
+    """The three (zeta1, zeta2) of ``SeparationResult.zetas`` from (..., 4) shifts, (..., 3, 2)."""
+    zetas = np.empty(shifts.shape[:-1] + (3, 2), dtype=complex)
+    zetas[..., :2, 0] = shifts[..., :2]  # alpha, beta
+    zetas[..., :2, 1] = shifts[..., 2:]  # gamma, delta
+    zetas[..., 2, :] = -zetas[..., 0, :] - zetas[..., 1, :]
+    return zetas
+
+
+def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
+    """``separating_section`` for the pairs of rows of (B, 4) arrays ``us`` and ``vs``.
+
+    Returns one SeparationResult per pair, or None where every candidate
+    failed; raises ``EquivalentPoints`` if a pair coincides on the quotient.
+    Pair i reads the doubles of ``default_rng(seeds[i])`` as the one-pair
+    search does, six per candidate: ``RETRIES`` candidates of its first
+    branch, then ``RETRIES`` of its fallback.  Round r evaluates candidate r
+    of every unresolved pair in one ``shift_product`` call.
+    """
+    us, vs = (np.asarray(a, dtype=float) for a in (us, vs))
+    seeds = list(seeds)
+    if not us.shape == vs.shape == (len(seeds), 4):
+        raise ValueError(f"need (B, 4) point arrays and B seeds, got {us.shape}, {vs.shape}, "
+                         f"{len(seeds)}")
+    # per pair: the probes, then u and v reduced
+    pts = np.empty((len(seeds), len(_probes()) + 2, 4))
+    pts[:, :-2] = _probes()
+    draws = np.empty((len(seeds), 2 * RETRIES, 6))
+    for i, (a, b, seed) in enumerate(zip(us, vs, seeds)):
+        u, v = KTPoint.from_array(a), KTPoint.from_array(b)
+        if quotient_distance(u, v) < 1e-8:
+            raise EquivalentPoints(f"the points of pair {i} coincide on the quotient")
+        pts[i, -2], pts[i, -1] = reduce_point(u)[0].as_array(), reduce_point(v)[0].as_array()
+        draws[i] = np.random.default_rng(seed).random((2 * RETRIES, 6))
+    u0, v0 = pts[:, -2], pts[:, -1]
+    # The base branch comes first unless u and v share base coordinates (y, t)
+    # modulo the lattice; the fiber fallback only makes sense when the fiber
+    # coordinates differ.  Candidate r of pair i is a fiber candidate iff
+    # fiber_first[i] != (r >= RETRIES).
+    d = (v0[:, 1::2] - u0[:, 1::2]) % 1.0
+    fiber_first = np.hypot(*np.minimum(d, 1.0 - d).T) < 1e-4
+    has_fallback = fiber_first | (np.abs(_factor_args("fiber", v0)[0]
+                                         - _factor_args("fiber", u0)[0]) >= 1e-8)
+    counts = np.where(has_fallback, 2 * RETRIES, RETRIES)
+    in_fiber = fiber_first[:, None] != (np.arange(2 * RETRIES) >= RETRIES)
+    candidates = np.where(in_fiber[..., None], _candidates("fiber", u0, draws),
+                          _candidates("base", u0, draws))
+    results = [None] * len(seeds)
+    pending = np.arange(len(seeds))
+    for r in range(2 * RETRIES):
+        pending = pending[counts[pending] > r]
+        if not pending.size:
+            break
+        shifts = candidates[pending, r]
+        vals = shift_product(_zeta_array(shifts)[:, None], pts[pending], policy)
+        scale = np.abs(vals[:, :-2]).max(axis=1)
+        at_u, at_v = np.abs(vals[:, -2:]).T
+        found = (scale > 0) & (at_u < 1e-8 * scale) & (at_v > 1e-3 * scale)
+        for j in np.flatnonzero(found):
+            results[pending[j]] = SeparationResult(
+                *map(complex, shifts[j]), complex(vals[j, -2]), complex(vals[j, -1]),
+                float(scale[j]), "fiber" if in_fiber[pending[j], r] else "base")
+        pending = pending[~found]
+    return results
 
 
 def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
@@ -308,23 +374,10 @@ def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
     places the zero in the fiber factor instead (alpha = 1/2 - w1(u)).  The
     remaining shifts are drawn from a seeded generator, at most ``RETRIES``
     times per branch, until the other factors stay away from zero at v,
-    judged against a probe-set scale.
+    judged against a probe-set scale.  The one-pair call of
+    ``separating_sections``; raises ``EquivalentPoints`` and ``SearchFailed``.
     """
-    if quotient_distance(u, v) < 1e-8:
-        raise EquivalentPoints("points coincide on the quotient")
-    u, _ = reduce_point(u)
-    v, _ = reduce_point(v)
-    rng = np.random.default_rng(seed)
-
-    primary = "fiber" if _base_torus_distance(u, v) < 1e-4 else "base"
-    order = (primary, "fiber" if primary == "base" else "base")
-    for branch in order:
-        if branch == "fiber" and primary == "base":
-            # fallback only makes sense when the fiber coordinates differ
-            if abs(_factor_args("fiber", v.as_array())[0]
-                   - _factor_args("fiber", u.as_array())[0]) < 1e-8:
-                continue
-        found = _try_branch(branch, u, v, policy, rng)
-        if found is not None:
-            return found
-    raise SearchFailed(f"no separating section after {RETRIES} seeded attempts per branch")
+    found = separating_sections(u.as_array()[None], v.as_array()[None], [seed], policy)[0]
+    if found is None:
+        raise SearchFailed(f"no separating section after {RETRIES} seeded attempts per branch")
+    return found

@@ -37,9 +37,10 @@ from .manifold import (
     KTPoint,
     TwoFormAtPoint,
     act,
+    act_on_array,
     compose,
     inverse,
-    multiplicator,
+    multiplicator_batch,
     multiplicator_exponent,
     omega_kt_matrix,
     reduce_point,
@@ -58,7 +59,10 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
 
     The lifts ``vals`` (F, B, n) take R rows each, ``grads`` (F, B, R, n),
     and lift f's m partials are dF = tables[f] @ rows, ``tables`` (F, m, R);
-    one lift (B, n) with partials (B, 4, n) takes ``np.eye(4)[None]``.
+    one lift (B, n) with partials (B, 4, n) passes them as ``vals[None]``,
+    ``grads[None]`` and ``np.eye(4)[None]``, and one factor from
+    ``sections.factor`` each of its three arrays with ``[None]``; other
+    shapes raise ValueError.
     Returns b (B, m, m), the module docstring's form summed over the lifts,
     and scale = sum |dF|^2/|F|^2 (B,), which bounds b's terms and so sets
     their roundoff.  Lift and rows are divided by the point's largest |lift
@@ -66,6 +70,10 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     vanishes or is not finite, or a non-finite row, leaves its b and scale
     non-finite, without a warning.
     """
+    if np.ndim(tables) != 3 or np.ndim(vals) != 3 or np.ndim(grads) != 4:
+        raise ValueError(f"fs_hermitian takes F stacked lifts: vals (F, B, n), grads "
+                         f"(F, B, R, n) and chain tables (F, m, R), got tables of shape "
+                         f"{np.shape(tables)}; a single factor's arrays take [None]")
     inv_scale = 1.0 / np.abs(vals).max(axis=-1)
     vals = vals * inv_scale[..., None]
     grads = grads * inv_scale[..., None, None]
@@ -324,23 +332,28 @@ def integrate_over_torus(
     return float(np.mean(_form(b)[:, 0, 1]))
 
 
-def transition_function(w1: GroupWord, w2: GroupWord, u: KTPoint) -> complex:
-    """Bundle coordinate change g_{w1 w2}(u) = e_{w1}(u) * e_{w2^-1}(w2.u)."""
-    return multiplicator(w1, u) * multiplicator(inverse(w2), act(w2, u))
+def transition_function(w1: GroupWord, w2: GroupWord, pts: np.ndarray) -> np.ndarray:
+    """Bundle coordinate change g_{w1 w2}(u) = e_{w1}(u) * e_{w2^-1}(w2.u), (...,).
 
-
-def chern_cocycle(w1: GroupWord, w2: GroupWord, w3: GroupWord, u: KTPoint) -> float:
-    """Integer-valued degree-2 cocycle from principal-branch logarithms.
-
-    (1/2 pi i) * (log g_{12} + log g_{23} - log g_{13}); the transition
-    functions multiply to 1 exactly, so the principal branches sum to an
-    integer multiple of 2 pi i.
+    ``pts`` is an (..., 4) array of points u; the words may hold array exponents.
     """
-    g12 = transition_function(w1, w2, u)
-    g23 = transition_function(w2, w3, u)
-    g13 = transition_function(w1, w3, u)
+    pts = np.asarray(pts, dtype=float)
+    return multiplicator_batch(w1, pts) * multiplicator_batch(inverse(w2), act_on_array(w2, pts))
+
+
+def chern_cocycle(w1: GroupWord, w2: GroupWord, w3: GroupWord, pts: np.ndarray) -> np.ndarray:
+    """Integer-valued degree-2 cocycle from principal-branch logarithms, (...,).
+
+    (1/2 pi i) * (log g_{12} + log g_{23} - log g_{13}) at (..., 4) points;
+    the transition functions multiply to 1 exactly, so the principal
+    branches sum to an integer multiple of 2 pi i.  The words may hold
+    array exponents (see ``manifold``).
+    """
+    g12 = transition_function(w1, w2, pts)
+    g23 = transition_function(w2, w3, pts)
+    g13 = transition_function(w1, w3, pts)
     total = np.log(g12) + np.log(g23) - np.log(g13)
-    return float(total.imag / (2.0 * math.pi))
+    return total.imag / (2.0 * math.pi)
 
 
 def chern_for_generator_pair(lam: GroupWord, mu: GroupWord, u: KTPoint | None = None) -> int:

@@ -167,7 +167,24 @@ class TestMultiplicators:
     @given(small_words, small_words, small_points)
     @settings(max_examples=100)
     def test_cocycle_law(self, w1, w2, u):
-        assert cocycle_residual(w1, w2, u) < 1e-9
+        assert cocycle_residual(w1, w2, u.as_array()) < 1e-9
+
+    def test_word_arrays_match_per_row_words(self):
+        # words with array exponents broadcast against (B, 4) point arrays;
+        # each row is the scalar word's value at that row's point
+        rng = np.random.default_rng(17)
+        e1, e2 = rng.integers(-3, 4, (2, 4, 64))
+        w1, w2 = GroupWord(*e1), GroupWord(*e2)
+        pts = rng.random((64, 4))
+        residuals = cocycle_residual(w1, w2, pts)
+        moved = act_on_array(compose(w1, inverse(w2)), pts)
+        assert residuals.shape == (64,) and moved.shape == (64, 4)
+        for i in range(64):
+            a, b = GroupWord(*map(int, e1[:, i])), GroupWord(*map(int, e2[:, i]))
+            assert abs(residuals[i] - cocycle_residual(a, b, pts[i])) <= 1e-15
+            assert np.array_equal(moved[i], act_on_array(compose(a, inverse(b)), pts[i]))
+        # a batch of words against one point
+        assert np.array_equal(act_on_array(w1, pts[0]), act_on_array(w1, np.tile(pts[0], (64, 1))))
 
     def test_group_relations_hold_for_multiplicators(self):
         # e respects a b = c^{-1} b a (the lattice relation), via the cocycle law

@@ -21,7 +21,6 @@ import ktheta.sections as sections
 import ktheta.symplectic as symplectic
 import ktheta.theta as th
 from ktheta.checks import REGISTRY, RunConfig
-from ktheta.manifold import KTPoint
 
 # the default grid of 64: torus_integrals' grid-convergence gate of 1e-8
 # needs a grid of at least 56 at k = 3
@@ -102,12 +101,12 @@ def base_modulus_two_i(monkeypatch):
 @mutation("multiplicator_cocycle")
 def nan_cocycle_residual(monkeypatch):
     """One cocycle residual is NaN."""
-    calls = []
 
     def make(cocycle_residual):
         def faulty(*args):
-            calls.append(1)
-            return math.nan if len(calls) == 1 else cocycle_residual(*args)
+            residuals = np.array(cocycle_residual(*args))
+            residuals[0] = math.nan
+            return residuals
 
         return faulty
 
@@ -227,8 +226,8 @@ def multiplicator_sign_flipped(monkeypatch):
 @mutation("chern_cocycle_integrality")
 def transition_without_shear(monkeypatch):
     """The transition functions move points without a's shear of z by y."""
-    monkeypatch.setattr(symplectic, "act",
-                        lambda w, u: KTPoint(u.x + w.m, u.y + w.n, u.z + w.p, u.t + w.q))
+    monkeypatch.setattr(symplectic, "act_on_array",
+                        lambda w, pts: pts + np.stack([w.m, w.n, w.p, w.q], axis=-1))
 
 
 @mutation("torus_integrals")

@@ -7,17 +7,20 @@ import re
 import numpy as np
 import pytest
 
+import ktheta.sections as sections_module
 import ktheta.theta as theta_module
 from ktheta import (
     EquivalentPoints,
     GroupWord,
     IllConditioned,
     KTPoint,
+    SearchFailed,
     SectionIndex,
     ZetaShift,
     act,
     fit_in_span,
     fundamental_domain_samples,
+    reduce_point,
     section,
 )
 from ktheta.checks import (
@@ -36,6 +39,7 @@ from ktheta.sections import (
     section_matrix,
     section_matrix_with_gradients,
     separating_section,
+    separating_sections,
     shift_product,
 )
 from ktheta.symplectic import fs_pullback_batch
@@ -244,9 +248,29 @@ class TestShiftProduct:
             assert single.shape == ()
             assert abs(single - w) <= 1e-12 * abs(w)
 
+    def test_stacked_lists_match_per_list_calls(self):
+        # an (..., S, 2) stack of shift lists broadcasts its leading axes
+        # against the points'; the batch shares one window length, so
+        # values move only at roundoff
+        rng = np.random.default_rng(40)
+        lists = rng.random((5, 3, 2)) + 1j * 0.6 * (rng.random((5, 3, 2)) - 0.5)
+        pts = shift_test_points()
+        per_list = np.array([shift_product(zetas, pts) for zetas in lists])
+        for got in (shift_product(lists[:, None], pts),
+                    shift_product(lists[:, None], np.broadcast_to(pts, (5,) + pts.shape)),
+                    shift_product(lists[:, None, None], pts[:, None])[..., 0]):
+            assert got.shape == per_list.shape
+            assert np.all(np.abs(got - per_list) <= 1e-13 * np.abs(per_list))
+        at_u0 = shift_product(lists, U0.as_array())
+        assert at_u0.shape == (5,)
+        assert np.all(np.abs(at_u0 - [shift_product(z, U0.as_array()) for z in lists])
+                      <= 1e-13 * np.abs(at_u0))
+
     def test_rejects_malformed_shifts(self):
         with pytest.raises(ValueError):
             shift_product([], U0.as_array())
+        with pytest.raises(ValueError):
+            shift_product(np.ones((4, 0, 2)), U0.as_array())
         with pytest.raises(ValueError):
             shift_product(np.ones((2, 3)), U0.as_array())
         with pytest.raises(ValueError):
@@ -445,6 +469,45 @@ class TestFitInSpan:
             fit_in_span(samples, 2)
 
 
+def search_pairs(n):
+    """n seeded pairs (us, vs) of (n, 4) points; the first quarter share (y, t)."""
+    rng = np.random.default_rng(3)
+    us, vs = rng.random((2, n, 4))
+    vs[:n // 4, 1::2] = us[:n // 4, 1::2]
+    return us, vs
+
+
+def loop_search(u, v, seed, retries):
+    """Reference: the separating-section search as a loop over scalar draws,
+    one shift product per candidate.  Returns ((alpha, beta, gamma, delta,
+    branch), value at u, value at v, scale), or None."""
+    u, v = reduce_point(u)[0], reduce_point(v)[0]
+    rng = np.random.default_rng(seed)
+    dy, dt = (v.y - u.y) % 1.0, (v.t - u.t) % 1.0
+    primary = "fiber" if math.hypot(min(dy, 1 - dy), min(dt, 1 - dt)) < 1e-4 else "base"
+    pts = np.vstack([fundamental_domain_samples(24, 1729), u.as_array(), v.as_array()])
+    for branch in (primary, "base" if primary == "fiber" else "fiber"):
+        w_u, w_v = ((u.z + 1j * u.x, v.z + 1j * v.x) if branch == "fiber"
+                    else (u.y + 1j * u.t, v.y + 1j * v.t))
+        if branch != primary == "base" and abs(w_v - w_u) < 1e-8:
+            continue
+        for _ in range(retries):
+            if branch == "base":
+                gamma = 0.5 - w_u
+                alpha, beta = rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6
+                delta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
+            else:
+                alpha = 0.5 - w_u
+                beta = complex(rng.random() + 1j * (rng.random() - 0.5) * 0.6)
+                gamma, delta = rng.random(2) + 1j * (rng.random(2) - 0.5) * 0.6
+            a, b, g, d = map(complex, (alpha, beta, gamma, delta))
+            vals = shift_product([(a, g), (b, d), (-a - b, -g - d)], pts)
+            scale = float(np.abs(vals[:-2]).max())
+            if scale > 0 and abs(vals[-2]) < 1e-8 * scale and abs(vals[-1]) > 1e-3 * scale:
+                return (a, b, g, d, branch), vals[-2], vals[-1], scale
+    return None
+
+
 class TestSeparatingSections:
     def test_generic_pair(self):
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
@@ -512,6 +575,52 @@ class TestSeparatingSections:
         v = act(GENERATORS["a"], u)
         with pytest.raises(EquivalentPoints):
             separating_section(u, v)
+        pairs = np.array([[0.9, 0.8, 0.7, 0.6], u.as_array()]), np.array([U0.as_array(),
+                                                                        v.as_array()])
+        with pytest.raises(EquivalentPoints, match="pair 1"):
+            separating_sections(*pairs, [0, 1])
+
+    def test_exhausted_search_fails(self, monkeypatch):
+        # with the zero placed at 0 instead of 1/2 no candidate vanishes at u
+        monkeypatch.setattr(theta_module, "theta_zero", lambda tau: 0.0)
+        monkeypatch.setattr(sections_module, "RETRIES", 2)
+        u, v = KTPoint(0.1, 0.2, 0.3, 0.4), KTPoint(0.8, 0.6, 0.9, 0.1)
+        with pytest.raises(SearchFailed):
+            separating_section(u, v, seed=5)
+        assert separating_sections(np.stack([u.as_array()] * 2),
+                                   np.stack([v.as_array(), U0.as_array()]), [5, 6]) == [None] * 2
+
+    def test_batched_rows_match_one_pair_calls(self):
+        us, vs = search_pairs(24)
+        seeds = range(100, 124)
+        for res, u, v, seed in zip(separating_sections(us, vs, seeds), us, vs, seeds):
+            one = separating_section(KTPoint.from_array(u), KTPoint.from_array(v), seed=seed)
+            assert (res.alpha, res.beta, res.gamma, res.delta, res.branch) == (
+                one.alpha, one.beta, one.gamma, one.delta, one.branch)
+            for got, want in ((res.value_at_u, one.value_at_u), (res.value_at_v, one.value_at_v),
+                              (res.scale, one.scale)):
+                assert abs(got - want) <= 1e-13 * one.scale
+
+    @pytest.mark.parametrize("retries", [1, 32])
+    def test_candidates_match_sequential_draws(self, monkeypatch, retries):
+        # the batched search reads each pair's draws as the loop reads them;
+        # one retry per branch sends generic pair 165 of search_pairs(200)
+        # (row 17 here) to its fiber fallback
+        monkeypatch.setattr(sections_module, "RETRIES", retries)
+        us, vs = (np.concatenate([a[:12], a[160:172]]) for a in search_pairs(200))
+        seeds = list(range(12)) + list(range(160, 172))
+        branches = []
+        for res, u, v, seed in zip(separating_sections(us, vs, seeds), us, vs, seeds):
+            shifts, at_u, at_v, scale = loop_search(KTPoint.from_array(u), KTPoint.from_array(v),
+                                                    seed, retries)
+            assert (res.alpha, res.beta, res.gamma, res.delta, res.branch) == shifts
+            assert abs(res.value_at_u - at_u) <= 1e-13 * scale
+            assert abs(res.value_at_v - at_v) <= 1e-13 * scale
+            assert abs(res.scale - scale) <= 1e-13 * scale
+            branches.append(res.branch)
+        fallback = 17 if retries == 1 else None
+        assert branches == ["fiber"] * 12 + ["fiber" if i == fallback else "base"
+                                             for i in range(12, 24)]
 
     def test_section_property_of_constructed_product(self):
         # the separating product transforms with the cube of the multiplicator

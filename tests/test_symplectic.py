@@ -286,6 +286,16 @@ class TestFactoredHermitianForm:
         assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
         assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
 
+    def test_single_factor_needs_stacking_axis(self):
+        # factor() drops the stacking axis for one name; fs_hermitian names
+        # the (F, m, R) tables it expects instead of failing inside einsum
+        one = factor("fiber", 3, self.PTS[:5], axes=AXES)
+        with pytest.raises(ValueError, match=r"\(F, m, R\).*\(4, 2\)"):
+            fs_hermitian(*one)
+        b, scale = fs_hermitian(*(x[None] for x in one))
+        want_b, want_scale = fs_hermitian(*factor(("fiber",), 3, self.PTS[:5], axes=AXES))
+        assert np.array_equal(b, want_b) and np.array_equal(scale, want_scale)
+
     @pytest.mark.parametrize("axes", [(0, 4), (), (-1,), (0.5,), (1, 1), [0, 1], (True,)])
     def test_invalid_axes_rejected(self, axes):
         with pytest.raises(ValueError, match=re.escape(f"got {axes!r}")):
@@ -555,7 +565,7 @@ class TestChern:
     def test_transition_function_cocycle_consistency(self):
         w1 = GroupWord(1, 0, 2, -1)
         w2 = GroupWord(0, 1, -1, 2)
-        g = transition_function(w1, w2, U0)
+        g = transition_function(w1, w2, U0.as_array())
         # g_{12}(u) = e_{w1}(u) / e_{w2}(u) evaluated compatibly
         direct = multiplicator(w1, U0) * multiplicator(
             inverse(w2), act(w2, U0)
@@ -567,11 +577,21 @@ class TestChern:
         for _ in range(50):
             words = [GroupWord(*(int(v) for v in rng.integers(-2, 3, 4))) for _ in range(3)]
             u = KTPoint(*(float(v) for v in rng.random(4)))
-            val = chern_cocycle(*words, u)
+            val = chern_cocycle(*words, u.as_array())
             assert abs(val - round(val)) < 1e-10
 
+    def test_word_arrays_match_per_row_words(self):
+        rng = np.random.default_rng(6)
+        exponents = rng.integers(-2, 3, (3, 4, 64))
+        pts = rng.random((64, 4))
+        batch = chern_cocycle(*(GroupWord(*e) for e in exponents), pts)
+        assert batch.shape == (64,)
+        for i in range(64):
+            words = [GroupWord(*map(int, e[:, i])) for e in exponents]
+            assert abs(batch[i] - chern_cocycle(*words, pts[i])) <= 1e-15
+
     def test_cocycle_identity_words(self):
-        assert abs(chern_cocycle(IDENTITY, IDENTITY, IDENTITY, U0)) < 1e-14
+        assert abs(chern_cocycle(IDENTITY, IDENTITY, IDENTITY, U0.as_array())) < 1e-14
 
     def test_chern_values(self):
         assert chern_via_multiplicators("T_ca") == 1
