@@ -42,7 +42,6 @@ from .manifold import (
     multiplicator_exponent,
 )
 from .sections import (
-    ZetaShift,
     factor,
     fit_in_span,
     section_matrix,
@@ -250,18 +249,21 @@ def check_dimension_ranks(cfg: RunConfig) -> CheckReport:
 
 @suite("tensor_power_law")
 def check_tensor_power_law(cfg: RunConfig) -> CheckReport:
-    """section(g.u) = e_g(u)^k section(u) for every generator, k in {1,2,3}."""
+    """section(g.u) = e_g(u)^k section(u) for every generator, k in {1,2,3}.
+
+    Per k, the points and their four moves are one ``section_matrix`` call.
+    """
     n = cfg.count(200)
     policy = cfg.policy
     residuals, cases = [], []
     for k in (1, 2, 3):
         pts = fundamental_domain_samples(n, cfg.seed + 5 + k)
-        base = section_matrix(k, pts, policy)
-        for name, g in GENERATORS.items():
-            moved = section_matrix(k, act_on_array(g, pts), policy)
+        base, *moved = section_matrix(
+            k, np.stack([pts] + [act_on_array(g, pts) for g in GENERATORS.values()]), policy)
+        for (name, g), vals in zip(GENERATORS.items(), moved):
             e_k = np.exp(-2j * math.pi * k * multiplicator_exponent(g, pts))
-            num = np.abs(moved - e_k[:, None] * base).max(axis=1)
-            den = np.maximum(np.abs(moved).max(axis=1), 1e-300)
+            num = np.abs(vals - e_k[:, None] * base).max(axis=1)
+            den = np.maximum(np.abs(vals).max(axis=1), 1e-300)
             residuals.append((num / den).max())
             cases.append({"k": k, "generator": name})
     witness = cases[int(np.argmax(residuals))]
@@ -283,6 +285,8 @@ def check_product_closure(cfg: RunConfig) -> CheckReport:
 
     The fit samples share one y coordinate: span membership is leafwise in
     y, because the fiber modulus y + i enters the expansion coefficients.
+    Per k, the member and control shift lists are stacked into one
+    ``shift_product`` call and fitted together by one ``fit_in_span`` call.
     """
     lists_per_k = cfg.count(50)
     policy = cfg.policy
@@ -291,16 +295,14 @@ def check_product_closure(cfg: RunConfig) -> CheckReport:
     for k in (2, 3):
         fit_pts = fundamental_domain_samples(64, cfg.seed + 11 + k).copy()
         fit_pts[:, 1] = float(rng.random())
-        fit_points = [KTPoint.from_array(p) for p in fit_pts]
-        members = [shift_product(_random_zero_sum_shifts(rng, k), fit_pts, policy)
-                   for _ in range(lists_per_k)]
-        broken = []
-        for _ in range(5):
-            zetas = _random_zero_sum_shifts(rng, k)
-            zetas[0] = ZetaShift(zetas[0].zeta1 + 0.37 + 0.21j, zetas[0].zeta2 + 0.18 - 0.3j)
-            broken.append(shift_product(zetas, fit_pts, policy))
-        fits.append(fit_in_span(list(zip(fit_points, np.transpose(members))), k, policy)[1])
-        controls.append(fit_in_span(list(zip(fit_points, np.transpose(broken))), k, policy)[1])
+        # the members, then five controls whose first shift breaks the zero sum
+        lists = np.array([_random_zero_sum_shifts(rng, k) for _ in range(lists_per_k + 5)])
+        lists[lists_per_k:, 0] += (0.37 + 0.21j, 0.18 - 0.3j)
+        vals = shift_product(lists[:, None], fit_pts, policy)
+        samples = zip(map(KTPoint.from_array, fit_pts), vals.T)
+        residuals = fit_in_span(list(samples), k, policy)[1]
+        fits.append(residuals[:lists_per_k])
+        controls.append(residuals[lists_per_k:])
     neg_min = float(np.min(controls))
     residual = np.max(fits) + (0.0 if neg_min > 0.1 else 1.0)
     witness = {"negative_control_min_residual": neg_min}
@@ -308,11 +310,12 @@ def check_product_closure(cfg: RunConfig) -> CheckReport:
 
 
 def _random_zero_sum_shifts(rng, k):
-    z1 = rng.random(k - 1) + 1j * 0.6 * (rng.random(k - 1) - 0.5)
-    z2 = rng.random(k - 1) + 1j * 0.6 * (rng.random(k - 1) - 0.5)
-    zetas = [ZetaShift(complex(a), complex(b)) for a, b in zip(z1, z2)]
-    zetas.append(ZetaShift(-z1.sum(), -z2.sum()))
-    return zetas
+    """k shifts (zeta1, zeta2) as a (k, 2) array, the last one cancelling the others' sum."""
+    shifts = np.empty((k, 2), dtype=complex)
+    for col in range(2):
+        shifts[:-1, col] = rng.random(k - 1) + 1j * 0.6 * (rng.random(k - 1) - 0.5)
+    shifts[-1] = -shifts[:-1].sum(axis=0)
+    return shifts
 
 
 @suite("separating_sections")

@@ -120,7 +120,7 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
 
 
 def phi_batch(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Lift coordinates of phi_k at an (B, 4) array of points, shape (B, k^2).
+    """Lift coordinates of phi_k at an (..., 4) array of points, shape (..., k^2).
 
     The points are taken as given, so the lift can overflow far off the
     fundamental domain; ``phi`` evaluates at the reduced point instead.
@@ -233,9 +233,9 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
 def generator_invariance_residuals(k: int, pts: np.ndarray,
                                    policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Largest chordal distance between phi_k(g.u) and phi_k(u) over the
-    generators g, at an (B, 4) array of points u, shape (B,)."""
+    generators g, at an (B, 4) array of points u, shape (B,).  The points and
+    their four moves are one ``phi_batch`` call."""
     pts = np.atleast_2d(pts)
-    base = phi_batch(k, pts, policy)
-    return np.max([chordal_distances(base, phi_batch(k, act_on_array(g, pts), policy))
-                   for g in GENERATORS.values()], axis=0)
-
+    base, *moved = phi_batch(
+        k, np.stack([pts] + [act_on_array(g, pts) for g in GENERATORS.values()]), policy)
+    return np.max([chordal_distances(base, lifts) for lifts in moved], axis=0)

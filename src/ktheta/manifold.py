@@ -201,12 +201,16 @@ def quotient_distance(u: KTPoint, v: KTPoint) -> float:
     Minimum Euclidean distance between reduce(u) and word translates of
     reduce(v) over words with all exponents bounded by 2.
     """
-    u0, _ = reduce_point(u)
-    v0, _ = reduce_point(v)
+    return reduced_distance(reduce_point(u)[0].as_array(), reduce_point(v)[0].as_array())
+
+
+def reduced_distance(u0: np.ndarray, v0: np.ndarray) -> float:
+    """``quotient_distance`` of two points that ``reduce_point`` has already
+    reduced, given as (4,) arrays."""
     # (x + m, y + n, z + p + m*(y + n), t + q): each word's translate of v0
-    diff = v0.as_array()[:, None] + _NEAR_WORDS
+    diff = v0[:, None] + _NEAR_WORDS
     diff[2] += _NEAR_WORDS[0] * diff[1]
-    diff -= u0.as_array()[:, None]
+    diff -= u0[:, None]
     diff *= diff
     return math.sqrt((diff[0] + diff[1] + diff[2] + diff[3]).min())
 

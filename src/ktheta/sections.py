@@ -37,7 +37,7 @@ import numpy as np
 
 from . import theta as th
 from .errors import EquivalentPoints, IllConditioned, SearchFailed
-from .manifold import KTPoint, fundamental_domain_samples, quotient_distance, reduce_point
+from .manifold import KTPoint, fundamental_domain_samples, reduce_point, reduced_distance
 
 BASE_TAU = 1j  # modulus of the base-torus factor
 RETRIES = 32  # seeded attempts per branch of the separating-section search
@@ -323,15 +323,15 @@ def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
     if not us.shape == vs.shape == (len(seeds), 4):
         raise ValueError(f"need (B, 4) point arrays and B seeds, got {us.shape}, {vs.shape}, "
                          f"{len(seeds)}")
-    # per pair: the probes, then u and v reduced
+    # per pair: the probes, then u and v reduced, each point once
     pts = np.empty((len(seeds), len(_probes()) + 2, 4))
     pts[:, :-2] = _probes()
     draws = np.empty((len(seeds), 2 * RETRIES, 6))
     for i, (a, b, seed) in enumerate(zip(us, vs, seeds)):
-        u, v = KTPoint.from_array(a), KTPoint.from_array(b)
-        if quotient_distance(u, v) < 1e-8:
+        u0, v0 = (reduce_point(KTPoint.from_array(x))[0].as_array() for x in (a, b))
+        if reduced_distance(u0, v0) < 1e-8:
             raise EquivalentPoints(f"the points of pair {i} coincide on the quotient")
-        pts[i, -2], pts[i, -1] = reduce_point(u)[0].as_array(), reduce_point(v)[0].as_array()
+        pts[i, -2], pts[i, -1] = u0, v0
         draws[i] = np.random.default_rng(seed).random((2 * RETRIES, 6))
     u0, v0 = pts[:, -2], pts[:, -1]
     # The base branch comes first unless u and v share base coordinates (y, t)

@@ -90,7 +90,7 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     b *= inv_n2
     npts, nm = b.shape[1], tables.shape[1]
     kron, weights = _kron(tables.shape, np.asarray(tables, dtype=complex).tobytes())
-    b = (b.swapaxes(0, 1).reshape(npts, -1) @ kron).reshape(npts, nm, nm)
+    b = (b.swapaxes(0, 1).reshape(npts, len(kron)) @ kron).reshape(npts, nm, nm)
     return b, np.einsum("fbrr,fbr->b", m.real, weights * inv_n2[..., 0])
 
 

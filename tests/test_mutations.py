@@ -115,11 +115,11 @@ def nan_cocycle_residual(monkeypatch):
 
 @mutation("product_closure")
 def last_shift_dropped(monkeypatch):
-    """The shift product stops one factor short of the list."""
+    """The shift product stops one factor short of each stacked list."""
 
     def make(shift_product):
         def faulty(zetas, pts, *args, **kwargs):
-            return shift_product(list(zetas)[:-1], pts, *args, **kwargs)
+            return shift_product(np.asarray(zetas)[..., :-1, :], pts, *args, **kwargs)
 
         return faulty
 

@@ -292,6 +292,21 @@ class TestShiftProduct:
             assert check(RunConfig()).passed
             assert 0 < len(calls) <= 4 * units
 
+    def test_product_closure_one_shift_product_call_per_k(self, monkeypatch):
+        # the 55 shift lists of each k are one shift_product call and so one
+        # series call; with the fit's design matrix, two kernel calls per k
+        calls = {"_eval_series": 0, "_degree_basis_batch": 0}
+        for name in calls:
+            original = getattr(theta_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(theta_module, name, counting)
+        assert check_product_closure(RunConfig()).passed
+        assert calls == {"_eval_series": 2, "_degree_basis_batch": 4}
+
 
 class TestFactors:
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -621,6 +636,19 @@ class TestSeparatingSections:
         fallback = 17 if retries == 1 else None
         assert branches == ["fiber"] * 12 + ["fiber" if i == fallback else "base"
                                              for i in range(12, 24)]
+
+    def test_each_point_reduced_once(self, monkeypatch):
+        original = sections_module.reduce_point
+        reduced = []
+
+        def counting(u):
+            reduced.append(u)
+            return original(u)
+
+        monkeypatch.setattr(sections_module, "reduce_point", counting)
+        us, vs = search_pairs(10)
+        separating_sections(us, vs, range(10))
+        assert len(reduced) == 20
 
     def test_section_property_of_constructed_product(self):
         # the separating product transforms with the cube of the multiplicator

@@ -35,12 +35,15 @@ from ktheta.manifold import (
     IDENTITY,
     TwoFormAtPoint,
     act,
+    act_on_array,
+    cocycle_residual,
     inverse,
     multiplicator,
+    multiplicator_batch,
     omega_kt_matrix,
     reduce_point,
 )
-from ktheta.sections import AXES, factor, section_matrix_with_gradients
+from ktheta.sections import AXES, factor, section_matrix, section_matrix_with_gradients
 from ktheta.symplectic import (
     FS_MAP_IDS,
     MAP_FACTORS,
@@ -639,3 +642,50 @@ class TestStructureDecomposition:
             top.append(abs(2.0 * pfaffian_batch(mat) - 2.0 * dec["zx"] * dec["yt"]))
         assert report.witness["beta_min"] == min(beta)
         assert report.witness["top_power_residual"] == max(top)
+
+
+EMPTY = np.zeros((0, 4))
+EMPTY_WORDS = GroupWord(*np.zeros((4, 0), dtype=int))
+
+# Every batched public function on an empty batch, and its output shapes.
+EMPTY_BATCH_CALLS = {
+    "theta_batch": (lambda: ktheta.theta_batch(np.zeros(0), 1j, ((0, 0), (1, 1))), [(0,), (0,)]),
+    "section_matrix": (lambda: section_matrix(3, EMPTY), (0, 9)),
+    "section_matrix_with_gradients": (lambda: section_matrix_with_gradients(3, EMPTY),
+                                      [(0, 9), (0, 4, 9)]),
+    "factor": (lambda: factor(("fiber", "base"), 3, EMPTY, axes=AXES),
+               [(2, 0, 3), (2, 0, 2, 3), (2, 4, 2)]),
+    "shift_product": (lambda: ktheta.shift_product([(0.1, 0.2), (-0.1, -0.2)], EMPTY), (0,)),
+    "phi_batch": (lambda: ktheta.phi_batch(3, EMPTY), (0, 9)),
+    "chordal_distances": (lambda: ktheta.chordal_distances(np.zeros((0, 9)), np.zeros((0, 9))),
+                          (0,)),
+    "unit_rows": (lambda: embedding_module.unit_rows(np.zeros((0, 9))), (0, 9)),
+    "generator_invariance_residuals": (
+        lambda: embedding_module.generator_invariance_residuals(3, EMPTY), (0,)),
+    "separating_sections": (lambda: sections_module.separating_sections(EMPTY, EMPTY, []), (0,)),
+    **{f"fs_pullback_batch-{m}": (lambda m=m: fs_pullback_batch(m, 3, EMPTY), (0, 4, 4))
+       for m in symplectic_module.MAP_IDS},
+    **{f"hermitian_pullback_batch-{m}": (lambda m=m: hermitian_pullback_batch(m, 3, EMPTY),
+                                         [(0, 4, 4), (0,)])
+       for m in FS_MAP_IDS},
+    "hermitian_ranks": (lambda: hermitian_ranks(*hermitian_pullback_batch("phi_k", 3, EMPTY), 1e-6),
+                        (0,)),
+    "exterior_derivative_residuals": (lambda: exterior_derivative_residuals("phi_k", 3, EMPTY),
+                                      (0,)),
+    "decompose_left_invariant_batch": (
+        lambda: decompose_left_invariant_batch(EMPTY, np.zeros((0, 4, 4)))["zx"], (0,)),
+    "pfaffian_batch": (lambda: pfaffian_batch(np.zeros((0, 4, 4))), (0,)),
+    "chern_cocycle": (lambda: chern_cocycle(EMPTY_WORDS, EMPTY_WORDS, EMPTY_WORDS, EMPTY), (0,)),
+    "transition_function": (lambda: transition_function(EMPTY_WORDS, EMPTY_WORDS, EMPTY), (0,)),
+    "cocycle_residual": (lambda: cocycle_residual(EMPTY_WORDS, EMPTY_WORDS, EMPTY), (0,)),
+    "multiplicator_batch": (lambda: multiplicator_batch(EMPTY_WORDS, EMPTY), (0,)),
+    "act_on_array": (lambda: act_on_array(EMPTY_WORDS, EMPTY), (0, 4)),
+    "omega_kt_matrix": (lambda: omega_kt_matrix(EMPTY), (0, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_BATCH_CALLS))
+def test_batched_functions_take_an_empty_batch(name):
+    call, shape = EMPTY_BATCH_CALLS[name]
+    out = call()
+    assert (np.shape(out) if isinstance(shape, tuple) else [np.shape(x) for x in out]) == shape

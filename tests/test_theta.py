@@ -407,6 +407,19 @@ def moved_points(n, seed):
     ])
 
 
+def unit_points(n, seed):
+    """act(w, u0) as ``moved_points`` with exponents of w in [-1, 1]: every
+    Im(w) of both factors lies in [-1, 2), inside the window table's units
+    and the reach of ``loop_degree_basis`` at 1e-13 (see
+    ``test_units_batch_matches_residue_loop``)."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        act(GroupWord(*(int(e) for e in rng.integers(-1, 2, 4))),
+            KTPoint(*(float(c) for c in rng.random(4)))).as_array()
+        for _ in range(n)
+    ])
+
+
 def factor_arguments(pts):
     """(w, tau) of the fiber factor and of the base factor, concatenated."""
     w = np.concatenate([pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j * pts[:, 3]])
@@ -421,22 +434,48 @@ def argument_shapes(pts):
     return (w, tau), (w.reshape(2, -1), tau.reshape(2, -1))
 
 
+# One point set per window path of the kernel (``window_path``): the domain
+# unit's table, the per-point search (moves reach below the units), and the
+# padded tables of the units.
 POINT_SETS = {
     "fundamental": lambda: fundamental_domain_samples(64, 17),
     "moved": lambda: moved_points(64, 18),
+    "units": lambda: unit_points(64, 22),
 }
+POINT_SET_PATHS = {"fundamental": "domain", "moved": "search", "units": "units"}
 
 
 VALUE_W_TAU = ((0, 0), (1, 0), (0, 1))
 
 
-# POINT_SETS and the same kinds of point in a batch below th_mod.FEW_POINTS:
-# inside the cell table ("fundamental") and outside it ("moved").
+# POINT_SETS and the same kinds of point in a batch below th_mod.FEW_POINTS.
 KERNEL_POINT_SETS = {
     **POINT_SETS,
     "fundamental-few": lambda: fundamental_domain_samples(5, 19),
     "moved-few": lambda: moved_points(5, 20),
+    "units-few": lambda: unit_points(5, 23),
 }
+
+
+def window_path(k, w, tau, orders=VALUE_W_TAU, policy=DEFAULT_POLICY):
+    """The kernel's window path for a batch once its tables are built:
+    "domain" if it reads the domain unit's table, "units" if it reads the
+    padded tables of the units, "search" if it searches per point."""
+    th_mod._degree_basis_batch(k, w, tau, policy, orders)  # builds the tables
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_cell_windows", "_unit_windows", "_basis_window"):
+            original = getattr(th_mod, name)
+            patch.setattr(th_mod, name,
+                          lambda *args, _name=name, _original=original:
+                          taken.append(_name) or _original(*args))
+        th_mod._degree_basis_batch(k, w, tau, policy, orders)
+    if "_basis_window" in taken:
+        return "search"
+    if "_unit_windows" in taken:
+        return "units"
+    assert taken == ["_cell_windows"]
+    return "domain"
 
 
 class TestDegreeBasisKernel:
@@ -451,6 +490,12 @@ class TestDegreeBasisKernel:
             assert g.shape == r.shape == (k, len(w))
             assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
 
+    @pytest.mark.parametrize("where", sorted(KERNEL_POINT_SETS))
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_point_sets_take_each_window_path(self, k, where):
+        w, tau = factor_arguments(KERNEL_POINT_SETS[where]())
+        assert window_path(k, w, tau) == POINT_SET_PATHS[where.split("-")[0]]
+
     @pytest.mark.parametrize("where", sorted(POINT_SETS))
     @pytest.mark.parametrize("k", [2, 3, 5, 16])
     def test_batch_matches_single_points(self, k, where, monkeypatch):
@@ -459,24 +504,19 @@ class TestDegreeBasisKernel:
         # the two agree to roundoff: 1e-13 of each row's largest entry for the
         # value and w orders.  An order with a tau factor passes through the
         # step c0*M_j + c1*M_{j+1} + k*M_{j+2}, whose cancellation magnifies
-        # term roundoff (up to 3e-12 here), so those get 1e-11.  A single
-        # point off the cells is given the batch's window; one on the cells is
-        # compared only with a batch on them.
+        # term roundoff (up to 3e-12 here), so those get 1e-11.  Each single
+        # point is given the batch's window, whichever path chose it.
         w, tau = factor_arguments(POINT_SETS[where]())
         assert len(w) >= th_mod.FEW_POINTS
-        on_cells = (tau.imag == 1.0) & (w.imag >= 0.0) & (w.imag <= 1.0)
-        lo, length = th_mod._basis_window(k, w.imag, tau.imag, DEFAULT_POLICY, ALL_ORDERS)
+        lo, length = th_mod._kernel_window(k, w.imag, tau.imag, DEFAULT_POLICY, ALL_ORDERS)
         batch = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, ALL_ORDERS)
-        compared = 0
-        for b in np.flatnonzero(on_cells == on_cells.all()):
-            monkeypatch.setattr(th_mod, "_basis_window", lambda *args: (lo[b:b + 1], length))
+        for b in range(len(w)):
+            monkeypatch.setattr(th_mod, "_kernel_window", lambda *args: (lo[b:b + 1], length))
             single = th_mod._degree_basis_batch(k, w[b:b + 1], tau[b:b + 1], DEFAULT_POLICY,
                                                 ALL_ORDERS)
             for (_, to), got, want in zip(ALL_ORDERS, batch, single):
                 bound = 1e-11 if to else 1e-13
                 assert np.abs(got[:, b] - want[:, 0]).max() <= bound * np.abs(want).max()
-            compared += 1
-        assert compared >= len(w) // 2
 
     def test_values_only_call_matches(self):
         w, tau = factor_arguments(moved_points(16, 4))
@@ -488,8 +528,9 @@ class TestDegreeBasisKernel:
                 want = full[VALUE_W_TAU.index(order)]
                 assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("where", sorted(POINT_SETS))
     @pytest.mark.parametrize("k", [1, 3, 8, 16])
-    def test_widened_window_differs_by_at_most_epsilon(self, k, monkeypatch):
+    def test_widened_window_differs_by_at_most_epsilon(self, k, where, monkeypatch):
         # The certificate bounds the discarded tail of each residue's inner
         # series theta(k*w + p*tau, k*tau) and of its termwise d/dz, d/dtau
         # by epsilon.  theta_k^p is that series times exp(2 pi i p w), and
@@ -498,18 +539,18 @@ class TestDegreeBasisKernel:
         # three outputs is at most |e^{..}| (1, 2 pi p + k, p + k) epsilon.
         # Roundoff allowance: 1e-14 of the point's largest |entry|.
         # Both argument shapes: concatenated and stacked as ``factor`` stacks.
+        # The kernel's window is widened on every path (``window_path``).
         eps = DEFAULT_POLICY.epsilon
-        window = th_mod._basis_window
+        window = th_mod._kernel_window
 
         def widened(*args):
             lo, length = window(*args)
             return lo - 3, length + 6
 
-        for w, tau in argument_shapes(np.vstack([fundamental_domain_samples(32, 3),
-                                                 moved_points(32, 5)])):
+        for w, tau in argument_shapes(POINT_SETS[where]()):
             got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
             with monkeypatch.context() as patch:
-                patch.setattr(th_mod, "_basis_window", widened)
+                patch.setattr(th_mod, "_kernel_window", widened)
                 ref = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
             p = np.arange(k).reshape((k,) + (1,) * w.ndim)
             phase = np.exp(-2.0 * math.pi * p * w.imag)
@@ -517,22 +558,22 @@ class TestDegreeBasisKernel:
                 roundoff = 1e-14 * np.abs(r).max(axis=0)
                 assert np.all(np.abs(g - r) <= factor * phase * eps + roundoff)
 
+    @pytest.mark.parametrize("where", sorted(POINT_SETS))
     @pytest.mark.parametrize("k", [1, 3, 16])
-    def test_window_certified_for_every_residue(self, k, monkeypatch):
-        # Both argument shapes: the concatenated arguments directly, and the
-        # window the kernel takes for them stacked as ``factor`` stacks them.
-        flat, stacked = argument_shapes(np.vstack([fundamental_domain_samples(32, 3),
-                                                   moved_points(32, 5)]))
-        window = th_mod._basis_window
+    def test_window_certified_for_every_residue(self, k, where, monkeypatch):
+        # The window the kernel takes, on every path, for the arguments both
+        # concatenated and stacked as ``factor`` stacks them.
+        flat, stacked = argument_shapes(POINT_SETS[where]())
+        window = th_mod._kernel_window
         taken = []
 
         def recording(*args):
             taken.append((args, window(*args)))
             return taken[-1][1]
 
-        monkeypatch.setattr(th_mod, "_basis_window", recording)
-        recording(k, flat[0].imag, flat[1].imag, DEFAULT_POLICY, VALUE_W_TAU)
-        th_mod._degree_basis_batch(k, *stacked, DEFAULT_POLICY, VALUE_W_TAU)
+        monkeypatch.setattr(th_mod, "_kernel_window", recording)
+        for w, tau in (flat, stacked):
+            th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         assert len(taken) == 2
         for (_, im_w, im_tau, _, _), (lo, length) in taken:
             assert im_w.shape == lo.shape == (flat[0].size,)
@@ -543,22 +584,129 @@ class TestDegreeBasisKernel:
                 assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
 
     @pytest.mark.parametrize("orders", [((0, 0),), VALUE_W_TAU, ((2, 0), (1, 1))])
-    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
     def test_cell_windows_certified_over_their_cells(self, k, orders):
-        # Sampled points of each cell of Im(w), edges included, at Im(tau) = 1:
-        # for every residue the cell's window leaves at most epsilon / 2 on
-        # each side, for the requested orders and those every cell carries.
+        # Sampled points of every cell of every unit of Im(w), edges
+        # included, at Im(tau) = 1: for every residue the cell's window
+        # leaves at most epsilon / 2 on each side, for the requested orders
+        # and those every cell carries.
         key = tuple(sorted(th_mod._CELL_ORDERS.union(orders)))
-        lo, length = th_mod._cell_windows(k, DEFAULT_POLICY, key)
-        assert lo.shape == (th_mod.CELLS,)
         rng = np.random.default_rng(k)
-        for cell in range(th_mod.CELLS):
-            im_w = (cell + np.r_[0.0, rng.random(30), 1.0]) / th_mod.CELLS
-            outward = np.array([-lo[cell], lo[cell] + length - 1])[:, None]
+        cells = np.arange(th_mod.CELLS)[:, None]
+        for unit in th_mod.UNITS:
+            lo, length = th_mod._cell_windows(k, DEFAULT_POLICY, key, unit)
+            assert lo.shape == (th_mod.CELLS,)
+            im_w = unit + (cells + np.c_[np.zeros(th_mod.CELLS), rng.random((th_mod.CELLS, 30)),
+                                         np.ones(th_mod.CELLS)]) / th_mod.CELLS
+            outward = np.array([-lo, lo + length - 1])[:, :, None]
             for p in range(k):
                 y = k * im_w + p
                 bounds = th_mod._tail_bound_arrays([y, y], float(k), outward, key)
                 assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+    def test_domain_unit_is_one_direct_window_call(self, k):
+        # bit for bit the table of the cells [j, j + 1] / CELLS of [0, 1]
+        key = tuple(sorted(th_mod._CELL_ORDERS))
+        edges = np.arange(th_mod.CELLS + 1) / th_mod.CELLS
+        lo, length = th_mod._basis_window(k, np.stack([edges[:-1], edges[1:]]), 1.0,
+                                          DEFAULT_POLICY, key)
+        table_lo, table_length = th_mod._cell_windows(k, DEFAULT_POLICY, key, 0)
+        assert np.array_equal(table_lo, lo) and table_length == length
+
+    def test_tables_built_on_first_use_one_window_call_per_unit(self, monkeypatch):
+        # A policy no other test uses, so that its tables start unbuilt.  A
+        # batch builds only the tables of the units it touches: the domain
+        # unit, unit 1, unit -1, then unit 2.
+        policy = TruncationPolicy(3e-14)
+        calls = count_calls(monkeypatch, "_basis_window")
+        w, tau = factor_arguments(unit_points(16, 9))
+        assert set(np.floor(w.imag).astype(int).tolist()) == {-1, 0, 1}
+        for batch, built in (((w.real + 0.5j, tau), 1), ((w.real + 1.5j, tau), 1),
+                             ((w, tau), 1), ((w, tau), 0), ((w.real + 0.25j, tau), 0),
+                             ((w + 1j, tau), 1), ((w + 1j, tau), 0)):
+            calls["_basis_window"] = 0
+            th_mod._degree_basis_batch(5, *batch, policy, VALUE_W_TAU)
+            assert calls == {"_basis_window": built}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+    def test_units_batch_matches_residue_loop(self, k, monkeypatch):
+        # Every cell edge of the units, the last float below their top, and
+        # random points: one batch, off the domain, on the units' tables.
+        # Every point matches the per-point search's windows to 1e-13 of the
+        # largest |entry|, and the points with Im(w) < 2 match the residue
+        # loop to 1e-13.  Above, the loop's own error reaches 1.2e-13 at
+        # k = 16 (200 points of [2, 3) against the search's windows, which
+        # a 40-digit sum puts within 3.1e-14): the loop exponentiates
+        # Im(k*w + p*tau) before the phase exp(2*pi*i*p*w) cancels it.
+        edges = np.arange(th_mod.UNITS.start * th_mod.CELLS,
+                          th_mod.UNITS.stop * th_mod.CELLS) / th_mod.CELLS
+        rng = np.random.default_rng(30 + k)
+        im_w = np.r_[edges, np.nextafter(th_mod.UNITS.stop, 0.0),
+                     rng.uniform(th_mod.UNITS.start, th_mod.UNITS.stop, 40)]
+        w = rng.uniform(-1.0, 1.0, im_w.size) + 1j * im_w
+        tau = rng.uniform(-1.0, 1.0, im_w.size) + 1j
+        assert window_path(k, w, tau) == "units"
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+        monkeypatch.setattr(th_mod, "_unit_windows", lambda *args: None)
+        searched = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+        near = im_w < 2.0
+        loop = loop_degree_basis(k, w[near], tau[near], DEFAULT_POLICY, want_tau=True)
+        for g, s, r in zip(got, searched, loop):
+            assert np.abs(g - s).max() <= 1e-13 * np.abs(s).max()
+            assert np.abs(g[:, near] - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_units_windows_hold_their_cell_windows(self, k):
+        # a batch of one point per cell of the units takes the longest unit
+        # length, made odd, and each point's window holds its cell's
+        # certified one
+        key = tuple(sorted(th_mod._CELL_ORDERS))
+        im_w = (np.arange(th_mod.UNITS.start * th_mod.CELLS, th_mod.UNITS.stop * th_mod.CELLS)
+                + 0.5) / th_mod.CELLS
+        lo, length = th_mod._kernel_window(k, im_w, np.ones_like(im_w), DEFAULT_POLICY, key)
+        units = [th_mod._cell_windows(k, DEFAULT_POLICY, key, u) for u in th_mod.UNITS]
+        assert length == max(unit_length for _, unit_length in units) | 1
+        cell_lo = np.concatenate([unit_lo for unit_lo, _ in units])
+        cell_length = np.repeat([unit_length for _, unit_length in units], th_mod.CELLS)
+        assert np.all(lo <= cell_lo) and np.all(lo + length >= cell_lo + cell_length)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_uncertified_unit_falls_back_to_search(self, k):
+        # Arguments moved one unit up, Im(w) in [1, 1.1], under the smallest
+        # max_terms their per-point search accepts: unit 1's table, certified
+        # over whole cells, needs more, so the batch searches per point.
+        rng = np.random.default_rng(40 + k)
+        w = rng.uniform(-1.0, 1.0, 40) + 1j * rng.uniform(1.0, 1.1, 40)
+        tau = rng.uniform(-1.0, 1.0, 40) + 1j
+
+        def certifies(policy):
+            try:
+                th_mod._basis_window(k, w.imag, tau.imag, policy, VALUE_W_TAU)
+            except TailNotConverged:
+                return False
+            return True
+
+        policy = next(p for p in (TruncationPolicy(1e-14, n) for n in range(1, 64))
+                      if certifies(p))
+        key = tuple(sorted(th_mod._CELL_ORDERS))
+        with pytest.raises(TailNotConverged):
+            th_mod._cell_windows(k, policy, key, 1)
+        assert window_path(k, w, tau, policy=policy) == "search"
+        got = th_mod._degree_basis_batch(k, w, tau, policy, VALUE_W_TAU)
+        want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
+        for g, r in zip(got, want):
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("name", ["product_closure", "tensor_power_law", "well_definedness",
+                                      "separating_sections"])
+    def test_suites_search_no_window_once_warm(self, name, monkeypatch):
+        # their moved and shifted arguments lie in the units [-1, 3)
+        suite = checks_mod.REGISTRY[name]
+        suite(checks_mod.RunConfig())
+        calls = count_calls(monkeypatch, "_basis_window")
+        assert suite(checks_mod.RunConfig()).passed
+        assert calls == {"_basis_window": 0}
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_cell_edges_match_residue_loop(self, k):
