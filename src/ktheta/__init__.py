@@ -25,10 +25,8 @@ from .errors import (
     InvalidModulus,
     KThetaError,
     LiftOverflow,
-    NonCommutingPair,
     SearchFailed,
     TailNotConverged,
-    TorusNotClosed,
 )
 from .manifold import GroupWord, KTPoint, act, fundamental_domain_samples, reduce_point
 from .sections import SectionIndex, ZetaShift, fit_in_span, section, shift_product

@@ -78,7 +78,6 @@ class RunConfig:
     samples: int = 0  # 0 means each suite uses its documented default
     seed: int = 42
     grid: int = 64
-    max_terms: int = 512
     policy: th.TruncationPolicy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,8 +87,8 @@ class RunConfig:
             raise ValueError("samples must be 0 (suite defaults) or at least 2")
         if self.grid < 8:
             raise ValueError("grid must be at least 8")
-        # the policy validates epsilon and max_terms
-        object.__setattr__(self, "policy", th.TruncationPolicy(self.epsilon, self.max_terms))
+        # the policy validates epsilon
+        object.__setattr__(self, "policy", th.TruncationPolicy(self.epsilon))
 
     def count(self, default: int) -> int:
         return self.samples if self.samples > 0 else default

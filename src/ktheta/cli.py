@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from .checks import REGISTRY, RunConfig
-from .embedding import ProjectivePoint, injectivity_scan, phi, projective_rank
+from .embedding import ProjectivePoint, phi, projective_rank
 from .errors import KThetaError
 from .manifold import KTPoint
 from .symplectic import (
@@ -191,26 +191,6 @@ def rank(point, fmt, out, config_path, **overrides):
     cfg = _build_config(config_path, **overrides)
     r = projective_rank(cfg.k, point, policy=cfg.policy)
     _emit([{"k": cfg.k, "rank": r}], ["k", "rank"], fmt, out)
-
-
-@main.command()
-@shared_options
-def injectivity(fmt, out, config_path, **overrides):
-    """Seeded image-collision scan for phi_k; exit 1 on a near-collision."""
-    cfg = _build_config(config_path, **overrides)
-    report = injectivity_scan(cfg.k, cfg.count(2000), cfg.seed, cfg.policy)
-    row = {
-        "k": report.k,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "min_image_distance": report.min_image_distance,
-        "witness_i": report.witness_indices[0],
-        "witness_j": report.witness_indices[1],
-        "witness_quotient_distance": report.witness_quotient_distance,
-        "pass": report.passed,
-    }
-    _emit([row], list(row), fmt, out)
-    sys.exit(0 if report.passed else 1)
 
 
 @main.command()

@@ -10,7 +10,7 @@ class InvalidModulus(KThetaError):
 
 
 class TailNotConverged(KThetaError):
-    """The truncation window hit ``max_terms`` before the tail bound met epsilon."""
+    """A window reached ``theta.MAX_TERMS`` before its tail bound met epsilon."""
 
 
 class IllConditioned(KThetaError):
@@ -31,14 +31,6 @@ class AllSectionsVanish(KThetaError):
 
 class DimensionMismatch(KThetaError):
     """Projective points of different dimensions cannot be compared."""
-
-
-class TorusNotClosed(KThetaError):
-    """The parametrized square does not close up on the quotient."""
-
-
-class NonCommutingPair(KThetaError):
-    """The two group words do not commute, so they span no torus."""
 
 
 class LiftOverflow(KThetaError):

@@ -25,20 +25,18 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import theta as th
-from .errors import LiftOverflow, NonCommutingPair, TorusNotClosed
+from .errors import LiftOverflow
 from .manifold import (
     GEN_A,
     GEN_B,
     GEN_C,
     GEN_D,
-    GENERATORS,
     IDENTITY,
     GroupWord,
     KTPoint,
     TwoFormAtPoint,
     act,
     act_on_array,
-    compose,
     inverse,
     multiplicator_batch,
     multiplicator_exponent,
@@ -270,24 +268,14 @@ TORUS_AXES = {tid: tuple(astuple(w).index(1) for w in words) for tid, words in T
 
 @dataclass(frozen=True)
 class BasisTorus:
-    """A coordinate 2-torus spanned by two commuting unit translations."""
+    """A coordinate 2-torus through the origin, spanned by two commuting unit
+    translations."""
 
     id: str
-    basepoint: KTPoint = KTPoint(0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.id not in TORUS_AXES:
             raise ValueError(f"unknown torus id {self.id!r}")
-
-    def validate_closure(self):
-        # tori through the a-direction close only above y = 0 (mod 1),
-        # because a twists z by y
-        if 0 in TORUS_AXES[self.id]:
-            frac = self.basepoint.y - round(self.basepoint.y)
-            if abs(frac) > 1e-12:
-                raise TorusNotClosed(
-                    f"{self.id} requires an integer y basepoint, got y={self.basepoint.y}"
-                )
 
     def grid_points(self, grid: int) -> np.ndarray:
         """The grid^2 points of the uniform grid, in coordinate order.
@@ -298,9 +286,9 @@ class BasisTorus:
         s = np.arange(grid) / grid
         s1, s2 = np.meshgrid(s, s, indexing="ij")
         axis1, axis2 = sorted(TORUS_AXES[self.id])
-        pts = np.tile(self.basepoint.as_array(), (grid * grid, 1))
-        pts[:, axis1] += s1.ravel()
-        pts[:, axis2] += s2.ravel()
+        pts = np.zeros((grid * grid, 4))
+        pts[:, axis1] = s1.ravel()
+        pts[:, axis2] = s2.ravel()
         return pts
 
 
@@ -321,7 +309,6 @@ def integrate_over_torus(
     if grid < 8:
         raise ValueError("grid must be at least 8")
     _check_map(map_id, MAP_IDS)
-    torus.validate_closure()
     i, j = TORUS_AXES[torus.id]
     if map_id == "omega_kt":
         return float(np.mean(omega_kt_matrix(torus.grid_points(grid))[:, i, j]))
@@ -356,17 +343,16 @@ def chern_cocycle(w1: GroupWord, w2: GroupWord, w3: GroupWord, pts: np.ndarray) 
     return total.imag / (2.0 * math.pi)
 
 
-def chern_for_generator_pair(lam: GroupWord, mu: GroupWord, u: KTPoint | None = None) -> int:
-    """Chern number f_mu(u) + f_lam(mu.u) - f_lam(u) - f_mu(lam.u) for a pair.
+def chern_via_multiplicators(torus_id: str, u: KTPoint | None = None) -> int:
+    """First Chern number on a named basis torus from the branch functions.
 
-    The pair must commute (it spans a torus on the quotient); the value is
-    an integer independent of the evaluation point.
+    With (lam, mu) = TORUS_WORDS[torus_id], two commuting generators, it is
+    f_mu(u) + f_lam(mu.u) - f_lam(u) - f_mu(lam.u), an integer independent
+    of the evaluation point u.
     """
-    if compose(lam, mu) != compose(mu, lam):
-        raise NonCommutingPair(f"words {lam} and {mu} do not commute")
-    generators = GENERATORS.values()
-    if lam not in generators or mu not in generators:
-        raise ValueError("branch functions are defined for single generators")
+    if torus_id not in TORUS_WORDS:
+        raise ValueError(f"unknown torus id {torus_id!r}")
+    lam, mu = TORUS_WORDS[torus_id]
     if u is None:
         u = KTPoint(0.31, 0.67, 0.12, 0.84)
 
@@ -378,11 +364,3 @@ def chern_for_generator_pair(lam: GroupWord, mu: GroupWord, u: KTPoint | None = 
     if abs(value - nearest) > 1e-9:
         raise ArithmeticError(f"branch combination {value} is not an integer")
     return int(nearest)
-
-
-def chern_via_multiplicators(torus_id: str, u: KTPoint | None = None) -> int:
-    """First Chern number on a named basis torus from the branch functions."""
-    if torus_id not in TORUS_WORDS:
-        raise ValueError(f"unknown torus id {torus_id!r}")
-    lam, mu = TORUS_WORDS[torus_id]
-    return chern_for_generator_pair(lam, mu, u)

@@ -72,9 +72,12 @@ need longer windows (7 against the domain unit's 4 at k = 16).  Each
 unit's table is built once per (k, policy, orders), on first use by a batch
 that touches it, and is certified for the requested orders together with
 the value and both first derivatives, so value-only and gradient calls at
-one point sum the same terms.  A batch whose off-domain unit has no
-certified table under the policy's max_terms, or whose padded windows pass
-max_terms, searches per point, as does every other batch.
+one point sum the same terms.  Every other batch searches per point.
+
+No window index may pass MAX_TERMS.  The units' tables stay far inside it:
+their largest |index| is 20 over k <= 64, epsilon down to 1e-323 and orders
+up to (20, 20), so only the per-point search reaches the cap, and raises
+TailNotConverged there (at Im(w) = 1000, or at Im(tau) = 1e-6).
 """
 
 from __future__ import annotations
@@ -104,20 +107,21 @@ class ThetaArgument:
             raise InvalidModulus(f"Im(tau) must be positive, got {self.tau.imag}")
 
 
+# The hard cap on |m| of a window's indices; see the module docstring.
+MAX_TERMS = 512
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tail bound and a hard cap on the window index."""
+    """Target absolute tail bound of the truncated series."""
 
     epsilon: float = 1e-14
-    max_terms: int = 512
 
     def __post_init__(self):
         # the window search takes log(epsilon / 2)
         if not (math.isfinite(self.epsilon) and 0.5 * self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive with a nonzero half, "
                              f"got {self.epsilon}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -273,16 +277,16 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     ok = _tail_bound_arrays(z[:, None], im_t, guess[:, None] + _CANDIDATES, orders) <= half_eps
     certified = ok.any(axis=1)
     outward = guess - 1 + np.where(certified, ok.argmax(axis=1), 3)
-    while not certified.all() and np.abs(outward).max() <= policy.max_terms:
+    while not certified.all() and np.abs(outward).max() <= MAX_TERMS:
         certified |= _tail_bound_arrays(z, im_t, outward, orders) <= half_eps
         outward += ~certified
     width = outward.sum(axis=0) + 1
     length = max(int(width.max()), 1)
     outward[0] += (length - width) // 2
     outward[1] = length - 1 - outward[0]
-    if not certified.all() or np.abs(outward).max() > policy.max_terms:
+    if not certified.all() or np.abs(outward).max() > MAX_TERMS:
         raise TailNotConverged(
-            f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
+            f"tail bound did not reach {policy.epsilon} within |m| <= MAX_TERMS = {MAX_TERMS}"
         )
     return -outward[0], length
 
@@ -317,28 +321,21 @@ def _cell_windows(k, policy, orders, unit):
 
 def _unit_windows(k, im_w, policy, orders):
     """The padded windows of an Im(tau) = 1 batch inside UNITS (see the
-    module docstring): ``lo`` (B,) and the shared length, or None if a unit
-    the batch touches has no certified table or a padded window passes
-    policy.max_terms.  Only the touched units' tables are built."""
+    module docstring): ``lo`` (B,) and the shared length.  Only the touched
+    units' tables are built."""
     cell = _UNIT_EDGES.searchsorted(im_w, side="right")
     unit = cell // CELLS
     cell_lo = np.zeros(len(UNITS) * CELLS, dtype=int)
     unit_length = np.zeros(len(UNITS), dtype=int)
     for u in np.flatnonzero(np.bincount(unit, minlength=len(UNITS))):
-        try:
-            lo, unit_length[u] = _cell_windows(k, policy, orders, UNITS[u])
-        except TailNotConverged:
-            return None
+        lo, unit_length[u] = _cell_windows(k, policy, orders, UNITS[u])
         cell_lo[u * CELLS:(u + 1) * CELLS] = lo
     lengths = unit_length.take(unit)
     length = int(lengths.max()) | 1  # odd: the moments' centre lo + (length - 1) / 2 is an integer
     lo = cell_lo.take(cell)
     # centred on the mean residue peak, as far as the cell's window allows
     centred = np.rint((0.5 - 0.5 * (k - 1) / k - 0.5 * (length - 1)) - im_w).astype(int)
-    lo = np.clip(centred, lo + lengths - length, lo)
-    if max(-lo.min(), lo.max() + length - 1) > policy.max_terms:
-        return None
-    return lo, length
+    return np.clip(centred, lo + lengths - length, lo), length
 
 
 _INVALID = "theta arguments must be finite with Im(tau) > 0"
@@ -348,9 +345,9 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
     """The kernel's window of a batch: ``lo`` (B,) and the shared length.
 
     At Im(tau) = 1 a batch inside the domain unit takes that unit's table
-    and one inside UNITS the padded tables of its units where they hold
-    (``_unit_windows``); every other batch takes the per-point
-    ``_basis_window``, which needs Im(tau) > 0.
+    and one inside UNITS the padded tables of its units (``_unit_windows``);
+    every other batch takes the per-point ``_basis_window``, which needs
+    Im(tau) > 0.
     """
     if (im_tau == 1.0).all():
         key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
@@ -358,9 +355,7 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
             cell_lo, length = _cell_windows(k, policy, key, 0)
             return cell_lo.take(_CELL_EDGES.searchsorted(im_w, side="right")), length
         if ((im_w >= UNITS.start) & (im_w < UNITS.stop)).all():
-            windows = _unit_windows(k, im_w, policy, key)
-            if windows is not None:
-                return windows
+            return _unit_windows(k, im_w, policy, key)
     elif not (im_tau > 0.0).all():
         raise InvalidModulus(_INVALID)
     return _basis_window(k, im_w, im_tau, policy, orders)

@@ -100,7 +100,7 @@ class TestRunConfigValidation:
             {"samples": -1},
             {"grid": 4},
             {"grid": 7},  # just below the minimum of 8
-            {"max_terms": 0},
+            {"epsilon": -1e-14},  # the default's negative
             {"epsilon": 5e-324},  # its half underflows to 0
             {"epsilon": math.inf},
             {"epsilon": math.nan},

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ktheta.theta as theta_module
+from ktheta import TailNotConverged
 from ktheta.cli import main
 from ktheta.manifold import KTPoint, reduce_point
 
@@ -87,12 +89,26 @@ class TestCheckCommand:
     @pytest.mark.parametrize("command", [["check", "--only", "zero_locus"],
                                          ["embed", "0.1", "0.2", "0.3", "0.4"]])
     def test_invalid_config_value_usage_error(self, runner, tmp_path, command):
-        # max_terms is a config-file key without a flag
+        # a value the key's type accepts and RunConfig rejects
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_terms=0\n")
+        cfg.write_text("grid=7\n")
         result = runner.invoke(main, command + ["--config", str(cfg)])
         assert result.exit_code == 2
-        assert "max_terms must be at least 1" in result.output
+        assert "grid must be at least 8" in result.output
+
+    def test_max_terms_is_not_a_key(self, runner, tmp_path):
+        # the window cap is the constant theta.MAX_TERMS
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_terms=2\n")
+        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "unknown config key 'max_terms'" in result.output
+
+    def test_injectivity_is_not_a_command(self, runner):
+        # its scan is ``check --only injectivity``
+        result = runner.invoke(main, ["injectivity", "--samples", "60"])
+        assert result.exit_code == 2
+        assert "No such command 'injectivity'" in result.output
 
     def test_invalid_parameter_combination(self, runner):
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--grid", "2"])
@@ -100,7 +116,8 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("command, message", [
         (["embed", "--eps", "5e-324", "0.1", "0.3", "0.2", "0.4"], "epsilon must be finite"),
-        (["injectivity", "--samples", "1"], "samples must be 0 (suite defaults) or at least 2"),
+        (["embed", "--samples", "1", "0.1", "0.3", "0.2", "0.4"],
+         "samples must be 0 (suite defaults) or at least 2"),
         (["check", "--only", "injectivity", "--samples", "1"], "samples must be 0"),
     ])
     def test_unusable_option_value_usage_error(self, runner, command, message):
@@ -156,13 +173,16 @@ class TestRankCommand:
         assert json.loads(result.output)[0]["rank"] == 0
 
 
-class TestInjectivityCommand:
+class TestInjectivityCheck:
     def test_small_scan(self, runner):
-        result = runner.invoke(main, ["injectivity", "--samples", "60", "--seed", "3"])
+        result = runner.invoke(
+            main, ["check", "--only", "injectivity", "--samples", "60", "--seed", "3"]
+        )
         assert result.exit_code == 0
-        row = json.loads(result.output)[0]
+        (row,) = json.loads(result.output)
+        assert row["check"] == "injectivity" and row["samples"] == 60
         assert row["pass"] is True
-        assert row["min_image_distance"] > 1e-6
+        assert row["witness"]["min_image_distance"] > 1e-6
 
 
 class TestPullbackCommand:
@@ -245,18 +265,21 @@ def test_point_commands_print_the_reduced_point(runner, command, coords):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
 @pytest.mark.parametrize("command, max_terms, error", [
-    # TailNotConverged: two series terms cannot reach the default tail bound
+    # TailNotConverged from the series window, at a cap of 2 terms
     (["embed", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["rank", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["pullback", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
     (["integrate", "--torus", "T_ca", "--grid", "8"], 2, "error: "),
-    (["injectivity", "--samples", "10"], 2, "error: "),
+    (["check", "--only", "injectivity", "--samples", "10"], 2, "error in injectivity: "),
 ])
-def test_library_error_exits_one(runner, tmp_path, command, max_terms, error):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"max_terms={max_terms}\n")
-    command = command + ["--config", str(cfg)]
+def test_library_error_exits_one(runner, monkeypatch, command, max_terms, error):
+    # No CLI input reaches the window cap (theta.MAX_TERMS), so the kernel's
+    # window raises as if it had
+    def no_window(*args):
+        raise TailNotConverged(f"tail bound not reached within |m| <= {max_terms}")
+
+    monkeypatch.setattr(theta_module, "_kernel_window", no_window)
     result = runner.invoke(main, command)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled, no traceback

@@ -20,9 +20,7 @@ from ktheta import (
     GroupWord,
     KTPoint,
     LiftOverflow,
-    NonCommutingPair,
     RunConfig,
-    TorusNotClosed,
     chern_via_multiplicators,
     fs_pullback,
     fundamental_domain_samples,
@@ -49,7 +47,6 @@ from ktheta.symplectic import (
     MAP_FACTORS,
     TORUS_AXES,
     chern_cocycle,
-    chern_for_generator_pair,
     decompose_left_invariant_batch,
     exterior_derivative_residuals,
     fs_hermitian,
@@ -492,17 +489,6 @@ class TestTori:
         with pytest.raises(ValueError):
             BasisTorus("T_xy")
 
-    def test_closure_violation(self):
-        t = BasisTorus("T_ca", basepoint=KTPoint(0.0, 0.25, 0.0, 0.0))
-        with pytest.raises(TorusNotClosed):
-            t.validate_closure()
-        with pytest.raises(TorusNotClosed):
-            integrate_over_torus("omega_kt", 1, t)
-
-    def test_base_torus_any_basepoint(self):
-        t = BasisTorus("T_bd", basepoint=KTPoint(0.3, 0.25, 0.1, 0.7))
-        t.validate_closure()
-
     def test_omega_kt_integrals(self):
         vals = {
             tid: integrate_over_torus("omega_kt", 1, BasisTorus(tid), grid=16)
@@ -537,9 +523,7 @@ class TestTori:
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
     def test_matches_all_factor_oracle(self, map_id, k):
         # the deleted path: every factor, every partial, every grid point
-        tori = [BasisTorus(tid) for tid in TORUS_AXES]
-        tori.append(BasisTorus("T_bd", basepoint=KTPoint(0.3, 0.25, 0.1, 0.7)))
-        for torus in tori:
+        for torus in map(BasisTorus, TORUS_AXES):
             i, j = TORUS_AXES[torus.id]
             mats = fs_pullback_batch(map_id, k, torus.grid_points(16))
             want = float(np.mean(mats[:, i, j]))
@@ -552,8 +536,6 @@ class TestTori:
             integrate_over_torus("phi_k", 3, t_ad, 4)
         with pytest.raises(ValueError, match="unknown map_id"):
             integrate_over_torus("psi", 3, t_ad, 8)
-        with pytest.raises(TorusNotClosed):
-            integrate_over_torus("phi_k", 3, BasisTorus("T_ad", KTPoint(0.0, 0.5, 0.0, 0.0)), 8)
 
     def test_sign_flipped_pullback_fails_the_suite(self, monkeypatch):
         form = symplectic_module._form
@@ -607,14 +589,6 @@ class TestChern:
         for _ in range(20):
             u = KTPoint(*(float(v) for v in 4 * (rng.random(4) - 0.5)))
             assert chern_via_multiplicators("T_ca", u) == 1
-
-    def test_noncommuting_pair_rejected(self):
-        with pytest.raises(NonCommutingPair):
-            chern_for_generator_pair(GENERATORS["a"], GENERATORS["b"])
-
-    def test_commuting_pair_matches_torus(self):
-        got = chern_for_generator_pair(GENERATORS["c"], GENERATORS["a"], U0)
-        assert got == chern_via_multiplicators("T_ca", U0)
 
 
 class TestTwoFormHelpers:

@@ -167,11 +167,12 @@ class TestTailBound:
         actual = (np.abs(terms) * w)[np.abs(idx_all) > 8].sum()
         assert tail_bound(z, tau, 8, z_order=2) >= actual * (1 - 1e-12)
 
-    def test_not_converged(self):
-        # enormous Im z forces a window beyond the cap
-        policy = TruncationPolicy(1e-14, max_terms=8)
+    @pytest.mark.parametrize("z, tau", [(0.5 + 600j, 1j), (0.5, 1e-5j)])
+    def test_not_converged(self, z, tau):
+        # the peak term at m = -600, or a Gaussian of width ~300, puts the
+        # window past the fixed cap th_mod.MAX_TERMS = 512
         with pytest.raises(TailNotConverged):
-            theta(ThetaArgument(0.5 + 40j, 0.2j), policy)
+            theta(ThetaArgument(z, tau))
 
     @pytest.mark.parametrize("orders, named", [
         ([(2, -1)], "(2, -1)"), ([(-1, 0)], "(-1, 0)"), ([(-1, 1)], "(-1, 1)"),
@@ -188,8 +189,6 @@ class TestTailBound:
             TruncationPolicy(-1e-10)
         with pytest.raises(ValueError):
             theta_deriv(ThetaArgument(0.1, 1j), -1, 0)
-        with pytest.raises(ValueError):  # a window of no terms
-            TruncationPolicy(1e-14, max_terms=0)
 
 
 class TestDegreeK:
@@ -314,9 +313,9 @@ class TestBatchedEvaluator:
             assert abs(batch[i] - scalar) < 1e-12 * max(1.0, abs(scalar))
 
 
-# The symmetric-window series the one engine replaced, verbatim: a window
-# [-N, N] searched until its certified tail is <= epsilon, shared by the batch,
-# and one weighted sum per requested order.
+# The symmetric-window series the one engine replaced: a window [-N, N]
+# searched until its certified tail is <= epsilon, shared by the batch, and
+# one weighted sum per requested order.
 _tail_bound_arrays = th_mod._tail_bound_arrays
 
 
@@ -327,34 +326,35 @@ def _pick_window(im_z, im_tau, policy, z_order=0, tau_order=0):
     crossover = np.max(np.abs(im_z) / im_tau)
     n = max(1, int(math.ceil(crossover)))
     z = np.stack([im_z, im_z])
-    while n <= policy.max_terms:
+    while n <= th_mod.MAX_TERMS:
         bound = np.max(_tail_bound_arrays(z, im_tau, n, [(z_order, tau_order)]).sum(axis=0))
         if bound <= policy.epsilon:
             return n
         # far from the target the bound drops by ~exp(-2*pi*n*im_tau) per step
         n = n + 1 if bound < policy.epsilon * 1e8 else max(n + 2, int(n * 1.25))
-    raise TailNotConverged(
-        f"tail bound did not reach {policy.epsilon} within max_terms={policy.max_terms}"
-    )
+    raise TailNotConverged(f"tail bound did not reach {policy.epsilon} within the cap")
 
 
-def _eval_series(zs, taus, policy, orders):
-    """Evaluate termwise derivatives of the theta series on arrays.
+def _eval_series(zs, taus, policy, orders, log_phase=0.0):
+    """Evaluate termwise derivatives of the theta series on arrays, each
+    times exp(log_phase).
 
     ``orders`` is a sequence of (z_order, tau_order) pairs; one array per
     pair is returned, all sharing a single certified window and a fixed
-    summation order.
+    summation order.  Each term's whole exponent, ``log_phase`` included,
+    goes through one exp, so no term overflows before the phase scales it.
     """
     zs = np.asarray(zs, dtype=complex)
     taus = np.asarray(taus, dtype=complex)
-    zs, taus = np.broadcast_arrays(zs, taus)
+    zs, taus, log_phase = np.broadcast_arrays(zs, taus, np.asarray(log_phase, dtype=complex))
     zo_max = max(o[0] for o in orders)
     to_max = max(o[1] for o in orders)
     n = _pick_window(zs.imag, taus.imag, policy, zo_max, to_max)
 
     idx = np.arange(-n, n + 1)
     quad = idx * (idx - 1)
-    expo = (2j * math.pi) * zs[..., None] * idx + (1j * math.pi) * taus[..., None] * quad
+    expo = (log_phase[..., None] + (2j * math.pi) * zs[..., None] * idx
+            + (1j * math.pi) * taus[..., None] * quad)
     terms = np.exp(expo)
 
     out = []
@@ -369,10 +369,11 @@ def _eval_series(zs, taus, policy, orders):
 
 
 def loop_degree_basis(k, ws, taus, policy, want_tau=False):
-    """Oracle: the per-residue loop the one-pass kernel replaced, verbatim.
+    """Oracle: the per-residue loop the one-pass kernel replaced.
 
-    Each residue p sums theta(k*w + p*tau, k*tau) through the symmetric
-    ``_eval_series`` above on its own window and multiplies by its phase.
+    Each residue p sums exp(2*pi*i*p*w) * theta(k*w + p*tau, k*tau) through
+    the symmetric ``_eval_series`` above on its own window, the phase inside
+    each term's exponent.
     """
     ws = np.asarray(ws, dtype=complex)
     taus = np.asarray(taus, dtype=complex)
@@ -385,13 +386,11 @@ def loop_degree_basis(k, ws, taus, policy, want_tau=False):
     for p in range(k):
         big_z = k * ws + p * taus
         big_t = k * taus
-        parts = _eval_series(big_z, big_t, policy, orders)
-        th, th_z = parts[0], parts[1]
-        phase = np.exp(2j * math.pi * p * ws)
-        vals[p] = phase * th
-        dws[p] = 2j * math.pi * p * vals[p] + k * phase * th_z
+        parts = _eval_series(big_z, big_t, policy, orders, 2j * math.pi * p * ws)
+        vals[p], th_z = parts[0], parts[1]
+        dws[p] = 2j * math.pi * p * vals[p] + k * th_z
         if want_tau:
-            dtaus[p] = phase * (p * th_z + k * parts[2])
+            dtaus[p] = p * th_z + k * parts[2]
     if want_tau:
         return vals, dws, dtaus
     return vals, dws
@@ -635,10 +634,10 @@ class TestDegreeBasisKernel:
         # random points: one batch, off the domain, on the units' tables.
         # Every point matches the per-point search's windows to 1e-13 of the
         # largest |entry|, and the points with Im(w) < 2 match the residue
-        # loop to 1e-13.  Above, the loop's own error reaches 1.2e-13 at
-        # k = 16 (200 points of [2, 3) against the search's windows, which
-        # a 40-digit sum puts within 3.1e-14): the loop exponentiates
-        # Im(k*w + p*tau) before the phase exp(2*pi*i*p*w) cancels it.
+        # loop to 1e-13.  Above, the loop's own error reaches 1.5e-13 at
+        # k = 16 against a 40-digit sum, which puts the kernel within
+        # 2.0e-14: each of the loop's exponents, up to ~600, is rounded in
+        # several steps before its one exp.
         edges = np.arange(th_mod.UNITS.start * th_mod.CELLS,
                           th_mod.UNITS.stop * th_mod.CELLS) / th_mod.CELLS
         rng = np.random.default_rng(30 + k)
@@ -648,13 +647,48 @@ class TestDegreeBasisKernel:
         tau = rng.uniform(-1.0, 1.0, im_w.size) + 1j
         assert window_path(k, w, tau) == "units"
         got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
-        monkeypatch.setattr(th_mod, "_unit_windows", lambda *args: None)
+        monkeypatch.setattr(th_mod, "_kernel_window", th_mod._basis_window)
         searched = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         near = im_w < 2.0
         loop = loop_degree_basis(k, w[near], tau[near], DEFAULT_POLICY, want_tau=True)
         for g, s, r in zip(got, searched, loop):
             assert np.abs(g - s).max() <= 1e-13 * np.abs(s).max()
             assert np.abs(g[:, near] - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("height", [2.9, 3.2, 3.5])
+    def test_far_points_match_residue_loop(self, height):
+        # k = 16 at Im(tau) = 1 near and past the top of the units, where the
+        # values reach e^450: five seeded points per height, less the first
+        # at 3.2, (-0.6304096770263028 + 3.2j, 0.9699699754998954 + 1j), where
+        # the loop is 1.03e-13 from a 40-digit sum (the kernel 1.8e-14) and
+        # 1.08e-13 from the kernel
+        rng = np.random.default_rng(16)
+        draws = dict(zip((2.9, 3.2, 3.5), rng.uniform(-1.0, 1.0, (3, 2, 5))))
+        re_w, re_tau = draws[height][:, 1:] if height == 3.2 else draws[height]
+        w, tau = re_w + 1j * height, re_tau + 1j
+        assert window_path(16, w, tau) == ("units" if height < th_mod.UNITS.stop else "search")
+        got = th_mod._degree_basis_batch(16, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
+        want = loop_degree_basis(16, w, tau, DEFAULT_POLICY, want_tau=True)
+        for g, r in zip(got, want):
+            assert np.isfinite(r).all() and np.abs(r).max() > 1e100
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    @pytest.mark.parametrize("epsilon", [1e-14, 1e-300])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+    def test_unit_windows_stay_far_below_the_cap(self, k, epsilon):
+        # why the units need no fallback: every table of UNITS, and the padded
+        # windows of a batch over all their cells, keep |m| <= MAX_TERMS / 16
+        # up to orders (4, 4)
+        policy = TruncationPolicy(epsilon)
+        im_w = np.r_[np.arange(th_mod.UNITS.start * th_mod.CELLS,
+                               th_mod.UNITS.stop * th_mod.CELLS) / th_mod.CELLS,
+                     np.nextafter(th_mod.UNITS.stop, 0.0)]
+        for order in [(0, 0), (2, 0), (0, 2), (4, 4)]:
+            key = tuple(sorted(th_mod._CELL_ORDERS.union([order])))
+            windows = [th_mod._cell_windows(k, policy, key, unit) for unit in th_mod.UNITS]
+            windows.append(th_mod._unit_windows(k, im_w, policy, key))
+            for lo, length in windows:
+                assert max(-lo.min(), lo.max() + length - 1) <= th_mod.MAX_TERMS // 16
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_units_windows_hold_their_cell_windows(self, k):
@@ -670,33 +704,6 @@ class TestDegreeBasisKernel:
         cell_lo = np.concatenate([unit_lo for unit_lo, _ in units])
         cell_length = np.repeat([unit_length for _, unit_length in units], th_mod.CELLS)
         assert np.all(lo <= cell_lo) and np.all(lo + length >= cell_lo + cell_length)
-
-    @pytest.mark.parametrize("k", [1, 3, 16])
-    def test_uncertified_unit_falls_back_to_search(self, k):
-        # Arguments moved one unit up, Im(w) in [1, 1.1], under the smallest
-        # max_terms their per-point search accepts: unit 1's table, certified
-        # over whole cells, needs more, so the batch searches per point.
-        rng = np.random.default_rng(40 + k)
-        w = rng.uniform(-1.0, 1.0, 40) + 1j * rng.uniform(1.0, 1.1, 40)
-        tau = rng.uniform(-1.0, 1.0, 40) + 1j
-
-        def certifies(policy):
-            try:
-                th_mod._basis_window(k, w.imag, tau.imag, policy, VALUE_W_TAU)
-            except TailNotConverged:
-                return False
-            return True
-
-        policy = next(p for p in (TruncationPolicy(1e-14, n) for n in range(1, 64))
-                      if certifies(p))
-        key = tuple(sorted(th_mod._CELL_ORDERS))
-        with pytest.raises(TailNotConverged):
-            th_mod._cell_windows(k, policy, key, 1)
-        assert window_path(k, w, tau, policy=policy) == "search"
-        got = th_mod._degree_basis_batch(k, w, tau, policy, VALUE_W_TAU)
-        want = loop_degree_basis(k, w, tau, DEFAULT_POLICY, want_tau=True)
-        for g, r in zip(got, want):
-            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
 
     @pytest.mark.parametrize("name", ["product_closure", "tensor_power_law", "well_definedness",
                                       "separating_sections"])
@@ -781,10 +788,11 @@ class TestDegreeBasisKernel:
         for p in range(4):
             assert theta_degree_k(ThetaBasisIndex(4, p), ThetaArgument(w, tau)) == vals[p]
 
-    def test_window_beyond_max_terms(self):
-        policy = TruncationPolicy(1e-14, max_terms=8)
+    @pytest.mark.parametrize("w, tau", [(0.1 + 600j, 1j), (0.1 + 0.5j, 1e-5j)])
+    def test_window_beyond_max_terms(self, w, tau):
+        # far outside the units, so the per-point search meets the cap
         with pytest.raises(TailNotConverged):
-            th_mod._degree_basis_batch(3, np.array([0.1 + 40j]), np.array([1j]), policy,
+            th_mod._degree_basis_batch(3, np.array([w]), np.array([tau]), DEFAULT_POLICY,
                                        ((0, 0),))
 
     @pytest.mark.parametrize("w,tau", [(np.nan, 1j), (0.1, np.inf + 1j), (0.1, 0.3 - 0.2j)])
@@ -935,10 +943,11 @@ class TestPackageSurface:
         exported = {name for name, v in vars(ktheta).items()
                     if not name.startswith("_") and not isinstance(v, types.ModuleType)}
         assert exported == readme | perfbench | error_classes
-        assert len(exported) == 34
+        assert len(exported) == 32
 
-    # removed single-point wrappers, the error only they raised and an empty
-    # subclass
+    # removed single-point wrappers, the errors only they raised, an empty
+    # subclass, and settings only tests turned; a dotted name is an attribute
+    # of a class
     @pytest.mark.parametrize("module, name", [
         ("ktheta.theta", "tail_bound"), ("ktheta.theta", "classical_product"),
         ("ktheta.sections", "theta_kt"), ("ktheta.sections", "zeta_action"),
@@ -951,11 +960,22 @@ class TestPackageSurface:
         ("ktheta.manifold", "omega_kt"), ("ktheta.errors", "ShiftSumNonzero"),
         ("ktheta", "ShiftSumNonzero"), ("ktheta.symplectic", "PullbackForm"),
         ("ktheta.sections", "factors"), ("ktheta.sections", "chain"),
+        ("ktheta.theta", "TruncationPolicy.max_terms"), ("ktheta.checks", "RunConfig.max_terms"),
+        ("ktheta.symplectic", "BasisTorus.basepoint"),
+        ("ktheta.symplectic", "BasisTorus.validate_closure"),
+        ("ktheta.errors", "TorusNotClosed"), ("ktheta", "TorusNotClosed"),
+        ("ktheta.symplectic", "chern_for_generator_pair"),
+        ("ktheta.errors", "NonCommutingPair"), ("ktheta", "NonCommutingPair"),
+        ("ktheta.cli", "injectivity"),
     ])
     def test_removed_name_is_absent(self, module, name):
         import importlib
 
-        assert not hasattr(importlib.import_module(module), name)
+        owner = importlib.import_module(module)
+        *path, attr = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert not hasattr(owner, attr)
 
     @pytest.mark.parametrize("module", sorted(
         p.stem for p in Path(th_mod.__file__).parent.glob("*.py") if p.stem != "__init__"))
