@@ -39,13 +39,14 @@ from .manifold import (
     act_on_array,
     cocycle_residual,
     fundamental_domain_samples,
-    multiplicator_exponent,
+    multiplicator_batch,
 )
 from .sections import (
+    AXES,
+    FACTOR_AXES,
     factor,
     fit_in_span,
     section_matrix,
-    section_matrix_with_gradients,
     separating_sections,
     shift_product,
 )
@@ -221,8 +222,6 @@ def check_zero_locus(cfg: RunConfig) -> CheckReport:
 def _numerical_rank(matrix):
     """Singular values above 1e-8 times the largest."""
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
     return int((sv > 1e-8 * sv[0]).sum())
 
 
@@ -233,11 +232,12 @@ def check_dimension_ranks(cfg: RunConfig) -> CheckReport:
     policy = cfg.policy
     defects = []
     total = 0
+    y, t = FACTOR_AXES["base"]
     for k in (2, 3):
         # the base factor at (y, t) = (Re z, Im z) is the classical basis at (z, i)
         base_pts = np.zeros((8 * k, 4))
-        base_pts[:, 1] = rng.random(8 * k)
-        base_pts[:, 3] = 0.4 * (rng.random(8 * k) - 0.5)
+        base_pts[:, y] = rng.random(8 * k)
+        base_pts[:, t] = 0.4 * (rng.random(8 * k) - 0.5)
         vals = factor("base", k, base_pts, policy)
         defects.append(abs(_numerical_rank(vals) - k))
         pts = fundamental_domain_samples(8 * k * k, cfg.seed + 4 + k)
@@ -260,7 +260,7 @@ def check_tensor_power_law(cfg: RunConfig) -> CheckReport:
         base, *moved = section_matrix(
             k, np.stack([pts] + [act_on_array(g, pts) for g in GENERATORS.values()]), policy)
         for (name, g), vals in zip(GENERATORS.items(), moved):
-            e_k = np.exp(-2j * math.pi * k * multiplicator_exponent(g, pts))
+            e_k = multiplicator_batch(g, pts) ** k
             num = np.abs(vals - e_k[:, None] * base).max(axis=1)
             den = np.maximum(np.abs(vals).max(axis=1), 1e-300)
             residuals.append((num / den).max())
@@ -293,13 +293,12 @@ def check_product_closure(cfg: RunConfig) -> CheckReport:
     fits, controls = [], []
     for k in (2, 3):
         fit_pts = fundamental_domain_samples(64, cfg.seed + 11 + k).copy()
-        fit_pts[:, 1] = float(rng.random())
+        fit_pts[:, FACTOR_AXES["base"][0]] = float(rng.random())  # the leaf's y
         # the members, then five controls whose first shift breaks the zero sum
         lists = np.array([_random_zero_sum_shifts(rng, k) for _ in range(lists_per_k + 5)])
         lists[lists_per_k:, 0] += (0.37 + 0.21j, 0.18 - 0.3j)
         vals = shift_product(lists[:, None], fit_pts, policy)
-        samples = zip(map(KTPoint.from_array, fit_pts), vals.T)
-        residuals = fit_in_span(list(samples), k, policy)[1]
+        residuals = fit_in_span(fit_pts, vals.T, k, policy)[1]
         fits.append(residuals[:lists_per_k])
         controls.append(residuals[lists_per_k:])
     neg_min = float(np.min(controls))
@@ -326,7 +325,7 @@ def check_separating_sections(cfg: RunConfig) -> CheckReport:
     n = cfg.count(100)
     rng = np.random.default_rng(cfg.seed + 14)
     us, vs = rng.random((n, 2, 4)).transpose(1, 0, 2)
-    vs[:n // 4, 1::2] = us[:n // 4, 1::2]
+    vs[:n // 4, FACTOR_AXES["base"]] = us[:n // 4, FACTOR_AXES["base"]]
     found = [res for res in separating_sections(us, vs, range(cfg.seed, cfg.seed + n), cfg.policy)
              if res is not None]
     failures = n - len(found)
@@ -429,11 +428,12 @@ def check_structure_decomposition(cfg: RunConfig) -> CheckReport:
     full_mats = fs_pullback_batch("phi_k", cfg.k, pts, policy)
 
     # psi'' is alpha * dy^dt only, alpha > 0, and psi' has no dt components
+    y, t = FACTOR_AXES["base"]
     mask = np.ones((4, 4), dtype=bool)
-    mask[1, 3] = mask[3, 1] = False
+    mask[y, t] = mask[t, y] = False
     off_structure = float(np.max([np.abs(base_mats[:, mask]).max(),
-                                  np.abs(fiber_mats[:, :, 3]).max()]))
-    alpha = base_mats[:, 1, 3]
+                                  np.abs(fiber_mats[:, :, t]).max()]))
+    alpha = base_mats[:, y, t]
     # top power 2*alpha*beta against twice the Pfaffian, with the
     # left-invariant coefficients beta = zx and yt of the full pullback
     coeffs = decompose_left_invariant_batch(pts, full_mats)
@@ -510,21 +510,21 @@ def check_torus_integrals(cfg: RunConfig) -> CheckReport:
 
 @suite("derivative_crosscheck")
 def check_derivative_crosscheck(cfg: RunConfig) -> CheckReport:
-    """Analytic section gradients match central finite differences."""
+    """The factors' partials, kernel rows through ``factor``'s chain tables as
+    every form and rank takes them, match central differences of ``factor``.
+
+    The points moved by +-h along each axis are one stacked ``factor`` call.
+    """
     n = cfg.count(100)
     h = 1e-5
     pts = fundamental_domain_samples(n, cfg.seed + 27)
-    policy = cfg.policy
-    vals, grads = section_matrix_with_gradients(cfg.k, pts, policy)
-    residuals = []
-    for axis in range(4):
-        shift = np.zeros(4)
-        shift[axis] = h
-        plus = section_matrix(cfg.k, pts + shift, policy)
-        minus = section_matrix(cfg.k, pts - shift, policy)
-        fd = (plus - minus) / (2.0 * h)
-        scale = np.maximum(np.abs(grads[:, axis, :]), 1.0)
-        residuals.append((np.abs(fd - grads[:, axis, :]) / scale).max())
+    names = ("fiber", "base")
+    _, rows, tables = factor(names, cfg.k, pts, cfg.policy, AXES)
+    partials = np.einsum("fmr,f...rp->fm...p", tables, rows)  # (2, 4, n, k)
+    steps = h * np.eye(4)[:, None, :]
+    plus, minus = factor(names, cfg.k, pts + np.stack([steps, -steps]), cfg.policy).swapaxes(0, 1)
+    fd = (plus - minus) / (2.0 * h)
+    residuals = np.abs(fd - partials) / np.maximum(np.abs(partials), 1.0)
     return _finish({"k": cfg.k, "h": h}, n, residuals, 1e-6)
 
 

@@ -174,9 +174,10 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     unit lifts, which resolves only about 1e-8; phi_k is a Segre product,
     so |<a,b>| is the product of the k-wide fiber and base overlaps.  The
     witness pair's reported distance is the ``chordal_distances`` of its two
-    k^2 lifts, the only ones formed, which resolves about 1e-12.  The
-    extremal pair is deterministic for a fixed seed (ties broken by sample
-    index order).
+    k^2 lifts, the only ones formed, which resolves about 1e-12.  Pairs are
+    visited by repeated argmin, so ties break by sample index order and the
+    witness is deterministic for a fixed seed; a NaN distance comes first,
+    so a non-finite lift fails the scan with a NaN witness distance.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -202,28 +203,22 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     rows = np.arange(n_samples)
     row_start = rows * (2 * n_samples - rows - 1) // 2
 
-    # Scan pairs in stable (distance, index) order without sorting them all:
-    # the pairs at or below the m-th smallest distance are a prefix of that
-    # order, so m grows until the prefix holds a quotient-separated pair.
-    m, seen = 64, 0
-    while seen < dists.size:
-        if m < dists.size:
-            cand = np.flatnonzero(dists <= np.partition(dists, m - 1)[m - 1])
-            cand = cand[np.argsort(dists[cand], kind="stable")]
-        else:
-            cand = np.argsort(dists, kind="stable")
-        for pos in cand[seen:]:
-            i = int(np.searchsorted(row_start, pos, side="right")) - 1
-            j = int(pos - row_start[i]) + i + 1
-            qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
-            if qd > d_min:
-                # the pair's k^2 lifts, as ``phi_batch`` forms them
-                pair = (raw[0][[i, j], :, None] * raw[1][[i, j], None, :]).reshape(2, -1)
-                dist = float(chordal_distances(*unit_rows(pair))[0])
-                return InjectivityReport(
-                    k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
-                )
-        m, seen = 4 * m, cand.size
+    # Visit pairs in (distance, index) order: argmin returns the first of
+    # equal distances, and the first NaN before any number.  A
+    # quotient-equivalent pair is set to inf, past every distance in [0, 1].
+    for _ in range(dists.size):
+        pos = int(dists.argmin())
+        i = int(np.searchsorted(row_start, pos, side="right")) - 1
+        j = pos - int(row_start[i]) + i + 1
+        qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
+        if qd > d_min:
+            # the pair's k^2 lifts, as ``phi_batch`` forms them
+            pair = (raw[0][[i, j], :, None] * raw[1][[i, j], None, :]).reshape(2, -1)
+            dist = float(chordal_distances(*unit_rows(pair))[0])
+            return InjectivityReport(
+                k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
+            )
+        dists[pos] = math.inf
     # every pair was quotient-equivalent; vacuous pass
     return InjectivityReport(
         k, n_samples, seed, d_min, threshold, 1.0, (-1, -1), math.inf, True

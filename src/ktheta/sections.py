@@ -223,23 +223,25 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
 
 
-def fit_in_span(samples, k: int, policy=th.DEFAULT_POLICY):
-    """Least-squares fit of sampled values against the k^2 basis sections.
+def fit_in_span(pts: np.ndarray, vals, k: int, policy=th.DEFAULT_POLICY):
+    """Least-squares fit of values sampled at points against the k^2 basis sections.
 
-    ``samples`` is a sequence of (KTPoint, value) pairs, at least 2*k^2 of
-    them.  Returns (coefficients, relative l2 residual).  A value may be a
-    length-m vector holding m functions sampled at that point; they share
-    one design matrix and get a (k^2, m) coefficient array and m residuals.
+    ``pts`` is an (n, 4) array of at least 2*k^2 points and ``vals`` their
+    n values, or (n, m) for m functions, which share one design matrix and
+    get a (k^2, m) coefficient array and m residuals.  Returns (coefficients,
+    relative l2 residual); raises ``IllConditioned`` where the singular
+    values of the least-squares solve put the condition number above 1e12.
     """
-    pts = np.array([s[0].as_array() for s in samples])
-    vals = np.array([s[1] for s in samples], dtype=complex)
-    if len(samples) < 2 * k * k:
+    pts = np.asarray(pts, dtype=float)
+    vals = np.asarray(vals, dtype=complex)
+    if len(vals) != len(pts):
+        raise ValueError(f"{len(pts)} points but {len(vals)} values")
+    if len(pts) < 2 * k * k:
         raise ValueError(f"need at least {2 * k * k} samples for degree {k}")
     design = section_matrix(k, pts, policy)
-    sv = np.linalg.svd(design, compute_uv=False)
+    coeffs, _, _, sv = np.linalg.lstsq(design, vals, rcond=None)
     if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e12:
         raise IllConditioned("sample matrix condition number exceeds 1e12")
-    coeffs, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
     residual = np.linalg.norm(design @ coeffs - vals, axis=0) / np.linalg.norm(vals, axis=0)
     return coeffs, residual if vals.ndim > 1 else float(residual)
 
@@ -259,11 +261,9 @@ class SeparationResult:
 
     @property
     def zetas(self) -> tuple[ZetaShift, ZetaShift, ZetaShift]:
-        return (
-            ZetaShift(self.alpha, self.gamma),
-            ZetaShift(self.beta, self.delta),
-            ZetaShift(-self.alpha - self.beta, -self.gamma - self.delta),
-        )
+        """(alpha, gamma), (beta, delta) and the cancelling shift, by ``_zeta_array``."""
+        shifts = np.array([self.alpha, self.beta, self.gamma, self.delta])
+        return tuple(ZetaShift(complex(a), complex(b)) for a, b in _zeta_array(shifts))
 
 
 @functools.cache
@@ -338,7 +338,7 @@ def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
     # modulo the lattice; the fiber fallback only makes sense when the fiber
     # coordinates differ.  Candidate r of pair i is a fiber candidate iff
     # fiber_first[i] != (r >= RETRIES).
-    d = (v0[:, 1::2] - u0[:, 1::2]) % 1.0
+    d = (v0 - u0)[:, FACTOR_AXES["base"]] % 1.0
     fiber_first = np.hypot(*np.minimum(d, 1.0 - d).T) < 1e-4
     has_fallback = fiber_first | (np.abs(_factor_args("fiber", v0)[0]
                                          - _factor_args("fiber", u0)[0]) >= 1e-8)

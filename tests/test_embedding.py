@@ -31,6 +31,7 @@ from ktheta.embedding import (
     segre,
     unit_rows,
 )
+from ktheta.checks import RunConfig, check_injectivity
 from ktheta.sections import factor, section_matrix_with_gradients
 from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
 from ktheta.symplectic import hermitian_pullback_batch, hermitian_ranks
@@ -401,6 +402,22 @@ class TestInjectivityScan:
         assert report.witness_indices == (0, 1) and report.witness_quotient_distance > 0.1
         assert report.min_image_distance < 1e-12
         assert not report.passed
+
+
+    def test_non_finite_lift_fails_the_scan(self, monkeypatch):
+        # a NaN pair comes first in argmin order, and is reported; a sorted
+        # scan would put it last and pass on the pair after it
+        def nan_row(which, k, pts, *args, **kwargs):
+            raw = factor(which, k, pts, *args, **kwargs)
+            raw[0, 0] = math.nan  # the fiber row of sample 0
+            return raw
+
+        monkeypatch.setattr(embedding_module, "factor", nan_row)
+        report = injectivity_scan(3, 200, 7)
+        assert math.isnan(report.min_image_distance) and not report.passed
+        assert report.witness_indices == (0, 1)
+        suite = check_injectivity(RunConfig(samples=200, seed=7))
+        assert math.isnan(suite.max_residual) and not suite.passed
 
 
 def report_fields(report):

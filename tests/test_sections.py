@@ -1,6 +1,5 @@
 """KT sections: basis, tensor law, shift products, separating sections."""
 
-import cmath
 import math
 import re
 
@@ -25,6 +24,7 @@ from ktheta import (
 )
 from ktheta.checks import (
     RunConfig,
+    check_derivative_crosscheck,
     check_product_closure,
     check_segre_factorization,
     check_separating_sections,
@@ -56,7 +56,7 @@ def leaf_samples(n, seed, y):
 
 def product_fit_residual(zetas, k, pts):
     """``fit_in_span`` residual of the shift product sampled at (n, 4) points."""
-    return fit_in_span(list(zip(map(KTPoint.from_array, pts), shift_product(zetas, pts))), k)[1]
+    return fit_in_span(pts, shift_product(zetas, pts), k)[1]
 
 
 def partials(rows, table):
@@ -339,6 +339,24 @@ class TestFactors:
                 scale = np.maximum(np.abs(d[:, axis]), 1.0)
                 assert np.all(np.abs(fd - d[:, axis]) <= 1e-6 * scale)
 
+    def test_crosscheck_takes_the_factor_partials(self, monkeypatch):
+        # the suite checks the chain-table partials every form and rank
+        # uses, in two kernel calls, and forms no k^2 product-rule gradient
+        def no_gradients(*args, **kwargs):
+            raise AssertionError("k^2 gradients formed by derivative_crosscheck")
+
+        original = theta_module._degree_basis_batch
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sections_module, "section_matrix_with_gradients", no_gradients)
+        monkeypatch.setattr(theta_module, "_degree_basis_batch", counting)
+        assert check_derivative_crosscheck(RunConfig()).passed
+        assert len(calls) == 2
+
     def test_nested_batch_shape(self):
         pts = fundamental_domain_samples(6, 9)
         flat = section_matrix(3, pts)
@@ -456,32 +474,36 @@ class TestProductOfShifts:
 
 class TestFitInSpan:
     def test_recovers_basis_element(self):
-        pts = [KTPoint.from_array(p) for p in fundamental_domain_samples(32, 8)]
+        pts = fundamental_domain_samples(32, 8)
         idx = SectionIndex(2, 1, 0)
-        samples = [(p, section(idx, p)) for p in pts]
-        coeff, res = fit_in_span(samples, 2)
+        vals = [section(idx, KTPoint.from_array(p)) for p in pts]
+        coeff, res = fit_in_span(pts, vals, 2)
         assert res < 1e-12
         unit = np.zeros(4, dtype=complex)
         unit[2] = 1.0  # flat index p*k+q = 2
         assert np.allclose(coeff, unit, atol=1e-10)
 
     def test_negative_control_non_member(self):
-        pts = [KTPoint.from_array(p) for p in fundamental_domain_samples(32, 9)]
-        samples = [(p, cmath.exp(p.x)) for p in pts]
-        _, res = fit_in_span(samples, 2)
+        pts = fundamental_domain_samples(32, 9)
+        _, res = fit_in_span(pts, np.exp(pts[:, 0]), 2)
         assert res > 0.1
 
     def test_too_few_samples(self):
-        pts = [KTPoint.from_array(p) for p in fundamental_domain_samples(5, 10)]
-        with pytest.raises(ValueError):
-            fit_in_span([(p, 1.0) for p in pts], 2)
+        pts = fundamental_domain_samples(5, 10)
+        with pytest.raises(ValueError, match="at least 8 samples"):
+            fit_in_span(pts, np.ones(5), 2)
+
+    def test_values_per_point(self):
+        pts = fundamental_domain_samples(16, 10)
+        with pytest.raises(ValueError, match="16 points but 15 values"):
+            fit_in_span(pts, np.ones(15), 2)
 
     def test_ill_conditioned(self):
-        # repeating one sample point makes the design matrix rank deficient
-        p = U0
-        samples = [(p, section(SectionIndex(1, 0, 0), p))] * 16
+        # repeating one sample point makes the design matrix rank deficient;
+        # the least-squares solve's singular values show it
+        pts = np.repeat(U0.as_array()[None], 16, axis=0)
         with pytest.raises(IllConditioned):
-            fit_in_span(samples, 2)
+            fit_in_span(pts, np.full(16, section(SectionIndex(1, 0, 0), U0)), 2)
 
 
 def search_pairs(n):
