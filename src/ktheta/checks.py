@@ -71,7 +71,7 @@ from .symplectic import (
 class RunConfig:
     """Shared knobs for the verification suites and the CLI.
 
-    ``ktheta``'s config files take exactly these fields as keys.
+    Each ``ktheta`` command has a flag for each field it reads.
     """
 
     k: int = 3

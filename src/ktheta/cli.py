@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -25,40 +24,9 @@ from .symplectic import (
 )
 
 
-def _load_config_file(path):
-    """Read ``key=value`` lines; blank lines and #-comments are ignored."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-# config-file keys are RunConfig's constructor fields, each typed as its default
-_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig) if f.init}
-
-
-def _build_config(config_path, **overrides) -> RunConfig:
-    merged = {}
-    if config_path:
-        for key, raw in _load_config_file(config_path).items():
-            if key not in _CONFIG_TYPES:
-                raise click.UsageError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _CONFIG_TYPES[key](raw)
-            except ValueError as exc:
-                raise click.UsageError(f"bad value for {key!r}: {raw!r}") from exc
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
+def _build_config(**fields) -> RunConfig:
     try:
-        return RunConfig(**merged)
+        return RunConfig(**fields)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -83,19 +51,33 @@ def _emit(rows, fieldnames, fmt, out):
 
 _DEFAULTS = RunConfig()
 
-_shared = [
-    click.option("--k", type=int, default=None, help=f"Bundle degree (default {_DEFAULTS.k})."),
-    click.option("--eps", "epsilon", type=float, default=None, help="Series tail tolerance."),
-    click.option("--samples", type=int, default=None, help="Sample-count override."),
-    click.option("--seed", type=int, default=None, help=f"RNG seed (default {_DEFAULTS.seed})."),
-    click.option("--grid", type=int, default=None,
-                 help=f"Torus quadrature grid (default {_DEFAULTS.grid})."),
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="key=value config file; flags override it."),
+# the flag of each RunConfig field; a command declares the fields it reads
+_FIELD_OPTIONS = {
+    "k": click.option("--k", type=int, default=_DEFAULTS.k,
+                      help=f"Bundle degree (default {_DEFAULTS.k})."),
+    "epsilon": click.option("--eps", "epsilon", type=float, default=_DEFAULTS.epsilon,
+                            help=f"Series tail tolerance (default {_DEFAULTS.epsilon:g})."),
+    "samples": click.option("--samples", type=int, default=_DEFAULTS.samples,
+                            help="Sample count (default 0: each suite's own)."),
+    "seed": click.option("--seed", type=int, default=_DEFAULTS.seed,
+                         help=f"RNG seed (default {_DEFAULTS.seed})."),
+    "grid": click.option("--grid", type=int, default=_DEFAULTS.grid,
+                         help=f"Torus quadrature grid (default {_DEFAULTS.grid})."),
+}
+_OUTPUT_OPTIONS = [
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
     click.option("--out", type=click.Path(dir_okay=False), default=None,
                  help="Write output to a file instead of stdout."),
 ]
+
+
+def options(*fields):
+    """The flags of the named RunConfig fields, then --format and --out."""
+    def decorate(fn):
+        for opt in reversed([_FIELD_OPTIONS[f] for f in fields] + _OUTPUT_OPTIONS):
+            fn = opt(fn)
+        return fn
+    return decorate
 
 
 def _point(ctx, param, coords) -> KTPoint:
@@ -107,12 +89,9 @@ def _point(ctx, param, coords) -> KTPoint:
 
 
 point_argument = click.argument("point", metavar="X Y Z T", nargs=4, type=float, callback=_point)
-
-
-def shared_options(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
+# a point command reads an option-like token such as -0.5 as a coordinate, so
+# an unknown option is reported as a coordinate that is not a number
+_COORDINATES = {"ignore_unknown_options": True}
 
 
 class _Group(click.Group):
@@ -132,11 +111,11 @@ def main():
 
 
 @main.command()
-@shared_options
+@options("k", "epsilon", "samples", "seed", "grid")
 @click.option("--only", multiple=True, help="Run only the named checks (repeatable).")
-def check(only, fmt, out, config_path, **overrides):
+def check(only, fmt, out, **fields):
     """Run the registered verification suites; exit 1 if any fails."""
-    cfg = _build_config(config_path, **overrides)
+    cfg = _build_config(**fields)
     names = list(only) if only else list(REGISTRY)
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
@@ -169,12 +148,12 @@ def _display_normalize(point: ProjectivePoint) -> np.ndarray:
     return vec
 
 
-@main.command()
-@shared_options
+@main.command(context_settings=_COORDINATES)
+@options("k", "epsilon")
 @point_argument
-def embed(point, fmt, out, config_path, **overrides):
+def embed(point, fmt, out, **fields):
     """Projective image of the point (x y z t) under phi_k."""
-    cfg = _build_config(config_path, **overrides)
+    cfg = _build_config(**fields)
     lift = _display_normalize(phi(cfg.k, point, cfg.policy))
     rows = [
         {"index": i, "re": float(c.real), "im": float(c.imag)}
@@ -183,23 +162,23 @@ def embed(point, fmt, out, config_path, **overrides):
     _emit(rows, ["index", "re", "im"], fmt, out)
 
 
-@main.command()
-@shared_options
+@main.command(context_settings=_COORDINATES)
+@options("k", "epsilon")
 @point_argument
-def rank(point, fmt, out, config_path, **overrides):
+def rank(point, fmt, out, **fields):
     """Rank of the differential of phi_k at the point (x y z t)."""
-    cfg = _build_config(config_path, **overrides)
+    cfg = _build_config(**fields)
     r = projective_rank(cfg.k, point, policy=cfg.policy)
     _emit([{"k": cfg.k, "rank": r}], ["k", "rank"], fmt, out)
 
 
-@main.command()
-@shared_options
+@main.command(context_settings=_COORDINATES)
+@options("k", "epsilon")
 @click.option("--map", "map_id", type=click.Choice(MAP_IDS), default="phi_k")
 @point_argument
-def pullback(map_id, point, fmt, out, config_path, **overrides):
+def pullback(map_id, point, fmt, out, **fields):
     """Fubini-Study pullback matrix of a map at the point (x y z t)."""
-    cfg = _build_config(config_path, **overrides)
+    cfg = _build_config(**fields)
     form = fs_pullback(map_id, cfg.k, point, cfg.policy)
     axes = ["x", "y", "z", "t"]
     rows = [
@@ -211,25 +190,24 @@ def pullback(map_id, point, fmt, out, config_path, **overrides):
 
 
 @main.command()
-@shared_options
+@options()
 @click.option("--torus", "torus_id", type=click.Choice(sorted(TORUS_AXES)), default=None,
               help="Restrict to one torus (default: all four).")
-def chern(torus_id, fmt, out, config_path, **overrides):
+def chern(torus_id, fmt, out):
     """First Chern numbers on the basis tori, from the branch functions."""
-    _build_config(config_path, **overrides)
     ids = [torus_id] if torus_id else sorted(TORUS_AXES)
     rows = [{"torus": tid, "c1": chern_via_multiplicators(tid)} for tid in ids]
     _emit(rows, ["torus", "c1"], fmt, out)
 
 
 @main.command()
-@shared_options
+@options("k", "epsilon", "grid")
 @click.option("--map", "map_id", type=click.Choice(MAP_IDS), default="phi_k")
 @click.option("--torus", "torus_id", type=click.Choice(sorted(TORUS_AXES)), default=None,
               help="Restrict to one torus (default: all four).")
-def integrate(map_id, torus_id, fmt, out, config_path, **overrides):
+def integrate(map_id, torus_id, fmt, out, **fields):
     """Integral of the pulled-back form over the basis tori."""
-    cfg = _build_config(config_path, **overrides)
+    cfg = _build_config(**fields)
     ids = [torus_id] if torus_id else sorted(TORUS_AXES)
     rows = [
         {"torus": tid, "map": map_id, "k": cfg.k,

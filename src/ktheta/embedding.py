@@ -21,8 +21,8 @@ from .manifold import (
     KTPoint,
     act_on_array,
     fundamental_domain_samples,
-    quotient_distance,
     reduce_point,
+    reduced_distance,
 )
 from .sections import factor, section_matrix
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
@@ -210,7 +210,7 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
         pos = int(dists.argmin())
         i = int(np.searchsorted(row_start, pos, side="right")) - 1
         j = pos - int(row_start[i]) + i + 1
-        qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
+        qd = reduced_distance(pts[i], pts[j])  # samples in [0, 1)^4 are reduced
         if qd > d_min:
             # the pair's k^2 lifts, as ``phi_batch`` forms them
             pair = (raw[0][[i, j], :, None] * raw[1][[i, j], None, :]).reshape(2, -1)

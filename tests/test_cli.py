@@ -1,9 +1,10 @@
-"""CLI surface: subcommands, formats, config files, exit codes."""
+"""CLI surface: subcommands, their options, formats, exit codes."""
 
 import csv
 import io
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -55,55 +56,6 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert json.loads(out.read_text())[0]["check"] == "zero_locus"
 
-    def test_config_file(self, runner, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nseed=7\nsamples=20\n")
-        result = runner.invoke(
-            main, ["check", "--only", "heat_equation", "--config", str(cfg)]
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.output)[0]["samples"] == 20
-
-    def test_config_flag_precedence(self, runner, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples=20\n")
-        result = runner.invoke(
-            main,
-            ["check", "--only", "heat_equation", "--config", str(cfg), "--samples", "10"],
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.output)[0]["samples"] == 10
-
-    def test_bad_config_key(self, runner, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus=1\n")
-        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
-        assert result.exit_code == 2
-
-    def test_bad_config_value(self, runner, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("samples=many\n")
-        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
-        assert result.exit_code == 2
-
-    @pytest.mark.parametrize("command", [["check", "--only", "zero_locus"],
-                                         ["embed", "0.1", "0.2", "0.3", "0.4"]])
-    def test_invalid_config_value_usage_error(self, runner, tmp_path, command):
-        # a value the key's type accepts and RunConfig rejects
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid=7\n")
-        result = runner.invoke(main, command + ["--config", str(cfg)])
-        assert result.exit_code == 2
-        assert "grid must be at least 8" in result.output
-
-    def test_max_terms_is_not_a_key(self, runner, tmp_path):
-        # the window cap is the constant theta.MAX_TERMS
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max_terms=2\n")
-        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
-        assert result.exit_code == 2
-        assert "unknown config key 'max_terms'" in result.output
-
     def test_injectivity_is_not_a_command(self, runner):
         # its scan is ``check --only injectivity``
         result = runner.invoke(main, ["injectivity", "--samples", "60"])
@@ -116,8 +68,6 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("command, message", [
         (["embed", "--eps", "5e-324", "0.1", "0.3", "0.2", "0.4"], "epsilon must be finite"),
-        (["embed", "--samples", "1", "0.1", "0.3", "0.2", "0.4"],
-         "samples must be 0 (suite defaults) or at least 2"),
         (["check", "--only", "injectivity", "--samples", "1"], "samples must be 0"),
     ])
     def test_unusable_option_value_usage_error(self, runner, command, message):
@@ -126,15 +76,61 @@ class TestCheckCommand:
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
         assert message in result.stderr
 
-    def test_fd_step_is_not_an_option(self, runner, tmp_path):
+    def test_fd_step_is_not_an_option(self, runner):
         # the closedness stencil's step is the constant symplectic.FD_STEP
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--fd-step", "1e-4"])
         assert result.exit_code == 2
+
+
+# the flags of each command besides --format and --out: those of the
+# RunConfig fields it reads, and its own
+COMMAND_OPTIONS = {
+    "check": {"--k", "--eps", "--samples", "--seed", "--grid", "--only"},
+    "embed": {"--k", "--eps"},
+    "rank": {"--k", "--eps"},
+    "pullback": {"--k", "--eps", "--map"},
+    "integrate": {"--k", "--eps", "--grid", "--map", "--torus"},
+    "chern": {"--torus"},
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_each_command_declares_what_it_reads(self, command):
+        assert set(main.commands) == set(COMMAND_OPTIONS)
+        names = {name for param in main.commands[command].params
+                 if isinstance(param, click.Option) for name in param.opts}
+        assert names == COMMAND_OPTIONS[command] | {"--format", "--out"}
+
+    @pytest.mark.parametrize("command", [["check", "--only", "zero_locus"],
+                                         ["integrate", "--torus", "T_ca", "--grid", "8"]])
+    def test_config_is_not_an_option(self, runner, tmp_path, command):
+        # every setting is a flag: an unknown key, a bad value, the constants
+        # theta.MAX_TERMS and symplectic.FD_STEP have no other way in
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fd_step=1e-4\n")
-        result = runner.invoke(main, ["check", "--only", "zero_locus", "--config", str(cfg)])
+        cfg.write_text("bogus=1\nsamples=many\nmax_terms=2\nfd_step=1e-4\n")
+        result = runner.invoke(main, command + ["--config", str(cfg)])
         assert result.exit_code == 2
-        assert "unknown config key 'fd_step'" in result.output
+        assert "No such option '--config'" in result.stderr
+
+    @pytest.mark.parametrize("command", [["chern", "--k", "5"], ["integrate", "--samples", "4"]])
+    def test_unread_field_is_not_an_option(self, runner, command):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2
+        assert f"No such option '{command[1]}'" in result.stderr
+
+    @pytest.mark.parametrize("command", ["embed", "rank", "pullback"])
+    def test_negative_coordinates(self, runner, command):
+        coords = ["-0.5", "0.1", "0.2", "0.3"]
+        got, want = (runner.invoke(main, [command, "--k", "3"] + sep + coords)
+                     for sep in ([], ["--"]))
+        assert got.exit_code == want.exit_code == 0
+        assert got.output == want.output
+
+    def test_unknown_option_is_a_bad_coordinate(self, runner):
+        result = runner.invoke(main, ["embed", "--bogus", "0.1", "0.2", "0.3"])
+        assert result.exit_code == 2
+        assert "'--bogus' is not a valid float" in result.stderr
 
 
 class TestEmbedCommand:
