@@ -64,6 +64,7 @@ from .symplectic import (
     hermitian_ranks,
     integrate_over_torus,
     pfaffian_batch,
+    torus_grid,
 )
 
 
@@ -78,16 +79,17 @@ class RunConfig:
     epsilon: float = 1e-14
     samples: int = 0  # 0 means each suite uses its documented default
     seed: int = 42
-    grid: int = 64
     policy: th.TruncationPolicy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        th.check_degree(self.k)
+        for name in ("samples", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.samples < 0 or self.samples == 1:
             raise ValueError("samples must be 0 (suite defaults) or at least 2")
-        if self.grid < 8:
-            raise ValueError("grid must be at least 8")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         # the policy validates epsilon
         object.__setattr__(self, "policy", th.TruncationPolicy(self.epsilon))
 
@@ -492,19 +494,13 @@ def check_torus_integrals(cfg: RunConfig) -> CheckReport:
     multiplicators, so a pullback of the wrong sign fails.
     """
     expected = {tid: float(cfg.k * chern_via_multiplicators(tid)) for tid in TORUS_AXES}
-    policy = cfg.policy
-    errors, drifts = [], []
-    values = {}
-    for torus_id, want in expected.items():
-        torus = BasisTorus(torus_id)
-        coarse = integrate_over_torus("phi_k", cfg.k, torus, cfg.grid, policy)
-        fine = integrate_over_torus("phi_k", cfg.k, torus, 2 * cfg.grid, policy)
-        values[torus_id] = coarse
-        errors.append(abs(coarse - want))
-        drifts.append(abs(coarse - fine))
-    conv_worst = float(np.max(drifts))
-    witness = {"integrals": values, "expected": expected, "grid_convergence": conv_worst}
-    return _finish({"k": cfg.k, "grid": cfg.grid}, 4, [np.max(errors) / 1e-4, conv_worst / 1e-8],
+    grid = torus_grid(cfg.k)
+    coarse, fine = ({tid: integrate_over_torus("phi_k", cfg.k, BasisTorus(tid), g, cfg.policy)
+                     for tid in expected} for g in (grid, 2 * grid))
+    errors = [abs(coarse[tid] - want) for tid, want in expected.items()]
+    conv_worst = float(np.max([abs(coarse[tid] - fine[tid]) for tid in expected]))
+    witness = {"integrals": coarse, "expected": expected, "grid_convergence": conv_worst}
+    return _finish({"k": cfg.k, "grid": grid}, 4, [np.max(errors) / 1e-4, conv_worst / 1e-8],
                    1.0, witness)
 
 

@@ -61,8 +61,6 @@ _FIELD_OPTIONS = {
                             help="Sample count (default 0: each suite's own)."),
     "seed": click.option("--seed", type=int, default=_DEFAULTS.seed,
                          help=f"RNG seed (default {_DEFAULTS.seed})."),
-    "grid": click.option("--grid", type=int, default=_DEFAULTS.grid,
-                         help=f"Torus quadrature grid (default {_DEFAULTS.grid})."),
 }
 _OUTPUT_OPTIONS = [
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
@@ -111,7 +109,7 @@ def main():
 
 
 @main.command()
-@options("k", "epsilon", "samples", "seed", "grid")
+@options("k", "epsilon", "samples", "seed")
 @click.option("--only", multiple=True, help="Run only the named checks (repeatable).")
 def check(only, fmt, out, **fields):
     """Run the registered verification suites; exit 1 if any fails."""
@@ -201,7 +199,7 @@ def chern(torus_id, fmt, out):
 
 
 @main.command()
-@options("k", "epsilon", "grid")
+@options("k", "epsilon")
 @click.option("--map", "map_id", type=click.Choice(MAP_IDS), default="phi_k")
 @click.option("--torus", "torus_id", type=click.Choice(sorted(TORUS_AXES)), default=None,
               help="Restrict to one torus (default: all four).")
@@ -211,7 +209,7 @@ def integrate(map_id, torus_id, fmt, out, **fields):
     ids = [torus_id] if torus_id else sorted(TORUS_AXES)
     rows = [
         {"torus": tid, "map": map_id, "k": cfg.k,
-         "integral": integrate_over_torus(map_id, cfg.k, BasisTorus(tid), cfg.grid, cfg.policy)}
+         "integral": integrate_over_torus(map_id, cfg.k, BasisTorus(tid), policy=cfg.policy)}
         for tid in ids
     ]
     _emit(rows, ["torus", "map", "k", "integral"], fmt, out)

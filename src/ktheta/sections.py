@@ -52,8 +52,7 @@ class SectionIndex:
     q: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("degree k must be at least 1")
+        th.check_degree(self.k)
         if not (0 <= self.p < self.k and 0 <= self.q < self.k):
             raise ValueError("residues must lie in [0, k)")
 
@@ -120,7 +119,9 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
     (len(axes), R) whose row mu gives the partial along ``axes[mu]`` as
     ``table[mu] @ rows``.  A tuple of F names stacks their factors on a
     leading axis in one kernel call: (F, ..., k), (F, ..., R, k), (F, len(axes), R).
+    Every degree-k map passes here: a k that is not an int >= 1 raises ValueError.
     """
+    th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
     if not set(names) <= set(CHAIN):
         raise ValueError(f"unknown factor {which!r}; expected one of {tuple(CHAIN)}")

@@ -127,6 +127,12 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+def check_degree(k) -> None:
+    """Raise ValueError unless the degree ``k`` is an int of at least 1."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"degree k must be an int of at least 1, got {k!r}")
+
+
 @dataclass(frozen=True)
 class ThetaBasisIndex:
     """Degree k and residue selector p of a degree-k basis element."""
@@ -135,8 +141,7 @@ class ThetaBasisIndex:
     p: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("degree k must be at least 1")
+        check_degree(self.k)
         if not 0 <= self.p < self.k:
             raise ValueError(f"residue p={self.p} outside [0, {self.k})")
 

@@ -98,8 +98,10 @@ class TestRunConfigValidation:
             {"k": 0},
             {"epsilon": 0.0},
             {"samples": -1},
-            {"grid": 4},
-            {"grid": 7},  # just below the minimum of 8
+            {"k": 2.5},  # a degree is an int
+            {"samples": 4.0},
+            {"seed": -1},  # numpy's default_rng takes no negative seed
+            {"seed": 1.5},
             {"epsilon": -1e-14},  # the default's negative
             {"epsilon": 5e-324},  # its half underflows to 0
             {"epsilon": math.inf},
@@ -110,6 +112,11 @@ class TestRunConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_grid_is_not_a_field(self):
+        # the torus quadrature grid is symplectic.torus_grid(k)
+        with pytest.raises(TypeError):
+            RunConfig(grid=64)
 
 
 class TestRegistry:

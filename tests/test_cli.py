@@ -62,13 +62,10 @@ class TestCheckCommand:
         assert result.exit_code == 2
         assert "No such command 'injectivity'" in result.output
 
-    def test_invalid_parameter_combination(self, runner):
-        result = runner.invoke(main, ["check", "--only", "zero_locus", "--grid", "2"])
-        assert result.exit_code == 2
-
     @pytest.mark.parametrize("command, message", [
         (["embed", "--eps", "5e-324", "0.1", "0.3", "0.2", "0.4"], "epsilon must be finite"),
         (["check", "--only", "injectivity", "--samples", "1"], "samples must be 0"),
+        (["check", "--only", "zero_locus", "--seed", "-1"], "seed must be non-negative"),
     ])
     def test_unusable_option_value_usage_error(self, runner, command, message):
         result = runner.invoke(main, command)
@@ -85,11 +82,11 @@ class TestCheckCommand:
 # the flags of each command besides --format and --out: those of the
 # RunConfig fields it reads, and its own
 COMMAND_OPTIONS = {
-    "check": {"--k", "--eps", "--samples", "--seed", "--grid", "--only"},
+    "check": {"--k", "--eps", "--samples", "--seed", "--only"},
     "embed": {"--k", "--eps"},
     "rank": {"--k", "--eps"},
     "pullback": {"--k", "--eps", "--map"},
-    "integrate": {"--k", "--eps", "--grid", "--map", "--torus"},
+    "integrate": {"--k", "--eps", "--map", "--torus"},
     "chern": {"--torus"},
 }
 
@@ -103,7 +100,7 @@ class TestOptions:
         assert names == COMMAND_OPTIONS[command] | {"--format", "--out"}
 
     @pytest.mark.parametrize("command", [["check", "--only", "zero_locus"],
-                                         ["integrate", "--torus", "T_ca", "--grid", "8"]])
+                                         ["integrate", "--torus", "T_ca"]])
     def test_config_is_not_an_option(self, runner, tmp_path, command):
         # every setting is a flag: an unknown key, a bad value, the constants
         # theta.MAX_TERMS and symplectic.FD_STEP have no other way in
@@ -113,7 +110,9 @@ class TestOptions:
         assert result.exit_code == 2
         assert "No such option '--config'" in result.stderr
 
-    @pytest.mark.parametrize("command", [["chern", "--k", "5"], ["integrate", "--samples", "4"]])
+    # and the torus quadrature grid, which is symplectic.torus_grid(k)
+    @pytest.mark.parametrize("command", [["chern", "--k", "5"], ["integrate", "--samples", "4"],
+                                         ["check", "--grid", "64"], ["integrate", "--grid", "64"]])
     def test_unread_field_is_not_an_option(self, runner, command):
         result = runner.invoke(main, command)
         assert result.exit_code == 2
@@ -214,14 +213,14 @@ class TestChernCommand:
 class TestIntegrateCommand:
     def test_omega_kt(self, runner):
         result = runner.invoke(
-            main, ["integrate", "--map", "omega_kt", "--grid", "16", "--torus", "T_bd"]
+            main, ["integrate", "--map", "omega_kt", "--torus", "T_bd"]
         )
         assert result.exit_code == 0
         assert abs(json.loads(result.output)[0]["integral"] - 1.0) < 1e-12
 
     def test_phi_k_integrals_are_k_times_chern(self, runner):
         chern = runner.invoke(main, ["chern"])
-        result = runner.invoke(main, ["integrate", "--map", "phi_k", "--k", "3", "--grid", "32"])
+        result = runner.invoke(main, ["integrate", "--map", "phi_k", "--k", "3"])
         assert chern.exit_code == result.exit_code == 0
         c1 = {r["torus"]: r["c1"] for r in json.loads(chern.output)}
         rows = json.loads(result.output)
@@ -266,7 +265,7 @@ def test_point_commands_print_the_reduced_point(runner, command, coords):
     (["rank", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["pullback", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
     (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
-    (["integrate", "--torus", "T_ca", "--grid", "8"], 2, "error: "),
+    (["integrate", "--torus", "T_ca"], 2, "error: "),
     (["check", "--only", "injectivity", "--samples", "10"], 2, "error in injectivity: "),
 ])
 def test_library_error_exits_one(runner, monkeypatch, command, max_terms, error):

@@ -22,8 +22,8 @@ import ktheta.symplectic as symplectic
 import ktheta.theta as th
 from ktheta.checks import REGISTRY, RunConfig
 
-# the default grid of 64: torus_integrals' grid-convergence gate of 1e-8
-# needs a grid of at least 56 at k = 3
+# k = 3, where torus_integrals' grid, torus_grid(3) = 64, meets its
+# grid-convergence gate of 1e-8 (a grid of 56 is the least that does)
 SMALL = RunConfig(samples=16)
 
 MUTATIONS = {}

@@ -9,6 +9,7 @@ import pytest
 import ktheta.sections as sections_module
 import ktheta.theta as theta_module
 from ktheta import (
+    BasisTorus,
     EquivalentPoints,
     GroupWord,
     IllConditioned,
@@ -18,7 +19,12 @@ from ktheta import (
     ZetaShift,
     act,
     fit_in_span,
+    fs_pullback,
     fundamental_domain_samples,
+    injectivity_scan,
+    integrate_over_torus,
+    phi,
+    projective_rank,
     reduce_point,
     section,
 )
@@ -122,6 +128,30 @@ class TestSectionBasis:
             SectionIndex(2, 2, 0)
         with pytest.raises(ValueError):
             SectionIndex(0, 0, 0)
+
+
+_U = KTPoint(0.1, 0.3, 0.2, 0.4)
+_PTS = fundamental_domain_samples(40, 5)
+# every degree-k map passes sections.factor, which checks the degree once
+DEGREE_ENTRY_POINTS = {
+    "phi": lambda k: phi(k, _U),
+    "phi_batch": lambda k: phi_batch(k, _PTS),
+    "projective_rank": lambda k: projective_rank(k, _U),
+    "fs_pullback": lambda k: fs_pullback("phi_k", k, _U),
+    "integrate_over_torus": lambda k: integrate_over_torus("phi_k", k, BasisTorus("T_ca"), 8),
+    "injectivity_scan": lambda k: injectivity_scan(k, 10, 0),
+    "fit_in_span": lambda k: fit_in_span(_PTS, np.ones(len(_PTS)), k),
+}
+
+
+# k = 0 divided by zero in the window search, -1 raised TailNotConverged
+# and 2.5 a TypeError
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+@pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
+def test_bad_degree_is_a_value_error(entry, k):
+    with pytest.raises(ValueError, match="degree k must be an int of at least 1"):
+        DEGREE_ENTRY_POINTS[entry](k)
 
 
 class TestTensorPowerLaw:

@@ -56,6 +56,7 @@ from ktheta.symplectic import (
     hermitian_ranks,
     pfaffian,
     pfaffian_batch,
+    torus_grid,
     transition_function,
 )
 
@@ -505,6 +506,27 @@ class TestTori:
         for tid, want in (("T_ca", 3.0), ("T_bd", 3.0), ("T_cb", 0.0), ("T_ad", 0.0)):
             got = integrate_over_torus("phi_k", 3, BasisTorus(tid), grid=32)
             assert abs(abs(got) - want) < 1e-3
+
+    def test_torus_grid_rule(self):
+        # 64 up to k = 5, so the pinned reports at k = 3 and 5 keep their grid
+        assert all(torus_grid(k) == 64 for k in range(1, 6))
+        got = {k: torus_grid(k) for k in (6, 7, 8, 9, 10, 12, 16)}
+        assert got == {6: 80, 7: 96, 8: 96, 9: 112, 10: 128, 12: 144, 16: 192}
+        assert all(torus_grid(k) % 16 == 0 and torus_grid(k) >= 12 * k for k in range(1, 65))
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_default_grid_converged(self, k):
+        # the default grid against its double; k = 5 drifts most, 1.3e-9
+        for torus in map(BasisTorus, ("T_ca", "T_bd", "T_cb")):
+            coarse = integrate_over_torus("phi_k", k, torus)
+            assert coarse == integrate_over_torus("phi_k", k, torus, torus_grid(k))
+            fine = integrate_over_torus("phi_k", k, torus, 2 * torus_grid(k))
+            assert abs(coarse - fine) <= 2e-9
+
+    def test_suite_passes_at_k8(self):
+        # at the former fixed grid of 64 the drift was 3.5e-6 against the 1e-8 gate
+        report = check_torus_integrals(RunConfig(k=8))
+        assert report.passed and report.params == {"k": 8, "grid": 96}
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
