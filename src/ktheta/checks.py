@@ -65,6 +65,7 @@ from .symplectic import (
     integrate_over_torus,
     pfaffian_batch,
     torus_grid,
+    torus_nodes,
 )
 
 
@@ -491,7 +492,9 @@ def check_torus_integrals(cfg: RunConfig) -> CheckReport:
     """Signed curvature integrals equal k * c1(L) on the oriented basis tori.
 
     c1(L) = (1, 1, 0, 0) on (T_ca, T_bd, T_cb, T_ad) comes from the
-    multiplicators, so a pullback of the wrong sign fails.
+    multiplicators, so a pullback of the wrong sign fails.  The witness
+    counts the nodes each torus's rule at ``grid`` evaluates; the rule at
+    twice the grid evaluates four times as many.
     """
     expected = {tid: float(cfg.k * chern_via_multiplicators(tid)) for tid in TORUS_AXES}
     grid = torus_grid(cfg.k)
@@ -499,7 +502,9 @@ def check_torus_integrals(cfg: RunConfig) -> CheckReport:
                      for tid in expected} for g in (grid, 2 * grid))
     errors = [abs(coarse[tid] - want) for tid, want in expected.items()]
     conv_worst = float(np.max([abs(coarse[tid] - fine[tid]) for tid in expected]))
-    witness = {"integrals": coarse, "expected": expected, "grid_convergence": conv_worst}
+    points = {tid: len(torus_nodes("phi_k", cfg.k, BasisTorus(tid), grid)) for tid in expected}
+    witness = {"integrals": coarse, "expected": expected, "grid_convergence": conv_worst,
+               "points": points}
     return _finish({"k": cfg.k, "grid": grid}, 4, [np.max(errors) / 1e-4, conv_worst / 1e-8],
                    1.0, witness)
 

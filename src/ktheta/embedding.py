@@ -186,30 +186,33 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     raw = factor(("fiber", "base"), k, pts, policy)
     fiber, base = (unit_rows(f) for f in raw)
 
-    # The Gram's upper triangle |<f_i, f_j> <g_i, g_j>|^2, i < j, in row-major
-    # pair order, SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS)
-    # against the columns [r, n), of which the entries with j > i are kept.
+    # The Gram's upper triangle |<f_i, f_j> <g_i, g_j>|, i < j, as distances,
+    # SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS) against the
+    # columns [r, n), with the entries j <= i set to inf, past every distance
+    # in [0, 1].  Each row keeps the column of its running minimum.
     conj = fiber.conj(), base.conj()
-    blocks = []
+    rows, cols, mins = [], [], []
     for r in range(0, n_samples, SCAN_ROWS):
         block = fiber[r:r + SCAN_ROWS] @ conj[0][r:].T
         block *= base[r:r + SCAN_ROWS] @ conj[1][r:].T
-        above = np.arange(n_samples - r) > np.arange(len(block))[:, None]
-        blocks.append(np.abs(block)[above])
-    dists = np.concatenate(blocks)
-    np.minimum(np.square(dists, out=dists), 1.0, out=dists)
-    np.sqrt(np.subtract(1.0, dists, out=dists), out=dists)
-    # position of the pair (i, i + 1): each row i' < i holds n - 1 - i' pairs
-    rows = np.arange(n_samples)
-    row_start = rows * (2 * n_samples - rows - 1) // 2
+        dists = np.abs(block)
+        np.minimum(np.square(dists, out=dists), 1.0, out=dists)
+        np.sqrt(np.subtract(1.0, dists, out=dists), out=dists)
+        dists[np.arange(n_samples - r) <= np.arange(len(dists))[:, None]] = math.inf
+        rows.extend(dists)
+        cols.append(dists.argmin(axis=1))
+        mins.append(dists[np.arange(len(dists)), cols[-1]])
+    cols, mins = np.concatenate(cols), np.concatenate(mins)
 
     # Visit pairs in (distance, index) order: argmin returns the first of
-    # equal distances, and the first NaN before any number.  A
-    # quotient-equivalent pair is set to inf, past every distance in [0, 1].
-    for _ in range(dists.size):
-        pos = int(dists.argmin())
-        i = int(np.searchsorted(row_start, pos, side="right")) - 1
-        j = pos - int(row_start[i]) + i + 1
+    # equal distances, and the first NaN before any number, both over the
+    # row minima and within a row.  A quotient-equivalent pair is set to inf
+    # and only its row is scanned again.
+    while True:
+        i = int(mins.argmin())
+        if mins[i] == math.inf:
+            break
+        j = i - i % SCAN_ROWS + int(cols[i])
         qd = reduced_distance(pts[i], pts[j])  # samples in [0, 1)^4 are reduced
         if qd > d_min:
             # the pair's k^2 lifts, as ``phi_batch`` forms them
@@ -218,7 +221,10 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
             return InjectivityReport(
                 k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
             )
-        dists[pos] = math.inf
+        row = rows[i]
+        row[cols[i]] = math.inf
+        cols[i] = row.argmin()
+        mins[i] = row[cols[i]]
     # every pair was quotient-equivalent; vacuous pass
     return InjectivityReport(
         k, n_samples, seed, d_min, threshold, 1.0, (-1, -1), math.inf, True

@@ -43,7 +43,7 @@ from .manifold import (
     omega_kt_matrix,
     reduce_point,
 )
-from .sections import AXES, FACTOR_AXES, factor
+from .sections import AXES, CHAIN, FACTOR_AXES, factor
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -277,42 +277,55 @@ class BasisTorus:
         if self.id not in TORUS_AXES:
             raise ValueError(f"unknown torus id {self.id!r}")
 
-    def grid_points(self, grid: int) -> np.ndarray:
-        """The grid^2 points of the uniform grid, in coordinate order.
+    def grid_points(self, grid: int, sides=None) -> np.ndarray:
+        """The uniform grid of ``grid`` points a side, in coordinate order.
 
-        The order does not depend on the orientation, so reversing it
-        negates an integral exactly.
+        ``sides`` maps some of the torus's two axes to a count; along such
+        an axis only that many of the grid's first nodes are taken.  The
+        order does not depend on the orientation, so reversing it negates
+        an integral exactly.
         """
-        s = np.arange(grid) / grid
-        pts = np.zeros((grid, grid, 4))
-        pts[..., sorted(TORUS_AXES[self.id])] = np.stack(np.meshgrid(s, s, indexing="ij"), -1)
+        axes = sorted(TORUS_AXES[self.id])
+        s = [np.arange((sides or {}).get(a, grid)) / grid for a in axes]
+        pts = np.zeros((len(s[0]), len(s[1]), 4))
+        pts[..., axes] = np.stack(np.meshgrid(*s, indexing="ij"), -1)
         return pts.reshape(-1, 4)
 
 
 def torus_grid(k: int) -> int:
-    """``integrate_over_torus``'s default grid side: the least multiple of 16 >= max(64, 12k)."""
-    return 16 * max(4, math.ceil(12 * k / 16))
+    """``integrate_over_torus``'s default grid side: the least multiple of k >= max(64, 12k)."""
+    return k * -(-max(64, 12 * k) // k)
 
 
-def integrate_over_torus(
-    map_id: str, k: int, torus: BasisTorus, grid: int | None = None, policy=th.DEFAULT_POLICY
-) -> float:
-    """Oriented integral of the pulled-back form over the torus (ds_i ^ ds_j).
+def balance_weights(k: int) -> np.ndarray:
+    """The weights c_p = exp(pi p (1 - p/k)), p in [0, k), of the balanced lift.
 
-    The mean of the (i, j) coefficient, (i, j) = TORUS_AXES[torus.id], over a
-    uniform grid, by default of ``torus_grid(k)`` points a side: the integrand
-    is smooth and periodic, so the periodic trapezoid rule converges like
-    exp(-c grid / k) (Trefethen and Weideman, SIAM Review 56, 2014).  phi_k's
-    largest drift against twice that grid over T_ca, T_bd and T_cb is, at
-    k = 2..5 (grid 64) 1.6e-12, 1.3e-12, 8.1e-10, 1.3e-9; k = 6..10 (80, 96,
-    96, 112, 128) 8.9e-11, 1.1e-11, 6.3e-10, 2.7e-11, 6.2e-12; k = 11..16 (144,
-    144, 160, 176, 192, 192) 1.7e-12, 2.4e-11, 5.0e-12, 1.8e-12, 7.5e-13, 5.0e-12.
-    For the Fubini-Study maps the coefficient is the sum of the map's Segre
-    factors' ones, and a factor that does not depend on both coordinates adds
-    exactly zero, so only the factors spanning the torus are evaluated, and
-    only their i and j partial rows enter the form: one kernel call on T_ca,
-    T_bd and T_cb, and none on T_ad, where no factor depends on both x and t
-    and the integral is 0.0.
+    theta_k^p(w + tau/k) = e^{-2 pi i w} e^{2 pi i p tau/k} theta_k^{p+1}(w),
+    with p + 1 read mod k, and at Im tau = 1 the modulus e^{-2 pi p/k} depends
+    on p; c_{p+1}/c_p = e^{pi (1 - (2p + 1)/k)} cancels it, so on the
+    balanced lift c_p theta_k^p the moves w -> w + 1/k and w -> w + i/k act
+    (at Re tau = 0) by a cyclic residue shift times a unitary phase
+    (Mumford, Tata Lectures on Theta I, Section II.1).
+    """
+    p = np.arange(k)
+    return np.exp(np.pi * p * (1.0 - p / k))
+
+
+def _spanning(map_id: str, torus: BasisTorus) -> tuple:
+    """The map's Segre factors that depend on both of the torus's coordinates."""
+    return tuple(w for w in MAP_FACTORS[map_id] if set(TORUS_AXES[torus.id]) <= set(FACTOR_AXES[w]))
+
+
+def torus_nodes(map_id: str, k: int, torus: BasisTorus, grid: int | None = None) -> np.ndarray:
+    """The (N, 4) nodes at which ``integrate_over_torus`` evaluates the map.
+
+    ``grid`` (by default ``torus_grid(k)``, at least 8) is the side of the
+    full-torus rule.  ``omega_kt`` takes that whole grid.  For the
+    Fubini-Study maps it is first rounded up to a multiple of k, and only
+    the first grid/k nodes are taken along each coordinate on which every
+    spanning factor's theta argument w depends (``CHAIN[f][a, 0] != 0``):
+    one (grid/k)^2 cell on T_ca and T_bd, a (grid/k) x grid strip on T_cb,
+    and no node on T_ad, which no factor spans.
     """
     _check_map(map_id, MAP_IDS)
     if map_id != "omega_kt":
@@ -320,13 +333,52 @@ def integrate_over_torus(
     grid = torus_grid(k) if grid is None else grid
     if grid < 8:
         raise ValueError("grid must be at least 8")
+    if map_id == "omega_kt":
+        return torus.grid_points(grid)
+    spanning = _spanning(map_id, torus)
+    if not spanning:
+        return np.empty((0, 4))
+    grid = k * -(-grid // k)
+    periodic = [a for a in TORUS_AXES[torus.id] if all(CHAIN[f][a, 0] for f in spanning)]
+    return torus.grid_points(grid, dict.fromkeys(periodic, grid // k))
+
+
+def integrate_over_torus(
+    map_id: str, k: int, torus: BasisTorus, grid: int | None = None, policy=th.DEFAULT_POLICY
+) -> float:
+    """Oriented integral of the pulled-back form over the torus (ds_i ^ ds_j).
+
+    The mean of the (i, j) coefficient, (i, j) = TORUS_AXES[torus.id], by
+    the periodic trapezoid rule on a uniform grid, by default of
+    ``torus_grid(k)`` points a side: the integrand is smooth and periodic,
+    so the rule converges like exp(-c grid / k) (Trefethen and Weideman,
+    SIAM Review 56, 2014).  For the Fubini-Study maps the coefficient is
+    the sum of the map's Segre factors' ones, and a factor that does not
+    depend on both coordinates adds exactly zero, so only the factors
+    spanning the torus are evaluated, and only their i and j partial rows
+    enter the form: one kernel call on T_ca, T_bd and T_cb, and none on
+    T_ad, where no factor depends on both x and t and the integral is 0.0.
+
+    The spanning factors' values and rows are scaled by ``balance_weights``,
+    a constant diagonal change of lift: the form changes by i d d-bar of
+    log |c F|^2 / |F|^2, a function on the manifold, so by an exact form,
+    and no torus integral changes.  The balanced density is (1/k)-periodic
+    along each coordinate that moves w, so the full-grid mean is the mean
+    over ``torus_nodes``, one cell or strip of the grid rounded up to a
+    multiple of k.  phi_k's largest drift against twice the default grid
+    over T_ca, T_bd and T_cb is at most 1.8e-15 at k = 2..8 (grid 64, 66,
+    64, 65, 72, 84, 96), 3.4e-14 at k = 9..16 (grid 12k) and 3.2e-13 at
+    k = 32 (grid 384).
+    """
+    pts = torus_nodes(map_id, k, torus, grid)
     i, j = TORUS_AXES[torus.id]
     if map_id == "omega_kt":
-        return float(np.mean(omega_kt_matrix(torus.grid_points(grid))[:, i, j]))
-    spanning = tuple(w for w in MAP_FACTORS[map_id] if {i, j} <= set(FACTOR_AXES[w]))
-    if not spanning:
+        return float(np.mean(omega_kt_matrix(pts)[:, i, j]))
+    if not len(pts):
         return 0.0
-    b, _ = fs_hermitian(*factor(spanning, k, torus.grid_points(grid), policy, (i, j)))
+    vals, rows, table = factor(_spanning(map_id, torus), k, pts, policy, (i, j))
+    c = balance_weights(k)
+    b, _ = fs_hermitian(vals * c, rows * c, table)
     return float(np.mean(_form(b)[:, 0, 1]))
 
 

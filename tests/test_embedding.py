@@ -370,7 +370,8 @@ class TestInjectivityScan:
         report = injectivity_scan(3, n, 11)
         assert report_fields(report) == full_sort_scan(3, fundamental_domain_samples(n, 11))
 
-    @pytest.mark.parametrize("case", ["copies", "many_ties", "straddle", "all_equivalent"])
+    @pytest.mark.parametrize("case", ["copies", "many_ties", "straddle", "all_equivalent",
+                                      "400_times_5"])
     def test_duplicated_points_match_reference(self, monkeypatch, case):
         distinct = fundamental_domain_samples(10, 5)
         near = distinct[:1] + np.array([0.0, 0.0, 0.01, 0.0])
@@ -383,6 +384,8 @@ class TestInjectivityScan:
             # 55 coincident pairs, then 11 equal separated distances across the 64th
             "straddle": np.vstack([near, np.repeat(distinct[:1], 11, axis=0), distinct[4:]]),
             "all_equivalent": np.repeat(distinct[:1], 6, axis=0),
+            # 4000 coincident pairs, each rejection rescanning only its row
+            "400_times_5": np.repeat(fundamental_domain_samples(400, 5), 5, axis=0),
         }[case]
         monkeypatch.setattr(embedding_module, "fundamental_domain_samples",
                             lambda n, seed: pts)

@@ -22,8 +22,8 @@ import ktheta.symplectic as symplectic
 import ktheta.theta as th
 from ktheta.checks import REGISTRY, RunConfig
 
-# k = 3, where torus_integrals' grid, torus_grid(3) = 64, meets its
-# grid-convergence gate of 1e-8 (a grid of 56 is the least that does)
+# k = 3, where torus_integrals' grid, torus_grid(3) = 66, meets its
+# grid-convergence gate of 1e-8 (a grid of 15 is the least that does)
 SMALL = RunConfig(samples=16)
 
 MUTATIONS = {}

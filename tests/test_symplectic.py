@@ -46,6 +46,7 @@ from ktheta.symplectic import (
     FS_MAP_IDS,
     MAP_FACTORS,
     TORUS_AXES,
+    balance_weights,
     chern_cocycle,
     decompose_left_invariant_batch,
     exterior_derivative_residuals,
@@ -57,6 +58,7 @@ from ktheta.symplectic import (
     pfaffian,
     pfaffian_batch,
     torus_grid,
+    torus_nodes,
     transition_function,
 )
 
@@ -508,25 +510,76 @@ class TestTori:
             assert abs(abs(got) - want) < 1e-3
 
     def test_torus_grid_rule(self):
-        # 64 up to k = 5, so the pinned reports at k = 3 and 5 keep their grid
-        assert all(torus_grid(k) == 64 for k in range(1, 6))
-        got = {k: torus_grid(k) for k in (6, 7, 8, 9, 10, 12, 16)}
-        assert got == {6: 80, 7: 96, 8: 96, 9: 112, 10: 128, 12: 144, 16: 192}
-        assert all(torus_grid(k) % 16 == 0 and torus_grid(k) >= 12 * k for k in range(1, 65))
+        # the least multiple of k that is at least max(64, 12k)
+        got = {k: torus_grid(k) for k in (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)}
+        assert got == {1: 64, 2: 64, 3: 66, 4: 64, 5: 65, 6: 72, 7: 84, 8: 96, 16: 192, 32: 384}
+        for k in range(1, 65):
+            least = max(64, 12 * k)
+            assert torus_grid(k) % k == 0 and least <= torus_grid(k) < least + k
 
-    @pytest.mark.parametrize("k", [2, 5, 8])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32])
     def test_default_grid_converged(self, k):
-        # the default grid against its double; k = 5 drifts most, 1.3e-9
+        # the default grid against k * c1 and against its double, to roundoff
         for torus in map(BasisTorus, ("T_ca", "T_bd", "T_cb")):
             coarse = integrate_over_torus("phi_k", k, torus)
             assert coarse == integrate_over_torus("phi_k", k, torus, torus_grid(k))
+            assert abs(coarse - k * chern_via_multiplicators(torus.id)) <= 1e-12 * k
             fine = integrate_over_torus("phi_k", k, torus, 2 * torus_grid(k))
-            assert abs(coarse - fine) <= 2e-9
+            assert abs(coarse - fine) <= 1e-12 * k
 
     def test_suite_passes_at_k8(self):
         # at the former fixed grid of 64 the drift was 3.5e-6 against the 1e-8 gate
         report = check_torus_integrals(RunConfig(k=8))
         assert report.passed and report.params == {"k": 8, "grid": 96}
+        # a 12 x 12 cell on T_ca and T_bd, a 12 x 96 strip on T_cb
+        assert report.witness["points"] == {"T_ca": 144, "T_bd": 144, "T_cb": 1152, "T_ad": 0}
+
+    def test_nodes_cover_one_cell(self):
+        # grid 16 rounds up to 18 at k = 3, and the cell is [0, 1/3) a side
+        cell = torus_nodes("phi_k", 3, BasisTorus("T_ca"), 16)
+        assert cell.shape == (36, 4) and cell[:, [0, 2]].max() == pytest.approx(5 / 18)
+        assert not cell[:, [1, 3]].any()
+        # the fiber's modulus y is not periodic: T_cb's strip spans it
+        strip = torus_nodes("psi_prime", 3, BasisTorus("T_cb"), 16)
+        assert strip.shape == (6 * 18, 4) and strip[:, 1].max() == pytest.approx(17 / 18)
+        assert torus_nodes("phi_k", 3, BasisTorus("T_ad"), 16).shape == (0, 4)
+        assert torus_nodes("psi_double_prime", 3, BasisTorus("T_ca"), 16).shape == (0, 4)
+        # omega_kt ignores k and keeps the full grid
+        assert torus_nodes("omega_kt", 3, BasisTorus("T_ca"), 16).shape == (256, 4)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_balanced_density_is_cell_periodic(self, k):
+        rng = np.random.default_rng(5)
+        for tid, name in (("T_ca", "fiber"), ("T_bd", "base"), ("T_cb", "fiber")):
+            i, j = TORUS_AXES[tid]
+            pts = np.zeros((40, 4))
+            pts[:, [i, j]] = rng.random((40, 2))
+
+            def coefficient(at, weights):
+                vals, rows, table = factor((name,), k, at, axes=(i, j))
+                b, _ = fs_hermitian(vals * weights, rows * weights, table)
+                return symplectic_module._form(b)[:, 0, 1]
+
+            for balanced, weights in ((True, balance_weights(k)), (False, np.ones(k))):
+                here = coefficient(pts, weights)
+                for a in (i, j):
+                    moved = pts.copy()
+                    moved[:, a] += 1.0 / k
+                    shift = np.abs(coefficient(moved, weights) - here).max()
+                    if not sections_module.CHAIN[name][a, 0]:
+                        assert shift > 1e-6  # the modulus y moves tau, not w
+                    elif balanced:
+                        assert shift <= 1e-12 * k
+                    elif a in (0, 3):
+                        assert shift > 1.0  # the unweighted x and t rows: not periodic
+
+    def test_unbalanced_cell_fails_the_suite(self, monkeypatch):
+        # the raw lift's density is not (1/k)-periodic along x and t, so its
+        # cell mean misses k by about 1.9 at k = 3
+        monkeypatch.setattr(symplectic_module, "balance_weights", lambda k: np.ones(k))
+        report = check_torus_integrals(RunConfig())
+        assert not report.passed
+        assert abs(report.witness["integrals"]["T_ca"] - 3.0) > 1.0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -544,12 +597,28 @@ class TestTori:
     @pytest.mark.parametrize("k", [2, 3, 8, 16])
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
     def test_matches_all_factor_oracle(self, map_id, k):
-        # the deleted path: every factor, every partial, every grid point
+        # every factor, every partial, every node of the full grid (16 rounded
+        # up to a multiple of k), each factor balanced: the cell or strip mean
+        # is this full-grid mean to roundoff
+        grid, weights = -(-16 // k) * k, balance_weights(k)
         for torus in map(BasisTorus, TORUS_AXES):
             i, j = TORUS_AXES[torus.id]
-            mats = fs_pullback_batch(map_id, k, torus.grid_points(16))
-            want = float(np.mean(mats[:, i, j]))
-            assert integrate_over_torus(map_id, k, torus, 16) == want
+            vals, rows, tables = factor(MAP_FACTORS[map_id], k, torus.grid_points(grid), axes=AXES)
+            b, _ = fs_hermitian(vals * weights, rows * weights, tables)
+            want = float(np.mean(symplectic_module._form(b)[:, i, j]))
+            assert abs(integrate_over_torus(map_id, k, torus, 16) - want) <= 1e-13 * k
+
+    @pytest.mark.parametrize("k, tol", [(2, 2e-9), (3, 2e-9), (5, 1e-8), (8, 2e-9)])
+    def test_matches_raw_full_grid(self, k, tol):
+        # the raw lift's form differs by an exact form, whose trapezoid mean
+        # on the full grid torus_grid(k) is small but not exactly 0: the raw
+        # rule misses k by 1.6e-12, 1.3e-11, 6.8e-9 and 6.3e-10 at k = 2, 3,
+        # 5 (grid 65) and 8, where the balanced one is within 2e-15
+        grid = torus_grid(k)
+        for torus in map(BasisTorus, TORUS_AXES):
+            i, j = TORUS_AXES[torus.id]
+            raw = float(np.mean(fs_pullback_batch("phi_k", k, torus.grid_points(grid))[:, i, j]))
+            assert abs(integrate_over_torus("phi_k", k, torus) - raw) <= tol
 
     def test_checks_run_before_the_structural_zero(self):
         t_ad = BasisTorus("T_ad")
