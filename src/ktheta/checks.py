@@ -389,11 +389,16 @@ def check_well_definedness(cfg: RunConfig) -> CheckReport:
 
 @suite("basepoint_freeness")
 def check_basepoint_freeness(cfg: RunConfig) -> CheckReport:
-    """Some section stays uniformly away from zero at every sampled point."""
+    """Some section stays uniformly away from zero at every sampled point.
+
+    phi_k's unit lift is the Segre product of its factors' unit lifts f and
+    g, so its largest |coordinate| is max|f| * max|g|: no k^2 lift is formed.
+    """
     n = cfg.count(10000)
     pts = fundamental_domain_samples(n, cfg.seed + 21)
-    lifts = unit_rows(phi_batch(cfg.k, pts, cfg.policy))
-    min_max_coord = float(np.abs(lifts).max(axis=1).min())
+    fiber, base = (np.abs(unit_rows(f)).max(axis=1)
+                   for f in factor(("fiber", "base"), cfg.k, pts, cfg.policy))
+    min_max_coord = float((fiber * base).min())
     return _finish({"k": cfg.k}, n, [0.0, 1e-6 - min_max_coord], 0.0,
                    {"min_max_coordinate": min_max_coord})
 
@@ -515,9 +520,16 @@ def check_derivative_crosscheck(cfg: RunConfig) -> CheckReport:
     every form and rank takes them, match central differences of ``factor``.
 
     The points moved by +-h along each axis are one stacked ``factor`` call.
+    A central difference misses f' by h^2 f^(3) / 6.  A degree-k factor is
+    dominated by basis terms exp(2 pi i n w) with |n| up to about k, and a
+    unit step of a coordinate moves w by at most one, so |f^(3) / f'| is
+    about (2 pi k)^2 at most and the relative miss (2 pi h k)^2 / 6.  The
+    step h = 3e-5 / k holds it at (2 pi 3e-5)^2 / 6 = 5.9e-9 at every k,
+    which is what the suite measures from k = 1 to 64; a fixed step lets it
+    grow as k^2 (h = 1e-5 misses by 2.7e-6 at k = 64).
     """
     n = cfg.count(100)
-    h = 1e-5
+    h = 1e-5 * (3 / cfg.k)
     pts = fundamental_domain_samples(n, cfg.seed + 27)
     names = ("fiber", "base")
     _, rows, tables = factor(names, cfg.k, pts, cfg.policy, AXES)

@@ -145,8 +145,11 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     return int(hermitian_ranks(b, scale, tol)[0])
 
 
-# Rows per block of the injectivity scan's Gram triangle.
+# Rows per block of the injectivity scan's squared overlaps.
 SCAN_ROWS = 64
+# The pairs j <= i of a block's leading SCAN_ROWS x SCAN_ROWS square.
+_NOT_PAIRS = np.tri(SCAN_ROWS, dtype=bool)
+_NOT_PAIRS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,87 @@ class InjectivityReport:
     passed: bool
 
 
+# The largest degree whose factors' squared overlaps come from the real
+# rows of f f^*: k^2 wide, but one real product gives |<f_i, f_j>|^2 with no
+# squaring pass.  Above it the k-wide complex Gram is squared in place.  One
+# scan of 2000 samples on a 2-vCPU x86-64 VM, BLAS on one thread, took 9,
+# 13, 20 and 100 ms at k = 3, 5, 8 and 16 the first way, 27, 27, 25 and
+# 31 ms the second.
+OUTER_MAX_K = 8
+
+
+def _overlap_operands(rows):
+    """The two (n, K) operands whose row products are a factor's squared
+    overlaps |<f_i, f_j>|^2, from its unit rows f (n, k).
+
+    For k <= OUTER_MAX_K they are real: the diagonal |f_p|^2 of f f^* and
+    its entries f_p conj(f_q), p < q, as real and imaginary parts, doubled
+    in the first operand, since |<f, g>|^2 = sum_p |f_p|^2 |g_p|^2 +
+    2 sum_{p<q} Re(f_p conj(f_q) conj(g_p conj(g_q))).  Otherwise they are
+    the rows and their conjugates, whose products are the Gram itself.
+    """
+    k = rows.shape[1]
+    if k > OUTER_MAX_K:
+        return rows, rows.conj()
+    p, q = np.triu_indices(k, 1)
+    entries = rows[:, p] * rows[:, q].conj()
+    right = np.concatenate([np.abs(rows) ** 2, entries.real, entries.imag], axis=1)
+    left = right.copy()
+    left[:, k:] *= 2.0
+    return left, right
+
+
+def _squared_overlaps(factors, r, gram, out):
+    """|<f_i, f_j>|^2 |<g_i, g_j>|^2 of the unit factor rows i in [r, r +
+    SCAN_ROWS) against j in [r, n), with the entries j <= i set to -inf.
+
+    ``factors`` holds the fiber's and the base's ``_overlap_operands``.  A
+    complex Gram block is written into the complex work buffer ``gram``,
+    squared in place in its real view and its two halves summed; the
+    product of the two factors' blocks goes to the float work buffer
+    ``out``, whose leading entries are returned as the block.  A given
+    ``r`` gives the same bits on every call.
+    """
+    width = len(factors[0][0]) - r
+    height = min(SCAN_ROWS, width)
+    block = out[:height * width].reshape(height, width)
+    for f, (left, right) in enumerate(factors):
+        if left.dtype == complex:
+            view = np.matmul(left[r:r + SCAN_ROWS], right[r:].T,
+                             out=gram[:height * width].reshape(height, width)).view(float)
+            np.square(view, out=view)
+            square = np.add(view[:, ::2], view[:, 1::2], out=view[:, ::2] if f else block)
+        else:
+            spare = gram.view(float)[:height * width].reshape(height, width)
+            square = np.matmul(left[r:r + SCAN_ROWS], right[r:].T, out=spare if f else block)
+        if f:
+            block *= square
+    block[:, :height][_NOT_PAIRS[:height, :height]] = -math.inf
+    return block
+
+
+def _nearest(overlaps):
+    """Each row's nearest column and its distance sqrt(1 - min(s, 1)): the
+    first column of the smallest distance, the first NaN before any number.
+
+    The largest s gives the smallest distance, but distinct s can round to
+    one distance.  Each such s is at least ``floor``, so a row with a column
+    at or above it before its largest s checks those columns' distances.
+    """
+    best = overlaps.argmax(axis=1)  # the first NaN, else the first largest
+    top = overlaps[np.arange(len(overlaps)), best]
+    dist = np.sqrt(1.0 - np.minimum(top, 1.0))
+    # below this, 1 - s rounds past every x whose sqrt rounds to dist
+    floor = 1.0 - dist * dist * (1.0 + 2.0**-48) - 2.0**-50
+    first = (overlaps >= floor[:, None]).argmax(axis=1)
+    for i in np.flatnonzero(first < best):  # a NaN row finds no column here
+        cand = np.flatnonzero(overlaps[i, :best[i]] >= floor[i])
+        tied = cand[np.sqrt(1.0 - np.minimum(overlaps[i, cand], 1.0)) == dist[i]]
+        if len(tied):
+            best[i] = tied[0]
+    return best, dist
+
+
 def injectivity_scan(k: int, n_samples: int, seed: int,
                      policy=th.DEFAULT_POLICY) -> InjectivityReport:
     """Search sampled fundamental-domain pairs for image near-collisions.
@@ -172,47 +256,41 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     report passes iff the smallest remaining image distance exceeds
     ``threshold`` = 1e-6.  Pairs are ranked by sqrt(1 - |<a,b>|^2) of their
     unit lifts, which resolves only about 1e-8; phi_k is a Segre product,
-    so |<a,b>| is the product of the k-wide fiber and base overlaps.  The
-    witness pair's reported distance is the ``chordal_distances`` of its two
-    k^2 lifts, the only ones formed, which resolves about 1e-12.  Pairs are
-    visited by repeated argmin, so ties break by sample index order and the
-    witness is deterministic for a fixed seed; a NaN distance comes first,
-    so a non-finite lift fails the scan with a NaN witness distance.
+    so |<a,b>|^2 is the product of the fiber and base squared overlaps
+    (``_overlap_operands``).  These are formed SCAN_ROWS rows at a time,
+    against the columns past the block's first row; each row keeps only
+    its nearest column and distance, and the block is dropped, so the scan
+    holds one block, not the Gram.  Pairs are visited in (distance, index) order:
+    argmin takes the first of equal distances, and the first NaN before
+    any number, over the rows and within a row.  So ties break by sample
+    index order and the witness is deterministic for a fixed seed, and a
+    non-finite lift fails the scan with a NaN witness distance.  A
+    quotient-equivalent pair is struck out of its row, whose block is
+    formed again (the same call, so the same bits; the last one is kept)
+    with every pair struck so far, and only that row is searched again.
+    The witness pair's reported distance is the ``chordal_distances`` of
+    its two k^2 lifts, the only ones formed, which resolves about 1e-12.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     d_min, threshold = 1e-3, 1e-6
     pts = fundamental_domain_samples(n_samples, seed)
     raw = factor(("fiber", "base"), k, pts, policy)
-    fiber, base = (unit_rows(f) for f in raw)
+    factors = [_overlap_operands(rows) for rows in map(unit_rows, raw)]
+    # one block's work buffers, reused: fresh pages for every block cost more
+    work = np.empty(SCAN_ROWS * n_samples, dtype=complex), np.empty(SCAN_ROWS * n_samples)
 
-    # The Gram's upper triangle |<f_i, f_j> <g_i, g_j>|, i < j, as distances,
-    # SCAN_ROWS rows at a time: the rows [r, r + SCAN_ROWS) against the
-    # columns [r, n), with the entries j <= i set to inf, past every distance
-    # in [0, 1].  Each row keeps the column of its running minimum.
-    conj = fiber.conj(), base.conj()
-    rows, cols, mins = [], [], []
+    cols, dists = np.empty(n_samples, dtype=int), np.empty(n_samples)
     for r in range(0, n_samples, SCAN_ROWS):
-        block = fiber[r:r + SCAN_ROWS] @ conj[0][r:].T
-        block *= base[r:r + SCAN_ROWS] @ conj[1][r:].T
-        dists = np.abs(block)
-        np.minimum(np.square(dists, out=dists), 1.0, out=dists)
-        np.sqrt(np.subtract(1.0, dists, out=dists), out=dists)
-        dists[np.arange(n_samples - r) <= np.arange(len(dists))[:, None]] = math.inf
-        rows.extend(dists)
-        cols.append(dists.argmin(axis=1))
-        mins.append(dists[np.arange(len(dists)), cols[-1]])
-    cols, mins = np.concatenate(cols), np.concatenate(mins)
+        best, dist = _nearest(_squared_overlaps(factors, r, *work))
+        cols[r:r + SCAN_ROWS], dists[r:r + SCAN_ROWS] = best + r, dist
 
-    # Visit pairs in (distance, index) order: argmin returns the first of
-    # equal distances, and the first NaN before any number, both over the
-    # row minima and within a row.  A quotient-equivalent pair is set to inf
-    # and only its row is scanned again.
+    struck, kept, block = {}, None, None
     while True:
-        i = int(mins.argmin())
-        if mins[i] == math.inf:
+        i = int(dists.argmin())
+        if dists[i] == math.inf:
             break
-        j = i - i % SCAN_ROWS + int(cols[i])
+        j = int(cols[i])
         qd = reduced_distance(pts[i], pts[j])  # samples in [0, 1)^4 are reduced
         if qd > d_min:
             # the pair's k^2 lifts, as ``phi_batch`` forms them
@@ -221,10 +299,15 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
             return InjectivityReport(
                 k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold
             )
-        row = rows[i]
-        row[cols[i]] = math.inf
-        cols[i] = row.argmin()
-        mins[i] = row[cols[i]]
+        r = i - i % SCAN_ROWS
+        struck.setdefault(r, []).append((i - r, j - r))
+        if kept != r:
+            kept, block = r, _squared_overlaps(factors, r, *work)
+            block[tuple(zip(*struck[r]))] = -math.inf
+        else:
+            block[i - r, j - r] = -math.inf
+        best, dist = _nearest(block[i - r:i - r + 1])
+        cols[i], dists[i] = best[0] + r, dist[0]
     # every pair was quotient-equivalent; vacuous pass
     return InjectivityReport(
         k, n_samples, seed, d_min, threshold, 1.0, (-1, -1), math.inf, True

@@ -293,8 +293,15 @@ class BasisTorus:
 
 
 def torus_grid(k: int) -> int:
-    """``integrate_over_torus``'s default grid side: the least multiple of k >= max(64, 12k)."""
-    return k * -(-max(64, 12 * k) // k)
+    """``integrate_over_torus``'s default grid side, 12k: one 12 x 12 cell of
+    the balanced rule on T_ca and T_bd, and a 12 x 12k strip on T_cb.
+
+    Against twice this grid, phi_k's largest drift over T_ca, T_bd and T_cb
+    is 2.6e-14, 4.4e-16, 1.4e-19 and 1.8e-15 at k = 2..5, and at most
+    3.4e-14 at k = 6..16 (see ``integrate_over_torus``).  k = 1 maps to
+    CP^0, whose form is 0.
+    """
+    return 12 * k
 
 
 def balance_weights(k: int) -> np.ndarray:
@@ -366,9 +373,8 @@ def integrate_over_torus(
     along each coordinate that moves w, so the full-grid mean is the mean
     over ``torus_nodes``, one cell or strip of the grid rounded up to a
     multiple of k.  phi_k's largest drift against twice the default grid
-    over T_ca, T_bd and T_cb is at most 1.8e-15 at k = 2..8 (grid 64, 66,
-    64, 65, 72, 84, 96), 3.4e-14 at k = 9..16 (grid 12k) and 3.2e-13 at
-    k = 32 (grid 384).
+    12k over T_ca, T_bd and T_cb is at most 2.6e-14 at k = 2..8, 3.4e-14
+    at k = 9..16, 3.2e-13 at k = 32 and 2.1e-12 at k = 64.
     """
     pts = torus_nodes(map_id, k, torus, grid)
     i, j = TORUS_AXES[torus.id]

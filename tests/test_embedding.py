@@ -1,6 +1,7 @@
 """Projective maps: factorization, ranks, injectivity, invariance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,15 +385,80 @@ class TestInjectivityScan:
             # 55 coincident pairs, then 11 equal separated distances across the 64th
             "straddle": np.vstack([near, np.repeat(distinct[:1], 11, axis=0), distinct[4:]]),
             "all_equivalent": np.repeat(distinct[:1], 6, axis=0),
-            # 4000 coincident pairs, each rejection rescanning only its row
+            # 4000 coincident pairs, each rejection searching only its row
             "400_times_5": np.repeat(fundamental_domain_samples(400, 5), 5, axis=0),
         }[case]
         monkeypatch.setattr(embedding_module, "fundamental_domain_samples",
                             lambda n, seed: pts)
+        # each pair's quotient distance is read once: a struck pair stays
+        # struck when its block is formed again
+        checked, reduced = [], embedding_module.reduced_distance
+        row = lambda a: (a.__array_interface__["data"][0] - pts.ctypes.data) // pts.strides[0]
+        monkeypatch.setattr(embedding_module, "reduced_distance",
+                            lambda a, b: checked.append((row(a), row(b))) or reduced(a, b))
         report = injectivity_scan(3, len(pts), 0)
         assert report_fields(report) == full_sort_scan(3, pts)
+        assert len(set(checked)) == len(checked)
         if case == "all_equivalent":
             assert report.witness_indices == (-1, -1) and report.passed
+
+    def test_distinct_overlaps_tied_in_distance_keep_index_order(self, monkeypatch):
+        # phi_2 folds u and its image (-x, y, -z, t) together; with that image
+        # moved by delta along one axis, sample 0 meets samples 1 and 2 at
+        # squared overlaps within an ulp or two of 1.  Some deltas make the
+        # scan's two overlaps differ, the larger at column 2, while both
+        # round to one distance, as the reference's k^2 Gram entries do: the
+        # scan must take column 1, the first of equal distances, as the
+        # stable sort does, not the larger overlap.  (1, 2) is quotient-
+        # equivalent and struck first.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            u = KTPoint(*rng.random(4))
+            folded = reduce_point(KTPoint(-u.x, u.y, -u.z, u.t))[0].as_array()
+            delta = np.zeros(4)
+            delta[rng.integers(4)] = 10.0 ** rng.uniform(-12, -8)
+            pts = np.array([u.as_array(), folded, folded + delta])
+            if not ((pts >= 0.0) & (pts < 1.0)).all():
+                continue
+            factors = [embedding_module._overlap_operands(rows)
+                       for rows in map(unit_rows, factor(("fiber", "base"), 2, pts))]
+            s = embedding_module._squared_overlaps(factors, 0, np.empty(9, complex), np.empty(9))[0]
+            d = np.sqrt(1.0 - np.minimum(s, 1.0))
+            lifts = unit_rows(phi_batch(2, pts))
+            ref = np.sqrt(1.0 - np.minimum(np.abs(lifts[0] @ lifts[1:].conj().T) ** 2, 1.0))
+            if s[2] > s[1] and d[1] == d[2] and ref[0] == ref[1]:
+                break
+        else:
+            pytest.fail("no delta gives distinct overlaps tied in distance")
+        monkeypatch.setattr(embedding_module, "fundamental_domain_samples",
+                            lambda n, seed: pts)
+        report = injectivity_scan(2, 3, 0)
+        assert report.witness_indices == (0, 1)
+        assert report_fields(report) == full_sort_scan(2, pts)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 9, 16])
+    def test_overlap_operands_give_squared_overlaps(self, k):
+        # the real rows of f f^* up to OUTER_MAX_K = 8, the rows and their
+        # conjugates above it: either way the products are |<f_i, f_j>|^2
+        rows = unit_rows(factor("fiber", k, fundamental_domain_samples(50, 9)))
+        left, right = embedding_module._overlap_operands(rows)
+        assert (left.dtype == float) == (k <= embedding_module.OUTER_MAX_K)
+        got = left @ right.T
+        if got.dtype == complex:
+            got = np.abs(got) ** 2
+        assert np.abs(got - np.abs(rows @ rows.conj().T) ** 2).max() <= 1e-14
+
+    def test_holds_one_block_not_the_gram(self):
+        # the retained Gram rows peaked at 20 MB here; the factor lifts, their
+        # conjugates and one block's two buffers take about 6.5 MB
+        injectivity_scan(16, 2000, 7)  # the window tables are built once
+        tracemalloc.start()
+        try:
+            injectivity_scan(16, 2000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_witness_distance_resolves_a_collision(self, monkeypatch):
         # phi_2(x, y, z, t) = phi_2(-x, y, -z, t): the Gram form reads this

@@ -510,12 +510,12 @@ class TestTori:
             assert abs(abs(got) - want) < 1e-3
 
     def test_torus_grid_rule(self):
-        # the least multiple of k that is at least max(64, 12k)
+        # 12 nodes per cell side at every k: a multiple of k, never rounded up
         got = {k: torus_grid(k) for k in (1, 2, 3, 4, 5, 6, 7, 8, 16, 32)}
-        assert got == {1: 64, 2: 64, 3: 66, 4: 64, 5: 65, 6: 72, 7: 84, 8: 96, 16: 192, 32: 384}
+        assert got == {1: 12, 2: 24, 3: 36, 4: 48, 5: 60, 6: 72, 7: 84, 8: 96, 16: 192, 32: 384}
         for k in range(1, 65):
-            least = max(64, 12 * k)
-            assert torus_grid(k) % k == 0 and least <= torus_grid(k) < least + k
+            assert torus_grid(k) == 12 * k
+            assert len(torus_nodes("phi_k", k, BasisTorus("T_ca"))) == 144
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32])
     def test_default_grid_converged(self, k):
@@ -611,10 +611,12 @@ class TestTori:
     @pytest.mark.parametrize("k, tol", [(2, 2e-9), (3, 2e-9), (5, 1e-8), (8, 2e-9)])
     def test_matches_raw_full_grid(self, k, tol):
         # the raw lift's form differs by an exact form, whose trapezoid mean
-        # on the full grid torus_grid(k) is small but not exactly 0: the raw
-        # rule misses k by 1.6e-12, 1.3e-11, 6.8e-9 and 6.3e-10 at k = 2, 3,
-        # 5 (grid 65) and 8, where the balanced one is within 2e-15
-        grid = torus_grid(k)
+        # on a full grid is small but not exactly 0: the raw rule misses k by
+        # 1.6e-12, 1.3e-11, 6.8e-9 and 6.3e-10 at k = 2, 3, 5 and 8 on the
+        # grids here, the least multiples of k >= max(64, 12k), where the
+        # balanced one on the default 12k is within 3e-14; the raw rule
+        # needs these grids (on 12k it misses 5 by 4.9e-8)
+        grid = {2: 64, 3: 66, 5: 65, 8: 96}[k]
         for torus in map(BasisTorus, TORUS_AXES):
             i, j = TORUS_AXES[torus.id]
             raw = float(np.mean(fs_pullback_batch("phi_k", k, torus.grid_points(grid))[:, i, j]))

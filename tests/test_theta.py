@@ -804,6 +804,81 @@ class TestDegreeBasisKernel:
 ALL_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
 
 
+# Every (w_order, tau_order) up to (2, 1): five moments in the contraction.
+ORDERS_TO_2_1 = ALL_ORDERS + ((2, 1),)
+
+
+def blocked_arguments(where, n):
+    """n kernel arguments inside the domain unit, across the window table's
+    units, or at general tau, where every point searches its window."""
+    if where == "general":
+        rng = np.random.default_rng(33)
+        w = rng.random(n) + 1j * (rng.random(n) - 0.5)
+        return w, (rng.random(n) - 0.5) + 1j * (0.5 + 1.5 * rng.random(n))
+    pts = fundamental_domain_samples(n, 31) if where == "domain" else unit_points(n, 32)
+    return tuple(x[:n] for x in factor_arguments(pts))
+
+
+def unblocked(monkeypatch, k, w, tau, orders):
+    """The kernel on the batch as one block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(th_mod, "BLOCK", len(w))
+        return th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, orders)
+
+
+class TestBlockedKernel:
+    """The kernel's term arrays are built BLOCK arguments at a time."""
+
+    @pytest.mark.parametrize("orders", [((0, 0),), ORDERS_TO_2_1], ids=["value", "to_2_1"])
+    @pytest.mark.parametrize("where", ["domain", "units", "general"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 16])
+    @pytest.mark.parametrize("n", [th_mod.BLOCK + 1, 2 * th_mod.BLOCK + 3])
+    def test_blocks_match_one_block_bit_for_bit(self, n, k, where, orders, monkeypatch):
+        # BLOCK + 1 arguments make blocks of 512 and 513, where fixed blocks
+        # would leave a 1-argument block on another BLAS path; 2 BLOCK + 3
+        # make 680, 688 and 683, where equal thirds would cut at 683 and 1367.
+        # Block edges at multiples of ALIGN points leave the moment
+        # contraction no column tail inside the batch.
+        w, tau = blocked_arguments(where, n)
+        got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, orders)
+        want = unblocked(monkeypatch, k, w, tau, orders)
+        assert got.shape == want.shape == (len(orders), k, n)
+        assert np.array_equal(got.view(float), want.view(float))
+
+    @pytest.mark.parametrize("where", ["domain", "units", "general"])
+    def test_k1_blocks_match_to_roundoff(self, where, monkeypatch):
+        # k = 1's value moment is a one-row contraction, a BLAS matrix-vector
+        # product whose summation order per column may follow the block's
+        # width; held to 1e-15 of each output's largest entry, not to bits
+        w, tau = blocked_arguments(where, 2 * th_mod.BLOCK + 3)
+        for orders in ((0, 0),), ORDERS_TO_2_1:
+            got = th_mod._degree_basis_batch(1, w, tau, DEFAULT_POLICY, orders)
+            want = unblocked(monkeypatch, 1, w, tau, orders)
+            for g, r in zip(got, want):
+                assert np.abs(g - r).max() <= 1e-15 * np.abs(r).max()
+
+    @pytest.mark.parametrize("n", [th_mod.BLOCK, th_mod.BLOCK + 1, 3 * th_mod.BLOCK - 5])
+    def test_blocks_are_near_equal_and_aligned(self, n, monkeypatch):
+        sizes, block = [], th_mod._series_block
+        monkeypatch.setattr(th_mod, "_series_block",
+                            lambda k, w, *args: sizes.append(len(w)) or block(k, w, *args))
+        th_mod._degree_basis_batch(3, *blocked_arguments("domain", n), DEFAULT_POLICY, ((0, 0),))
+        assert sum(sizes) == n and len(sizes) == -(-n // th_mod.BLOCK)
+        assert max(sizes) <= th_mod.BLOCK and max(sizes) - min(sizes) <= th_mod.ALIGN + 1
+        assert all(size % th_mod.ALIGN == 0 for size in sizes[:-1])
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_residue_path_follows_the_whole_batch(self, n, monkeypatch):
+        # blocks of 8 points: the 100-point batch still doubles its residue
+        # powers over slabs and the 20-point one still takes the running
+        # product, so both match their one-block outputs bit for bit
+        w, tau = blocked_arguments("units", n)
+        want = unblocked(monkeypatch, 5, w, tau, ORDERS_TO_2_1)
+        monkeypatch.setattr(th_mod, "BLOCK", th_mod.ALIGN)
+        got = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, ORDERS_TO_2_1)
+        assert np.array_equal(got.view(float), want.view(float))
+
+
 def classical_arguments():
     """Theta arguments with Re z up to +-3.7 and Re tau up to +-2.6."""
     rng = np.random.default_rng(8)
