@@ -5,6 +5,8 @@ A suite is a function of a ``RunConfig`` that returns ``_finish(...)``.
 order of ``run_all`` and ``ktheta check``, and replaces it by a runner that
 times it and stamps its report with the name and ``ms``; so
 ``check_zero_locus(cfg)`` and ``REGISTRY["zero_locus"](cfg)`` are one call.
+The runner rejects k = 1 with a ValueError: phi_1 maps to CP^0, so the
+rank, injectivity, form and integral verdicts would fail with no reason.
 
 Every suite returns a CheckReport whose pass flag is equivalent to
 ``max_residual <= threshold``.  ``_finish`` reduces a suite's residuals
@@ -123,6 +125,9 @@ def suite(name: str):
     def register(body):
         @functools.wraps(body)
         def run(cfg: RunConfig) -> CheckReport:
+            if cfg.k < 2:
+                raise ValueError(f"the suites check phi_k, which needs k >= 2: phi_{cfg.k} "
+                                 f"maps every point to CP^0")
             t0 = time.perf_counter()
             report = body(cfg)
             report.check = name

@@ -126,6 +126,8 @@ def check(only, fmt, out, **fields):
         except KThetaError as exc:
             click.echo(f"error in {name}: {exc}", err=True)
             sys.exit(1)
+        except ValueError as exc:  # a degree the suites do not take
+            raise click.UsageError(str(exc)) from exc
         rows.append(report.to_dict())
         all_passed = all_passed and report.passed
     _emit(rows, ["check", "samples", "max_residual", "threshold", "pass", "ms"], fmt, out)

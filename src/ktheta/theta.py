@@ -21,28 +21,57 @@ keeps the m-window [lo_b, lo_b + L), the same for all its residues and
 placed per point around the Gaussian peak of the term magnitudes
 exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch shares L.
 The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, residue,
-point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), so it
-is its modulus exp(Re f + p*Re g), from one real exponential, times its
-phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: no product
-can overflow, and every modulus has the exponent of the direct complex
-exponential.  Each unit factor is the complex exponential of its
-imaginary part alone, written straight into the term array over (window,
-point) only: one sincos, whose cos and sin are those of np.cos and np.sin
-bit for bit with glibc, at about 0.6 times their cost.  Where Re(tau) = 0,
-as on every base factor, Im g = 2*pi*Re(w) is the same at every m, and
-its factor is computed once per point.  The residue powers take one of
-two paths.  A batch of at least FEW_POINTS points fills residues [s, 2s)
-as residues [0, s) times exp(i*Im g)^s, s = 1, 2, 4, ..., one product per
-level over contiguous slabs whose inner loop runs over the points, with
-exp(i*Im g)^s from repeated squaring.  A smaller batch runs one
-np.multiply.accumulate over the residue axis: its inner loops are only k
-long, but it is one numpy call where the levels take about 2*log2(k), and
-below about 32 points (24-48 for k = 3 to 16, measured on a 2-vCPU x86-64
-VM) the calls cost more than the short loops.  The two paths agree to
+point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), with
+f = pi*i*k*m*(2w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m), so it is its
+modulus exp(Re f + p*Re g), from one real exponential, times its phase
+exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: no product can
+overflow, and every modulus has the exponent of the direct complex
+exponential.  A unit exponential is the complex exponential of its
+angle with the real part 0: one sincos, whose cos and sin are those of
+np.cos and np.sin bit for bit with glibc, at about 0.6 times their cost,
+but unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8
+ns for a complex product (on a 2-vCPU x86-64 VM).  So the batch size picks
+how many there are, together with how the residue powers are filled.
+
+A batch of at least FEW_POINTS points chains its unit factors along each
+window, and forms no complex f or g: its moduli take the real products
+Re f = -pi*k*m*(2 Im w + Im tau*(m - 1)) and Re g = -2*pi*(Im w + Im tau*m),
+the bits of the complex products' real parts.  Im f = pi*k*m*(2 Re w + Re tau*(m - 1)) is
+quadratic in m and Im g = 2*pi*(Re w + Re tau*m) linear, so along the
+window both factors are progressions.  Each point takes five unit
+exponentials at the window's centre mc = lo + L // 2: exp(i*Im f(mc)); its
+step to mc + 1, exp(2*pi*i*k*(Re w + Re tau*mc)); that step's growth per
+offset, exp(2*pi*i*k*Re tau); exp(i*Im g(mc)); and exp(2*pi*i*Re tau).
+Complex products then fill the window outward both ways, each row the one
+before times the step (its conjugate going down), the step times the
+growth (``_progression``).  Where Re(tau) = 0, as on every base factor,
+there is no growth and Im g = 2*pi*Re(w) at every m: three exponentials
+per point.  The seeds sit at the centre, so no chain is longer than L / 2
+products, and each is the exponential of its own angle, never a power of
+another seed.  Against 30-digit sums (tests/test_kernel_oracle.py) seeding
+at lo instead left values up to 8.3e-13 of a row off at k = 16 (1.1e-13
+from the centre, where rounding the exponents alone leaves 1.3e-13), and
+the growth as the k-th power of exp(2*pi*i*Re tau) raised the batch's
+d/dtau error at k = 16 from 1.0e-12 to 7.0e-12 of a row.  Then the residue
+powers fill residues [s, 2s) as residues [0, s) times exp(i*Im g)^s,
+s = 1, 2, 4, ..., one product per level over contiguous slabs whose inner loop
+runs over the points, with exp(i*Im g)^s from repeated squaring.
+
+A smaller batch forms f and g, whose real parts give the moduli and whose
+imaginary parts the angles, takes one unit exponential per (offset, point)
+and factor, and one np.multiply.accumulate over the residue axis: in the
+fewest numpy calls; its outputs are those of the kernel before the chained
+phases, bit for bit.  The running product's inner loops are only k long,
+but it is one numpy call where the levels take about 2*log2(k), and below
+about 32 points (24-48 for k = 3 to 16, measured on a 2-vCPU x86-64 VM)
+the calls cost more than the short loops.  Chaining these batches too
+would cost more numpy calls than the exponentials it saves: a two-argument
+call took 28-38 us longer, on calls of 84-150 us.  The two paths agree to
 roundoff.  At k = 1 there is only p = 0: g is never formed, and the
-modulus is exp(Re f).  One contraction over the window axis gives each
-residue's centred moments, from which every requested termwise derivative
-follows.  The certificate
+modulus is exp(Re f).
+
+One contraction over the window axis gives each residue's centred moments,
+from which every requested termwise derivative follows.  The certificate
 holds per requested (z_order, tau_order): for every point and residue p,
 the discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
 termwise derivative weight, sum to at most epsilon / 2 on each side of the
@@ -76,9 +105,12 @@ So does the moment contraction: blocks are cut at multiples of ALIGN
 points, so every block but the last spans a multiple of 16 real columns,
 and the BLAS kernel's column tail, which may sum in another order, falls
 where the whole batch's does (a 1-point block would take another BLAS
-path).  The residue-power path is chosen from the whole batch's size, not
-the block's: the two paths agree only to roundoff, so a batch's outputs do
-not depend on BLOCK.
+path).  The phase and residue-power paths are chosen from the whole
+batch's size, not the block's: the two agree only to roundoff, so a
+batch's outputs do not depend on BLOCK.  Whether a block skips the growth
+seeds does follow the block (Re(tau) = 0 throughout), but a point with
+Re(tau) = 0 in any other block is multiplied by growths of exactly 1, so
+that moves no bit either.
 
 Arguments reduced to the fundamental domain have Im(tau) = 1 and Im(w) in
 [0, 1]; the arguments ``sections.shift_product`` shifts and the deck group
@@ -87,9 +119,12 @@ Im(tau) = 1 arguments skips the per-point search where a table covers it.
 Each unit [j, j + 1) of Im(w), j in UNITS, is cut into CELLS cells [i, i + 1]
 / CELLS, and one ``_basis_window`` call per unit, each cell passed as its
 two edges, gives every cell a window certified over the whole cell and the
-unit one length.  A batch with Im(w) in [0, 1] takes the domain unit's table
-as it is: each point takes lo from its cell and the batch takes the unit's
-length.  Any other batch inside the units takes L, the largest length
+unit one length.  A point's cell is floor(CELLS * Im(w)) (``_cells``): a
+point on an edge takes the cell above it, and with CELLS a power of two
+the product is exact; a binary search of the edges took 0.47-0.89 ms on
+20,000 points, the product 0.04 ms.  A batch with Im(w) in [0, 1] takes the
+domain unit's table as it is: each point takes lo from its cell (Im(w) = 1
+from the last) and the batch takes the unit's length.  Any other batch inside the units takes L, the largest length
 among its points' units made odd, and a point of a unit of length l takes
 the window of length L that holds its cell's window and is nearest to
 centred on the point's mean residue peak 1/2 - Im(w) - (k - 1) / 2k: the
@@ -338,9 +373,13 @@ UNITS = range(-1, 3)
 # Orders every cell window is certified for besides the requested ones, so a
 # value-only call and a gradient call at one point share their window.
 _CELL_ORDERS = frozenset({(0, 0), (1, 0), (0, 1)})
-# interior cell edges of the domain unit and of all UNITS: searchsorted gives the cell
-_CELL_EDGES = np.arange(1, CELLS) / CELLS
-_UNIT_EDGES = np.arange(UNITS.start * CELLS + 1, UNITS.stop * CELLS) / CELLS
+
+
+def _cells(im_w):
+    """The cell [i, i + 1] / CELLS of each Im(w) as the integer i, a point on
+    an edge in the cell above it: floor(CELLS * Im(w)), exact since CELLS is
+    a power of two."""
+    return np.floor(im_w * CELLS).astype(int)
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,7 +402,7 @@ def _unit_windows(k, im_w, policy, orders):
     """The padded windows of an Im(tau) = 1 batch inside UNITS (see the
     module docstring): ``lo`` (B,) and the shared length.  Only the touched
     units' tables are built."""
-    cell = _UNIT_EDGES.searchsorted(im_w, side="right")
+    cell = _cells(im_w) - UNITS.start * CELLS
     unit = cell // CELLS
     cell_lo = np.zeros(len(UNITS) * CELLS, dtype=int)
     unit_length = np.zeros(len(UNITS), dtype=int)
@@ -393,7 +432,7 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
         key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
         if ((im_w >= 0.0) & (im_w <= 1.0)).all():
             cell_lo, length = _cell_windows(k, policy, key, 0)
-            return cell_lo.take(_CELL_EDGES.searchsorted(im_w, side="right")), length
+            return cell_lo.take(np.minimum(_cells(im_w), CELLS - 1)), length
         if ((im_w >= UNITS.start) & (im_w < UNITS.stop)).all():
             return _unit_windows(k, im_w, policy, key)
     elif not (im_tau > 0.0).all():
@@ -401,9 +440,12 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
     return _basis_window(k, im_w, im_tau, policy, orders)
 
 
-# A batch of fewer points fills its residue powers with one running product
-# over the residue axis, a larger one by doubling over contiguous slabs; see
-# the module docstring.  The measured crossover is at 24 to 48 points.
+# A batch of fewer points takes one unit exponential per term and fills its
+# residue powers with one running product over the residue axis; a larger
+# one chains its unit factors from per-point seeds at each window's centre
+# and doubles its residue powers over contiguous slabs.  See the module
+# docstring; the measured crossover of the residue paths is at 24 to 48
+# points.
 FEW_POINTS = 32
 
 # Points per block of the kernel's term arrays, and the multiple of points
@@ -435,8 +477,12 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     array of shape (len(orders), k) + broadcast(ws, taus).shape, per pair
     that termwise derivative of every theta_k^p at (ws, taus), all from one
     (window, residue, point) array of series terms per block of at most
-    BLOCK points; see the module docstring.  Overflow leaves inf or NaN,
-    without a warning, for callers to type.
+    BLOCK points; see the module docstring.  The size of the whole batch
+    picks the path of every block: below FEW_POINTS one unit exponential
+    per term and a running product over the residues, from FEW_POINTS on
+    unit factors chained from five seeds per point (three where
+    Re(tau) = 0) and residue powers by doubling.  Overflow leaves inf or
+    NaN, without a warning, for callers to type.
     """
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
     if ws.shape != taus.shape:
@@ -449,7 +495,7 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
     w = w - w.real.round()
     tau = tau - tau.real.round()
-    few = len(w) < FEW_POINTS  # the residue path follows the whole batch
+    few = len(w) < FEW_POINTS  # the phase and residue paths follow the whole batch
     if len(w) <= BLOCK:
         return _series_block(k, w, tau, lo, length, orders, few).reshape((len(orders), k) + shape)
     # near-equal blocks cut at multiples of ALIGN points
@@ -462,40 +508,92 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     return out.reshape((len(orders), k) + shape)
 
 
+def _progression(out, seed, ratio, growth=None):
+    """Fill ``out`` (L, B) outward from its centre row L // 2, which is
+    ``seed``: going up, each row is the one below times a ratio that starts
+    at ``ratio``; going down, each is the one above times a ratio that
+    starts at conj(ratio) * growth; and each ratio is multiplied by
+    ``growth``, if given, after every row.  For unit factors that is
+    exp(i*phi) on a window where phi steps by the ratio's angle from the
+    centre up and the step itself by the growth's angle."""
+    centre = len(out) // 2
+    out[centre] = seed
+    up, down = ratio, ratio.conj()
+    for a in range(centre + 1, len(out)):
+        if a > centre + 1 and growth is not None:
+            up = up * growth
+        np.multiply(out[a - 1], up, out=out[a])
+    for a in range(centre - 1, -1, -1):
+        if growth is not None:
+            down = down * growth
+        np.multiply(out[a + 1], down, out=out[a])
+    return out
+
+
 def _series_block(k, w, tau, lo, length, orders, few, out=None):
     """``_degree_basis_batch`` on one block of reduced arguments with their
     windows: (len(orders), k, len(w)), written into ``out`` if given."""
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
-    # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m)
+    # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m), with
+    # f = pi*i*k*m*(2*w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m)
     count = max(zo + 2 * to for zo, to in orders) + 1
     a, p, p_minus_k, weights = _kernel_constants(k, length, count)
     m = lo + a
-    f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
     # each term is its modulus exp(Re f + p*Re g), one real exponential, times
     # its phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors that
-    # cannot overflow; once the modulus is formed the real parts are set to
-    # 0, and each factor is the complex exponential, written in place
+    # cannot overflow
+    if few:  # f and g themselves, whose imaginary parts every term takes
+        f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
+        re_f = f.real
+        if k > 1:
+            g = (2j * math.pi) * (w + tau * m)
+            re_g = g.real
+    else:  # real products only: the phases need the window's centre alone
+        pik_m = (math.pi * k) * m
+        re_f = -pik_m * (2.0 * w.imag + tau.imag * (m - 1.0))
+        if k > 1:
+            re_g = -TWO_PI * (w.imag + tau.imag * m)
     if k == 1:  # p = 0 only: g is not needed
-        modulus = np.exp(f.real)[:, None, :]
+        modulus = np.exp(re_f)[:, None, :]
     else:
-        g = (2j * math.pi) * (w + tau * m)
-        modulus = np.multiply(g.real[:, None, :], p)
-        modulus += f.real[:, None, :]
+        modulus = np.multiply(re_g[:, None, :], p)
+        modulus += re_f[:, None, :]
         np.exp(modulus, out=modulus)
-        g.real = 0.0
-    f.real = 0.0
     terms = np.empty((length, k, len(w)), dtype=complex)
-    np.exp(f, out=terms[:, 0])
-    if k > 1:
-        step = terms[:, 1] if few else np.empty(g.shape, dtype=complex)
-        if few or tau.real.any():
-            np.exp(g, out=step)
-        else:  # Im(g) = 2*pi*Re(w) at every m, as on the base factor: once per point
-            step[...] = np.exp(g[0])
-        if few:  # one running product over the residue axis
+    if few:  # one unit exponential per (offset, point) and factor
+        f.real = 0.0
+        np.exp(f, out=terms[:, 0])
+        if k > 1:  # and one running product over the residue axis
+            g.real = 0.0
+            np.exp(g, out=terms[:, 1])
             terms[:, 2:] = terms[:, 1:2]
             np.multiply.accumulate(terms, axis=1, out=terms)
-        else:  # residues [s, 2s) are residues [0, s) times exp(i*Im g)^s
+    else:  # progressions from seeds at the centre; see the module docstring
+        moving = tau.real.any()  # else no growth, and exp(i*Im g) is the same at every m
+        mc = m[length // 2]
+        inner = w.real + tau.real * mc  # Im g(mc) / (2*pi)
+        # exp(i*Im f(mc)), its step and, for k > 1, exp(i*Im g(mc)); if moving,
+        # the step's growth and, for k > 1, the step of exp(i*Im g)
+        angles = [pik_m[length // 2] * (2.0 * w.real + tau.real * (mc - 1.0)),
+                  (TWO_PI * k) * inner]
+        if k > 1:
+            angles.append(TWO_PI * inner)
+        if moving:
+            angles.append((TWO_PI * k) * tau.real)
+            if k > 1:
+                angles.append(TWO_PI * tau.real)
+        seeds = np.empty((len(angles), len(w)), dtype=complex)
+        seeds.real = 0.0
+        seeds.imag = angles
+        np.exp(seeds, out=seeds)
+        growth = seeds[3 if k > 1 else 2] if moving else None
+        _progression(terms[:, 0], seeds[0], seeds[1], growth)
+        if k > 1:  # residues [s, 2s) are residues [0, s) times exp(i*Im g)^s
+            step = np.empty((length, len(w)), dtype=complex)
+            if moving:
+                _progression(step, seeds[2], seeds[4])
+            else:
+                step[...] = seeds[2]
             s = 1
             while s < k:
                 end = min(2 * s, k)

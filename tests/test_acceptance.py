@@ -134,3 +134,13 @@ class TestRegistry:
             report = getattr(checks, runner.__name__)(self.CFG)
             assert report.check == name
             assert report.ms > 0.0
+
+    def test_k1_is_rejected_before_any_suite_runs(self, monkeypatch):
+        # phi_1 maps to CP^0; RunConfig keeps k = 1 for the library's maps
+        monkeypatch.setattr(checks, "_finish", lambda *args: pytest.fail("a suite ran"))
+        cfg = RunConfig(k=1)
+        for runner in REGISTRY.values():
+            with pytest.raises(ValueError, match=r"k >= 2: phi_1 maps every point to CP\^0"):
+                runner(cfg)
+        with pytest.raises(ValueError, match="CP"):
+            run_all(cfg)

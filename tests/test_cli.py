@@ -50,6 +50,15 @@ class TestCheckCommand:
         rows = json.loads(result.output)
         assert rows[0]["pass"] is False
 
+    @pytest.mark.parametrize("only", [[], ["--only", "zero_locus"]])
+    def test_k1_usage_error(self, runner, only):
+        # phi_1 maps to CP^0, so no suite runs at k = 1; `rank --k 1` still prints 0
+        result = runner.invoke(main, ["check", "--k", "1", *only])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert "phi_1 maps every point to CP^0" in result.stderr
+        assert result.stdout == ""
+
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["check", "--only", "zero_locus", "--out", str(out)])

@@ -715,6 +715,16 @@ class TestDegreeBasisKernel:
         assert suite(checks_mod.RunConfig()).passed
         assert calls == {"_basis_window": 0}
 
+    def test_cells_put_edge_points_in_the_cell_above(self):
+        # floor(CELLS * Im(w)) against a search of the cells' interior edges,
+        # at every edge of the units, its neighbouring floats and -0.0
+        start, stop = th_mod.UNITS.start * th_mod.CELLS, th_mod.UNITS.stop * th_mod.CELLS
+        edges = np.arange(start, stop + 1) / th_mod.CELLS
+        im_w = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), -0.0]
+        im_w = im_w[(im_w >= th_mod.UNITS.start) & (im_w < th_mod.UNITS.stop)]
+        want = edges[1:-1].searchsorted(im_w, side="right") + start
+        assert np.array_equal(th_mod._cells(im_w), want)
+
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_cell_edges_match_residue_loop(self, k):
         im_w = np.r_[np.arange(th_mod.CELLS + 1) / th_mod.CELLS, np.nextafter(0.5, 0.0)]
@@ -877,6 +887,69 @@ class TestBlockedKernel:
         monkeypatch.setattr(th_mod, "BLOCK", th_mod.ALIGN)
         got = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, ORDERS_TO_2_1)
         assert np.array_equal(got.view(float), want.view(float))
+
+
+class TestChainedPhases:
+    """A batch of FEW_POINTS or more chains its unit phase factors along
+    each window from per-point seeds; a smaller one takes one unit
+    exponential per term."""
+
+    @pytest.mark.parametrize("widen", [0, 4])
+    @pytest.mark.parametrize("k, re_tau, seeds", [(1, 0.0, 2), (1, 0.3, 3), (3, 0.0, 3),
+                                                  (3, 0.3, 5), (16, -0.4, 5)])
+    def test_unit_exponentials_per_point_do_not_grow_with_the_window(
+            self, k, re_tau, seeds, widen, monkeypatch):
+        # the phase, its step and growth, the residue factor and its step;
+        # where Re(tau) = 0 there is no growth and the residue factor is the
+        # same at every m.  A window widened by 2*widen offsets changes the
+        # count of the smaller batch only.
+        entries = []
+
+        class CountingNumpy:
+            """numpy, whose exp counts the entries of its complex arguments:
+            the kernel's unit exponentials"""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                if np.iscomplexobj(x):
+                    entries.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        window = th_mod._kernel_window
+        monkeypatch.setattr(th_mod, "np", CountingNumpy())
+        monkeypatch.setattr(th_mod, "_kernel_window",
+                            lambda *args: (lambda lo, length: (lo - widen, length + 2 * widen))(
+                                *window(*args)))
+        rng = np.random.default_rng(k)
+        n = th_mod.FEW_POINTS
+        w = rng.uniform(-1.0, 1.0, n) + 1j * rng.random(n)
+        tau = np.full(n, re_tau + 1j)
+        for size, per_point in ((n, seeds), (n - 1, None)):
+            entries.clear()
+            th_mod._degree_basis_batch(k, w[:size], tau[:size], DEFAULT_POLICY, VALUE_W_TAU)
+            if per_point is None:
+                _, length = th_mod._kernel_window(k, w.imag[:size], tau.imag[:size],
+                                                  DEFAULT_POLICY, VALUE_W_TAU)
+                per_point = min(k, 2) * length
+            assert sum(entries) == per_point * size
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 8])
+    def test_progression_fills_outward_from_the_centre(self, length):
+        # phi(a) = phi0 + s*(a - c) + g*(a - c)*(a - c - 1)/2 steps by
+        # s + g*(a - c) from a to a + 1, c = length // 2
+        rng = np.random.default_rng(length)
+        phi0, s, g = rng.uniform(-20.0, 20.0, (3, 6))
+        c = length // 2
+        a = np.arange(length)[:, None] - c
+        want = np.exp(1j * (phi0 + s * a + g * a * (a - 1) / 2))
+        got = th_mod._progression(np.empty((length, 6), dtype=complex), np.exp(1j * phi0),
+                                  np.exp(1j * s), np.exp(1j * g))
+        assert np.abs(got - want).max() <= 1e-13
+        linear = th_mod._progression(np.empty((length, 6), dtype=complex), np.exp(1j * phi0),
+                                     np.exp(1j * s))
+        assert np.abs(linear - np.exp(1j * (phi0 + s * a))).max() <= 1e-13
 
 
 def classical_arguments():
