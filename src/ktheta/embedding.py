@@ -24,7 +24,7 @@ from .manifold import (
     reduce_point,
     reduced_distance,
 )
-from .sections import factor, section_matrix
+from .sections import factor, section_matrix, segre_lift
 from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
@@ -107,7 +107,7 @@ def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
     """All pairwise products in the fixed order index(p, q) = p*k + q."""
     if p.coords.size != q.coords.size:
         raise DimensionMismatch("Segre factors must have equal dimension")
-    return ProjectivePoint(np.outer(p.coords, q.coords).ravel())
+    return ProjectivePoint(segre_lift(p.coords, q.coords))
 
 
 def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -119,13 +119,7 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     return ProjectivePoint(section_matrix(k, _domain_point(u), policy)[0])
 
 
-def phi_batch(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Lift coordinates of phi_k at an (..., 4) array of points, shape (..., k^2).
-
-    The points are taken as given, so the lift can overflow far off the
-    fundamental domain; ``phi`` evaluates at the reduced point instead.
-    """
-    return section_matrix(k, pts, policy)
+phi_batch = section_matrix  # the lift of phi_k at an (..., 4) array of points, as given
 
 
 def _differential_ranks(vals, grads, tol):
@@ -293,8 +287,7 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
         j = int(cols[i])
         qd = reduced_distance(pts[i], pts[j])  # samples in [0, 1)^4 are reduced
         if qd > d_min:
-            # the pair's k^2 lifts, as ``phi_batch`` forms them
-            pair = (raw[0][[i, j], :, None] * raw[1][[i, j], None, :]).reshape(2, -1)
+            pair = segre_lift(raw[0][[i, j]], raw[1][[i, j]])  # the pair's k^2 lifts
             dist = float(chordal_distances(*unit_rows(pair))[0])
             return InjectivityReport(
                 k, n_samples, seed, d_min, threshold, dist, (i, j), qd, dist > threshold

@@ -15,9 +15,9 @@ or both in one kernel call; given coordinate axes, it adds the derivative
 rows d/dw and d/dtau their partials need and the chain table, cut from
 ``CHAIN``, that gives each partial as one row times 1 or i.
 ``FACTOR_AXES`` gives the coordinates each factor depends on, fiber
-(x, y, z) and base (y, t).  The basis values are the factors' Segre outer
-product and the basis gradients follow by the product rule.  Sections
-transform under the deck group by the k-th power of the multiplicators.
+(x, y, z) and base (y, t).  The basis values are the factors' ``segre_lift``
+and the basis gradients follow by the product rule.  Sections transform
+under the deck group by the k-th power of the multiplicators.
 
 ``shift_product`` also takes a stack (..., S, 2) of shift lists whose
 leading axes broadcast against the points'.  The separating-section
@@ -153,13 +153,21 @@ def _partial(rows, coefs):
     return rows[..., r, :] if coefs[r] == 1 else coefs[r] * rows[..., r, :]
 
 
-# The Segre products overflow where both factors are finite but large; like
-# the kernel's, they leave inf or NaN without a warning, for callers to type.
 @np.errstate(over="ignore", invalid="ignore")
-def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
-    """Values of all k^2 basis sections at (..., 4) points, shape (..., k^2)."""
-    fiber, base = factor(("fiber", "base"), k, np.atleast_2d(pts), policy)
+def segre_lift(fiber, base) -> np.ndarray:
+    """Products fiber_p * base_q of (..., k) factor rows, flattened as p*k + q,
+    shape (..., k^2); where both are finite but large they overflow to inf or
+    NaN without a warning, as in the kernel, for callers to type."""
+    k = fiber.shape[-1]
     return (fiber[..., :, None] * base[..., None, :]).reshape(fiber.shape[:-1] + (k * k,))
+
+
+def section_matrix(k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
+    """Values of all k^2 basis sections at (..., 4) points, shape (..., k^2):
+    phi_k's lift (``embedding.phi_batch``) at the points as given, which far
+    off the fundamental domain can overflow to inf or NaN without a warning;
+    ``embedding.phi`` evaluates at the reduced point instead."""
+    return segre_lift(*factor(("fiber", "base"), k, np.atleast_2d(pts), policy))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -170,7 +178,6 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
     """
     (fiber, base), (d_fiber, d_base), (c_fiber, c_base) = factor(
         ("fiber", "base"), k, np.atleast_2d(pts), policy, AXES)
-    vals = fiber[..., :, None] * base[..., None, :]
     # The product rule, term by term only along the axes where the factor's
     # partial is not identically zero; every axis has at least one term.
     grads = np.empty(fiber.shape[:-1] + (4, k, k), dtype=complex)
@@ -184,7 +191,7 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
             out += fiber[..., :, None] * d
         else:
             np.multiply(fiber[..., :, None], d, out=out)
-    return vals.reshape(vals.shape[:-2] + (k * k,)), grads.reshape(grads.shape[:-2] + (k * k,))
+    return segre_lift(fiber, base), grads.reshape(grads.shape[:-2] + (k * k,))
 
 
 def section(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
@@ -221,7 +228,7 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     # fiber factors against y + i and base factors against i, stacked
     ws = np.stack([w1[..., None] + shifts[..., 0], w2[..., None] + shifts[..., 1]])
     taus = np.stack([np.broadcast_to(tau1, lead), np.broadcast_to(tau2, lead)])[..., None]
-    return th._eval_series(ws, taus, policy, [(0, 0)])[0].prod(axis=(0, -1))
+    return th.theta_batch(ws, taus, policy=policy)[0].prod(axis=(0, -1))
 
 
 def fit_in_span(pts: np.ndarray, vals, k: int, policy=th.DEFAULT_POLICY):

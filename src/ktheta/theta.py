@@ -12,9 +12,9 @@ p is
 
 where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).  The
 classical series is the degree-one element, theta = theta_1^0, so
-``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``,
-``theta_batch`` and the theta factors of ``sections.shift_product`` are its
-k = 1 view.
+``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``
+and ``theta_batch``, which ``sections.shift_product`` calls, are its k = 1
+view.
 
 The kernel evaluates every residue at once from the n-sum.  Each point b
 keeps the m-window [lo_b, lo_b + L), the same for all its residues and
@@ -30,10 +30,10 @@ exponential.  A unit exponential is the complex exponential of its
 angle with the real part 0: one sincos, whose cos and sin are those of
 np.cos and np.sin bit for bit with glibc, at about 0.6 times their cost,
 but unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8
-ns for a complex product (on a 2-vCPU x86-64 VM).  So the batch size picks
-how many there are, together with how the residue powers are filled.
+ns for a complex product (on a 2-vCPU x86-64 VM).  So the block's size
+picks how many there are, together with how the residue powers are filled.
 
-A batch of at least FEW_POINTS points chains its unit factors along each
+A block of at least FEW_POINTS points chains its unit factors along each
 window, and forms no complex f or g: its moduli take the real products
 Re f = -pi*k*m*(2 Im w + Im tau*(m - 1)) and Re g = -2*pi*(Im w + Im tau*m),
 the bits of the complex products' real parts.  Im f = pi*k*m*(2 Re w + Re tau*(m - 1)) is
@@ -57,14 +57,14 @@ powers fill residues [s, 2s) as residues [0, s) times exp(i*Im g)^s,
 s = 1, 2, 4, ..., one product per level over contiguous slabs whose inner loop
 runs over the points, with exp(i*Im g)^s from repeated squaring.
 
-A smaller batch forms f and g, whose real parts give the moduli and whose
+A smaller block forms f and g, whose real parts give the moduli and whose
 imaginary parts the angles, takes one unit exponential per (offset, point)
 and factor, and one np.multiply.accumulate over the residue axis: in the
 fewest numpy calls; its outputs are those of the kernel before the chained
 phases, bit for bit.  The running product's inner loops are only k long,
 but it is one numpy call where the levels take about 2*log2(k), and below
 about 32 points (24-48 for k = 3 to 16, measured on a 2-vCPU x86-64 VM)
-the calls cost more than the short loops.  Chaining these batches too
+the calls cost more than the short loops.  Chaining these blocks too
 would cost more numpy calls than the exponentials it saves: a two-argument
 call took 28-38 us longer, on calls of 84-150 us.  The two paths agree to
 roundoff.  At k = 1 there is only p = 0: g is never formed, and the
@@ -105,12 +105,11 @@ So does the moment contraction: blocks are cut at multiples of ALIGN
 points, so every block but the last spans a multiple of 16 real columns,
 and the BLAS kernel's column tail, which may sum in another order, falls
 where the whole batch's does (a 1-point block would take another BLAS
-path).  The phase and residue-power paths are chosen from the whole
-batch's size, not the block's: the two agree only to roundoff, so a
-batch's outputs do not depend on BLOCK.  Whether a block skips the growth
-seeds does follow the block (Re(tau) = 0 throughout), but a point with
-Re(tau) = 0 in any other block is multiplied by growths of exactly 1, so
-that moves no bit either.
+path).  Each block picks its phase and residue-power paths, which agree
+only to roundoff, from its own size; but no block of a blocked batch holds
+fewer than BLOCK / 2 - ALIGN = 504 >= FEW_POINTS points, so each takes the
+whole batch's paths.  A block with Re(tau) = 0 throughout skips the growth
+seeds, which are exactly 1 at such a point in any other block.
 
 Arguments reduced to the fundamental domain have Im(tau) = 1 and Im(w) in
 [0, 1]; the arguments ``sections.shift_product`` shifts and the deck group
@@ -440,17 +439,15 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
     return _basis_window(k, im_w, im_tau, policy, orders)
 
 
-# A batch of fewer points takes one unit exponential per term and fills its
-# residue powers with one running product over the residue axis; a larger
-# one chains its unit factors from per-point seeds at each window's centre
-# and doubles its residue powers over contiguous slabs.  See the module
-# docstring; the measured crossover of the residue paths is at 24 to 48
-# points.
+# A block of fewer points takes one unit exponential per term and one running
+# product over the residue axis; a larger one chains its unit factors from
+# per-point seeds at each window's centre and doubles its residue powers over
+# contiguous slabs (module docstring; the residue paths cross at 24-48 points).
 FEW_POINTS = 32
 
 # Points per block of the kernel's term arrays, and the multiple of points
 # at which blocks are cut; see the module docstring.  BLOCK is a multiple of
-# ALIGN, so no block passes it.
+# ALIGN, so no block passes it, and BLOCK / 2 - ALIGN >= FEW_POINTS.
 BLOCK = 1024
 ALIGN = 8
 
@@ -477,12 +474,12 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     array of shape (len(orders), k) + broadcast(ws, taus).shape, per pair
     that termwise derivative of every theta_k^p at (ws, taus), all from one
     (window, residue, point) array of series terms per block of at most
-    BLOCK points; see the module docstring.  The size of the whole batch
-    picks the path of every block: below FEW_POINTS one unit exponential
-    per term and a running product over the residues, from FEW_POINTS on
-    unit factors chained from five seeds per point (three where
-    Re(tau) = 0) and residue powers by doubling.  Overflow leaves inf or
-    NaN, without a warning, for callers to type.
+    BLOCK points, each of which takes the whole batch's path (see the
+    module docstring): below FEW_POINTS one unit exponential per term and
+    a running product over the residues, from FEW_POINTS on unit factors
+    chained from five seeds per point (three where Re(tau) = 0) and
+    residue powers by doubling.  Overflow leaves inf or NaN, without a
+    warning, for callers to type.
     """
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
     if ws.shape != taus.shape:
@@ -495,16 +492,15 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
     w = w - w.real.round()
     tau = tau - tau.real.round()
-    few = len(w) < FEW_POINTS  # the phase and residue paths follow the whole batch
     if len(w) <= BLOCK:
-        return _series_block(k, w, tau, lo, length, orders, few).reshape((len(orders), k) + shape)
+        return _series_block(k, w, tau, lo, length, orders).reshape((len(orders), k) + shape)
     # near-equal blocks cut at multiples of ALIGN points
     blocks, groups = -(-len(w) // BLOCK), -(-len(w) // ALIGN)
     edges = [ALIGN * (b * groups // blocks) for b in range(blocks)] + [len(w)]
     out = np.empty((len(orders), k, len(w)), dtype=complex)
     for start, stop in zip(edges[:-1], edges[1:]):
         block = slice(start, stop)
-        _series_block(k, w[block], tau[block], lo[block], length, orders, few, out[:, :, block])
+        _series_block(k, w[block], tau[block], lo[block], length, orders, out[:, :, block])
     return out.reshape((len(orders), k) + shape)
 
 
@@ -530,9 +526,10 @@ def _progression(out, seed, ratio, growth=None):
     return out
 
 
-def _series_block(k, w, tau, lo, length, orders, few, out=None):
+def _series_block(k, w, tau, lo, length, orders, out=None):
     """``_degree_basis_batch`` on one block of reduced arguments with their
     windows: (len(orders), k, len(w)), written into ``out`` if given."""
+    few = len(w) < FEW_POINTS
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
     # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m), with
     # f = pi*i*k*m*(2*w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m)

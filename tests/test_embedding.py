@@ -33,7 +33,7 @@ from ktheta.embedding import (
     unit_rows,
 )
 from ktheta.checks import RunConfig, check_injectivity
-from ktheta.sections import factor, section_matrix_with_gradients
+from ktheta.sections import factor, section_matrix, section_matrix_with_gradients, segre_lift
 from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
 from ktheta.symplectic import hermitian_pullback_batch, hermitian_ranks
 
@@ -161,6 +161,24 @@ class TestSegre:
         s1 = segre(ProjectivePoint(a), ProjectivePoint(b))
         s2 = segre(ProjectivePoint(2.5j * a), ProjectivePoint(-1.7 * b))
         assert chordal_distance(s1, s2) < 1e-14
+
+    @pytest.mark.parametrize("lead", [(), (0,), (5,), (2, 3)])
+    def test_lift_is_the_flattened_outer_product(self, lead):
+        # one flattening p*k + q for every Segre lift, empty batches included
+        rng = np.random.default_rng(len(lead))
+        fiber, base = rng.random((2,) + lead + (3, 2)) @ np.array([1.0, 1j])
+        got = segre_lift(fiber, base)
+        assert got.shape == lead + (9,)
+        for idx in np.ndindex(lead):
+            assert np.array_equal(got[idx], np.outer(fiber[idx], base[idx]).ravel())
+
+    def test_maps_share_the_lift(self):
+        # phi_batch is section_matrix, whose lift is the Segre lift of the factors
+        pts = fundamental_domain_samples(4, 9)
+        assert phi_batch is section_matrix
+        assert np.array_equal(phi_batch(3, pts), segre_lift(*factor(("fiber", "base"), 3, pts)))
+        assert np.array_equal(segre(psi_prime(3, U0), psi_double_prime(3, U0)).coords,
+                              segre_lift(*factor(("fiber", "base"), 3, U0.as_array())))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -31,16 +31,19 @@ ORDERS = ((0, 0), (1, 0), (0, 1))  # value, d/dw, d/dtau
 
 
 def arguments(where):
-    """FEW_POINTS kernel arguments: Im(w) in [-1, 2] and any Re(w), Re(tau),
-    with Im(tau) in [0.3, 3] ("general", corners first) or Im(tau) = 1
-    ("unit", the maps' moduli, which take the window table of the units)."""
+    """FEW_POINTS kernel arguments and any Re(w), Re(tau): Im(w) in [-1, 2]
+    with Im(tau) in [0.3, 3] ("general", corners first), or Im(w) over every
+    unit of the window table, [UNITS.start, UNITS.stop) with both ends
+    first, at Im(tau) = 1 ("unit", the maps' moduli)."""
     n = th_mod.FEW_POINTS
     rng = np.random.default_rng(2801 if where == "general" else 2802)
-    im_w = rng.uniform(-1.0, 2.0, n)
+    lo, hi = (-1.0, 2.0) if where == "general" else (th_mod.UNITS.start, th_mod.UNITS.stop)
+    im_w = rng.uniform(lo, hi, n)
     if where == "general":
         im_tau = rng.uniform(0.3, 3.0, n)
         im_w[:4], im_tau[:4] = [-1.0, 2.0, -1.0, 2.0], [0.3, 0.3, 3.0, 3.0]
     else:
+        im_w[:2] = lo, np.nextafter(hi, lo)
         im_tau = np.ones(n)
     return (rng.uniform(-2.0, 2.0, n) + 1j * im_w, rng.uniform(-2.0, 2.0, n) + 1j * im_tau)
 

@@ -203,6 +203,10 @@ class TestTwoForms:
         with pytest.raises(ValueError):
             TwoFormAtPoint(KTPoint(0, 0, 0, 0), np.eye(4))
 
+    def test_shape_enforced(self):
+        with pytest.raises(ValueError, match="^matrix must be 4x4$"):
+            TwoFormAtPoint(KTPoint(0, 0, 0, 0), np.zeros((3, 3)))
+
     def test_omega_kt_components(self):
         u = KTPoint(0.7, 0.2, 0.9, 0.4)
         form = omega_kt_matrix(u.as_array())

@@ -238,6 +238,11 @@ class TestZetaAction:
         b = section(SectionIndex(1, 0, 0), U0)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
+    @pytest.mark.parametrize("zeta1, zeta2", [(np.inf, 0.0), (0.0, complex(np.nan, 1.0))])
+    def test_non_finite_shift_rejected(self, zeta1, zeta2):
+        with pytest.raises(ValueError, match="^shift components must be finite$"):
+            ZetaShift(zeta1, zeta2)
+
     def test_shift_onto_zero(self):
         zeta = ZetaShift(0.5 - (U0.z + 1j * U0.x), 0.0)
         assert abs(shift_product([zeta], U0.as_array())) < 1e-12
@@ -646,6 +651,16 @@ class TestSeparatingSections:
                                                                         v.as_array()])
         with pytest.raises(EquivalentPoints, match="pair 1"):
             separating_sections(*pairs, [0, 1])
+
+    @pytest.mark.parametrize("us, vs, seeds, got", [
+        ((2, 4), (3, 4), [0, 1], "(2, 4), (3, 4), 2"),
+        ((2, 4), (2, 4), [0], "(2, 4), (2, 4), 1"),
+        ((2, 3), (2, 3), [0, 1], "(2, 3), (2, 3), 2"),
+    ])
+    def test_mismatched_batch_rejected(self, us, vs, seeds, got):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need (B, 4) point arrays and B seeds, got {got}")):
+            separating_sections(np.zeros(us), np.ones(vs), seeds)
 
     def test_exhausted_search_fails(self, monkeypatch):
         # with the zero placed at 0 instead of 1/2 no candidate vanishes at u

@@ -383,6 +383,20 @@ class TestPullbackBasics:
         for p, mat in zip(pts, mats):
             assert np.array_equal(mat, omega_kt_matrix(p))
 
+    def test_non_finite_lift_raises(self, monkeypatch):
+        # no finite point overflows at the reduced point fs_pullback
+        # evaluates, so a factor is made non-finite by hand
+        original = symplectic_module.factor
+
+        def non_finite(*args):
+            vals, rows, tables = original(*args)
+            return vals * np.nan, rows, tables
+
+        monkeypatch.setattr(symplectic_module, "factor", non_finite)
+        with pytest.raises(LiftOverflow, match=re.escape(
+                f"the phi_k lift or its partials are not finite at {U0}")):
+            fs_pullback("phi_k", 3, U0)
+
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError):
             fs_pullback("nope", 3, U0)
@@ -682,6 +696,19 @@ class TestChern:
         for _ in range(20):
             u = KTPoint(*(float(v) for v in 4 * (rng.random(4) - 0.5)))
             assert chern_via_multiplicators("T_ca", u) == 1
+
+    def test_unknown_torus_rejected(self):
+        with pytest.raises(ValueError, match="^unknown torus id 'T_xy'$"):
+            chern_via_multiplicators("T_xy")
+
+    def test_non_integer_branch_sum_raises(self, monkeypatch):
+        # an exponent off by 0.1 x moves the combination by -0.1: mu = a
+        # moves x by one and lam = c leaves it
+        original = symplectic_module.multiplicator_exponent
+        monkeypatch.setattr(symplectic_module, "multiplicator_exponent",
+                            lambda w, pts: original(w, pts) + 0.1 * pts[..., 0])
+        with pytest.raises(ArithmeticError, match=r"^branch combination .* is not an integer$"):
+            chern_via_multiplicators("T_ca")
 
 
 class TestTwoFormHelpers:

@@ -1,5 +1,6 @@
 """Theta series core: oracles are independent brute-force summations."""
 
+import itertools
 import math
 import re
 from pathlib import Path
@@ -89,6 +90,11 @@ class TestThetaValues:
             ThetaArgument(0.0, 1.0 - 0.5j)
         with pytest.raises(InvalidModulus):
             ThetaArgument(0.0, 2.0)
+
+    @pytest.mark.parametrize("z, tau", [(np.nan, 1j), (0.0, complex(0.0, np.inf))])
+    def test_non_finite_argument(self, z, tau):
+        with pytest.raises(InvalidModulus, match="^theta argument must be finite$"):
+            ThetaArgument(z, tau)
 
 
 class TestQuasiPeriodicity:
@@ -876,16 +882,32 @@ class TestBlockedKernel:
         assert sum(sizes) == n and len(sizes) == -(-n // th_mod.BLOCK)
         assert max(sizes) <= th_mod.BLOCK and max(sizes) - min(sizes) <= th_mod.ALIGN + 1
         assert all(size % th_mod.ALIGN == 0 for size in sizes[:-1])
+        assert len(sizes) == 1 or min(sizes) >= th_mod.BLOCK // 2 - th_mod.ALIGN
+
+    def test_every_block_holds_enough_points_for_the_batch_path(self):
+        # each block picks its phase and residue paths from its own size; a
+        # blocked batch cuts no block below BLOCK / 2 - ALIGN points, so
+        # every block takes the path of the whole batch
+        assert th_mod.BLOCK % th_mod.ALIGN == 0
+        assert th_mod.BLOCK // 2 - th_mod.ALIGN >= th_mod.FEW_POINTS
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_residue_path_follows_the_whole_batch(self, n, monkeypatch):
-        # blocks of 8 points: the 100-point batch still doubles its residue
+        # at the smallest BLOCK the invariant above allows (80 points), the
+        # 100-point batch's blocks of 48 and 52 still double their residue
         # powers over slabs and the 20-point one still takes the running
         # product, so both match their one-block outputs bit for bit
+        smallest = next(b for b in itertools.count(th_mod.ALIGN, th_mod.ALIGN)
+                        if b // 2 - th_mod.ALIGN >= th_mod.FEW_POINTS)
         w, tau = blocked_arguments("units", n)
         want = unblocked(monkeypatch, 5, w, tau, ORDERS_TO_2_1)
-        monkeypatch.setattr(th_mod, "BLOCK", th_mod.ALIGN)
+        sizes, block = [], th_mod._series_block
+        monkeypatch.setattr(th_mod, "BLOCK", smallest)
+        monkeypatch.setattr(th_mod, "_series_block",
+                            lambda k, w, *args: sizes.append(len(w)) or block(k, w, *args))
         got = th_mod._degree_basis_batch(5, w, tau, DEFAULT_POLICY, ORDERS_TO_2_1)
+        assert len(sizes) == -(-n // smallest)
+        assert min(sizes) >= th_mod.FEW_POINTS or sizes == [n]
         assert np.array_equal(got.view(float), want.view(float))
 
 
