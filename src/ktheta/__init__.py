@@ -3,8 +3,8 @@ on the Kodaira-Thurston nilmanifold.
 
 The package root exports the names README's examples use, the entry points
 of the benchmark and every error class; every other name is
-``ktheta.<module>.<name>``.  ``ktheta.theta`` is the submodule: the
-classical theta function is ``ktheta.theta.theta``.
+``ktheta.<module>.<name>``.  ``ktheta.theta`` is the submodule, whose
+evaluation entries are ``theta_batch`` and ``theta_degree_k_batch``.
 """
 
 from .checks import RunConfig

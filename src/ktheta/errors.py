@@ -6,7 +6,7 @@ class KThetaError(Exception):
 
 
 class InvalidModulus(KThetaError):
-    """The modulus tau does not lie in the upper half-plane."""
+    """A theta argument is not finite, or its modulus tau is not in the upper half-plane."""
 
 
 class TailNotConverged(KThetaError):

@@ -95,6 +95,17 @@ def inverse(w: GroupWord) -> GroupWord:
     return GroupWord(-w.m, -w.n, -w.p - w.n * w.m, -w.q)
 
 
+def group_law_residual(w1: GroupWord, w2: GroupWord, w3: GroupWord) -> int:
+    """Largest exponent defect of (w1 w2) w3 = w1 (w2 w3) and of
+    w w^-1 = w^-1 w = 1 for each of the words, over array exponents too:
+    exact integer arithmetic, so 0 wherever the group law holds."""
+    laws = [(compose(compose(w1, w2), w3), compose(w1, compose(w2, w3)))]
+    for w in (w1, w2, w3):
+        laws += [(compose(w, inverse(w)), IDENTITY), (compose(inverse(w), w), IDENTITY)]
+    return int(max(np.max(np.abs(np.subtract(getattr(a, e), getattr(b, e))))
+                   for a, b in laws for e in "mnpq"))
+
+
 def _wrap_unit(v: float) -> tuple[float, int]:
     """Fractional part in [0, 1) and the integer removed.
 

@@ -40,6 +40,7 @@ from .errors import EquivalentPoints, IllConditioned, SearchFailed
 from .manifold import KTPoint, fundamental_domain_samples, reduce_point, reduced_distance
 
 BASE_TAU = 1j  # modulus of the base-torus factor
+THETA_ZERO = 0.5  # theta(1/2, tau) = 0 at every tau: the terms n and 1 - n cancel
 RETRIES = 32  # seeded attempts per branch of the separating-section search
 
 
@@ -297,11 +298,11 @@ def _candidates(branch, us: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Shifts (alpha, beta, gamma, delta) of the branch's candidates, (B, N, 4),
     at (B, 4) points u from their (B, N, 6) draws.
 
-    z = 1/2 kills a theta factor; the branch names the factor to kill at u.
+    z = THETA_ZERO kills a theta factor; the branch names the factor to kill at u.
     """
     zero, free, re, im = _DRAW_LAYOUT[branch]
     out = np.empty(draws.shape[:-1] + (4,), dtype=complex)
-    out[..., zero] = (th.theta_zero(BASE_TAU) - _factor_args(branch, us)[0])[:, None]
+    out[..., zero] = (THETA_ZERO - _factor_args(branch, us)[0])[:, None]
     out.real[..., free] = draws[..., re]
     out.imag[..., free] = (draws[..., im] - 0.5) * 0.6
     return out

@@ -12,9 +12,9 @@ p is
 
 where the term n = p + m*k is the term m of theta(k*w + p*tau, k*tau).  The
 classical series is the degree-one element, theta = theta_1^0, so
-``_degree_basis_batch`` is the only summation: ``theta``, ``theta_deriv``
-and ``theta_batch``, which ``sections.shift_product`` calls, are its k = 1
-view.
+``_degree_basis_batch`` is the only summation: ``theta_degree_k_batch``
+publishes it, and ``theta_batch``, which ``sections.shift_product`` calls,
+is its k = 1 view.
 
 The kernel evaluates every residue at once from the n-sum.  Each point b
 keeps the m-window [lo_b, lo_b + L), the same for all its residues and
@@ -162,20 +162,6 @@ from .errors import InvalidModulus, TailNotConverged
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ThetaArgument:
-    """A point (z, tau) of the classical theta domain, Im(tau) > 0."""
-
-    z: complex
-    tau: complex
-
-    def __post_init__(self):
-        if not (np.isfinite(self.z) and np.isfinite(self.tau)):
-            raise InvalidModulus("theta argument must be finite")
-        if self.tau.imag <= 0.0:
-            raise InvalidModulus(f"Im(tau) must be positive, got {self.tau.imag}")
-
-
 # The hard cap on |m| of a window's indices; see the module docstring.
 MAX_TERMS = 512
 
@@ -200,19 +186,6 @@ def check_degree(k) -> None:
     """Raise ValueError unless the degree ``k`` is an int of at least 1."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"degree k must be an int of at least 1, got {k!r}")
-
-
-@dataclass(frozen=True)
-class ThetaBasisIndex:
-    """Degree k and residue selector p of a degree-k basis element."""
-
-    k: int
-    p: int
-
-    def __post_init__(self):
-        check_degree(self.k)
-        if not 0 <= self.p < self.k:
-            raise ValueError(f"residue p={self.p} outside [0, {self.k})")
 
 
 _SIDE = np.array([-1.0, 1.0])
@@ -296,30 +269,13 @@ def theta_batch(zs, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_P
     return _eval_series(zs, taus, policy, _check_orders(orders))
 
 
-def theta(arg: ThetaArgument, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Evaluate theta(z, tau) with absolute error at most policy.epsilon."""
-    return complex(_eval_series(arg.z, arg.tau, policy, [(0, 0)])[0])
-
-
-def theta_deriv(
-    arg: ThetaArgument,
-    z_order: int,
-    tau_order: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Termwise derivative d^{z_order}/dz d^{tau_order}/dtau of theta."""
-    return complex(theta_batch(arg.z, arg.tau, [(z_order, tau_order)], policy)[0])
-
-
-def theta_zero(tau: complex) -> complex:
-    """Representative zero of theta(., tau) in the fundamental region.
-
-    The pairing n <-> 1-n cancels the series exactly at z = 1/2, which is
-    the single zero (up to multiplicity) modulo Z + tau*Z.
-    """
-    if complex(tau).imag <= 0.0:
-        raise InvalidModulus("Im(tau) must be positive")
-    return 0.5 + 0.0j
+def theta_degree_k_batch(k, ws, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_POLICY):
+    """Termwise derivatives of every theta_k^p on arrays of arguments, in one
+    series evaluation, truncated as the module docstring certifies: shape
+    (len(orders), k) + broadcast(ws, taus).shape, per (w_order, tau_order)
+    in ``orders``, with the residue p on the second axis."""
+    check_degree(k)
+    return _degree_basis_batch(k, ws, taus, policy, _check_orders(orders))
 
 
 _CANDIDATES = np.array([-1, 0, 1])[:, None]  # one step in, the guess, one step out
@@ -643,28 +599,3 @@ def _series_block(k, w, tau, lo, length, orders, out=None):
             seq = row
         np.multiply((2j * math.pi) ** zo * (1j * math.pi) ** to, seq[0], out=x)
     return out
-
-
-def theta_degree_k(
-    idx: ThetaBasisIndex,
-    arg: ThetaArgument,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Degree-k basis element theta_k^p at (z, tau).
-
-    Satisfies theta_k^p(z+1) = theta_k^p(z) and
-    theta_k^p(z+tau) = exp(-2*pi*i*k*z) * theta_k^p(z).
-    """
-    (vals,) = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, ((0, 0),))
-    return complex(vals[idx.p])
-
-
-def theta_degree_k_deriv(
-    idx: ThetaBasisIndex,
-    arg: ThetaArgument,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-):
-    """Value, d/dz and d/dtau of theta_k^p at (z, tau) in one series pass."""
-    out = _degree_basis_batch(idx.k, arg.z, arg.tau, policy, ((0, 0), (1, 0), (0, 1)))
-    return tuple(complex(x[idx.p]) for x in out)
-

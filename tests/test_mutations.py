@@ -1,7 +1,7 @@
 """Every registered suite can fail.
 
 Each test runs one suite at a small fixed config and asserts that it
-passes, then monkeypatches one plausible fault into a library name the
+passes, then monkeypatches a plausible fault into a library name the
 suite reaches and asserts that it fails (DeMillo, Lipton and Sayward,
 "Hints on test data selection", 1978).  Four faults are a NaN in the
 suite's input: Python's ``max(0.0, nan)`` is 0.0, so these show that a NaN
@@ -17,24 +17,26 @@ import pytest
 
 import ktheta.checks as checks
 import ktheta.embedding as embedding
+import ktheta.manifold as manifold
 import ktheta.sections as sections
 import ktheta.symplectic as symplectic
 import ktheta.theta as th
 from ktheta.checks import REGISTRY, RunConfig
+from ktheta.manifold import GroupWord
 
 # k = 3, where torus_integrals' grid, torus_grid(3) = 36, meets its
 # grid-convergence gate of 1e-8 with a drift of 4.4e-16 (a grid of 15 is
 # the least that does)
 SMALL = RunConfig(samples=16)
 
-MUTATIONS = {}
+MUTATIONS = {}  # suite name -> its faults, in definition order
 
 
 def mutation(name):
-    """Register the decorated fault as the mutation of suite ``name``."""
+    """Register the decorated fault as a mutation of suite ``name``."""
 
     def register(inject):
-        MUTATIONS[name] = inject
+        MUTATIONS.setdefault(name, []).append(inject)
         return inject
 
     return register
@@ -130,7 +132,7 @@ def last_shift_dropped(monkeypatch):
 @mutation("separating_sections")
 def theta_zero_at_origin(monkeypatch):
     """The search places theta's zero at 0 instead of 1/2."""
-    monkeypatch.setattr(th, "theta_zero", lambda tau: 0.0)
+    monkeypatch.setattr(sections, "THETA_ZERO", 0.0)
 
 
 @mutation("immersion_rank")
@@ -231,6 +233,21 @@ def transition_without_shear(monkeypatch):
                         lambda w, pts: pts + np.stack([w.m, w.n, w.p, w.q], axis=-1))
 
 
+@mutation("chern_cocycle_integrality")
+def dropped_commutator(monkeypatch):
+    """``inverse`` drops the commutator term -n*m of c's exponent.
+
+    The multiplicators read only the exponents m and q, so the cocycle
+    itself stays bit for bit the same; only the group law sees this.
+    """
+
+    def faulty(w):
+        return GroupWord(-w.m, -w.n, -w.p, -w.q)
+
+    for owner in (manifold, symplectic):
+        monkeypatch.setattr(owner, "inverse", faulty)
+
+
 @mutation("torus_integrals")
 def nan_integral(monkeypatch):
     """The integral over T_cb is NaN."""
@@ -256,8 +273,11 @@ def test_every_suite_has_a_mutation():
     assert MUTATIONS.keys() == REGISTRY.keys()
 
 
-@pytest.mark.parametrize("name", list(REGISTRY))
-def test_mutation_fails_suite(name, monkeypatch):
+# a suite's first fault keeps the suite's name as its id
+@pytest.mark.parametrize("name, inject", [
+    pytest.param(name, inject, id=name if i == 0 else f"{name}-{inject.__name__}")
+    for name in REGISTRY for i, inject in enumerate(MUTATIONS[name])])
+def test_mutation_fails_suite(name, inject, monkeypatch):
     assert REGISTRY[name](SMALL).passed
-    MUTATIONS[name](monkeypatch)
+    inject(monkeypatch)
     assert not REGISTRY[name](SMALL).passed

@@ -49,7 +49,7 @@ from ktheta.sections import (
     shift_product,
 )
 from ktheta.symplectic import fs_pullback_batch
-from ktheta.theta import ThetaArgument, ThetaBasisIndex, theta, theta_degree_k
+from ktheta.theta import theta_batch, theta_degree_k_batch
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
 
@@ -79,9 +79,7 @@ def gradient_at(idx, u):
 class TestThetaKT:
     def test_definition(self):
         u = U0
-        expected = theta(ThetaArgument(u.z + 1j * u.x, u.y + 1j)) * theta(
-            ThetaArgument(u.y + 1j * u.t, 1j)
-        )
+        expected = theta_batch(u.z + 1j * u.x, u.y + 1j)[0] * theta_batch(u.y + 1j * u.t, 1j)[0]
         got = shift_product([ZetaShift(0, 0)], u.as_array())
         assert abs(got - expected) < 1e-13 * max(1.0, abs(expected))
 
@@ -97,15 +95,11 @@ class TestSectionBasis:
     def test_matches_factor_definition(self):
         k = 3
         u = U0
-        for p in range(k):
-            for q in range(k):
+        (fibers,) = theta_degree_k_batch(k, u.z + 1j * u.x, u.y + 1j)
+        (bases,) = theta_degree_k_batch(k, u.y + 1j * u.t, 1j)
+        for p, fib in enumerate(fibers):
+            for q, base in enumerate(bases):
                 got = section(SectionIndex(k, p, q), u)
-                fib = theta_degree_k(
-                    ThetaBasisIndex(k, p), ThetaArgument(u.z + 1j * u.x, u.y + 1j)
-                )
-                base = theta_degree_k(
-                    ThetaBasisIndex(k, q), ThetaArgument(u.y + 1j * u.t, 1j)
-                )
                 assert abs(got - fib * base) < 1e-12 * max(1.0, abs(fib * base))
 
     def test_flattening_order(self):
@@ -249,11 +243,11 @@ class TestZetaAction:
 
 
 def scalar_shift_product(shifts, u):
-    """Oracle: one scalar theta call per factor, multiplied in order."""
+    """Oracle: one single-point theta call per factor, multiplied in order."""
     val = 1.0 + 0.0j
     for z1, z2 in shifts:
-        val *= theta(ThetaArgument(u.z + 1j * u.x + z1, u.y + 1j))
-        val *= theta(ThetaArgument(u.y + 1j * u.t + z2, 1j))
+        val *= theta_batch(u.z + 1j * u.x + z1, u.y + 1j)[0]
+        val *= theta_batch(u.y + 1j * u.t + z2, 1j)[0]
     return val
 
 
@@ -350,12 +344,10 @@ class TestFactors:
         fiber, base = factor(("fiber", "base"), k, pts)
         assert fiber.shape == base.shape == (len(pts), k)
         for i, (x, y, z, t) in enumerate(pts):
-            for p in range(k):
-                idx = ThetaBasisIndex(k, p)
-                want_f = theta_degree_k(idx, ThetaArgument(z + 1j * x, y + 1j))
-                want_b = theta_degree_k(idx, ThetaArgument(y + 1j * t, 1j))
-                assert abs(fiber[i, p] - want_f) <= 1e-13 * abs(want_f)
-                assert abs(base[i, p] - want_b) <= 1e-13 * abs(want_b)
+            (want_f,) = theta_degree_k_batch(k, z + 1j * x, y + 1j)
+            (want_b,) = theta_degree_k_batch(k, y + 1j * t, 1j)
+            assert np.all(np.abs(fiber[i] - want_f) <= 1e-13 * np.abs(want_f))
+            assert np.all(np.abs(base[i] - want_b) <= 1e-13 * np.abs(want_b))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_partials_match_finite_differences(self, k):
@@ -664,7 +656,7 @@ class TestSeparatingSections:
 
     def test_exhausted_search_fails(self, monkeypatch):
         # with the zero placed at 0 instead of 1/2 no candidate vanishes at u
-        monkeypatch.setattr(theta_module, "theta_zero", lambda tau: 0.0)
+        monkeypatch.setattr(sections_module, "THETA_ZERO", 0.0)
         monkeypatch.setattr(sections_module, "RETRIES", 2)
         u, v = KTPoint(0.1, 0.2, 0.3, 0.4), KTPoint(0.8, 0.6, 0.9, 0.1)
         with pytest.raises(SearchFailed):

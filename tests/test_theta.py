@@ -19,19 +19,11 @@ from ktheta import (
     fundamental_domain_samples,
     theta_batch,
 )
-from ktheta.theta import (
-    DEFAULT_POLICY,
-    ThetaArgument,
-    ThetaBasisIndex,
-    TruncationPolicy,
-    theta,
-    theta_degree_k,
-    theta_degree_k_deriv,
-    theta_deriv,
-    theta_zero,
-)
+from ktheta.theta import DEFAULT_POLICY, TruncationPolicy, theta_degree_k_batch
 
 from ktheta.manifold import act
+
+INVALID = "theta arguments must be finite with Im(tau) > 0"
 
 
 def brute_theta(z, tau, n=80, z_order=0, tau_order=0):
@@ -64,86 +56,79 @@ SAMPLE_ARGS = [
 class TestThetaValues:
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_against_brute_force(self, z, tau):
-        val = theta(ThetaArgument(z, tau))
+        val = theta_batch(z, tau)[0]
         assert abs(val - brute_theta(z, tau)) < 1e-12 * max(1.0, abs(val))
 
     def test_reference_value_at_origin(self):
         # sum over n of exp(pi i n(n-1) i) = 1 + 2*(e^-2pi + e^-6pi + ...)... direct
-        assert abs(theta(ThetaArgument(0.0, 1j)) - brute_theta(0.0, 1j)) < 1e-14
+        assert abs(theta_batch(0.0, 1j)[0] - brute_theta(0.0, 1j)) < 1e-14
 
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     @pytest.mark.parametrize("zo,to", [(1, 0), (2, 0), (0, 1), (1, 1)])
     def test_derivatives_against_brute_force(self, z, tau, zo, to):
-        val = theta_deriv(ThetaArgument(z, tau), zo, to)
+        val = theta_batch(z, tau, [(zo, to)])[0]
         ref = brute_theta(z, tau, z_order=zo, tau_order=to)
         assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
 
     def test_derivative_against_finite_difference(self):
         z, tau = 0.27 + 0.11j, 0.2 + 1.1j
         h = 1e-5
-        fd = (theta(ThetaArgument(z + h, tau)) - theta(ThetaArgument(z - h, tau))) / (2 * h)
-        an = theta_deriv(ThetaArgument(z, tau), 1, 0)
+        fd = (theta_batch(z + h, tau)[0] - theta_batch(z - h, tau)[0]) / (2 * h)
+        an = theta_batch(z, tau, [(1, 0)])[0]
         assert abs(fd - an) / abs(an) < 1e-6
 
     def test_invalid_modulus(self):
         with pytest.raises(InvalidModulus):
-            ThetaArgument(0.0, 1.0 - 0.5j)
+            theta_batch(0.0, 1.0 - 0.5j)
         with pytest.raises(InvalidModulus):
-            ThetaArgument(0.0, 2.0)
+            theta_batch(0.0, 2.0)
 
     @pytest.mark.parametrize("z, tau", [(np.nan, 1j), (0.0, complex(0.0, np.inf))])
     def test_non_finite_argument(self, z, tau):
-        with pytest.raises(InvalidModulus, match="^theta argument must be finite$"):
-            ThetaArgument(z, tau)
+        with pytest.raises(InvalidModulus, match=f"^{re.escape(INVALID)}$"):
+            theta_batch(z, tau)
 
 
 class TestQuasiPeriodicity:
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_period_one(self, z, tau):
-        a = theta(ThetaArgument(z + 1, tau))
-        b = theta(ThetaArgument(z, tau))
+        a = theta_batch(z + 1, tau)[0]
+        b = theta_batch(z, tau)[0]
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_tau_period_one(self, z, tau):
         # this series and every theta_k^p are invariant under tau -> tau + 1
-        a = theta(ThetaArgument(z, tau + 1))
-        b = theta(ThetaArgument(z, tau))
+        a = theta_batch(z, tau + 1)[0]
+        b = theta_batch(z, tau)[0]
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        for p in range(3):
-            idx = ThetaBasisIndex(3, p)
-            a = theta_degree_k(idx, ThetaArgument(z, tau + 1))
-            b = theta_degree_k(idx, ThetaArgument(z, tau))
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        (a,), (b,) = theta_degree_k_batch(3, z, tau + 1), theta_degree_k_batch(3, z, tau)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
 
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_tau_quasi_period(self, z, tau):
-        a = theta(ThetaArgument(z + tau, tau))
-        b = np.exp(-2j * np.pi * z) * theta(ThetaArgument(z, tau))
+        a = theta_batch(z + tau, tau)[0]
+        b = np.exp(-2j * np.pi * z) * theta_batch(z, tau)[0]
         assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
 
 class TestHeatEquation:
     @pytest.mark.parametrize("z,tau", SAMPLE_ARGS)
     def test_pde(self, z, tau):
-        arg = ThetaArgument(z, tau)
-        dt = theta_deriv(arg, 0, 1)
-        dzz = theta_deriv(arg, 2, 0)
-        dz = theta_deriv(arg, 1, 0)
+        dt = theta_batch(z, tau, [(0, 1)])[0]
+        dzz = theta_batch(z, tau, [(2, 0)])[0]
+        dz = theta_batch(z, tau, [(1, 0)])[0]
         assert abs(dt - dzz / (4j * math.pi) + dz / 2.0) < 1e-9
 
 
 class TestZeroLocus:
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.4 + 1.7j])
     def test_zero_and_translates(self, tau):
-        z0 = theta_zero(tau)
+        # the zero the separating-section search places
+        z0 = sections_mod.THETA_ZERO
         for m in (-1, 0, 1):
             for n in (-1, 0, 1):
-                assert abs(theta(ThetaArgument(z0 + m + n * tau, tau))) < 1e-10
-
-    def test_theta_zero_requires_valid_modulus(self):
-        with pytest.raises(InvalidModulus):
-            theta_zero(1.0)
+                assert abs(theta_batch(z0 + m + n * tau, tau)[0]) < 1e-10
 
 
 def tail_bound(z, tau, n, z_order=0, tau_order=0):
@@ -178,7 +163,7 @@ class TestTailBound:
         # the peak term at m = -600, or a Gaussian of width ~300, puts the
         # window past the fixed cap th_mod.MAX_TERMS = 512
         with pytest.raises(TailNotConverged):
-            theta(ThetaArgument(z, tau))
+            theta_batch(z, tau)
 
     @pytest.mark.parametrize("orders, named", [
         ([(2, -1)], "(2, -1)"), ([(-1, 0)], "(-1, 0)"), ([(-1, 1)], "(-1, 1)"),
@@ -194,7 +179,7 @@ class TestTailBound:
         with pytest.raises(ValueError):
             TruncationPolicy(-1e-10)
         with pytest.raises(ValueError):
-            theta_deriv(ThetaArgument(0.1, 1j), -1, 0)
+            theta_batch(0.1, 1j, [(-1, 0)])
 
 
 class TestDegreeK:
@@ -204,65 +189,46 @@ class TestDegreeK:
     def test_against_direct_m_sum(self, k):
         for z, tau in [(0.21 + 0.13j, 0.3 + 1.2j), (0.4 + 0.9j, 0.7 + 1j), (0.1, 1j),
                        (0.33 + 2.5j, 0.2 + 40j), (0.6 - 1.7j, -0.4 + 3j)]:
-            for p in range(k):
-                val = theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau))
+            (vals,) = theta_degree_k_batch(k, z, tau)
+            for p, val in enumerate(vals):
                 ref = brute_degree_k(k, p, z, tau)
                 assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
 
     def test_degree_one_reduces_to_theta(self):
         z, tau = 0.37 - 0.21j, 0.8j
-        a = theta_degree_k(ThetaBasisIndex(1, 0), ThetaArgument(z, tau))
-        assert abs(a - theta(ThetaArgument(z, tau))) < 1e-13
+        a = theta_degree_k_batch(1, z, tau)[0, 0]
+        assert abs(a - theta_batch(z, tau)[0]) < 1e-13
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_degree_k_quasi_periodicity(self, k):
         z, tau = 0.14 + 0.2j, 0.1 + 1.3j
-        for p in range(k):
-            idx = ThetaBasisIndex(k, p)
-            same = theta_degree_k(idx, ThetaArgument(z + 1, tau))
-            base = theta_degree_k(idx, ThetaArgument(z, tau))
-            assert abs(same - base) < 1e-11 * max(1.0, abs(base))
-            shifted = theta_degree_k(idx, ThetaArgument(z + tau, tau))
-            expected = np.exp(-2j * np.pi * k * z) * base
-            assert abs(shifted - expected) < 1e-10 * max(1.0, abs(expected))
+        (same,), (base,), (shifted,) = (theta_degree_k_batch(k, w, tau)
+                                        for w in (z + 1, z, z + tau))
+        assert np.all(np.abs(same - base) < 1e-11 * np.maximum(1.0, np.abs(base)))
+        expected = np.exp(-2j * np.pi * k * z) * base
+        assert np.all(np.abs(shifted - expected) < 1e-10 * np.maximum(1.0, np.abs(expected)))
 
     def test_basis_rank_is_k(self):
         rng = np.random.default_rng(5)
         for k in (2, 3, 4, 5):
             zs = rng.random(8 * k) + 1j * 0.3 * (rng.random(8 * k) - 0.5)
-            mat = np.array(
-                [
-                    [theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, 1j)) for z in zs]
-                    for p in range(k)
-                ]
-            )
+            mat = np.array([theta_degree_k_batch(k, z, 1j)[0] for z in zs]).T
             sv = np.linalg.svd(mat, compute_uv=False)
             assert (sv > 1e-8 * sv[0]).sum() == k
 
     def test_deriv_triple_consistent(self):
-        idx = ThetaBasisIndex(3, 1)
-        arg = ThetaArgument(0.22 + 0.1j, 0.1 + 1.1j)
-        val, dz, dtau = theta_degree_k_deriv(idx, arg)
-        assert abs(val - theta_degree_k(idx, arg)) < 1e-12 * max(1.0, abs(val))
+        z, tau = 0.22 + 0.1j, 0.1 + 1.1j
+
+        def theta_3_1(w, t, orders=((0, 0),)):
+            return theta_degree_k_batch(3, w, t, orders)[:, 1]
+
+        val, dz, dtau = theta_3_1(z, tau, ((0, 0), (1, 0), (0, 1)))
+        assert abs(val - theta_3_1(z, tau)[0]) < 1e-12 * max(1.0, abs(val))
         h = 1e-5
-        fd_z = (
-            theta_degree_k(idx, ThetaArgument(arg.z + h, arg.tau))
-            - theta_degree_k(idx, ThetaArgument(arg.z - h, arg.tau))
-        ) / (2 * h)
-        fd_t = (
-            theta_degree_k(idx, ThetaArgument(arg.z, arg.tau + h))
-            - theta_degree_k(idx, ThetaArgument(arg.z, arg.tau - h))
-        ) / (2 * h)
+        fd_z = (theta_3_1(z + h, tau)[0] - theta_3_1(z - h, tau)[0]) / (2 * h)
+        fd_t = (theta_3_1(z, tau + h)[0] - theta_3_1(z, tau - h)[0]) / (2 * h)
         assert abs(fd_z - dz) / max(1.0, abs(dz)) < 1e-6
         assert abs(fd_t - dtau) / max(1.0, abs(dtau)) < 1e-6
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            ThetaBasisIndex(0, 0)
-        with pytest.raises(ValueError):
-            ThetaBasisIndex(2, 2)
-        with pytest.raises(ValueError):
-            ThetaBasisIndex(2, -1)
 
 
 def classical_products(shifts, zs, tau):
@@ -274,10 +240,7 @@ def degree_k_fit_residual(shifts, zs, tau):
     """Relative residual of the classical product against the degree-k span, k = len(shifts)."""
     k = len(shifts)
     vals = classical_products(shifts, zs, tau)
-    design = np.array(
-        [[theta_degree_k(ThetaBasisIndex(k, p), ThetaArgument(z, tau)) for p in range(k)]
-         for z in zs]
-    )
+    design = np.array([theta_degree_k_batch(k, z, tau)[0] for z in zs])
     coeff, *_ = np.linalg.lstsq(design, vals, rcond=None)
     return np.linalg.norm(design @ coeff - vals) / np.linalg.norm(vals)
 
@@ -304,8 +267,8 @@ class TestClassicalProduct:
             sections_mod.shift_product([], KTPoint(0.1, 0.2, 0.3, 0.4).as_array())
 
     def test_single_zero_shift_is_theta(self):
-        arg = ThetaArgument(0.31 + 0.07j, 0.9j)
-        assert abs(classical_products([0.0], arg.z, arg.tau) - theta(arg)) < 1e-13
+        z, tau = 0.31 + 0.07j, 0.9j
+        assert abs(classical_products([0.0], z, tau) - theta_batch(z, tau)[0]) < 1e-13
 
 
 class TestBatchedEvaluator:
@@ -315,7 +278,7 @@ class TestBatchedEvaluator:
         taus = (rng.random(50) - 0.5) + 1j * (0.5 + rng.random(50))
         batch = th_mod._eval_series(zs, taus, DEFAULT_POLICY, [(0, 0)])[0]
         for i in range(0, 50, 7):
-            scalar = theta(ThetaArgument(zs[i], taus[i]))
+            scalar = theta_batch(zs[i], taus[i])[0]
             assert abs(batch[i] - scalar) < 1e-12 * max(1.0, abs(scalar))
 
 
@@ -797,12 +760,11 @@ class TestDegreeBasisKernel:
                                        VALUE_W_TAU)[1] for i in range(2)]
         assert min(widths) < max(widths) == length
 
-    def test_theta_degree_k_wraps_the_kernel(self):
+    def test_theta_degree_k_batch_is_the_kernel(self):
         w, tau = 0.37 - 1.6j, -0.8 + 1j
-        (vals,) = th_mod._degree_basis_batch(4, w, tau, DEFAULT_POLICY, ((0, 0),))
-        assert vals.shape == (4,)
-        for p in range(4):
-            assert theta_degree_k(ThetaBasisIndex(4, p), ThetaArgument(w, tau)) == vals[p]
+        vals = th_mod._degree_basis_batch(4, w, tau, DEFAULT_POLICY, ((0, 0),))
+        assert vals.shape == (1, 4)
+        assert np.array_equal(theta_degree_k_batch(4, w, tau), vals)
 
     @pytest.mark.parametrize("w, tau", [(0.1 + 600j, 1j), (0.1 + 0.5j, 1e-5j)])
     def test_window_beyond_max_terms(self, w, tau):
@@ -1041,11 +1003,12 @@ class TestOneEngine:
             assert np.all(np.abs(g - r) <= DEFAULT_POLICY.epsilon + roundoff)
 
     @pytest.mark.parametrize("evaluate", [
-        lambda: theta(ThetaArgument(0.3 + 0.1j, 0.2 + 1j)),
-        lambda: theta_deriv(ThetaArgument(0.3 + 0.1j, 0.2 + 1j), 1, 1),
+        lambda: theta_batch(0.3 + 0.1j, 0.2 + 1j),
+        lambda: theta_batch(0.3 + 0.1j, 0.2 + 1j, [(1, 1)]),
+        lambda: theta_degree_k_batch(3, 0.3 + 0.1j, 0.2 + 1j, [(0, 0), (1, 0)]),
         lambda: sections_mod.shift_product([(0.1, 0.0), (0.2j, 0.0), (-0.1 - 0.2j, 0.0)],
                                            KTPoint(0.0, 0.0, 0.3, 0.0).as_array()),
-    ], ids=["theta", "theta_deriv", "classical_product"])
+    ], ids=["theta", "theta_deriv", "theta_degree_k", "classical_product"])
     def test_one_kernel_call_per_scalar(self, evaluate, monkeypatch):
         calls = count_calls(monkeypatch, "_degree_basis_batch")
         evaluate()
@@ -1061,6 +1024,79 @@ class TestOneEngine:
         calls = count_calls(monkeypatch, "_eval_series", "_degree_basis_batch")
         evaluate()
         assert calls == {"_eval_series": 1, "_degree_basis_batch": 1}
+
+
+class TestDegreeKBatch:
+    """The public degree-k entry: the kernel behind the argument checks."""
+
+    @pytest.mark.parametrize("k, named", [
+        (0, "got 0"), (2.0, "got 2.0"), (-1, "got -1"), (np.float64(3), "got np.float64(3.0)"),
+    ])
+    def test_bad_degree_rejected(self, k, named):
+        with pytest.raises(ValueError, match=re.escape(
+                f"degree k must be an int of at least 1, {named}")):
+            theta_degree_k_batch(k, 0.1 + 0.2j, 1j)
+
+    @pytest.mark.parametrize("orders, named", [
+        ([(2, -1)], "derivative order (2, -1) is not a pair of nonnegative ints"),
+        ([(0.5, 0)], "derivative order (0.5, 0) is not a pair of nonnegative ints"),
+        ([(1, 0, 0)], "derivative order (1, 0, 0) is not a pair of nonnegative ints"),
+        ([1], "derivative order 1 is not a pair of nonnegative ints"),
+        ([], "orders must hold at least one (z_order, tau_order) pair"),
+    ])
+    def test_malformed_orders_rejected(self, orders, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            theta_degree_k_batch(3, 0.1 + 0.2j, 1j, orders)
+
+    @pytest.mark.parametrize("w, tau", [
+        (0.1, 0.3 - 0.2j), (0.1, 2.0), (np.array([0.1, 0.2]), np.array([1j, -1j])),
+        (np.nan, 1j), (0.1, np.inf + 1j), (complex(0.1, np.inf), 1j),
+    ])
+    def test_invalid_arguments_rejected(self, w, tau):
+        with pytest.raises(InvalidModulus, match=f"^{re.escape(INVALID)}$"):
+            theta_degree_k_batch(3, w, tau)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("orders", [((0, 0),), VALUE_W_TAU])
+    def test_output_shape(self, k, orders):
+        rng = np.random.default_rng(8)
+        w = rng.random(5) + 1j * (rng.random(5) - 0.5)
+        tau = (rng.random(3) - 0.5) + 1j * (0.5 + rng.random(3))
+        lead = (len(orders), k)
+        assert theta_degree_k_batch(k, w[0], tau[0], orders).shape == lead
+        assert theta_degree_k_batch(k, w, 1j, orders).shape == lead + (5,)
+        grid = theta_degree_k_batch(k, w[:, None], tau, orders)
+        assert grid.shape == lead + (5, 3)
+        for i, j in ((0, 0), (4, 2), (2, 1)):
+            one = theta_degree_k_batch(k, w[i], tau[j], orders)
+            # to roundoff of each row's largest entry: the batch shares one
+            # window length, and the d/dtau moment step leaks 1.3e-13 here
+            scale = np.abs(one).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(grid[..., i, j] - one) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("where", sorted(KERNEL_POINT_SETS))
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_matches_factor_bit_for_bit(self, k, where):
+        pts = KERNEL_POINT_SETS[where]()
+        args = {"fiber": (pts[:, 2] + 1j * pts[:, 0], pts[:, 1] + 1j),
+                "base": (pts[:, 1] + 1j * pts[:, 3], sections_mod.BASE_TAU)}
+        for name, (w, tau) in args.items():
+            assert np.array_equal(sections_mod.factor(name, k, pts),
+                                  theta_degree_k_batch(k, w, tau)[0].T)
+        # the fiber's value and derivative rows, as the partials take them
+        vals, rows, _ = sections_mod.factor("fiber", k, pts, axes=sections_mod.AXES)
+        want = theta_degree_k_batch(k, *args["fiber"], VALUE_W_TAU)
+        assert np.array_equal(vals, want[0].T)
+        assert np.array_equal(rows, want[1:].transpose(2, 0, 1))
+
+    def test_theta_batch_is_its_degree_one_view(self):
+        z, tau = classical_arguments()
+        for orders in (((0, 0),), ALL_ORDERS, ORDERS_TO_2_1):
+            got = theta_batch(z, tau, orders)
+            want = theta_degree_k_batch(1, z, tau, orders)[:, 0]
+            assert len(got) == len(want) == len(orders)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 class TestAsymmetricTailBound:
@@ -1093,7 +1129,7 @@ class TestPackageSurface:
         from ktheta import theta as theta_attr
 
         assert theta_attr is sys.modules["ktheta.theta"] is ktheta.theta is th_mod
-        assert ktheta.theta.theta is theta
+        assert ktheta.theta.theta_batch is ktheta.theta_batch is theta_batch
 
     def test_root_exports_the_documented_surface(self):
         import types
@@ -1136,7 +1172,10 @@ class TestPackageSurface:
         ("ktheta.errors", "TorusNotClosed"), ("ktheta", "TorusNotClosed"),
         ("ktheta.symplectic", "chern_for_generator_pair"),
         ("ktheta.errors", "NonCommutingPair"), ("ktheta", "NonCommutingPair"),
-        ("ktheta.cli", "injectivity"),
+        ("ktheta.cli", "injectivity"), ("ktheta.theta", "theta"), ("ktheta.theta", "theta_deriv"),
+        ("ktheta.theta", "theta_zero"), ("ktheta.theta", "theta_degree_k"),
+        ("ktheta.theta", "theta_degree_k_deriv"), ("ktheta.theta", "ThetaArgument"),
+        ("ktheta.theta", "ThetaBasisIndex"),
     ])
     def test_removed_name_is_absent(self, module, name):
         import importlib
