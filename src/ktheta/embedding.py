@@ -19,13 +19,13 @@ from .errors import AllSectionsVanish, DimensionMismatch, LiftOverflow
 from .manifold import (
     GENERATORS,
     KTPoint,
+    _reduce,
     act_on_array,
     fundamental_domain_samples,
-    reduce_point,
     reduced_distance,
 )
 from .sections import factor, section_matrix, segre_lift
-from .symplectic import fs_hermitian, hermitian_pullback_batch, hermitian_ranks
+from .symplectic import check_rank_tol, fs_hermitian, hermitian_pullback_batch, hermitian_ranks
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 def _domain_point(u: KTPoint) -> np.ndarray:
     """The fundamental-domain representative of ``u``, where the single-point
     maps evaluate: they descend to the quotient, and there the lift is moderate."""
-    return reduce_point(u)[0].as_array()
+    return np.array(_reduce(u)[0])
 
 
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -135,6 +135,7 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     ``symplectic.MIN_RANK_TOL``; raises ``LiftOverflow`` where the lift or
     its partials are not finite.
     """
+    check_rank_tol(tol)
     b, scale = hermitian_pullback_batch("phi_k", k, _domain_point(u), policy)
     return int(hermitian_ranks(b, scale, tol)[0])
 

@@ -126,13 +126,19 @@ def reduce_point(u: KTPoint) -> tuple[KTPoint, GroupWord]:
     The product m*y of z - m*y is split exactly, in integers, into its whole
     and fractional parts, so u0 stays accurate and finite for every finite u.
     """
+    coords, exponents = _reduce(u)
+    return KTPoint(*coords), GroupWord(*exponents)
+
+
+def _reduce(u: KTPoint) -> tuple[tuple, tuple]:
+    """``reduce_point`` as tuples: the coordinates of u0 and the exponents of w."""
     x0, m = _wrap_unit(u.x)
     y0, n = _wrap_unit(u.y)
     num, den = float(u.y).as_integer_ratio()
     whole, part = divmod(m * num, den)  # m*y = whole + part/den, 0 <= part < den
     z0, p = _wrap_unit(u.z - part / den)
     t0, q = _wrap_unit(u.t)
-    return KTPoint(x0, y0, z0, t0), GroupWord(m, n, p - whole, q)
+    return (x0, y0, z0, t0), (m, n, p - whole, q)
 
 
 def multiplicator_exponent(w: GroupWord, pts: np.ndarray) -> np.ndarray:
@@ -185,7 +191,7 @@ class TwoFormAtPoint:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.shape != (4, 4):
             raise ValueError("matrix must be 4x4")
-        if not np.array_equal(mat, -mat.T):
+        if not (mat == -mat.T).all():
             raise ValueError("matrix must be exactly antisymmetric")
         object.__setattr__(self, "matrix", mat)
 

@@ -74,15 +74,20 @@ class ZetaShift:
             raise ValueError("shift components must be finite")
 
 
-def _factor_args(which: str, pts: np.ndarray):
-    """Theta argument w and modulus tau of one factor at (..., 4) points."""
+def _factor_args(names, pts):
+    """Theta arguments w and moduli tau of the named factors at (..., 4) points, each
+    (len(names), ...): z + i x against y + i for the fiber, y + i t against BASE_TAU."""
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1:] != (4,):
         raise ValueError(f"points must have shape (..., 4), got {pts.shape}")
-    if which == "fiber":
-        return pts[..., 2] + 1j * pts[..., 0], pts[..., 1] + 1j
-    w = pts[..., 1] + 1j * pts[..., 3]
-    return w, np.full_like(w, BASE_TAU)
+    w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
+    tau = np.empty_like(w)
+    for f, name in enumerate(names):
+        if name == "fiber":
+            w.real[f], w.imag[f], tau[f] = pts[..., 2], pts[..., 0], pts[..., 1] + 1j
+        else:
+            w.real[f], w.imag[f], tau[f] = pts[..., 1], pts[..., 3], BASE_TAU
+    return w, tau
 
 
 # The chain table: each Segre factor's partials along (x, y, z, t) from its
@@ -99,14 +104,18 @@ FACTOR_AXES = {name: tuple(np.flatnonzero(t.any(axis=1)).tolist()) for name, t i
 
 @functools.cache  # CHAIN is constant: a test that rebinds it replaces this cache too
 def _chain(names, axes):
-    """The read-only chain tables ``factor`` returns for checked names and
-    axes, and the slice of the rows (d/dw, d/dtau) they act on: those the
-    partials use, at least d/dw."""
+    """The read-only chain tables ``factor`` returns for checked axes (None
+    without axes), and its kernel orders: the value, then the rows (d/dw,
+    d/dtau) the partials use, at least d/dw.  An unknown name raises ValueError."""
+    if not set(names) <= set(CHAIN):
+        raise ValueError(f"unknown factor in {names!r}; expected one of {tuple(CHAIN)}")
+    if axes is None:
+        return None, ((0, 0),)
     used = [r for r in (0, 1) if any(CHAIN[n][a, r] for n in names for a in axes)] or [0]
     rows = slice(used[0], used[-1] + 1)
     tables = np.stack([CHAIN[n] for n in names])[:, axes, rows]
     tables.flags.writeable = False
-    return tables, rows
+    return tables, ((0, 0),) + _ROW_ORDERS[rows]
 
 
 def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
@@ -124,19 +133,12 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
     """
     th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
-    if not set(names) <= set(CHAIN):
-        raise ValueError(f"unknown factor {which!r}; expected one of {tuple(CHAIN)}")
     if axes is not None and axes is not AXES and not (
             isinstance(axes, tuple) and axes and len(set(axes)) == len(axes)
             and all(type(a) is int and 0 <= a < 4 for a in axes)):
         raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
-    pts = np.asarray(pts, dtype=float)
-    w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
-    tau = np.empty_like(w)
-    for f, name in enumerate(names):
-        w[f], tau[f] = _factor_args(name, pts)
-    tables, rows = (None, slice(0)) if axes is None else _chain(names, axes)
-    basis = th._degree_basis_batch(k, w, tau, policy, ((0, 0),) + _ROW_ORDERS[rows])
+    tables, orders = _chain(names, axes)
+    basis = th._degree_basis_batch(k, *_factor_args(names, pts), policy, orders)
     # The residue and row axes move last as transposed views, so memory
     # keeps the point axes innermost; numpy keeps that order in products,
     # and the k^2 assemblies run long inner loops.
@@ -224,7 +226,7 @@ def shift_product(zetas, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarra
     on each leaf of constant y.
     """
     shifts = _shift_array(zetas)
-    (w1, tau1), (w2, tau2) = _factor_args("fiber", pts), _factor_args("base", pts)
+    (w1, w2), (tau1, tau2) = _factor_args(("fiber", "base"), pts)
     lead = np.broadcast_shapes(w1.shape, shifts.shape[:-2])
     # fiber factors against y + i and base factors against i, stacked
     ws = np.stack([w1[..., None] + shifts[..., 0], w2[..., None] + shifts[..., 1]])
@@ -302,7 +304,7 @@ def _candidates(branch, us: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """
     zero, free, re, im = _DRAW_LAYOUT[branch]
     out = np.empty(draws.shape[:-1] + (4,), dtype=complex)
-    out[..., zero] = (THETA_ZERO - _factor_args(branch, us)[0])[:, None]
+    out[..., zero] = (THETA_ZERO - _factor_args((branch,), us)[0][0])[:, None]
     out.real[..., free] = draws[..., re]
     out.imag[..., free] = (draws[..., im] - 0.5) * 0.6
     return out
@@ -349,8 +351,8 @@ def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
     # fiber_first[i] != (r >= RETRIES).
     d = (v0 - u0)[:, FACTOR_AXES["base"]] % 1.0
     fiber_first = np.hypot(*np.minimum(d, 1.0 - d).T) < 1e-4
-    has_fallback = fiber_first | (np.abs(_factor_args("fiber", v0)[0]
-                                         - _factor_args("fiber", u0)[0]) >= 1e-8)
+    has_fallback = fiber_first | (np.abs(_factor_args(("fiber",), v0)[0][0]
+                                         - _factor_args(("fiber",), u0)[0][0]) >= 1e-8)
     counts = np.where(has_fallback, 2 * RETRIES, RETRIES)
     in_fiber = fiber_first[:, None] != (np.arange(2 * RETRIES) >= RETRIES)
     candidates = np.where(in_fiber[..., None], _candidates("fiber", u0, draws),

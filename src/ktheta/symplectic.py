@@ -31,17 +31,16 @@ from .manifold import (
     GEN_B,
     GEN_C,
     GEN_D,
-    IDENTITY,
     GroupWord,
     KTPoint,
     TwoFormAtPoint,
+    _reduce,
     act,
     act_on_array,
     inverse,
     multiplicator_batch,
     multiplicator_exponent,
     omega_kt_matrix,
-    reduce_point,
 )
 from .sections import AXES, CHAIN, FACTOR_AXES, factor
 
@@ -68,10 +67,10 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     vanishes or is not finite, or a non-finite row, leaves its b and scale
     non-finite, without a warning.
     """
-    if np.ndim(tables) != 3 or np.ndim(vals) != 3 or np.ndim(grads) != 4:
+    if tables.ndim != 3 or vals.ndim != 3 or grads.ndim != 4:
         raise ValueError(f"fs_hermitian takes F stacked lifts: vals (F, B, n), grads "
                          f"(F, B, R, n) and chain tables (F, m, R), got tables of shape "
-                         f"{np.shape(tables)}; a single factor's arrays take [None]")
+                         f"{tables.shape}; a single factor's arrays take [None]")
     inv_scale = 1.0 / np.abs(vals).max(axis=-1)
     vals = vals * inv_scale[..., None]
     grads = grads * inv_scale[..., None, None]
@@ -87,18 +86,18 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     np.subtract(m, b, out=b)
     b *= inv_n2
     npts, nm = b.shape[1], tables.shape[1]
-    kron, weights = _kron(tables.shape, np.asarray(tables, dtype=complex).tobytes())
+    kron, weights = _kron(tables.shape, tables.dtype, tables.tobytes())
     b = (b.swapaxes(0, 1).reshape(npts, len(kron)) @ kron).reshape(npts, nm, nm)
     return b, np.einsum("fbrr,fbr->b", m.real, weights * inv_n2[..., 0])
 
 
 @functools.cache
-def _kron(shape, data):
+def _kron(shape, dtype, data):
     """Chain tables (F, m, R), from their bytes, as the map (F*R*R, m*m) of the
     rows' forms to the sum of the partials' forms chain b chain^H, exact: each
     entry is one entry of b per lift times 0, +-1 or +-i; and each row's
     weight in sum_mu |dF_mu|^2."""
-    c = np.frombuffer(data, dtype=complex).reshape(shape)
+    c = np.frombuffer(data, dtype=dtype).reshape(shape).astype(complex)
     kron = np.einsum("fmr,fns->frsmn", c, c.conj()).reshape(-1, shape[1] ** 2)
     return kron, (abs(c) ** 2).sum(axis=1)[:, None]
 
@@ -131,6 +130,13 @@ def _form(b: np.ndarray) -> np.ndarray:
 MIN_RANK_TOL = 1e-7
 
 
+def check_rank_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is at least MIN_RANK_TOL."""
+    if not tol >= MIN_RANK_TOL:
+        raise ValueError(f"tol must be at least {MIN_RANK_TOL}: the metric squares the "
+                         f"singular values, so it cannot resolve smaller ratios")
+
+
 def hermitian_ranks(b: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
     """Real rank of the differential from its ``fs_hermitian`` form, shape (B,).
 
@@ -140,22 +146,18 @@ def hermitian_ranks(b: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
     largest and above 1e-12 * scale, far above b's roundoff (a few u * scale),
     so a constant map has rank 0.  Raises ``LiftOverflow`` naming non-finite rows.
     """
-    if not tol >= MIN_RANK_TOL:
-        raise ValueError(f"tol must be at least {MIN_RANK_TOL}: the metric squares the "
-                         f"singular values, so it cannot resolve smaller ratios")
-    bad = ~np.isfinite(b).all(axis=(1, 2))
-    if bad.any():
+    check_rank_tol(tol)
+    if not np.isfinite(b).all():
         raise LiftOverflow(f"the lift or its partials are not finite in rows "
-                           f"{np.flatnonzero(bad).tolist()}")
+                           f"{np.flatnonzero(~np.isfinite(b).all(axis=(1, 2))).tolist()}")
     lam = np.linalg.eigvalsh(b.real)
     return (lam > np.maximum(tol * tol * lam[:, -1], 1e-12 * scale)[:, None]).sum(axis=1)
 
 
 def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Pullback coefficient matrices at an (B, 4) array of points."""
-    pts = np.atleast_2d(pts)
     if map_id == "omega_kt":
-        return omega_kt_matrix(pts)
+        return omega_kt_matrix(np.atleast_2d(pts))
     return _form(hermitian_pullback_batch(map_id, k, pts, policy)[0])
 
 
@@ -169,11 +171,11 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Tw
     or its partials are not finite at u0; ``fs_pullback_batch``, which
     evaluates the raw point, returns NaN rows there.
     """
-    u0, w = (u, IDENTITY) if map_id == "omega_kt" else reduce_point(u)
-    mat = fs_pullback_batch(map_id, k, u0.as_array(), policy)[0]
-    if w.m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
-        mat[:, 1] -= w.m * mat[:, 2]
-        mat[1, :] -= w.m * mat[2, :]
+    coords, (m, *_) = (astuple(u), (0,)) if map_id == "omega_kt" else _reduce(u)
+    mat = fs_pullback_batch(map_id, k, np.array(coords), policy)[0]
+    if m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
+        mat[:, 1] -= m * mat[:, 2]
+        mat[1, :] -= m * mat[2, :]
     if not np.isfinite(mat).all():
         raise LiftOverflow(f"the {map_id} lift or its partials are not finite at {u}")
     return TwoFormAtPoint(u, mat)

@@ -22,18 +22,27 @@ placed per point around the Gaussian peak of the term magnitudes
 exp(-2*pi*m*Im(k*w + p*tau) - pi*m*(m-1)*k*Im(tau)); the batch shares L.
 The indices n = k*lo_b + j, 0 <= j < k*L, then form one (window, residue,
 point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), with
-f = pi*i*k*m*(2w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m), so it is its
-modulus exp(Re f + p*Re g), from one real exponential, times its phase
+f = pi*i*k*m*(2w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m); the block's
+size picks how its exponentials are taken.
+
+A block of fewer than FEW_POINTS points forms f + p*g and takes one complex
+exponential per term, exp(Re) * (cos Im, sin Im), whose modulus overflows
+only where its term does: k*L exponentials a point, in the fewest numpy
+calls.  A single-point map's fiber and base arguments form such a block:
+its value-only block took 16.5 and 19.9 us at k = 3 and 16 (2-vCPU x86-64
+VM) where one unit exponential per (offset, point) and factor and a running
+product over the residues took 25.0 and 25.2 us.  The chained form passes it
+at about 26 points for k = 16, past 31 for k <= 8; they agree to roundoff.
+
+A block of at least FEW_POINTS points splits each term into its modulus
+exp(Re f + p*Re g), from one real exponential, and its phase
 exp(i*Im f) * exp(i*Im g)^p, a product of unit factors: no product can
 overflow, and every modulus has the exponent of the direct complex
-exponential.  A unit exponential is the complex exponential of its
-angle with the real part 0: one sincos, whose cos and sin are those of
-np.cos and np.sin bit for bit with glibc, at about 0.6 times their cost,
-but unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8
-ns for a complex product (on a 2-vCPU x86-64 VM).  So the block's size
-picks how many there are, together with how the residue powers are filled.
-
-A block of at least FEW_POINTS points chains its unit factors along each
+exponential.  A unit exponential is the complex exponential of its angle
+with the real part 0: one sincos, whose cos and sin are those of np.cos and
+np.sin bit for bit with glibc, at about 0.6 times their cost, but
+unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8 ns
+for a complex product on that VM.  So the block chains its unit factors along each
 window, and forms no complex f or g: its moduli take the real products
 Re f = -pi*k*m*(2 Im w + Im tau*(m - 1)) and Re g = -2*pi*(Im w + Im tau*m),
 the bits of the complex products' real parts.  Im f = pi*k*m*(2 Re w + Re tau*(m - 1)) is
@@ -55,20 +64,8 @@ the growth as the k-th power of exp(2*pi*i*Re tau) raised the batch's
 d/dtau error at k = 16 from 1.0e-12 to 7.0e-12 of a row.  Then the residue
 powers fill residues [s, 2s) as residues [0, s) times exp(i*Im g)^s,
 s = 1, 2, 4, ..., one product per level over contiguous slabs whose inner loop
-runs over the points, with exp(i*Im g)^s from repeated squaring.
-
-A smaller block forms f and g, whose real parts give the moduli and whose
-imaginary parts the angles, takes one unit exponential per (offset, point)
-and factor, and one np.multiply.accumulate over the residue axis: in the
-fewest numpy calls; its outputs are those of the kernel before the chained
-phases, bit for bit.  The running product's inner loops are only k long,
-but it is one numpy call where the levels take about 2*log2(k), and below
-about 32 points (24-48 for k = 3 to 16, measured on a 2-vCPU x86-64 VM)
-the calls cost more than the short loops.  Chaining these blocks too
-would cost more numpy calls than the exponentials it saves: a two-argument
-call took 28-38 us longer, on calls of 84-150 us.  The two paths agree to
-roundoff.  At k = 1 there is only p = 0: g is never formed, and the
-modulus is exp(Re f).
+runs over the points, with exp(i*Im g)^s from repeated squaring.  At k = 1
+there is only p = 0: g is never formed, and the modulus is exp(Re f).
 
 One contraction over the window axis gives each residue's centred moments,
 from which every requested termwise derivative follows.  The certificate
@@ -250,8 +247,8 @@ def _eval_series(zs, taus, policy, orders):
 
 
 def _check_orders(orders) -> tuple:
-    """``orders`` as a tuple, if it is a nonempty sequence of (z_order,
-    tau_order) pairs of nonnegative ints; otherwise ValueError."""
+    """``orders`` as a tuple of (z_order, tau_order) tuples of ints, if it is a
+    nonempty sequence of pairs of nonnegative ints; otherwise ValueError."""
     orders = tuple(orders)
     if not orders:
         raise ValueError("orders must hold at least one (z_order, tau_order) pair")
@@ -259,13 +256,14 @@ def _check_orders(orders) -> tuple:
         if not (isinstance(order, (tuple, list, np.ndarray)) and len(order) == 2
                 and all(isinstance(n, (int, np.integer)) and n >= 0 for n in order)):
             raise ValueError(f"derivative order {order!r} is not a pair of nonnegative ints")
-    return orders
+    return tuple((int(zo), int(to)) for zo, to in orders)
 
 
 def theta_batch(zs, taus, orders=((0, 0),), policy: TruncationPolicy = DEFAULT_POLICY):
     """Termwise derivatives of theta on arrays of arguments, in one series
-    evaluation: one array of shape broadcast(zs, taus).shape per
-    (z_order, tau_order) in ``orders``, each within policy.epsilon."""
+    evaluation: one array of shape broadcast(zs, taus).shape per (z_order,
+    tau_order) in ``orders``, each within policy.epsilon; an output that
+    overflows comes back inf or NaN, without a warning (far off the domain)."""
     return _eval_series(zs, taus, policy, _check_orders(orders))
 
 
@@ -273,7 +271,8 @@ def theta_degree_k_batch(k, ws, taus, orders=((0, 0),), policy: TruncationPolicy
     """Termwise derivatives of every theta_k^p on arrays of arguments, in one
     series evaluation, truncated as the module docstring certifies: shape
     (len(orders), k) + broadcast(ws, taus).shape, per (w_order, tau_order)
-    in ``orders``, with the residue p on the second axis."""
+    in ``orders``, with the residue p on the second axis.  An output that
+    overflows comes back inf or NaN, without a warning, as in the kernel."""
     check_degree(k)
     return _degree_basis_batch(k, ws, taus, policy, _check_orders(orders))
 
@@ -340,7 +339,7 @@ def _cells(im_w):
 @functools.lru_cache(maxsize=None)
 def _cell_windows(k, policy, orders, unit):
     """``_basis_window`` of the CELLS cells [i, i + 1] / CELLS of the unit
-    [unit, unit + 1) of Im(w), at Im(tau) = 1.
+    [unit, unit + 1) of Im(w), at Im(tau) = 1, for ``orders`` and _CELL_ORDERS.
 
     Each cell is passed as its stacked edges, so the certified interval of
     Im(k*w + p*tau) spans the whole cell for every residue p: ``lo`` (CELLS,)
@@ -348,6 +347,7 @@ def _cell_windows(k, policy, orders, unit):
     read-only, since every caller shares it.
     """
     edges = (unit * CELLS + np.arange(CELLS + 1)) / CELLS
+    orders = tuple(sorted(_CELL_ORDERS.union(orders)))
     lo, length = _basis_window(k, np.stack([edges[:-1], edges[1:]]), 1.0, policy, orders)
     lo.flags.writeable = False
     return lo, length
@@ -378,27 +378,27 @@ _INVALID = "theta arguments must be finite with Im(tau) > 0"
 def _kernel_window(k, im_w, im_tau, policy, orders):
     """The kernel's window of a batch: ``lo`` (B,) and the shared length.
 
-    At Im(tau) = 1 a batch inside the domain unit takes that unit's table
-    and one inside UNITS the padded tables of its units (``_unit_windows``);
-    every other batch takes the per-point ``_basis_window``, which needs
-    Im(tau) > 0.
+    At Im(tau) = 1 a batch inside the domain unit, or empty, takes that
+    unit's table and one inside UNITS the padded tables of its units
+    (``_unit_windows``); every other batch takes the per-point
+    ``_basis_window``, which needs Im(tau) > 0.
     """
     if (im_tau == 1.0).all():
-        key = tuple(sorted(_CELL_ORDERS.union(map(tuple, orders))))
-        if ((im_w >= 0.0) & (im_w <= 1.0)).all():
-            cell_lo, length = _cell_windows(k, policy, key, 0)
-            return cell_lo.take(np.minimum(_cells(im_w), CELLS - 1)), length
-        if ((im_w >= UNITS.start) & (im_w < UNITS.stop)).all():
-            return _unit_windows(k, im_w, policy, key)
+        low, high = im_w.min(initial=0.0), im_w.max(initial=0.0)  # 0 is in both ranges
+        if low >= 0.0 and high <= 1.0:  # truncation is _cells' floor; Im(w) = 1 takes the last cell
+            cell_lo, length = _cell_windows(k, policy, tuple(orders), 0)
+            return cell_lo.take((im_w * CELLS).astype(int), mode="clip"), length
+        if UNITS.start <= low and high < UNITS.stop:
+            return _unit_windows(k, im_w, policy, tuple(orders))
     elif not (im_tau > 0.0).all():
         raise InvalidModulus(_INVALID)
     return _basis_window(k, im_w, im_tau, policy, orders)
 
 
-# A block of fewer points takes one unit exponential per term and one running
-# product over the residue axis; a larger one chains its unit factors from
-# per-point seeds at each window's centre and doubles its residue powers over
-# contiguous slabs (module docstring; the residue paths cross at 24-48 points).
+# A block of fewer points takes one complex exponential per term; a larger one
+# chains its unit factors from per-point seeds at each window's centre and
+# doubles its residue powers over contiguous slabs (module docstring; the paths
+# cross at about 26 points for k = 16 and past 31 for k <= 8).
 FEW_POINTS = 32
 
 # Points per block of the kernel's term arrays, and the multiple of points
@@ -409,17 +409,18 @@ ALIGN = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_constants(k, length, count):
-    """The kernel's shape-only arrays, read-only: the window offsets a, the
-    residues p and p - k as float columns, and the moment weights a'^j,
-    j < count, with a' = a - (length - 1) / 2."""
+def _kernel_constants(k, length, orders):
+    """The kernel's constants for a block's shape and orders: the window
+    offsets a, the residues p and p - k as float columns and the moment
+    weights a'^j, j < count, with a' = a - (length - 1) / 2, all read-only;
+    then the moment count the orders need and whether any has a tau factor."""
+    count = max(zo + 2 * to for zo, to in orders) + 1
     a = np.arange(length, dtype=float)[:, None]
     p = np.arange(k, dtype=float)[:, None]
-    weights = (a.T - 0.5 * (length - 1)) ** np.arange(count)[:, None]
-    out = a, p, p - k, weights
+    out = a, p, p - k, (a.T - 0.5 * (length - 1)) ** np.arange(count)[:, None]
     for x in out:
         x.flags.writeable = False
-    return out
+    return out + (count, any(to for _, to in orders))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -431,8 +432,8 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     that termwise derivative of every theta_k^p at (ws, taus), all from one
     (window, residue, point) array of series terms per block of at most
     BLOCK points, each of which takes the whole batch's path (see the
-    module docstring): below FEW_POINTS one unit exponential per term and
-    a running product over the residues, from FEW_POINTS on unit factors
+    module docstring): below FEW_POINTS one complex exponential per term,
+    from FEW_POINTS on a real modulus per term times unit factors
     chained from five seeds per point (three where Re(tau) = 0) and
     residue powers by doubling.  Overflow leaves inf or NaN, without a
     warning, for callers to type.
@@ -489,39 +490,24 @@ def _series_block(k, w, tau, lo, length, orders, out=None):
     # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
     # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m), with
     # f = pi*i*k*m*(2*w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m)
-    count = max(zo + 2 * to for zo, to in orders) + 1
-    a, p, p_minus_k, weights = _kernel_constants(k, length, count)
+    a, p, p_minus_k, weights, count, has_tau = _kernel_constants(k, length, tuple(orders))
     m = lo + a
-    # each term is its modulus exp(Re f + p*Re g), one real exponential, times
-    # its phase exp(i*Im f) * exp(i*Im g)^p, a product of unit factors that
-    # cannot overflow
-    if few:  # f and g themselves, whose imaginary parts every term takes
-        f = (1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0))
-        re_f = f.real
-        if k > 1:
-            g = (2j * math.pi) * (w + tau * m)
-            re_g = g.real
-    else:  # real products only: the phases need the window's centre alone
+    terms = np.empty((length, k, len(w)), dtype=complex)
+    if few:  # each term's exponent f + p*g, and one complex exponential per term
+        np.multiply((2j * math.pi) * (w + tau * m)[:, None, :], p, out=terms)
+        terms += ((1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0)))[:, None, :]
+        np.exp(terms, out=terms)
+    else:  # modulus exp(Re f + p*Re g) times phase exp(i*Im f) * exp(i*Im g)^p, unit factors
+        # chained from the window's centre; the moduli take real products only
         pik_m = (math.pi * k) * m
         re_f = -pik_m * (2.0 * w.imag + tau.imag * (m - 1.0))
-        if k > 1:
-            re_g = -TWO_PI * (w.imag + tau.imag * m)
-    if k == 1:  # p = 0 only: g is not needed
-        modulus = np.exp(re_f)[:, None, :]
-    else:
-        modulus = np.multiply(re_g[:, None, :], p)
-        modulus += re_f[:, None, :]
-        np.exp(modulus, out=modulus)
-    terms = np.empty((length, k, len(w)), dtype=complex)
-    if few:  # one unit exponential per (offset, point) and factor
-        f.real = 0.0
-        np.exp(f, out=terms[:, 0])
-        if k > 1:  # and one running product over the residue axis
-            g.real = 0.0
-            np.exp(g, out=terms[:, 1])
-            terms[:, 2:] = terms[:, 1:2]
-            np.multiply.accumulate(terms, axis=1, out=terms)
-    else:  # progressions from seeds at the centre; see the module docstring
+        if k == 1:  # p = 0 only: g is not needed
+            modulus = np.exp(re_f)[:, None, :]
+        else:
+            modulus = np.multiply((-TWO_PI * (w.imag + tau.imag * m))[:, None, :], p)
+            modulus += re_f[:, None, :]
+            np.exp(modulus, out=modulus)
+        # progressions from seeds at the centre; see the module docstring
         moving = tau.real.any()  # else no growth, and exp(i*Im g) is the same at every m
         mc = m[length // 2]
         inner = w.real + tau.real * mc  # Im g(mc) / (2*pi)
@@ -554,7 +540,7 @@ def _series_block(k, w, tau, lo, length, orders, out=None):
                 s = end
                 if s < k:
                     step *= step
-    terms *= modulus
+        terms *= modulus
 
     # one contraction over a with the weights a'^j (a' = a - centre) gives
     # every residue's centred moments M_j = sum_a a'^j * term
@@ -576,7 +562,7 @@ def _series_block(k, w, tau, lo, length, orders, out=None):
         mc = lo + 0.5 * (length - 1)
         kmc = k * mc
         nc = kmc + p
-        if any(to for _, to in orders):
+        if has_tau:
             d = nc + p_minus_k
             c0 = mc * d
             c1 = kmc + d

@@ -2,13 +2,18 @@
 reduce_point(u), agree with the raw lift wherever it is finite, and stay
 finite far off the fundamental domain."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ktheta
 import ktheta.theta as theta_module
-from ktheta import GroupWord, KTPoint, act, fs_pullback, phi, phi_batch, projective_rank
+from ktheta import (GroupWord, KTPoint, act, fs_pullback, phi, phi_batch, projective_rank,
+                    reduce_point)
 from ktheta.embedding import chordal_distances
 from ktheta.symplectic import fs_pullback_batch, hermitian_pullback_batch, hermitian_ranks
 
@@ -86,3 +91,58 @@ def test_single_point_calls_take_the_cell_window(monkeypatch):
         query(inside)
         query(outside)
     assert calls == []
+
+
+def seeded_queries(n, seed):
+    """``n`` points act(w, u0), u0 uniform in [0, 1)^4 and the exponents of w
+    uniform in [-2, 2], as the benchmark's queries draw them, with their words."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        u0 = KTPoint(*(float(c) for c in rng.random(4)))
+        w = GroupWord(*(int(e) for e in rng.integers(-2, 3, 4)))
+        out.append((act(w, u0), w))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 16])
+def test_single_point_maps_are_one_row_batches(k):
+    # one evaluation path: each single-point map is bit for bit its batch
+    # call on the one reduced row (the pullback where the word has m = 0,
+    # where J^T Omega J is Omega)
+    for u, w in seeded_queries(200, 31 + k):
+        a = reduce_point(u)[0].as_array()
+        assert np.array_equal(phi(k, u).coords, phi_batch(k, a)[0])
+        b, scale = hermitian_pullback_batch("phi_k", k, a)
+        assert projective_rank(k, u) == hermitian_ranks(b, scale, 1e-6)[0]
+        if w.m == 0:
+            assert np.array_equal(fs_pullback("phi_k", k, u).matrix,
+                                  fs_pullback_batch("phi_k", k, a)[0])
+
+
+# Python-level calls into ktheta of one warm single-point op: a budget that
+# no numpy version moves.  The counts below are this code's; a change that
+# adds glue to the one path must raise them on purpose.
+GLUE_BUDGET = {"phi": 16, "rank": 19, "pullback": 18}
+
+
+@pytest.mark.parametrize("k", [3, 16])
+@pytest.mark.parametrize("kind", sorted(GLUE_BUDGET))
+def test_single_point_glue_budget(kind, k):
+    package = os.path.dirname(ktheta.__file__) + os.sep
+    u = act(GroupWord(1, -2, 2, 1), KTPoint(0.3, 0.2, 0.1, 0.4))
+    query = {"phi": lambda: phi(k, u), "rank": lambda: projective_rank(k, u),
+             "pullback": lambda: fs_pullback("phi_k", k, u)}[kind]
+    query()  # fills the window and constant caches
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        query()
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= GLUE_BUDGET[kind], calls

@@ -272,6 +272,14 @@ class TestFactoredHermitianForm:
         with pytest.raises(ValueError, match="at least 1e-07"):
             projective_rank(3, U0, tol=5e-8)
 
+    def test_tol_rejected_before_any_kernel_call(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("factor ran before the tol check")
+
+        monkeypatch.setattr(symplectic_module, "factor", no_kernel)
+        with pytest.raises(ValueError, match="at least 1e-07: the metric squares the singular"):
+            projective_rank(3, U0, tol=5e-8)
+
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (0, 2), (1, 3), (1, 2)])
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
