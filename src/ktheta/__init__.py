@@ -25,7 +25,6 @@ from .errors import (
     InvalidModulus,
     KThetaError,
     LiftOverflow,
-    SearchFailed,
     TailNotConverged,
 )
 from .manifold import GroupWord, KTPoint, act, fundamental_domain_samples, reduce_point

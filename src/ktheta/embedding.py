@@ -68,7 +68,7 @@ def unit_rows(lifts: np.ndarray) -> np.ndarray:
 
 
 def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)) of (B, n) lifts, in [0, 1].
+    """Row-wise sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)) of (B, n) or (1, n) lifts, in [0, 1].
 
     Computed as the norm of the projection residual q - <p,q>p of unit
     lifts: the same quantity without the catastrophic cancellation of
@@ -77,6 +77,8 @@ def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     if p.shape[-1] != q.shape[-1]:
         raise DimensionMismatch(f"dimensions {p.shape[-1]} and {q.shape[-1]} differ")
+    if len(p) != len(q) and 1 not in (len(p), len(q)):
+        raise ValueError(f"row counts of shapes {p.shape} and {q.shape} do not broadcast")
     a, b = unit_rows(p), unit_rows(q)
     resid = b - np.einsum("bn,bn->b", a.conj(), b)[:, None] * a
     return np.minimum(1.0, np.linalg.norm(resid, axis=1))
@@ -101,13 +103,6 @@ def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)], at ``reduce_point(u)``."""
     return ProjectivePoint(factor("base", k, _domain_point(u), policy))
-
-
-def segre(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
-    """All pairwise products in the fixed order index(p, q) = p*k + q."""
-    if p.coords.size != q.coords.size:
-        raise DimensionMismatch("Segre factors must have equal dimension")
-    return ProjectivePoint(segre_lift(p.coords, q.coords))
 
 
 def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -266,8 +261,8 @@ def injectivity_scan(k: int, n_samples: int, seed: int,
     The witness pair's reported distance is the ``chordal_distances`` of
     its two k^2 lifts, the only ones formed, which resolves about 1e-12.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"n_samples must be an int of at least 2, got {n_samples!r}")
     d_min, threshold = 1e-3, 1e-6
     pts = fundamental_domain_samples(n_samples, seed)
     raw = factor(("fiber", "base"), k, pts, policy)

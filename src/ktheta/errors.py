@@ -21,10 +21,6 @@ class EquivalentPoints(KThetaError):
     """Two points coincide on the quotient manifold."""
 
 
-class SearchFailed(KThetaError):
-    """Bounded seeded retries were exhausted without meeting the target."""
-
-
 class AllSectionsVanish(KThetaError):
     """Every homogeneous coordinate vanished; the lift is unusable."""
 

@@ -164,11 +164,6 @@ def multiplicator_batch(w: GroupWord, pts: np.ndarray) -> np.ndarray:
     return np.exp(-TWO_PI_I * multiplicator_exponent(w, pts))
 
 
-def multiplicator(w: GroupWord, u: KTPoint) -> complex:
-    """Automorphy factor e_w(u) = exp(-2*pi*i*f_w(u))."""
-    return complex(multiplicator_batch(w, u.as_array()))
-
-
 def cocycle_residual(w1: GroupWord, w2: GroupWord, pts: np.ndarray) -> np.ndarray:
     """Relative defect of e_{w1}(w2.u) * e_{w2}(u) = e_{w1 w2}(u) at (..., 4) points, (...,)."""
     pts = np.asarray(pts, dtype=float)
@@ -212,18 +207,9 @@ _NEAR_WORDS = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 4, indexing="ij")).
 _NEAR_WORDS.flags.writeable = False
 
 
-def quotient_distance(u: KTPoint, v: KTPoint) -> float:
-    """Distance between the images of u and v on the quotient.
-
-    Minimum Euclidean distance between reduce(u) and word translates of
-    reduce(v) over words with all exponents bounded by 2.
-    """
-    return reduced_distance(reduce_point(u)[0].as_array(), reduce_point(v)[0].as_array())
-
-
 def reduced_distance(u0: np.ndarray, v0: np.ndarray) -> float:
-    """``quotient_distance`` of two points that ``reduce_point`` has already
-    reduced, given as (4,) arrays."""
+    """Quotient distance of two (4,) points ``reduce_point`` has reduced: the least
+    Euclidean distance from u0 to v0's translates by the words with exponents in [-2, 2]."""
     # (x + m, y + n, z + p + m*(y + n), t + q): each word's translate of v0
     diff = v0[:, None] + _NEAR_WORDS
     diff[2] += _NEAR_WORDS[0] * diff[1]

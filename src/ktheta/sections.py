@@ -20,11 +20,10 @@ and the basis gradients follow by the product rule.  Sections transform
 under the deck group by the k-th power of the multiplicators.
 
 ``shift_product`` also takes a stack (..., S, 2) of shift lists whose
-leading axes broadcast against the points'.  The separating-section
-search is batched on it: ``separating_sections`` takes B point pairs with
-one seed each, draws every pair's seeded candidates up front, and round r
-evaluates candidate r of every pair still unresolved in one
-``shift_product`` call; ``separating_section`` is its one-pair call.
+leading axes broadcast against the points'.  ``separating_sections``
+searches B point pairs, one seed each, on it: every pair's seeded
+candidates are drawn up front, and round r evaluates candidate r of every
+pair still unresolved in one ``shift_product`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import theta as th
-from .errors import EquivalentPoints, IllConditioned, SearchFailed
+from .errors import EquivalentPoints, IllConditioned
 from .manifold import KTPoint, fundamental_domain_samples, reduce_point, reduced_distance
 
 BASE_TAU = 1j  # modulus of the base-torus factor
@@ -259,7 +258,8 @@ def fit_in_span(pts: np.ndarray, vals, k: int, policy=th.DEFAULT_POLICY):
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """Shift parameters of a degree-3 section vanishing at u but not at v."""
+    """Shifts of a degree-3 section vanishing at u but not at v: the ``shift_product``
+    of (alpha, gamma), (beta, delta), (-alpha - beta, -gamma - delta) (``_zeta_array``)."""
 
     alpha: complex
     beta: complex
@@ -269,12 +269,6 @@ class SeparationResult:
     value_at_v: complex
     scale: float
     branch: str
-
-    @property
-    def zetas(self) -> tuple[ZetaShift, ZetaShift, ZetaShift]:
-        """(alpha, gamma), (beta, delta) and the cancelling shift, by ``_zeta_array``."""
-        shifts = np.array([self.alpha, self.beta, self.gamma, self.delta])
-        return tuple(ZetaShift(complex(a), complex(b)) for a, b in _zeta_array(shifts))
 
 
 @functools.cache
@@ -311,7 +305,7 @@ def _candidates(branch, us: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 def _zeta_array(shifts: np.ndarray) -> np.ndarray:
-    """The three (zeta1, zeta2) of ``SeparationResult.zetas`` from (..., 4) shifts, (..., 3, 2)."""
+    """A ``SeparationResult``'s three (zeta1, zeta2) from (..., 4) shifts, (..., 3, 2)."""
     zetas = np.empty(shifts.shape[:-1] + (3, 2), dtype=complex)
     zetas[..., :2, 0] = shifts[..., :2]  # alpha, beta
     zetas[..., :2, 1] = shifts[..., 2:]  # gamma, delta
@@ -320,14 +314,16 @@ def _zeta_array(shifts: np.ndarray) -> np.ndarray:
 
 
 def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
-    """``separating_section`` for the pairs of rows of (B, 4) arrays ``us`` and ``vs``.
+    """Degree-3 sections with s(u) = 0 and s(v) != 0 for the pairs of rows of
+    (B, 4) arrays ``us`` and ``vs``: a SeparationResult per pair, or None where
+    every candidate failed; ``EquivalentPoints`` if a pair coincides on the quotient.
 
-    Returns one SeparationResult per pair, or None where every candidate
-    failed; raises ``EquivalentPoints`` if a pair coincides on the quotient.
-    Pair i reads the doubles of ``default_rng(seeds[i])`` as the one-pair
-    search does, six per candidate: ``RETRIES`` candidates of its first
-    branch, then ``RETRIES`` of its fallback.  Round r evaluates candidate r
-    of every unresolved pair in one ``shift_product`` call.
+    The base branch places a zero of the base factor at u (gamma = 1/2 - w2(u));
+    when u and v share base coordinates modulo the lattice the fiber branch
+    places it in the fiber factor (alpha = 1/2 - w1(u)).  The other shifts are
+    drawn, six doubles of ``default_rng(seeds[i])`` per candidate of pair i and
+    ``RETRIES`` per branch, until the section stays away from zero at v against
+    a probe-set scale; round r takes candidate r of every unresolved pair.
     """
     us, vs = (np.asarray(a, dtype=float) for a in (us, vs))
     seeds = list(seeds)
@@ -375,20 +371,3 @@ def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
         pending = pending[~found]
     return results
 
-
-def separating_section(u: KTPoint, v: KTPoint, policy=th.DEFAULT_POLICY,
-                       seed: int = 0) -> SeparationResult:
-    """Degree-3 section with s(u) = 0 and s(v) != 0, by the zero-placement search.
-
-    The base branch places a zero of the base factor at u (gamma = 1/2 - w2(u));
-    when u and v share base coordinates modulo the lattice the fiber branch
-    places the zero in the fiber factor instead (alpha = 1/2 - w1(u)).  The
-    remaining shifts are drawn from a seeded generator, at most ``RETRIES``
-    times per branch, until the other factors stay away from zero at v,
-    judged against a probe-set scale.  The one-pair call of
-    ``separating_sections``; raises ``EquivalentPoints`` and ``SearchFailed``.
-    """
-    found = separating_sections(u.as_array()[None], v.as_array()[None], [seed], policy)[0]
-    if found is None:
-        raise SearchFailed(f"no separating section after {RETRIES} seeded attempts per branch")
-    return found

@@ -328,7 +328,7 @@ def _spanning(map_id: str, torus: BasisTorus) -> tuple:
 def torus_nodes(map_id: str, k: int, torus: BasisTorus, grid: int | None = None) -> np.ndarray:
     """The (N, 4) nodes at which ``integrate_over_torus`` evaluates the map.
 
-    ``grid`` (by default ``torus_grid(k)``, at least 8) is the side of the
+    ``grid`` (by default ``torus_grid(k)``, an int of at least 8) is the side of the
     full-torus rule.  ``omega_kt`` takes that whole grid.  For the
     Fubini-Study maps it is first rounded up to a multiple of k, and only
     the first grid/k nodes are taken along each coordinate on which every
@@ -340,8 +340,8 @@ def torus_nodes(map_id: str, k: int, torus: BasisTorus, grid: int | None = None)
     if map_id != "omega_kt":
         th.check_degree(k)
     grid = torus_grid(k) if grid is None else grid
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    if not isinstance(grid, (int, np.integer)) or grid < 8:
+        raise ValueError(f"grid must be an int of at least 8, got {grid!r}")
     if map_id == "omega_kt":
         return torus.grid_points(grid)
     spanning = _spanning(map_id, torus)

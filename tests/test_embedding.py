@@ -1,6 +1,7 @@
 """Projective maps: factorization, ranks, injectivity, invariance."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,12 +30,11 @@ from ktheta.embedding import (
     ProjectivePoint,
     chordal_distance,
     generator_invariance_residuals,
-    segre,
     unit_rows,
 )
 from ktheta.checks import RunConfig, check_injectivity
 from ktheta.sections import factor, section_matrix, section_matrix_with_gradients, segre_lift
-from ktheta.manifold import GENERATORS, act_on_array, quotient_distance
+from ktheta.manifold import GENERATORS, act_on_array, reduced_distance
 from ktheta.symplectic import hermitian_pullback_batch, hermitian_ranks
 
 U0 = KTPoint(0.31, 0.57, 0.12, 0.83)
@@ -129,6 +129,20 @@ class TestChordalDistance:
         with pytest.raises(DimensionMismatch):
             chordal_distances(np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_row_counts_must_match_or_broadcast(self):
+        # 3 rows against 2 neither pair up nor broadcast
+        with pytest.raises(ValueError, match=re.escape(
+                "row counts of shapes (3, 4) and (2, 4) do not broadcast")):
+            chordal_distances(np.ones((3, 4)), np.ones((2, 4)))
+        rng = np.random.default_rng(6)
+        p, q = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        rows = chordal_distances(p, q)
+        assert rows.shape == (3,) and rows.min() > 0.0
+        # one row against many, either way round, is that row repeated
+        first = np.repeat(p[:1], 3, axis=0)
+        assert np.array_equal(chordal_distances(p[:1], q), chordal_distances(first, q))
+        assert np.array_equal(chordal_distances(q, p[:1]), chordal_distances(q, first))
+
     def test_non_finite_coordinates_raise_lift_overflow(self):
         with pytest.raises(LiftOverflow):
             ProjectivePoint(np.array([1.0, np.nan]))
@@ -149,18 +163,16 @@ class TestUnitRows:
 
 class TestSegre:
     def test_basis_pair(self):
-        p = ProjectivePoint(np.array([1.0 + 0j, 0.0j]))
-        q = ProjectivePoint(np.array([1.0 + 0j, 0.0j]))
-        out = segre(p, q)
-        assert np.allclose(out.coords, [1.0, 0.0, 0.0, 0.0])
+        out = segre_lift(np.array([1.0 + 0j, 0.0j]), np.array([1.0 + 0j, 0.0j]))
+        assert np.allclose(out, [1.0, 0.0, 0.0, 0.0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         a = rng.random(3) + 1j * rng.random(3)
         b = rng.random(3) + 1j * rng.random(3)
-        s1 = segre(ProjectivePoint(a), ProjectivePoint(b))
-        s2 = segre(ProjectivePoint(2.5j * a), ProjectivePoint(-1.7 * b))
-        assert chordal_distance(s1, s2) < 1e-14
+        s1 = segre_lift(a, b)
+        s2 = segre_lift(2.5j * a, -1.7 * b)
+        assert chordal_distances(s1, s2)[0] < 1e-14
 
     @pytest.mark.parametrize("lead", [(), (0,), (5,), (2, 3)])
     def test_lift_is_the_flattened_outer_product(self, lead):
@@ -177,23 +189,16 @@ class TestSegre:
         pts = fundamental_domain_samples(4, 9)
         assert phi_batch is section_matrix
         assert np.array_equal(phi_batch(3, pts), segre_lift(*factor(("fiber", "base"), 3, pts)))
-        assert np.array_equal(segre(psi_prime(3, U0), psi_double_prime(3, U0)).coords,
+        assert np.array_equal(segre_lift(psi_prime(3, U0).coords, psi_double_prime(3, U0).coords),
                               segre_lift(*factor(("fiber", "base"), 3, U0.as_array())))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            segre(
-                ProjectivePoint(np.array([1.0 + 0j, 0.0j])),
-                ProjectivePoint(np.array([1.0 + 0j, 0.0j, 0.0j])),
-            )
 
 
 class TestPhi:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_segre_factorization(self, k):
         got = phi(k, U0)
-        combined = segre(psi_prime(k, U0), psi_double_prime(k, U0))
-        assert chordal_distance(got, combined) < 1e-12
+        combined = segre_lift(psi_prime(k, U0).coords, psi_double_prime(k, U0).coords)
+        assert chordal_distances(got.coords, combined)[0] < 1e-12
 
     def test_k1_constant_map(self):
         a = phi(1, U0)
@@ -355,8 +360,12 @@ class TestInjectivityScan:
         assert a == b
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            injectivity_scan(3, 1, 0)
+        # a count that is not an int is rejected before the sampler sees it
+        for n in (1, 0, 2.5, 200.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n_samples must be an int of at least 2, got {n!r}")):
+                injectivity_scan(3, n, 1)
+        assert injectivity_scan(3, np.int64(200), 7) == injectivity_scan(3, 200, 7)
 
     @pytest.mark.parametrize("k, n, seed", [(3, 2000, 42), (16, 2000, 1), (2, 500, 3),
                                             (5, 2000, 7), (16, 2000, 7)])
@@ -526,7 +535,8 @@ def full_sort_scan(k, pts, d_min=1e-3):
     dists = np.sqrt(1.0 - gram)[iu, ju]
     for pos in np.argsort(dists, kind="stable"):
         i, j = int(iu[pos]), int(ju[pos])
-        qd = quotient_distance(KTPoint.from_array(pts[i]), KTPoint.from_array(pts[j]))
+        qd = reduced_distance(*(reduce_point(KTPoint.from_array(pts[x]))[0].as_array()
+                                for x in (i, j)))
         if qd > d_min:
             return float(chordal_distances(lifts[i], lifts[j])[0]), (i, j), qd
     return 1.0, (-1, -1), math.inf

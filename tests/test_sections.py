@@ -14,7 +14,6 @@ from ktheta import (
     GroupWord,
     IllConditioned,
     KTPoint,
-    SearchFailed,
     SectionIndex,
     ZetaShift,
     act,
@@ -36,15 +35,15 @@ from ktheta.checks import (
     check_separating_sections,
 )
 from ktheta.embedding import phi_batch, psi_double_prime, psi_prime
-from ktheta.manifold import GENERATORS, multiplicator
+from ktheta.manifold import GENERATORS, multiplicator_batch
 from ktheta.sections import (
     AXES,
     BASE_TAU,
     FACTOR_AXES,
+    _zeta_array,
     factor,
     section_matrix,
     section_matrix_with_gradients,
-    separating_section,
     separating_sections,
     shift_product,
 )
@@ -154,7 +153,7 @@ class TestTensorPowerLaw:
     def test_generator_transformation(self, k, gen):
         g = GENERATORS[gen]
         u = U0
-        factor = multiplicator(g, u) ** k
+        factor = multiplicator_batch(g, u.as_array()) ** k
         for p in range(k):
             for q in range(k):
                 idx = SectionIndex(k, p, q)
@@ -572,11 +571,21 @@ def loop_search(u, v, seed, retries):
     return None
 
 
+def one_pair(u: KTPoint, v: KTPoint, seed: int):
+    """``separating_sections`` of the one pair (u, v)."""
+    return separating_sections(u.as_array()[None], v.as_array()[None], [seed])[0]
+
+
+def shifts_of(res) -> np.ndarray:
+    """The three (zeta1, zeta2) shifts of a SeparationResult's section, (3, 2)."""
+    return _zeta_array(np.array([res.alpha, res.beta, res.gamma, res.delta]))
+
+
 class TestSeparatingSections:
     def test_generic_pair(self):
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
         v = KTPoint(0.8, 0.6, 0.9, 0.1)
-        res = separating_section(u, v, seed=5)
+        res = one_pair(u, v, 5)
         assert abs(res.value_at_u) < 1e-8 * res.scale
         assert abs(res.value_at_v) > 1e-3 * res.scale
 
@@ -584,22 +593,21 @@ class TestSeparatingSections:
         # same (y, t): the zero must be placed in the fiber factor
         u = KTPoint(0.15, 0.5, 0.25, 0.6)
         v = KTPoint(0.75, 0.5, 0.65, 0.6)
-        res = separating_section(u, v, seed=6)
+        res = one_pair(u, v, 6)
         assert res.branch == "fiber"
         assert abs(res.value_at_u) < 1e-8 * res.scale
         assert abs(res.value_at_v) > 1e-3 * res.scale
 
     def test_zetas_have_zero_sum(self):
-        res = separating_section(KTPoint(0.1, 0.2, 0.3, 0.4), KTPoint(0.9, 0.8, 0.7, 0.6), seed=7)
-        z1 = sum(z.zeta1 for z in res.zetas)
-        z2 = sum(z.zeta2 for z in res.zetas)
+        res = one_pair(KTPoint(0.1, 0.2, 0.3, 0.4), KTPoint(0.9, 0.8, 0.7, 0.6), 7)
+        z1, z2 = shifts_of(res).sum(axis=0)
         assert abs(z1) < 1e-12 and abs(z2) < 1e-12
 
     def test_separating_value_consistent(self):
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
         v = KTPoint(0.8, 0.6, 0.9, 0.1)
-        res = separating_section(u, v, seed=8)
-        at_u, at_v = shift_product(res.zetas, np.stack([u.as_array(), v.as_array()]))
+        res = one_pair(u, v, 8)
+        at_u, at_v = shift_product(shifts_of(res), np.stack([u.as_array(), v.as_array()]))
         assert abs(at_u - res.value_at_u) < 1e-12 * res.scale
         assert abs(at_v - res.value_at_v) < 1e-12 * res.scale
 
@@ -631,14 +639,14 @@ class TestSeparatingSections:
     )
     def test_seeded_shift_parameters_are_pinned(self, u, v, seed, expected):
         # the seeded draws and the gates fix the returned shifts exactly
-        res = separating_section(KTPoint(*u), KTPoint(*v), seed=seed)
+        res = one_pair(KTPoint(*u), KTPoint(*v), seed)
         assert (res.alpha, res.beta, res.gamma, res.delta, res.branch) == expected
 
     def test_equivalent_points_rejected(self):
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
         v = act(GENERATORS["a"], u)
-        with pytest.raises(EquivalentPoints):
-            separating_section(u, v)
+        with pytest.raises(EquivalentPoints, match="pair 0"):
+            one_pair(u, v, 0)
         pairs = np.array([[0.9, 0.8, 0.7, 0.6], u.as_array()]), np.array([U0.as_array(),
                                                                         v.as_array()])
         with pytest.raises(EquivalentPoints, match="pair 1"):
@@ -659,8 +667,7 @@ class TestSeparatingSections:
         monkeypatch.setattr(sections_module, "THETA_ZERO", 0.0)
         monkeypatch.setattr(sections_module, "RETRIES", 2)
         u, v = KTPoint(0.1, 0.2, 0.3, 0.4), KTPoint(0.8, 0.6, 0.9, 0.1)
-        with pytest.raises(SearchFailed):
-            separating_section(u, v, seed=5)
+        assert one_pair(u, v, 5) is None
         assert separating_sections(np.stack([u.as_array()] * 2),
                                    np.stack([v.as_array(), U0.as_array()]), [5, 6]) == [None] * 2
 
@@ -668,7 +675,7 @@ class TestSeparatingSections:
         us, vs = search_pairs(24)
         seeds = range(100, 124)
         for res, u, v, seed in zip(separating_sections(us, vs, seeds), us, vs, seeds):
-            one = separating_section(KTPoint.from_array(u), KTPoint.from_array(v), seed=seed)
+            one = separating_sections(u[None], v[None], [seed])[0]
             assert (res.alpha, res.beta, res.gamma, res.delta, res.branch) == (
                 one.alpha, one.beta, one.gamma, one.delta, one.branch)
             for got, want in ((res.value_at_u, one.value_at_u), (res.value_at_v, one.value_at_v),
@@ -713,9 +720,9 @@ class TestSeparatingSections:
         # the separating product transforms with the cube of the multiplicator
         u = KTPoint(0.1, 0.2, 0.3, 0.4)
         v = KTPoint(0.8, 0.6, 0.9, 0.1)
-        res = separating_section(u, v, seed=9)
+        res = one_pair(u, v, 9)
         w = KTPoint(0.51, 0.23, 0.77, 0.35)
         g = GENERATORS["a"]
-        lhs, at_w = shift_product(res.zetas, np.stack([act(g, w).as_array(), w.as_array()]))
-        rhs = multiplicator(g, w) ** 3 * at_w
+        lhs, at_w = shift_product(shifts_of(res), np.stack([act(g, w).as_array(), w.as_array()]))
+        rhs = multiplicator_batch(g, w.as_array()) ** 3 * at_w
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))

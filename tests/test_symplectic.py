@@ -36,7 +36,6 @@ from ktheta.manifold import (
     act_on_array,
     cocycle_residual,
     inverse,
-    multiplicator,
     multiplicator_batch,
     omega_kt_matrix,
     reduce_point,
@@ -652,6 +651,18 @@ class TestTori:
         with pytest.raises(ValueError, match="unknown map_id"):
             integrate_over_torus("psi", 3, t_ad, 8)
 
+    @pytest.mark.parametrize("map_id", ["phi_k", "omega_kt"])
+    def test_grid_is_an_int_of_at_least_eight(self, map_id):
+        # a grid of 10.5 would space the nodes 1/10.5 apart, which is no
+        # periodic rule; an integral float is rejected as well
+        t_ca = BasisTorus("T_ca")
+        for grid in (10.5, 64.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"grid must be an int of at least 8, got {grid!r}")):
+                integrate_over_torus(map_id, 3, t_ca, grid)
+        assert integrate_over_torus(map_id, 3, t_ca, np.int64(64)) == integrate_over_torus(
+            map_id, 3, t_ca, 64)
+
     def test_sign_flipped_pullback_fails_the_suite(self, monkeypatch):
         form = symplectic_module._form
         assert check_torus_integrals(RunConfig()).passed
@@ -667,8 +678,8 @@ class TestChern:
         w2 = GroupWord(0, 1, -1, 2)
         g = transition_function(w1, w2, U0.as_array())
         # g_{12}(u) = e_{w1}(u) / e_{w2}(u) evaluated compatibly
-        direct = multiplicator(w1, U0) * multiplicator(
-            inverse(w2), act(w2, U0)
+        direct = multiplicator_batch(w1, U0.as_array()) * multiplicator_batch(
+            inverse(w2), act(w2, U0).as_array()
         )
         assert abs(g - direct) < 1e-12 * abs(direct)
 
