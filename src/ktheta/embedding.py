@@ -24,8 +24,8 @@ from .manifold import (
     fundamental_domain_samples,
     reduced_distance,
 )
-from .sections import factor, section_matrix, segre_lift
-from .symplectic import check_rank_tol, fs_hermitian, hermitian_pullback_batch, hermitian_ranks
+from .sections import AXES, _point_factor, factor, section_matrix, segre_lift
+from .symplectic import MAP_FACTORS, check_rank_tol, fs_hermitian, hermitian_ranks
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ def chordal_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     lifts: the same quantity without the catastrophic cancellation of
     1 - |<p,q>|^2 near coincident points.
     """
+    if max(np.ndim(p), np.ndim(q)) > 2:
+        raise ValueError(f"lifts of shapes {np.shape(p)} and {np.shape(q)} are not (n,) or (B, n)")
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     if p.shape[-1] != q.shape[-1]:
         raise DimensionMismatch(f"dimensions {p.shape[-1]} and {q.shape[-1]} differ")
@@ -89,20 +91,14 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return float(chordal_distances(p.coords, q.coords)[0])
 
 
-def _domain_point(u: KTPoint) -> np.ndarray:
-    """The fundamental-domain representative of ``u``, where the single-point
-    maps evaluate: they descend to the quotient, and there the lift is moderate."""
-    return np.array(_reduce(u)[0])
-
-
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)], at ``reduce_point(u)``."""
-    return ProjectivePoint(factor("fiber", k, _domain_point(u), policy))
+    return ProjectivePoint(_point_factor("fiber", k, _reduce(u)[0], policy)[0])
 
 
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)], at ``reduce_point(u)``."""
-    return ProjectivePoint(factor("base", k, _domain_point(u), policy))
+    return ProjectivePoint(_point_factor("base", k, _reduce(u)[0], policy)[0])
 
 
 def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -111,7 +107,8 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     Evaluated at ``reduce_point(u)``: the lift differs from ``phi_batch``'s
     at ``u`` by a nonzero scalar, and stays finite for every finite ``u``.
     """
-    return ProjectivePoint(section_matrix(k, _domain_point(u), policy)[0])
+    lift = segre_lift(*_point_factor(("fiber", "base"), k, _reduce(u)[0], policy))
+    return ProjectivePoint(lift[0])
 
 
 phi_batch = section_matrix  # the lift of phi_k at an (..., 4) array of points, as given
@@ -131,7 +128,7 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     its partials are not finite.
     """
     check_rank_tol(tol)
-    b, scale = hermitian_pullback_batch("phi_k", k, _domain_point(u), policy)
+    b, scale = fs_hermitian(*_point_factor(MAP_FACTORS["phi_k"], k, _reduce(u)[0], policy, AXES))
     return int(hermitian_ranks(b, scale, tol)[0])
 
 

@@ -73,6 +73,11 @@ class ZetaShift:
             raise ValueError("shift components must be finite")
 
 
+# Each factor's theta arguments from the coordinates (x, y, z, t), by index:
+# w = Re w + i Im w, and tau = Re tau + i, or BASE_TAU where Re tau is None.
+_ARGS = MappingProxyType({"fiber": (2, 0, 1), "base": (1, 3, None)})
+
+
 def _factor_args(names, pts):
     """Theta arguments w and moduli tau of the named factors at (..., 4) points, each
     (len(names), ...): z + i x against y + i for the fiber, y + i t against BASE_TAU."""
@@ -82,10 +87,9 @@ def _factor_args(names, pts):
     w = np.empty((len(names),) + pts.shape[:-1], dtype=complex)
     tau = np.empty_like(w)
     for f, name in enumerate(names):
-        if name == "fiber":
-            w.real[f], w.imag[f], tau[f] = pts[..., 2], pts[..., 0], pts[..., 1] + 1j
-        else:
-            w.real[f], w.imag[f], tau[f] = pts[..., 1], pts[..., 3], BASE_TAU
+        re, im, tau_re = _ARGS[name]
+        w.real[f], w.imag[f] = pts[..., re], pts[..., im]
+        tau[f] = BASE_TAU if tau_re is None else pts[..., tau_re] + 1j
     return w, tau
 
 
@@ -138,15 +142,42 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
         raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
     tables, orders = _chain(names, axes)
     basis = th._degree_basis_batch(k, *_factor_args(names, pts), policy, orders)
-    # The residue and row axes move last as transposed views, so memory
-    # keeps the point axes innermost; numpy keeps that order in products,
-    # and the k^2 assemblies run long inner loops.
+    return _factor_views(which, basis, tables)
+
+
+def _factor_views(which, basis, tables):
+    """``factor``'s outputs from the kernel's (len(orders), k, F, ...) array.  The
+    residue and row axes move last as transposed views, so memory keeps the point
+    axes innermost; numpy keeps that order in products, and the k^2 assemblies
+    run long inner loops."""
     out = (basis[0].transpose(*range(1, basis.ndim - 1), 0),)
-    if axes is not None:
+    if tables is not None:
         out += (basis[1:].transpose(*range(2, basis.ndim), 0, 1), tables)
     if isinstance(which, str):  # one factor: drop the stacking axis
         out = tuple(x[0] for x in out)
-    return out[0] if axes is None else out
+    return out[0] if tables is None else out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
+    """``factor``, bit for bit, at the point (1, 4) of ``manifold._reduce``'s coordinates,
+    finite and in [0, 1)^4: every factor has Im tau = 1 and Im w in [0, 1), so the
+    batch's checks hold.  One ``_series_block`` call, with ``_degree_basis_batch``'s
+    w - w.real.round() as Python's round (also half to even) and the row
+    int(CELLS * Im w) of ``_kernel_window``'s domain table.  ``axes``: None or AXES."""
+    th.check_degree(k)
+    names = (which,) if isinstance(which, str) else tuple(which)
+    tables, orders = _chain(names, axes)
+    w, tau, cells = [], [], []
+    for name in names:
+        re, im, tau_re = _ARGS[name]
+        t = BASE_TAU if tau_re is None else complex(coords[tau_re], 1.0)
+        w.append(complex(coords[re] - round(coords[re]), coords[im]))
+        tau.append(t - round(t.real))
+        cells.append(int(coords[im] * th.CELLS))
+    lo, length = th._cell_windows(k, policy, orders, 0)
+    basis = th._series_block(k, np.array(w), np.array(tau), lo[cells], length, orders)
+    return _factor_views(which, basis.reshape(basis.shape + (1,)), tables)
 
 
 def _partial(rows, coefs):
@@ -330,6 +361,9 @@ def separating_sections(us, vs, seeds, policy=th.DEFAULT_POLICY) -> list:
     if not us.shape == vs.shape == (len(seeds), 4):
         raise ValueError(f"need (B, 4) point arrays and B seeds, got {us.shape}, {vs.shape}, "
                          f"{len(seeds)}")
+    for i, seed in enumerate(seeds):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"the seed of pair {i} must be an int of at least 0, got {seed!r}")
     # per pair: the probes, then u and v reduced, each point once
     pts = np.empty((len(seeds), len(_probes()) + 2, 4))
     pts[:, :-2] = _probes()

@@ -42,7 +42,7 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
 )
-from .sections import AXES, CHAIN, FACTOR_AXES, factor
+from .sections import AXES, CHAIN, FACTOR_AXES, _point_factor, factor
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -171,8 +171,11 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Tw
     or its partials are not finite at u0; ``fs_pullback_batch``, which
     evaluates the raw point, returns NaN rows there.
     """
-    coords, (m, *_) = (astuple(u), (0,)) if map_id == "omega_kt" else _reduce(u)
-    mat = fs_pullback_batch(map_id, k, np.array(coords), policy)[0]
+    if map_id == "omega_kt":
+        return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
+    _check_map(map_id, FS_MAP_IDS)
+    coords, (m, *_) = _reduce(u)
+    mat = _form(fs_hermitian(*_point_factor(MAP_FACTORS[map_id], k, coords, policy, AXES))[0])[0]
     if m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
         mat[:, 1] -= m * mat[:, 2]
         mat[1, :] -= m * mat[2, :]

@@ -28,11 +28,12 @@ size picks how its exponentials are taken.
 A block of fewer than FEW_POINTS points forms f + p*g and takes one complex
 exponential per term, exp(Re) * (cos Im, sin Im), whose modulus overflows
 only where its term does: k*L exponentials a point, in the fewest numpy
-calls.  A single-point map's fiber and base arguments form such a block:
-its value-only block took 16.5 and 19.9 us at k = 3 and 16 (2-vCPU x86-64
-VM) where one unit exponential per (offset, point) and factor and a running
-product over the residues took 25.0 and 25.2 us.  The chained form passes it
-at about 26 points for k = 16, past 31 for k <= 8; they agree to roundoff.
+calls.  A single-point map's reduced point enters such a block directly
+(``sections._point_factor``): its value-only fiber and base block took 16.5
+and 19.9 us at k = 3 and 16 (2-vCPU x86-64 VM) where unit exponentials per
+(offset, point) and factor and a running residue product took 25.0 and 25.2
+us.  The chained form passes it at about 26 points for k = 16, past 31 for
+k <= 8; they agree to roundoff.
 
 A block of at least FEW_POINTS points splits each term into its modulus
 exp(Re f + p*Re g), from one real exponential, and its phase

@@ -268,22 +268,24 @@ def test_point_commands_print_the_reduced_point(runner, command, coords):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
-@pytest.mark.parametrize("command, max_terms, error", [
-    # TailNotConverged from the series window, at a cap of 2 terms
-    (["embed", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
-    (["rank", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
-    (["pullback", "0.1", "0.3", "0.2", "0.4"], 2, "error: "),
-    (["check", "--only", "zero_locus"], 2, "error in zero_locus: "),
-    (["integrate", "--torus", "T_ca"], 2, "error: "),
-    (["check", "--only", "injectivity", "--samples", "10"], 2, "error in injectivity: "),
+@pytest.mark.parametrize("command, window, max_terms, error", [
+    # TailNotConverged from the series window, at a cap of 2 terms: the
+    # single-point maps read the domain's cell table, the batches _kernel_window
+    (["embed", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
+    (["rank", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
+    (["pullback", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
+    (["check", "--only", "zero_locus"], "_kernel_window", 2, "error in zero_locus: "),
+    (["integrate", "--torus", "T_ca"], "_kernel_window", 2, "error: "),
+    (["check", "--only", "injectivity", "--samples", "10"], "_kernel_window", 2,
+     "error in injectivity: "),
 ])
-def test_library_error_exits_one(runner, monkeypatch, command, max_terms, error):
+def test_library_error_exits_one(runner, monkeypatch, command, window, max_terms, error):
     # No CLI input reaches the window cap (theta.MAX_TERMS), so the kernel's
     # window raises as if it had
     def no_window(*args):
         raise TailNotConverged(f"tail bound not reached within |m| <= {max_terms}")
 
-    monkeypatch.setattr(theta_module, "_kernel_window", no_window)
+    monkeypatch.setattr(theta_module, window, no_window)
     result = runner.invoke(main, command)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled, no traceback

@@ -14,8 +14,9 @@ import ktheta
 import ktheta.theta as theta_module
 from ktheta import (GroupWord, KTPoint, act, fs_pullback, phi, phi_batch, projective_rank,
                     reduce_point)
-from ktheta.embedding import chordal_distances
-from ktheta.symplectic import fs_pullback_batch, hermitian_pullback_batch, hermitian_ranks
+from ktheta.embedding import chordal_distances, psi_double_prime, psi_prime
+from ktheta.sections import factor
+from ktheta.symplectic import MAP_IDS, fs_pullback_batch, hermitian_pullback_batch, hermitian_ranks
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 points = st.builds(KTPoint, unit, unit, unit, unit)
@@ -105,25 +106,42 @@ def seeded_queries(n, seed):
     return out
 
 
-@pytest.mark.parametrize("k", [3, 16])
+# Reduced coordinates where whole-period removal rounds half to even (1/2 to
+# 0, 5/8 and 7/8 to 1) and where the window table's cells meet; 1 - 2^-53
+# is the last double below 1 and 1/2 - 2^-54 the last below 1/2.
+EDGES = (0.0, 1 / 8, 1 / 4, 1 / 2, 5 / 8, 7 / 8, 1 - 2**-53, 0.5 - 2**-54)
+EDGE_POINTS = [KTPoint(a, b, b, a) for a in EDGES for b in EDGES] + [
+    KTPoint(a, a, b, b) for a in EDGES for b in EDGES]
+FAR_POINTS = [KTPoint(8.0, 0.2, 0.1, 0.4), KTPoint(-7.5, 3.2, 11.1, -4.4),
+              KTPoint(1e6 + 0.5, -0.5, 2.5, 1e3 + 0.125)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 16, 64])
 def test_single_point_maps_are_one_row_batches(k):
-    # one evaluation path: each single-point map is bit for bit its batch
-    # call on the one reduced row (the pullback where the word has m = 0,
-    # where J^T Omega J is Omega)
-    for u, w in seeded_queries(200, 31 + k):
-        a = reduce_point(u)[0].as_array()
+    # one evaluation path: each single-point map is bit for bit the batch
+    # path on the one reduced row, the pullback with the Jacobian correction
+    # J^T Omega J of fs_pullback's docstring; omega_kt at the point itself
+    moved = [u for u, _ in seeded_queries(200, 31 + k)]
+    for u in moved + EDGE_POINTS + FAR_POINTS:
+        u0, w = reduce_point(u)
+        a = u0.as_array()
         assert np.array_equal(phi(k, u).coords, phi_batch(k, a)[0])
+        assert np.array_equal(psi_prime(k, u).coords, factor("fiber", k, a))
+        assert np.array_equal(psi_double_prime(k, u).coords, factor("base", k, a))
         b, scale = hermitian_pullback_batch("phi_k", k, a)
         assert projective_rank(k, u) == hermitian_ranks(b, scale, 1e-6)[0]
-        if w.m == 0:
-            assert np.array_equal(fs_pullback("phi_k", k, u).matrix,
-                                  fs_pullback_batch("phi_k", k, a)[0])
+        for map_id in MAP_IDS:
+            want = fs_pullback_batch(map_id, k, u.as_array() if map_id == "omega_kt" else a)[0]
+            if map_id != "omega_kt" and w.m:
+                want[:, 1] -= w.m * want[:, 2]
+                want[1, :] -= w.m * want[2, :]
+            assert np.array_equal(fs_pullback(map_id, k, u).matrix, want)
 
 
 # Python-level calls into ktheta of one warm single-point op: a budget that
 # no numpy version moves.  The counts below are this code's; a change that
 # adds glue to the one path must raise them on purpose.
-GLUE_BUDGET = {"phi": 16, "rank": 19, "pullback": 18}
+GLUE_BUDGET = {"phi": 12, "rank": 14, "pullback": 14}
 
 
 @pytest.mark.parametrize("k", [3, 16])

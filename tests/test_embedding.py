@@ -125,6 +125,13 @@ class TestChordalDistance:
         assert np.allclose(rows[1:6], np.sqrt(1.0 - cos2[1:]), atol=1e-12)
         assert rows[0] < 1e-15 and rows[-1] < 1e-8
 
+    @pytest.mark.parametrize("p, q", [((2, 3, 4), (2, 3, 4)), ((3, 4), (1, 3, 4)),
+                                      ((1, 1, 4), (4,))])
+    def test_lifts_of_rank_above_two_rejected(self, p, q):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lifts of shapes {p} and {q} are not (n,) or (B, n)")):
+            chordal_distances(np.ones(p), np.ones(q))
+
     def test_rows_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             chordal_distances(np.ones((2, 3)), np.ones((2, 4)))

@@ -429,15 +429,16 @@ class TestFactors:
 
     def test_basis_calls(self, monkeypatch):
         # phi_k is assembled from one stacked fiber-and-base evaluation, psi'
-        # and psi'' (and their pullbacks) from their own factor alone
-        original = theta_module._degree_basis_batch
+        # and psi'' (and their pullbacks) from their own factor alone: one
+        # kernel block each, which the single-point maps enter directly
+        original = theta_module._series_block
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(theta_module, "_degree_basis_batch", counting)
+        monkeypatch.setattr(theta_module, "_series_block", counting)
         pts = fundamental_domain_samples(20, 5)
         evaluations = [
             (lambda: section_matrix(3, pts), 1),
@@ -661,6 +662,15 @@ class TestSeparatingSections:
         with pytest.raises(ValueError, match=re.escape(
                 f"need (B, 4) point arrays and B seeds, got {got}")):
             separating_sections(np.zeros(us), np.ones(vs), seeds)
+
+    @pytest.mark.parametrize("seeds, bad", [([1.5, 2], "pair 0 must be an int of at least 0, got 1.5"),
+                                            ([0, -1], "pair 1 must be an int of at least 0, got -1")])
+    def test_seeds_must_be_nonnegative_ints(self, seeds, bad):
+        # numpy's TypeError and ValueError never surface
+        pts = fundamental_domain_samples(4, 1)
+        with pytest.raises(ValueError, match=re.escape(f"the seed of {bad}")):
+            separating_sections(pts[:2], pts[2:], seeds)
+        assert separating_sections(pts[:2], pts[2:], [np.int64(1), 2])[0] is not None
 
     def test_exhausted_search_fails(self, monkeypatch):
         # with the zero placed at 0 instead of 1/2 no candidate vanishes at u

@@ -273,9 +273,9 @@ class TestFactoredHermitianForm:
 
     def test_tol_rejected_before_any_kernel_call(self, monkeypatch):
         def no_kernel(*args, **kwargs):
-            raise AssertionError("factor ran before the tol check")
+            raise AssertionError("a kernel block ran before the tol check")
 
-        monkeypatch.setattr(symplectic_module, "factor", no_kernel)
+        monkeypatch.setattr(theta_module, "_series_block", no_kernel)
         with pytest.raises(ValueError, match="at least 1e-07: the metric squares the singular"):
             projective_rank(3, U0, tol=5e-8)
 
@@ -331,8 +331,9 @@ class TestFactoredHermitianForm:
         assert requested == [((0, 0), (1, 0))]
 
     def test_metric_paths_build_no_k2_lift(self, monkeypatch):
+        # one kernel block per metric path below (none on T_ad)
         kernel_calls = []
-        kernel = theta_module._degree_basis_batch
+        kernel = theta_module._series_block
 
         def counting_kernel(*args, **kwargs):
             kernel_calls.append(args[0])
@@ -341,7 +342,7 @@ class TestFactoredHermitianForm:
         def no_lift(*args, **kwargs):
             raise AssertionError("k^2 lift built on a metric path")
 
-        monkeypatch.setattr(theta_module, "_degree_basis_batch", counting_kernel)
+        monkeypatch.setattr(theta_module, "_series_block", counting_kernel)
         # sections is the only module that binds it
         monkeypatch.setattr(sections_module, "section_matrix_with_gradients", no_lift)
         for run, want in ((lambda: fs_pullback_batch("phi_k", 16, self.PTS[:5]), 1),
@@ -392,14 +393,15 @@ class TestPullbackBasics:
 
     def test_non_finite_lift_raises(self, monkeypatch):
         # no finite point overflows at the reduced point fs_pullback
-        # evaluates, so a factor is made non-finite by hand
-        original = symplectic_module.factor
+        # evaluates, so the kernel block's values are made non-finite by hand
+        original = theta_module._series_block
 
         def non_finite(*args):
-            vals, rows, tables = original(*args)
-            return vals * np.nan, rows, tables
+            basis = original(*args)
+            basis[0] *= np.nan
+            return basis
 
-        monkeypatch.setattr(symplectic_module, "factor", non_finite)
+        monkeypatch.setattr(theta_module, "_series_block", non_finite)
         with pytest.raises(LiftOverflow, match=re.escape(
                 f"the phi_k lift or its partials are not finite at {U0}")):
             fs_pullback("phi_k", 3, U0)
