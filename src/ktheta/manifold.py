@@ -219,6 +219,10 @@ def reduced_distance(u0: np.ndarray, v0: np.ndarray) -> float:
 
 
 def fundamental_domain_samples(n: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples in [0,1)^4, shape (n, 4)."""
+    """Seeded uniform samples in [0,1)^4, shape (n, 4); ValueError unless n
+    and seed are non-negative ints."""
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative int, got {value!r}")
     rng = np.random.default_rng(seed)
     return rng.random((n, 4))

@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import theta as th
-from .errors import EquivalentPoints, IllConditioned
+from .errors import EquivalentPoints, IllConditioned, LiftOverflow
 from .manifold import KTPoint, fundamental_domain_samples, reduce_point, reduced_distance
 
 BASE_TAU = 1j  # modulus of the base-torus factor
@@ -94,10 +94,11 @@ def _factor_args(names, pts):
 
 
 # The chain table: each Segre factor's partials along (x, y, z, t) from its
-# kernel rows (d/dw, d/dtau) (``_factor_args``): partial mu is
-# sum_r CHAIN[name][mu, r] * row r, since w is z + i x or y + i t.
-CHAIN = MappingProxyType({"fiber": np.array([[1j, 0], [0, 1], [1, 0], [0, 0]]),
-                          "base": np.array([[0, 0], [1, 0], [0, 0], [1j, 0]])})
+# kernel rows (d/dw, d/dtau): partial mu is sum_r CHAIN[name][mu, r] * row r.
+# From _ARGS: the coordinate a of Re w gives 1 and that of Im w gives i on
+# the d/dw row, and that of Re tau 1 on the d/dtau row.
+CHAIN = MappingProxyType({f: np.array([[(a == re) + 1j * (a == im), a == tau] for a in range(4)])
+                          for f, (re, im, tau) in _ARGS.items()})
 for _table in CHAIN.values():
     _table.flags.writeable = False
 AXES = (0, 1, 2, 3)  # the coordinates (x, y, z, t)
@@ -164,7 +165,8 @@ def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
     finite and in [0, 1)^4: every factor has Im tau = 1 and Im w in [0, 1), so the
     batch's checks hold.  One ``_series_block`` call, with ``_degree_basis_batch``'s
     w - w.real.round() as Python's round (also half to even) and the row
-    int(CELLS * Im w) of ``_kernel_window``'s domain table.  ``axes``: None or AXES."""
+    int(CELLS * Im w) of the domain unit's table, as ``_kernel_window`` reads it
+    for a batch within that unit.  ``axes``: None or AXES."""
     th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
     tables, orders = _chain(names, axes)
@@ -228,8 +230,12 @@ def section_matrix_with_gradients(k: int, pts: np.ndarray, policy=th.DEFAULT_POL
 
 
 def section(idx: SectionIndex, u: KTPoint, policy=th.DEFAULT_POLICY) -> complex:
-    """Value of the basis section s_{p,q} at ``u``."""
-    return complex(section_matrix(idx.k, u.as_array(), policy)[0, idx.flat])
+    """Value of the basis section s_{p,q} at ``u``, evaluated there; raises
+    ``LiftOverflow`` where it is not finite (a few periods off the domain)."""
+    value = complex(section_matrix(idx.k, u.as_array(), policy)[0, idx.flat])
+    if not np.isfinite(value):
+        raise LiftOverflow(f"the section {idx} is not finite at {u}")
+    return value
 
 
 def _shift_array(zetas) -> np.ndarray:

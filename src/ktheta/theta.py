@@ -110,41 +110,54 @@ whole batch's paths.  A block with Re(tau) = 0 throughout skips the growth
 seeds, which are exactly 1 at such a point in any other block.
 
 Arguments reduced to the fundamental domain have Im(tau) = 1 and Im(w) in
-[0, 1]; the arguments ``sections.shift_product`` shifts and the deck group
-moves have Im(tau) = 1 and Im(w) a unit or so outside it.  A batch of
-Im(tau) = 1 arguments skips the per-point search where a table covers it.
-Each unit [j, j + 1) of Im(w), j in UNITS, is cut into CELLS cells [i, i + 1]
-/ CELLS, and one ``_basis_window`` call per unit, each cell passed as its
-two edges, gives every cell a window certified over the whole cell and the
-unit one length.  A point's cell is floor(CELLS * Im(w)) (``_cells``): a
-point on an edge takes the cell above it, and with CELLS a power of two
-the product is exact; a binary search of the edges took 0.47-0.89 ms on
-20,000 points, the product 0.04 ms.  A batch with Im(w) in [0, 1] takes the
-domain unit's table as it is: each point takes lo from its cell (Im(w) = 1
-from the last) and the batch takes the unit's length.  Any other batch inside the units takes L, the largest length
-among its points' units made odd, and a point of a unit of length l takes
-the window of length L that holds its cell's window and is nearest to
-centred on the point's mean residue peak 1/2 - Im(w) - (k - 1) / 2k: the
-padding only drops terms from the certified tails, so every window keeps
-its certificate.  The odd L and the centring put the moments' centre
-lo + (L - 1) / 2 on the integer nearest the peak, which keeps the moment
-step of the tau-derivatives (above) from magnifying roundoff: against a
-30-digit sum at 64 points moved by the generators and their inverses
-(Im(w) in [-1, 2)), k in {1, 2, 3, 5, 8, 16}, the worst d/dtau,
-d2/dw dtau and d2/dtau2 errors are 2.1e-13, 1.6e-13 and 1.2e-12 of a
-row's largest entry, against 1.5e-13, 4.2e-13 and 1.1e-12 with the
-per-point search; an even L left 6.9e-12 in d2/dtau2 at k = 16.
-The lengths are per unit because the units off the domain
-need longer windows (7 against the domain unit's 4 at k = 16).  Each
-unit's table is built once per (k, policy, orders), on first use by a batch
-that touches it, and is certified for the requested orders together with
-the value and both first derivatives, so value-only and gradient calls at
-one point sum the same terms.  Every other batch searches per point.
+[0, 1); the arguments ``sections.shift_product`` shifts and the deck group
+moves have Im(tau) = 1 and Im(w) some units outside it.  So the windows
+follow two rules: an Im(tau) = 1 batch reads the window tables of the units
+it touches, and every other batch searches per point (``_basis_window``).
+Each unit [j, j + 1) of Im(w) is cut into CELLS cells [i, i + 1] / CELLS,
+and one ``_basis_window`` call per unit, each cell passed as its two edges,
+gives every cell a window certified over the whole cell and the unit one
+length.  A point's cell is floor(CELLS * Im(w)) (``_cells``): a point on an
+edge takes the cell above it, and with CELLS a power of two the product is
+exact; a binary search of the edges took 0.47-0.89 ms on 20,000 points, the
+product 0.04 ms.  A batch that touches one unit takes that unit's table as
+it is: each point takes lo from its cell and the batch takes the unit's
+length.  A batch that touches several takes L, the largest length among its
+units made odd, and a point of a unit of length l takes the window of length
+L that holds its cell's window and is nearest to centred on the point's mean
+residue peak 1/2 - Im(w) - (k - 1) / 2k: the padding only drops terms from
+the certified tails, so every window keeps its certificate.  The odd L and
+the centring put the moments' centre lo + (L - 1) / 2 on the integer
+nearest the peak, which keeps the moment step of the tau-derivatives
+(above) from magnifying roundoff: against a 30-digit sum at 64 points moved
+by the generators and their inverses (Im(w) in [-1, 2)), k in {1, 2, 3, 5,
+8, 16}, the worst d/dtau, d2/dw dtau and d2/dtau2 errors are 2.1e-13,
+1.6e-13 and 1.2e-12 of a row's largest entry, against 1.5e-13, 4.2e-13 and
+1.1e-12 with the per-point search; an even L left 6.9e-12 in d2/dtau2 at
+k = 16.  The lengths are per unit because the units off the domain need
+longer windows (7 against the domain unit's 4 at k = 16).  Each unit's
+table is built once per (k, policy, orders), on first use by a batch that
+touches it, and is certified for the requested orders together with the
+value and both first derivatives, so value-only and gradient calls at one
+point sum the same terms.  Once built, the tables give 10,000 arguments
+their windows in 26-45 us with Im(w) in [0, 1) and 0.17 ms with Im(w) in
+[-4, 6), where the per-point search takes 7 ms, at k = 3 and 16 on a 2-vCPU
+x86-64 VM.  Where no Im(w) is negative, ``_cells`` truncates instead of
+taking the floor: on 10,000 domain arguments the floor made the windows
+13-19% slower.
 
-No window index may pass MAX_TERMS.  The units' tables stay far inside it:
-their largest |index| is 20 over k <= 64, epsilon down to 1e-323 and orders
-up to (20, 20), so only the per-point search reaches the cap, and raises
-TailNotConverged there (at Im(w) = 1000, or at Im(tau) = 1e-6).
+No window index may pass MAX_TERMS.  The terms of an Im(tau) = 1 argument
+peak within a unit of -Im(w), so a batch with some |Im(w)| > MAX_TERMS
+raises TailNotConverged before any table is built, as the per-point search
+does there; this also bounds the units a batch touches to 2 * MAX_TERMS + 1.
+The certificate is absolute, so the windows widen with the values: a unit
+table's own search meets the cap and raises from |Im(w)| of about 255-256
+on, at every k, where the values have long overflowed (up to one unit
+nearer 0 than the per-point search, which certifies points, not cells).
+The tables of the units [-1, 3), where ``ktheta check`` evaluates, keep
+|index| <= 20 over k <= 64, epsilon down to 1e-323 and orders up to (20,
+20); the per-point search raises TailNotConverged where its windows meet
+the cap (at Im(tau) = 1e-6, say).
 """
 
 from __future__ import annotations
@@ -278,9 +291,6 @@ def theta_degree_k_batch(k, ws, taus, orders=((0, 0),), policy: TruncationPolicy
     return _degree_basis_batch(k, ws, taus, policy, _check_orders(orders))
 
 
-_CANDIDATES = np.array([-1, 0, 1])[:, None]  # one step in, the guess, one step out
-
-
 def _basis_window(k, im_w, im_tau, policy, orders):
     """Per-point m-windows [lo, lo + length) of the degree-k kernel.
 
@@ -289,12 +299,11 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     each window then certified over its whole interval.  The terms of
     residue p's inner series theta(k*w + p*tau, k*tau) are a Gaussian in m
     centred at 1/2 - Im(w)/Im(tau) - p/k.  Each side of a window is guessed
-    where that Gaussian falls to epsilon / 4 for residue 0 or k-1, certified
-    for every residue at once (Im(k*w + p*tau) spans [z0, z1]) at the guess
-    and one step either way, and set to the innermost certified step; a side
-    no step certified is retried one step further out until it certifies.
-    Padding to the shared length keeps every window certified: it only drops
-    terms from the discarded tails.
+    where that Gaussian falls to epsilon / 4 for residue 0 or k-1, and set
+    to the first step, from one inside the guess outward, certified for
+    every residue at once (Im(k*w + p*tau) spans [z0, z1]).  Padding to the
+    shared length keeps every window certified: it only drops terms from
+    the discarded tails.
     """
     im_t = k * im_tau
     z = k * im_w + np.array([0.0, k - 1.0])[:, None] * im_tau  # (z0, z1)
@@ -302,11 +311,8 @@ def _basis_window(k, im_w, im_tau, policy, orders):
     centre = 0.5 - z / im_t
     reach = np.sqrt(centre * centre + (math.log(2.0) - math.log(half_eps)) / (math.pi * im_t))
     ends = (reach + _SIDE[:, None, None] * centre).max(axis=1)
-    guess = np.ceil(ends).astype(int) - 1
-
-    ok = _tail_bound_arrays(z[:, None], im_t, guess[:, None] + _CANDIDATES, orders) <= half_eps
-    certified = ok.any(axis=1)
-    outward = guess - 1 + np.where(certified, ok.argmax(axis=1), 3)
+    outward = np.ceil(ends).astype(int) - 2  # one step inside the guess
+    certified = np.zeros(outward.shape, dtype=bool)
     while not certified.all() and np.abs(outward).max() <= MAX_TERMS:
         certified |= _tail_bound_arrays(z, im_t, outward, orders) <= half_eps
         outward += ~certified
@@ -322,19 +328,18 @@ def _basis_window(k, im_w, im_tau, policy, orders):
 
 
 CELLS = 8  # cells per unit of Im(w), each with one certified window; a power of two
-# The units [j, j + 1) of Im(w) with a window table; 0 is the domain's.  They
-# cover the Im(tau) = 1 arguments of ``ktheta check``, Im(w) in [-1, 2.3].
-UNITS = range(-1, 3)
 # Orders every cell window is certified for besides the requested ones, so a
 # value-only call and a gradient call at one point share their window.
 _CELL_ORDERS = frozenset({(0, 0), (1, 0), (0, 1)})
 
 
-def _cells(im_w):
+def _cells(im_w, low):
     """The cell [i, i + 1] / CELLS of each Im(w) as the integer i, a point on
     an edge in the cell above it: floor(CELLS * Im(w)), exact since CELLS is
-    a power of two."""
-    return np.floor(im_w * CELLS).astype(int)
+    a power of two, and a truncation where ``low``, the least Im(w), is not
+    negative."""
+    cell = im_w * CELLS
+    return (cell if low >= 0.0 else np.floor(cell, out=cell)).astype(int)
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,16 +360,23 @@ def _cell_windows(k, policy, orders, unit):
 
 
 def _unit_windows(k, im_w, policy, orders):
-    """The padded windows of an Im(tau) = 1 batch inside UNITS (see the
-    module docstring): ``lo`` (B,) and the shared length.  Only the touched
-    units' tables are built."""
-    cell = _cells(im_w) - UNITS.start * CELLS
+    """The windows of an Im(tau) = 1 batch from the cell tables of the units
+    it touches (see the module docstring): ``lo`` (B,) and the shared length.
+    Only the touched units' tables are built."""
+    low, high = (im_w.min(), im_w.max()) if im_w.size else (0.0, 0.0)
+    if max(-low, high) > MAX_TERMS:
+        raise TailNotConverged(f"|Im(w)| = {max(-low, high)} passes MAX_TERMS = {MAX_TERMS}")
+    first, cell = math.floor(low), _cells(im_w, low)
+    if first == math.floor(high):  # one unit: each point takes its cell's window as it is
+        lo, length = _cell_windows(k, policy, orders, first)
+        return lo.take(cell - first * CELLS if first else cell), length
+    cell -= first * CELLS
     unit = cell // CELLS
-    cell_lo = np.zeros(len(UNITS) * CELLS, dtype=int)
-    unit_length = np.zeros(len(UNITS), dtype=int)
-    for u in np.flatnonzero(np.bincount(unit, minlength=len(UNITS))):
-        lo, unit_length[u] = _cell_windows(k, policy, orders, UNITS[u])
-        cell_lo[u * CELLS:(u + 1) * CELLS] = lo
+    touched = np.bincount(unit)
+    cell_lo = np.zeros((len(touched), CELLS), dtype=int)
+    unit_length = np.zeros(len(touched), dtype=int)
+    for u in np.flatnonzero(touched):
+        cell_lo[u], unit_length[u] = _cell_windows(k, policy, orders, first + int(u))
     lengths = unit_length.take(unit)
     length = int(lengths.max()) | 1  # odd: the moments' centre lo + (length - 1) / 2 is an integer
     lo = cell_lo.take(cell)
@@ -379,19 +391,13 @@ _INVALID = "theta arguments must be finite with Im(tau) > 0"
 def _kernel_window(k, im_w, im_tau, policy, orders):
     """The kernel's window of a batch: ``lo`` (B,) and the shared length.
 
-    At Im(tau) = 1 a batch inside the domain unit, or empty, takes that
-    unit's table and one inside UNITS the padded tables of its units
+    An Im(tau) = 1 batch, or an empty one, reads its units' cell tables
     (``_unit_windows``); every other batch takes the per-point
     ``_basis_window``, which needs Im(tau) > 0.
     """
     if (im_tau == 1.0).all():
-        low, high = im_w.min(initial=0.0), im_w.max(initial=0.0)  # 0 is in both ranges
-        if low >= 0.0 and high <= 1.0:  # truncation is _cells' floor; Im(w) = 1 takes the last cell
-            cell_lo, length = _cell_windows(k, policy, tuple(orders), 0)
-            return cell_lo.take((im_w * CELLS).astype(int), mode="clip"), length
-        if UNITS.start <= low and high < UNITS.stop:
-            return _unit_windows(k, im_w, policy, tuple(orders))
-    elif not (im_tau > 0.0).all():
+        return _unit_windows(k, im_w, policy, tuple(orders))
+    if not (im_tau > 0.0).all():
         raise InvalidModulus(_INVALID)
     return _basis_window(k, im_w, im_tau, policy, orders)
 

@@ -28,16 +28,18 @@ from ktheta.theta import DEFAULT_POLICY
 
 DEGREES = (1, 2, 3, 5, 8, 16)
 ORDERS = ((0, 0), (1, 0), (0, 1))  # value, d/dw, d/dtau
+# the units [j, j + 1) of Im(w) that the suites' moved and shifted arguments reach
+UNITS = range(-1, 3)
 
 
 def arguments(where):
     """FEW_POINTS kernel arguments and any Re(w), Re(tau): Im(w) in [-1, 2]
-    with Im(tau) in [0.3, 3] ("general", corners first), or Im(w) over every
-    unit of the window table, [UNITS.start, UNITS.stop) with both ends
-    first, at Im(tau) = 1 ("unit", the maps' moduli)."""
+    with Im(tau) in [0.3, 3] ("general", corners first), or Im(w) over
+    UNITS, [UNITS.start, UNITS.stop) with both ends first, at Im(tau) = 1
+    ("unit", the maps' moduli)."""
     n = th_mod.FEW_POINTS
     rng = np.random.default_rng(2801 if where == "general" else 2802)
-    lo, hi = (-1.0, 2.0) if where == "general" else (th_mod.UNITS.start, th_mod.UNITS.stop)
+    lo, hi = (-1.0, 2.0) if where == "general" else (UNITS.start, UNITS.stop)
     im_w = rng.uniform(lo, hi, n)
     if where == "general":
         im_tau = rng.uniform(0.3, 3.0, n)

@@ -250,3 +250,19 @@ class TestSamples:
         assert np.array_equal(a, b)
         assert a.shape == (100, 4)
         assert (a >= 0.0).all() and (a < 1.0).all()
+
+    @pytest.mark.parametrize("n, seed, name", [(5, -1, "seed"), (5, 1.5, "seed"),
+                                               (2.5, 0, "n"), (-1, 0, "n")])
+    def test_bad_count_or_seed_rejected_by_name(self, n, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, got "):
+            fundamental_domain_samples(n, seed)
+
+    def test_injectivity_scan_rejects_a_negative_seed(self):
+        from ktheta import injectivity_scan
+
+        with pytest.raises(ValueError, match="^seed must be a non-negative int, got -1$"):
+            injectivity_scan(3, 10, -1)
+
+    def test_numpy_integer_arguments_give_the_same_samples(self):
+        assert np.array_equal(fundamental_domain_samples(np.int64(7), np.int64(42)),
+                              fundamental_domain_samples(7, 42))

@@ -14,6 +14,7 @@ from ktheta import (
     GroupWord,
     IllConditioned,
     KTPoint,
+    LiftOverflow,
     SectionIndex,
     ZetaShift,
     act,
@@ -100,6 +101,17 @@ class TestSectionBasis:
             for q, base in enumerate(bases):
                 got = section(SectionIndex(k, p, q), u)
                 assert abs(got - fib * base) < 1e-12 * max(1.0, abs(fib * base))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("u", [KTPoint(8.0, 0.2, 0.1, 0.4), KTPoint(0.3, -30.0, 0.1, 9.0)])
+    def test_overflow_off_the_domain_raises_naming_the_point(self, u):
+        # the raw lift at u is NaN at the first point and inf at the second
+        with pytest.raises(LiftOverflow, match=re.escape(f"not finite at {u}")):
+            section(SectionIndex(16, 1, 2), u)
+
+    def test_in_domain_value_is_its_section_matrix_entry(self):
+        idx = SectionIndex(16, 1, 2)
+        assert section(idx, U0) == section_matrix(16, U0.as_array())[0, idx.flat]
 
     def test_flattening_order(self):
         k = 3

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ktheta.checks as checks_mod
 import ktheta.sections as sections_mod
@@ -379,9 +381,8 @@ def moved_points(n, seed):
 
 def unit_points(n, seed):
     """act(w, u0) as ``moved_points`` with exponents of w in [-1, 1]: every
-    Im(w) of both factors lies in [-1, 2), inside the window table's units
-    and the reach of ``loop_degree_basis`` at 1e-13 (see
-    ``test_units_batch_matches_residue_loop``)."""
+    Im(w) of both factors lies in [-1, 2), inside UNITS and the reach of
+    ``loop_degree_basis`` at 1e-13 (see ``test_units_batch_matches_residue_loop``)."""
     rng = np.random.default_rng(seed)
     return np.array([
         act(GroupWord(*(int(e) for e in rng.integers(-1, 2, 4))),
@@ -404,15 +405,17 @@ def argument_shapes(pts):
     return (w, tau), (w.reshape(2, -1), tau.reshape(2, -1))
 
 
-# One point set per window path of the kernel (``window_path``): the domain
-# unit's table, the per-point search (moves reach below the units), and the
-# padded tables of the units.
+# The kernel's point sets, all at Im(tau) = 1, so every batch reads its
+# units' cell tables: the domain unit alone, moves by generator exponents in
+# [-2, 2] (Im(w) in [-2, 3)), and those in [-1, 1] (``unit_points``).
 POINT_SETS = {
     "fundamental": lambda: fundamental_domain_samples(64, 17),
     "moved": lambda: moved_points(64, 18),
     "units": lambda: unit_points(64, 22),
 }
-POINT_SET_PATHS = {"fundamental": "domain", "moved": "search", "units": "units"}
+# The units [j, j + 1) of Im(w) of ``unit_points``, inside the reach of
+# ``loop_degree_basis`` at 1e-13.
+UNITS = range(-1, 3)
 
 
 VALUE_W_TAU = ((0, 0), (1, 0), (0, 1))
@@ -428,24 +431,22 @@ KERNEL_POINT_SETS = {
 
 
 def window_path(k, w, tau, orders=VALUE_W_TAU, policy=DEFAULT_POLICY):
-    """The kernel's window path for a batch once its tables are built:
-    "domain" if it reads the domain unit's table, "units" if it reads the
-    padded tables of the units, "search" if it searches per point."""
+    """The kernel's window route for a batch once its tables are built:
+    "table" if it reads its units' cell tables, "search" if it searches per
+    point."""
     th_mod._degree_basis_batch(k, w, tau, policy, orders)  # builds the tables
     taken = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_cell_windows", "_unit_windows", "_basis_window"):
+        for name in ("_cell_windows", "_basis_window"):
             original = getattr(th_mod, name)
             patch.setattr(th_mod, name,
                           lambda *args, _name=name, _original=original:
                           taken.append(_name) or _original(*args))
         th_mod._degree_basis_batch(k, w, tau, policy, orders)
-    if "_basis_window" in taken:
+    if taken == ["_basis_window"]:
         return "search"
-    if "_unit_windows" in taken:
-        return "units"
-    assert taken == ["_cell_windows"]
-    return "domain"
+    assert taken and set(taken) == {"_cell_windows"}
+    return "table"
 
 
 class TestDegreeBasisKernel:
@@ -462,9 +463,12 @@ class TestDegreeBasisKernel:
 
     @pytest.mark.parametrize("where", sorted(KERNEL_POINT_SETS))
     @pytest.mark.parametrize("k", [1, 3, 16])
-    def test_point_sets_take_each_window_path(self, k, where):
+    def test_point_sets_read_tables_and_other_moduli_search(self, k, where):
+        # one modulus off Im(tau) = 1 sends the whole batch to the search
         w, tau = factor_arguments(KERNEL_POINT_SETS[where]())
-        assert window_path(k, w, tau) == POINT_SET_PATHS[where.split("-")[0]]
+        assert window_path(k, w, tau) == "table"
+        tau[-1] += 1e-9j
+        assert window_path(k, w, tau) == "search"
 
     @pytest.mark.parametrize("where", sorted(POINT_SETS))
     @pytest.mark.parametrize("k", [2, 3, 5, 16])
@@ -509,7 +513,7 @@ class TestDegreeBasisKernel:
         # three outputs is at most |e^{..}| (1, 2 pi p + k, p + k) epsilon.
         # Roundoff allowance: 1e-14 of the point's largest |entry|.
         # Both argument shapes: concatenated and stacked as ``factor`` stacks.
-        # The kernel's window is widened on every path (``window_path``).
+        # The kernel's window is widened, whichever route chose it.
         eps = DEFAULT_POLICY.epsilon
         window = th_mod._kernel_window
 
@@ -563,7 +567,7 @@ class TestDegreeBasisKernel:
         key = tuple(sorted(th_mod._CELL_ORDERS.union(orders)))
         rng = np.random.default_rng(k)
         cells = np.arange(th_mod.CELLS)[:, None]
-        for unit in th_mod.UNITS:
+        for unit in UNITS:
             lo, length = th_mod._cell_windows(k, DEFAULT_POLICY, key, unit)
             assert lo.shape == (th_mod.CELLS,)
             im_w = unit + (cells + np.c_[np.zeros(th_mod.CELLS), rng.random((th_mod.CELLS, 30)),
@@ -609,14 +613,14 @@ class TestDegreeBasisKernel:
         # k = 16 against a 40-digit sum, which puts the kernel within
         # 2.0e-14: each of the loop's exponents, up to ~600, is rounded in
         # several steps before its one exp.
-        edges = np.arange(th_mod.UNITS.start * th_mod.CELLS,
-                          th_mod.UNITS.stop * th_mod.CELLS) / th_mod.CELLS
+        edges = np.arange(UNITS.start * th_mod.CELLS,
+                          UNITS.stop * th_mod.CELLS) / th_mod.CELLS
         rng = np.random.default_rng(30 + k)
-        im_w = np.r_[edges, np.nextafter(th_mod.UNITS.stop, 0.0),
-                     rng.uniform(th_mod.UNITS.start, th_mod.UNITS.stop, 40)]
+        im_w = np.r_[edges, np.nextafter(UNITS.stop, 0.0),
+                     rng.uniform(UNITS.start, UNITS.stop, 40)]
         w = rng.uniform(-1.0, 1.0, im_w.size) + 1j * im_w
         tau = rng.uniform(-1.0, 1.0, im_w.size) + 1j
-        assert window_path(k, w, tau) == "units"
+        assert window_path(k, w, tau) == "table"
         got = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         monkeypatch.setattr(th_mod, "_kernel_window", th_mod._basis_window)
         searched = th_mod._degree_basis_batch(k, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
@@ -628,16 +632,17 @@ class TestDegreeBasisKernel:
 
     @pytest.mark.parametrize("height", [2.9, 3.2, 3.5])
     def test_far_points_match_residue_loop(self, height):
-        # k = 16 at Im(tau) = 1 near and past the top of the units, where the
-        # values reach e^450: five seeded points per height, less the first
-        # at 3.2, (-0.6304096770263028 + 3.2j, 0.9699699754998954 + 1j), where
-        # the loop is 1.03e-13 from a 40-digit sum (the kernel 1.8e-14) and
+        # k = 16 at Im(tau) = 1 near and past the top of UNITS, each height
+        # one unit's table as it is, where the values reach e^450: five
+        # seeded points per height, less the first at 3.2,
+        # (-0.6304096770263028 + 3.2j, 0.9699699754998954 + 1j), where the
+        # loop is 1.03e-13 from a 40-digit sum (the kernel 1.8e-14) and
         # 1.08e-13 from the kernel
         rng = np.random.default_rng(16)
         draws = dict(zip((2.9, 3.2, 3.5), rng.uniform(-1.0, 1.0, (3, 2, 5))))
         re_w, re_tau = draws[height][:, 1:] if height == 3.2 else draws[height]
         w, tau = re_w + 1j * height, re_tau + 1j
-        assert window_path(16, w, tau) == ("units" if height < th_mod.UNITS.stop else "search")
+        assert window_path(16, w, tau) == "table"
         got = th_mod._degree_basis_batch(16, w, tau, DEFAULT_POLICY, VALUE_W_TAU)
         want = loop_degree_basis(16, w, tau, DEFAULT_POLICY, want_tau=True)
         for g, r in zip(got, want):
@@ -647,16 +652,15 @@ class TestDegreeBasisKernel:
     @pytest.mark.parametrize("epsilon", [1e-14, 1e-300])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
     def test_unit_windows_stay_far_below_the_cap(self, k, epsilon):
-        # why the units need no fallback: every table of UNITS, and the padded
-        # windows of a batch over all their cells, keep |m| <= MAX_TERMS / 16
-        # up to orders (4, 4)
+        # every table of UNITS, and the padded windows of a batch over all
+        # their cells, keep |m| <= MAX_TERMS / 16 up to orders (4, 4)
         policy = TruncationPolicy(epsilon)
-        im_w = np.r_[np.arange(th_mod.UNITS.start * th_mod.CELLS,
-                               th_mod.UNITS.stop * th_mod.CELLS) / th_mod.CELLS,
-                     np.nextafter(th_mod.UNITS.stop, 0.0)]
+        im_w = np.r_[np.arange(UNITS.start * th_mod.CELLS,
+                               UNITS.stop * th_mod.CELLS) / th_mod.CELLS,
+                     np.nextafter(UNITS.stop, 0.0)]
         for order in [(0, 0), (2, 0), (0, 2), (4, 4)]:
             key = tuple(sorted(th_mod._CELL_ORDERS.union([order])))
-            windows = [th_mod._cell_windows(k, policy, key, unit) for unit in th_mod.UNITS]
+            windows = [th_mod._cell_windows(k, policy, key, unit) for unit in UNITS]
             windows.append(th_mod._unit_windows(k, im_w, policy, key))
             for lo, length in windows:
                 assert max(-lo.min(), lo.max() + length - 1) <= th_mod.MAX_TERMS // 16
@@ -667,10 +671,10 @@ class TestDegreeBasisKernel:
         # length, made odd, and each point's window holds its cell's
         # certified one
         key = tuple(sorted(th_mod._CELL_ORDERS))
-        im_w = (np.arange(th_mod.UNITS.start * th_mod.CELLS, th_mod.UNITS.stop * th_mod.CELLS)
+        im_w = (np.arange(UNITS.start * th_mod.CELLS, UNITS.stop * th_mod.CELLS)
                 + 0.5) / th_mod.CELLS
         lo, length = th_mod._kernel_window(k, im_w, np.ones_like(im_w), DEFAULT_POLICY, key)
-        units = [th_mod._cell_windows(k, DEFAULT_POLICY, key, u) for u in th_mod.UNITS]
+        units = [th_mod._cell_windows(k, DEFAULT_POLICY, key, u) for u in UNITS]
         assert length == max(unit_length for _, unit_length in units) | 1
         cell_lo = np.concatenate([unit_lo for unit_lo, _ in units])
         cell_length = np.repeat([unit_length for _, unit_length in units], th_mod.CELLS)
@@ -679,7 +683,7 @@ class TestDegreeBasisKernel:
     @pytest.mark.parametrize("name", ["product_closure", "tensor_power_law", "well_definedness",
                                       "separating_sections"])
     def test_suites_search_no_window_once_warm(self, name, monkeypatch):
-        # their moved and shifted arguments lie in the units [-1, 3)
+        # every argument they evaluate has Im(tau) = 1
         suite = checks_mod.REGISTRY[name]
         suite(checks_mod.RunConfig())
         calls = count_calls(monkeypatch, "_basis_window")
@@ -688,13 +692,17 @@ class TestDegreeBasisKernel:
 
     def test_cells_put_edge_points_in_the_cell_above(self):
         # floor(CELLS * Im(w)) against a search of the cells' interior edges,
-        # at every edge of the units, its neighbouring floats and -0.0
-        start, stop = th_mod.UNITS.start * th_mod.CELLS, th_mod.UNITS.stop * th_mod.CELLS
+        # at every edge of the units, its neighbouring floats and -0.0, for
+        # the whole set and for its points at or above 0, which truncate
+        start, stop = UNITS.start * th_mod.CELLS, UNITS.stop * th_mod.CELLS
         edges = np.arange(start, stop + 1) / th_mod.CELLS
         im_w = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), -0.0]
-        im_w = im_w[(im_w >= th_mod.UNITS.start) & (im_w < th_mod.UNITS.stop)]
+        im_w = im_w[(im_w >= UNITS.start) & (im_w < UNITS.stop)]
         want = edges[1:-1].searchsorted(im_w, side="right") + start
-        assert np.array_equal(th_mod._cells(im_w), want)
+        assert im_w.min() < 0.0
+        assert np.array_equal(th_mod._cells(im_w, im_w.min()), want)
+        up = im_w >= 0.0
+        assert np.array_equal(th_mod._cells(im_w[up], im_w[up].min()), want[up])
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_cell_edges_match_residue_loop(self, k):
@@ -753,13 +761,19 @@ class TestDegreeBasisKernel:
 
     def test_certified_windows_are_padded_without_recertifying(self, monkeypatch):
         # fiber and base windows of one point differ in width; the stacked
-        # call pads the narrower one and evaluates the tail bound only once
+        # call pads the narrower one, and evaluates the tail bound once per
+        # step outward, as often as the slower of the two alone
         calls = count_calls(monkeypatch, "_tail_bound_arrays")
         w, tau = factor_arguments(moved_points(1, 6))
+        widths, steps = [], []
+        for i in range(2):
+            calls["_tail_bound_arrays"] = 0
+            widths.append(th_mod._basis_window(16, w.imag[i:i + 1], tau.imag[i:i + 1],
+                                               DEFAULT_POLICY, VALUE_W_TAU)[1])
+            steps.append(calls["_tail_bound_arrays"])
+        calls["_tail_bound_arrays"] = 0
         lo, length = th_mod._basis_window(16, w.imag, tau.imag, DEFAULT_POLICY, VALUE_W_TAU)
-        assert calls == {"_tail_bound_arrays": 1}
-        widths = [th_mod._basis_window(16, w.imag[i:i + 1], tau.imag[i:i + 1], DEFAULT_POLICY,
-                                       VALUE_W_TAU)[1] for i in range(2)]
+        assert calls == {"_tail_bound_arrays": max(steps)}
         assert min(widths) < max(widths) == length
 
     def test_theta_degree_k_batch_is_the_kernel(self):
@@ -768,9 +782,11 @@ class TestDegreeBasisKernel:
         assert vals.shape == (1, 4)
         assert np.array_equal(theta_degree_k_batch(4, w, tau), vals)
 
-    @pytest.mark.parametrize("w, tau", [(0.1 + 600j, 1j), (0.1 + 0.5j, 1e-5j)])
+    @pytest.mark.parametrize("w, tau", [(0.1 + 600j, 1j), (0.1 + 600j, 1.5j),
+                                        (0.1 + 0.5j, 1e-5j)])
     def test_window_beyond_max_terms(self, w, tau):
-        # far outside the units, so the per-point search meets the cap
+        # at Im(tau) = 1 the batch raises before any table, elsewhere the
+        # per-point search meets the cap
         with pytest.raises(TailNotConverged):
             th_mod._degree_basis_batch(3, np.array([w]), np.array([tau]), DEFAULT_POLICY,
                                        ((0, 0),))
@@ -781,6 +797,151 @@ class TestDegreeBasisKernel:
             th_mod._degree_basis_batch(3, w, tau, DEFAULT_POLICY, ((0, 0),))
 
 
+def three_candidate_window(k, im_w, im_tau, policy, orders):
+    """Oracle: the per-point search as first written.  Each side is certified
+    at its guess and one step either way at once and set to the innermost
+    certified of the three; a side none certified is retried one step
+    further out until it certifies.  Padding as in ``_basis_window``."""
+    im_t = k * im_tau
+    z = k * im_w + np.array([0.0, k - 1.0])[:, None] * im_tau
+    half_eps = 0.5 * policy.epsilon
+    centre = 0.5 - z / im_t
+    reach = np.sqrt(centre * centre + (math.log(2.0) - math.log(half_eps)) / (math.pi * im_t))
+    guess = np.ceil((reach + np.array([-1.0, 1.0])[:, None, None] * centre).max(axis=1))
+    guess = guess.astype(int) - 1
+    candidates = guess[:, None] + np.array([-1, 0, 1])[:, None]
+    ok = th_mod._tail_bound_arrays(z[:, None], im_t, candidates, orders) <= half_eps
+    certified = ok.any(axis=1)
+    outward = guess - 1 + np.where(certified, ok.argmax(axis=1), 3)
+    while not certified.all():
+        certified |= th_mod._tail_bound_arrays(z, im_t, outward, orders) <= half_eps
+        outward += ~certified
+    width = outward.sum(axis=0) + 1
+    length = max(int(width.max()), 1)
+    outward[0] += (length - width) // 2
+    return -outward[0], length
+
+
+# Order sets up to (2, 1), with and without the value.
+WINDOW_ORDERS = [((0, 0),), VALUE_W_TAU, ((2, 0),), ((1, 1),), ((2, 1),),
+                 ((0, 0), (2, 1)), ((2, 0), (1, 1), (0, 1))]
+
+
+class TestWindowRules:
+    """An Im(tau) = 1 batch reads its units' cell tables; every other batch
+    searches per point."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_search_matches_three_candidate_rule(self, k):
+        # seeded batches, stacked intervals and single points at Im(tau) in
+        # [0.3, 3], for every order set and three epsilons: the same windows
+        rng = np.random.default_rng(3400 + k)
+        for orders in WINDOW_ORDERS:
+            policy = TruncationPolicy(float(rng.choice([1e-8, 1e-14, 1e-300])))
+            im_tau = rng.uniform(0.3, 3.0, 24)
+            im_w = rng.uniform(-3.0, 4.0, 24)
+            intervals = np.sort(rng.uniform(-3.0, 4.0, (2, 24)), axis=0)
+            batches = [(im_w, im_tau), (intervals, im_tau), (im_w, np.ones(24))]
+            batches += [(im_w[b:b + 1], im_tau[b:b + 1]) for b in range(24)]
+            for args in batches:
+                lo, length = th_mod._basis_window(k, *args, policy, orders)
+                want_lo, want_length = three_candidate_window(k, *args, policy, orders)
+                assert np.array_equal(lo, want_lo) and length == want_length
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 5, 8, 16]),
+           im_w=st.lists(st.one_of(st.floats(-8.0, 8.0, exclude_max=True),
+                                   st.integers(-8 * th_mod.CELLS, 8 * th_mod.CELLS - 1)
+                                   .map(lambda i: i / th_mod.CELLS)), max_size=40),
+           orders=st.sampled_from(WINDOW_ORDERS))
+    def test_unit_batches_read_certified_tables(self, k, im_w, orders):
+        # any Im(tau) = 1 batch over the units [-8, 8): no per-point search
+        # once its tables are built, and every residue certified
+        im_w = np.array(im_w, dtype=float)
+        ones = np.ones_like(im_w)
+        th_mod._kernel_window(k, im_w, ones, DEFAULT_POLICY, orders)  # builds the tables
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, "_basis_window")
+            lo, length = th_mod._kernel_window(k, im_w, ones, DEFAULT_POLICY, orders)
+        assert calls == {"_basis_window": 0} and lo.shape == im_w.shape
+        for p in range(k):
+            y = k * im_w + p
+            bounds = th_mod._tail_bound_arrays([y, y], float(k), [-lo, lo + length - 1], orders)
+            assert np.all(bounds <= 0.5 * DEFAULT_POLICY.epsilon)
+
+    def test_warm_unit_batches_search_no_window(self, monkeypatch):
+        # Im(w) in [-4, 6), one kernel batch and one unit of it per degree
+        rng = np.random.default_rng(34)
+        w = rng.uniform(-1.0, 1.0, 2000) + 1j * rng.uniform(-4.0, 6.0, 2000)
+        tau = rng.uniform(-1.0, 1.0, 2000) + 1j
+        batches = [(w, tau), (w.real + 1j * (w.imag % 1.0 - 3.0), tau)]
+        for k in (3, 16):
+            for batch in batches:
+                theta_degree_k_batch(k, *batch, VALUE_W_TAU)
+        calls = count_calls(monkeypatch, "_basis_window")
+        for k in (3, 16):
+            for batch in batches:
+                theta_degree_k_batch(k, *batch, VALUE_W_TAU)
+        assert calls == {"_basis_window": 0}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+    def test_one_unit_batches_take_their_cell_windows(self, k):
+        # each point its cell's window as it is, the batch the unit's length:
+        # on [0, 1) the domain table read at the truncated CELLS * Im(w)
+        rng = np.random.default_rng(k)
+        cells = np.arange(th_mod.CELLS)
+        frac = np.r_[cells, np.nextafter(cells + 1, 0.0), rng.random(200) * th_mod.CELLS]
+        frac /= th_mod.CELLS
+        for unit in (0, -5, -1, 1, 4):
+            im_w = unit + frac
+            im_w = im_w[np.floor(im_w) == unit]
+            table_lo, table_length = th_mod._cell_windows(k, DEFAULT_POLICY, VALUE_W_TAU, unit)
+            lo, length = th_mod._kernel_window(k, im_w, np.ones_like(im_w), DEFAULT_POLICY,
+                                               VALUE_W_TAU)
+            index = np.floor(im_w * th_mod.CELLS).astype(int) - unit * th_mod.CELLS
+            if unit == 0:
+                assert np.array_equal(index, (im_w * th_mod.CELLS).astype(int))
+            assert length == table_length and np.array_equal(lo, table_lo[index])
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_empty_batch_reads_the_domain_table(self, k):
+        lo, length = th_mod._kernel_window(k, np.empty(0), np.empty(0), DEFAULT_POLICY,
+                                           VALUE_W_TAU)
+        assert lo.shape == (0,)
+        assert length == th_mod._cell_windows(k, DEFAULT_POLICY, VALUE_W_TAU, 0)[1]
+        assert theta_degree_k_batch(k, [], [], VALUE_W_TAU).shape == (3, k, 0)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_im_w_one_is_unit_one_first_cell(self, k):
+        # alone it reads unit 1's first cell; beside domain points the batch
+        # spans two units and pads each cell's window to an odd length
+        (lo0, len0), (lo1, len1) = (th_mod._cell_windows(k, DEFAULT_POLICY, VALUE_W_TAU, u)
+                                    for u in (0, 1))
+        lo, length = th_mod._kernel_window(k, np.ones(1), np.ones(1), DEFAULT_POLICY,
+                                           VALUE_W_TAU)
+        assert lo.tolist() == [lo1[0]] and length == len1
+        im_w = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0])
+        lo, length = th_mod._kernel_window(k, im_w, np.ones(4), DEFAULT_POLICY, VALUE_W_TAU)
+        cell_lo = np.array([lo0[0], lo0[4], lo0[-1], lo1[0]])
+        cell_length = np.array([len0, len0, len0, len1])
+        assert length == max(len0, len1) | 1
+        assert np.all(lo <= cell_lo) and np.all(lo + length >= cell_lo + cell_length)
+
+    @pytest.mark.parametrize("im_w", [th_mod.MAX_TERMS + 0.5, -th_mod.MAX_TERMS - 0.5,
+                                      1e300, -1e300])
+    def test_beyond_max_terms_raises_before_any_table(self, im_w, monkeypatch):
+        calls = count_calls(monkeypatch, "_cell_windows", "_basis_window")
+        with pytest.raises(TailNotConverged, match="MAX_TERMS"):
+            th_mod._kernel_window(3, np.array([0.5, im_w]), np.ones(2), DEFAULT_POLICY,
+                                  VALUE_W_TAU)
+        assert calls == {"_cell_windows": 0, "_basis_window": 0}
+
+    @pytest.mark.parametrize("im_w", [th_mod.MAX_TERMS - 0.5, -th_mod.MAX_TERMS + 0.5])
+    def test_table_at_the_cap_raises_from_its_search(self, im_w):
+        with pytest.raises(TailNotConverged, match="MAX_TERMS"):
+            th_mod._kernel_window(3, np.array([im_w]), np.ones(1), DEFAULT_POLICY, VALUE_W_TAU)
+
+
 ALL_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
 
 
@@ -789,8 +950,8 @@ ORDERS_TO_2_1 = ALL_ORDERS + ((2, 1),)
 
 
 def blocked_arguments(where, n):
-    """n kernel arguments inside the domain unit, across the window table's
-    units, or at general tau, where every point searches its window."""
+    """n kernel arguments inside the domain unit, across the units -1 to 1,
+    or at general tau, where every point searches its window."""
     if where == "general":
         rng = np.random.default_rng(33)
         w = rng.random(n) + 1j * (rng.random(n) - 0.5)
