@@ -164,9 +164,10 @@ def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
     """``factor``, bit for bit, at the point (1, 4) of ``manifold._reduce``'s coordinates,
     finite and in [0, 1)^4: every factor has Im tau = 1 and Im w in [0, 1), so the
     batch's checks hold.  One ``_series_block`` call, with ``_degree_basis_batch``'s
-    w - w.real.round() as Python's round (also half to even) and the row
-    int(CELLS * Im w) of the domain unit's table, as ``_kernel_window`` reads it
-    for a batch within that unit.  ``axes``: None or AXES."""
+    w - w.real.round() as Python's round (also half to even) and the constants of
+    the domain unit's cells int(CELLS * Im w), the windows ``_kernel_window`` reads
+    for a batch within that unit, from the cache ``_cell_constants``.  ``axes``:
+    None or AXES."""
     th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
     tables, orders = _chain(names, axes)
@@ -177,8 +178,8 @@ def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
         w.append(complex(coords[re] - round(coords[re]), coords[im]))
         tau.append(t - round(t.real))
         cells.append(int(coords[im] * th.CELLS))
-    lo, length = th._cell_windows(k, policy, orders, 0)
-    basis = th._series_block(k, np.array(w), np.array(tau), lo[cells], length, orders)
+    consts = th._cell_constants(k, policy, orders, tuple(cells))
+    basis = th._series_block(k, np.array(w), np.array(tau), consts, orders)
     return _factor_views(which, basis.reshape(basis.shape + (1,)), tables)
 
 

@@ -25,15 +25,27 @@ point) array of terms.  Term (m, p) has the exponent f(m) + p*g(m), with
 f = pi*i*k*m*(2w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m); the block's
 size picks how its exponentials are taken.
 
-A block of fewer than FEW_POINTS points forms f + p*g and takes one complex
-exponential per term, exp(Re) * (cos Im, sin Im), whose modulus overflows
-only where its term does: k*L exponentials a point, in the fewest numpy
-calls.  A single-point map's reduced point enters such a block directly
-(``sections._point_factor``): its value-only fiber and base block took 16.5
-and 19.9 us at k = 3 and 16 (2-vCPU x86-64 VM) where unit exponentials per
-(offset, point) and factor and a running residue product took 25.0 and 25.2
-us.  The chained form passes it at about 26 points for k = 16, past 31 for
-k <= 8; they agree to roundoff.
+A block of fewer than FEW_POINTS points takes each term's exponent as
+(2*pi*i*w)*n + (pi*i*tau)*E, which is f + p*g regrouped, from two integer
+tables of its windows: n = k*m + p and E = (n + p - k)*m = k*m*(m - 1) +
+2*p*m, whole numbers below 2*k*MAX_TERMS^2 in size and so exact in
+float64.  That is two products and a sum per term where f + p*g took eleven
+numpy calls; then one complex exponential per term, exp(Re) * (cos Im,
+sin Im), whose modulus overflows only where its term does: k*L
+exponentials a point.  ``_block_constants`` builds the tables, m and the
+moment-step coefficients (below) from a block's lo alone, and every batch
+block calls it on its own windows.  A single-point map's reduced point
+enters such a block directly (``sections._point_factor``) and reads those
+constants from ``_cell_constants``, a cache built once per (k, policy,
+orders, cells), so a warm block does only the work that depends on w and
+tau: its value-only fiber and base block took 8.7 and 11.9 us at k = 3
+and 16 (2-vCPU x86-64 VM), against 17.9 and 22.0 us forming f + p*g and
+the step coefficients per call.  Against 30-digit sums at Im(tau) down to
+1e-4, where the windows are widest and E*tau largest, each value stays
+within u * sum |t_n| (|2*pi*n*w| + |pi*E*tau| + 1), the rounding of its
+terms' exponents (tests/test_kernel_oracle.py).  With its constants built
+per call, the chained form below passes it at about 24 points for k = 16
+and past 32 for k <= 8; they agree to roundoff.
 
 A block of at least FEW_POINTS points splits each term into its modulus
 exp(Re f + p*Re g), from one real exponential, and its phase
@@ -359,6 +371,19 @@ def _cell_windows(k, policy, orders, unit):
     return lo, length
 
 
+@functools.lru_cache(maxsize=None)
+def _cell_constants(k, policy, orders, cells):
+    """``_block_constants`` of a block whose points lie in the domain unit's
+    cells ``cells`` (a tuple, one cell per point), on their ``_cell_windows``
+    at Im(tau) = 1, all read-only: a single-point block's constants, built
+    once (``sections._point_factor``)."""
+    lo, length = _cell_windows(k, policy, orders, 0)
+    consts = _block_constants(k, lo.take(cells), length, orders)
+    for x in (consts[1],) + consts[2] + (consts[3] or ()):
+        x.flags.writeable = False
+    return consts
+
+
 def _unit_windows(k, im_w, policy, orders):
     """The windows of an Im(tau) = 1 batch from the cell tables of the units
     it touches (see the module docstring): ``lo`` (B,) and the shared length.
@@ -402,10 +427,11 @@ def _kernel_window(k, im_w, im_tau, policy, orders):
     return _basis_window(k, im_w, im_tau, policy, orders)
 
 
-# A block of fewer points takes one complex exponential per term; a larger one
-# chains its unit factors from per-point seeds at each window's centre and
-# doubles its residue powers over contiguous slabs (module docstring; the paths
-# cross at about 26 points for k = 16 and past 31 for k <= 8).
+# A block of fewer points takes one complex exponential per term, its exponent
+# from the integer tables of _block_constants; a larger one chains its unit
+# factors from per-point seeds at each window's centre and doubles its residue
+# powers over contiguous slabs (module docstring; the paths cross at about 24
+# points for k = 16 and past 32 for k <= 8).
 FEW_POINTS = 32
 
 # Points per block of the kernel's term arrays, and the multiple of points
@@ -420,14 +446,33 @@ def _kernel_constants(k, length, orders):
     """The kernel's constants for a block's shape and orders: the window
     offsets a, the residues p and p - k as float columns and the moment
     weights a'^j, j < count, with a' = a - (length - 1) / 2, all read-only;
-    then the moment count the orders need and whether any has a tau factor."""
+    then the moment count the orders need."""
     count = max(zo + 2 * to for zo, to in orders) + 1
     a = np.arange(length, dtype=float)[:, None]
     p = np.arange(k, dtype=float)[:, None]
     out = a, p, p - k, (a.T - 0.5 * (length - 1)) ** np.arange(count)[:, None]
     for x in out:
         x.flags.writeable = False
-    return out + (count, any(to for _, to in orders))
+    return out + (count,)
+
+
+def _block_constants(k, lo, length, orders):
+    """What a block's terms and moment steps take from its windows
+    [lo, lo + length) alone: the length; m = lo + a (length, B); for a block
+    of fewer than FEW_POINTS points the exponent tables n = k*m + p and
+    E = (n + p - k)*m (length, k, B), else None; and, for orders past the
+    value, the moment-step coefficients (nc, c0, c1) (k, B), else None."""
+    a, p, p_minus_k, _, count = _kernel_constants(k, length, tuple(orders))
+    m = lo + a
+    tables = coefs = None
+    if len(lo) < FEW_POINTS:  # whole numbers below 2*k*MAX_TERMS**2: exact
+        n = k * m[:, None] + p
+        tables = n, (n + p_minus_k) * m[:, None]
+    if count > 1:  # small multiples of 1/4: exact (see _series_block's moment steps)
+        mc = lo + 0.5 * (length - 1)
+        nc = k * mc + p
+        coefs = nc, mc * (nc + p_minus_k), 2.0 * nc - k
+    return length, m, tables, coefs
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -457,14 +502,15 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     w = w - w.real.round()
     tau = tau - tau.real.round()
     if len(w) <= BLOCK:
-        return _series_block(k, w, tau, lo, length, orders).reshape((len(orders), k) + shape)
+        consts = _block_constants(k, lo, length, orders)
+        return _series_block(k, w, tau, consts, orders).reshape((len(orders), k) + shape)
     # near-equal blocks cut at multiples of ALIGN points
     blocks, groups = -(-len(w) // BLOCK), -(-len(w) // ALIGN)
     edges = [ALIGN * (b * groups // blocks) for b in range(blocks)] + [len(w)]
     out = np.empty((len(orders), k, len(w)), dtype=complex)
-    for start, stop in zip(edges[:-1], edges[1:]):
-        block = slice(start, stop)
-        _series_block(k, w[block], tau[block], lo[block], length, orders, out[:, :, block])
+    for block in map(slice, edges[:-1], edges[1:]):
+        consts = _block_constants(k, lo[block], length, orders)
+        _series_block(k, w[block], tau[block], consts, orders, out[:, :, block])
     return out.reshape((len(orders), k) + shape)
 
 
@@ -490,19 +536,16 @@ def _progression(out, seed, ratio, growth=None):
     return out
 
 
-def _series_block(k, w, tau, lo, length, orders, out=None):
+def _series_block(k, w, tau, consts, orders, out=None):
     """``_degree_basis_batch`` on one block of reduced arguments with their
-    windows: (len(orders), k, len(w)), written into ``out`` if given."""
-    few = len(w) < FEW_POINTS
-    # n = k*m + p with m = lo + a, laid out (a, p, point); the exponent
-    # pi*i*(2*n*w + tau*(k*m^2 + (2p - k)*m)) is f(m) + p*g(m), with
-    # f = pi*i*k*m*(2*w + tau*(m - 1)) and g = 2*pi*i*(w + tau*m)
-    a, p, p_minus_k, weights, count, has_tau = _kernel_constants(k, length, tuple(orders))
-    m = lo + a
+    windows' ``_block_constants``: (len(orders), k, len(w)), written into
+    ``out`` if given."""
+    length, m, tables, coefs = consts
+    _, p, _, weights, count = _kernel_constants(k, length, tuple(orders))
     terms = np.empty((length, k, len(w)), dtype=complex)
-    if few:  # each term's exponent f + p*g, and one complex exponential per term
-        np.multiply((2j * math.pi) * (w + tau * m)[:, None, :], p, out=terms)
-        terms += ((1j * math.pi * k) * m * (2.0 * w + tau * (m - 1.0)))[:, None, :]
+    if tables is not None:  # each term's exponent 2*pi*i*n*w + pi*i*E*tau, one complex exponential
+        np.multiply(tables[0], (2j * math.pi) * w, out=terms)
+        terms += tables[1] * ((1j * math.pi) * tau)
         np.exp(terms, out=terms)
     else:  # modulus exp(Re f + p*Re g) times phase exp(i*Im f) * exp(i*Im g)^p, unit factors
         # chained from the window's centre; the moduli take real products only
@@ -566,13 +609,7 @@ def _series_block(k, w, tau, lo, length, orders, out=None):
     # c0 = mc*d and c1 = 2*nc - k = k*mc + d; all are small multiples of
     # 1/4, so exact.
     if count > 1:
-        mc = lo + 0.5 * (length - 1)
-        kmc = k * mc
-        nc = kmc + p
-        if has_tau:
-            d = nc + p_minus_k
-            c0 = mc * d
-            c1 = kmc + d
+        nc, c0, c1 = coefs
         steps = np.empty((2,) + moments.shape, dtype=complex)  # each step reads one, writes the other
     for x, (zo, to) in zip(out, orders):
         if not (zo or to):

@@ -270,10 +270,11 @@ def test_point_commands_print_the_reduced_point(runner, command, coords):
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the error line is the only output
 @pytest.mark.parametrize("command, window, max_terms, error", [
     # TailNotConverged from the series window, at a cap of 2 terms: the
-    # single-point maps read the domain's cell table, the batches _kernel_window
-    (["embed", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
-    (["rank", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
-    (["pullback", "0.1", "0.3", "0.2", "0.4"], "_cell_windows", 2, "error: "),
+    # single-point maps read their cells' windows and constants from the
+    # domain's cell cache, the batches _kernel_window
+    (["embed", "0.1", "0.3", "0.2", "0.4"], "_cell_constants", 2, "error: "),
+    (["rank", "0.1", "0.3", "0.2", "0.4"], "_cell_constants", 2, "error: "),
+    (["pullback", "0.1", "0.3", "0.2", "0.4"], "_cell_constants", 2, "error: "),
     (["check", "--only", "zero_locus"], "_kernel_window", 2, "error in zero_locus: "),
     (["integrate", "--torus", "T_ca"], "_kernel_window", 2, "error: "),
     (["check", "--only", "injectivity", "--samples", "10"], "_kernel_window", 2,

@@ -17,6 +17,7 @@ from ktheta import (GroupWord, KTPoint, act, fs_pullback, phi, phi_batch, projec
 from ktheta.embedding import chordal_distances, psi_double_prime, psi_prime
 from ktheta.sections import factor
 from ktheta.symplectic import MAP_IDS, fs_pullback_batch, hermitian_pullback_batch, hermitian_ranks
+from ktheta.theta import TruncationPolicy
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 points = st.builds(KTPoint, unit, unit, unit, unit)
@@ -164,3 +165,22 @@ def test_single_point_glue_budget(kind, k):
     finally:
         sys.setprofile(None)
     assert len(calls) <= GLUE_BUDGET[kind], calls
+
+
+@pytest.mark.parametrize("kind", sorted(GLUE_BUDGET))
+def test_warm_single_point_maps_build_no_constants(kind, monkeypatch):
+    # a single-point block's constants are built once per (k, policy,
+    # orders, cells), at the first query of a policy no other test uses;
+    # a warm query builds none
+    policy = TruncationPolicy({"phi": 2e-14, "rank": 3e-14, "pullback": 4e-14}[kind])
+    u = act(GroupWord(1, -2, 2, 1), KTPoint(0.3, 0.2, 0.1, 0.4))
+    query = {"phi": lambda: phi(3, u, policy), "rank": lambda: projective_rank(3, u, policy=policy),
+             "pullback": lambda: fs_pullback("phi_k", 3, u, policy)}[kind]
+    built, original = [], theta_module._block_constants
+    monkeypatch.setattr(theta_module, "_block_constants",
+                        lambda *args: built.append(args) or original(*args))
+    query()
+    assert len(built) == 1
+    for _ in range(3):
+        query()
+    assert len(built) == 1

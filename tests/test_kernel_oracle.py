@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import ktheta.theta as th_mod
-from ktheta.theta import DEFAULT_POLICY
+from ktheta.theta import DEFAULT_POLICY, theta_batch
 
 DEGREES = (1, 2, 3, 5, 8, 16)
 ORDERS = ((0, 0), (1, 0), (0, 1))  # value, d/dw, d/dtau
@@ -139,3 +139,41 @@ def test_unit_tau_derivatives_match_mpmath(k, path):
 def test_general_tau_derivatives_match_mpmath(path):
     worst = max(row_errors("general", k, path)[1:].max() for k in DEGREES)
     assert worst <= 1e-13
+
+
+def small_tau_arguments(im_tau):
+    """Six seeded reduced arguments of theta at Im(tau) = ``im_tau``: Re(w)
+    and Re(tau) in [-1/2, 1/2) and Im(w) in [0, Im(tau)), a few-point block
+    whose windows reach |m| of about sqrt(25 / (pi * Im(tau)))."""
+    rng = np.random.default_rng(round(-math.log10(im_tau)) + 3500)
+    w = rng.uniform(-0.5, 0.5, 6) + 1j * im_tau * rng.random(6)
+    return w, rng.uniform(-0.5, 0.5, 6) + 1j * im_tau
+
+
+def rounding_bound(w, tau):
+    """The 30-digit theta(w, tau) and u * sum_n |t_n| (|2*pi*n*w| + |pi*E*tau|
+    + 1), E = n*(n - 1): each term's exponent is two products and a sum,
+    each rounded to within u of its size, and the term itself is rounded."""
+    with mpmath.workdps(30):
+        a, c = 2j * mpmath.pi * mpmath.mpc(w), 1j * mpmath.pi * mpmath.mpc(tau)
+        reach = math.isqrt(int(80.0 / (math.pi * tau.imag))) + 2
+        total, size = mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(-reach, reach + 2):
+            t = mpmath.exp(n * a + n * (n - 1) * c)
+            total += t
+            size += abs(t) * (abs(n * a) + abs(n * (n - 1) * c) + 1)
+        return complex(total), float(size) * np.finfo(float).eps / 2
+
+
+@pytest.mark.parametrize("im_tau", [1e-2, 1e-3, 1e-4])
+def test_few_point_values_at_small_tau_match_mpmath(im_tau):
+    # wide windows, where E*tau is largest: each point's error against a
+    # 30-digit sum stays within what rounding its terms' exponents leaves.
+    # The kernel reads at most 0.56 of that bound on these points, so at 0.75
+    # a doubling of its error fails.
+    w, tau = small_tau_arguments(im_tau)
+    assert len(w) < th_mod.FEW_POINTS
+    got = theta_batch(w, tau)[0]
+    for b in range(len(w)):
+        want, bound = rounding_bound(w[b], tau[b])
+        assert abs(got[b] - want) <= 0.75 * bound, (b, abs(got[b] - want) / bound)

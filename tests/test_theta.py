@@ -1099,6 +1099,53 @@ class TestChainedPhases:
         assert np.abs(linear - np.exp(1j * (phi0 + s * a))).max() <= 1e-13
 
 
+class TestBlockConstants:
+    """What a block takes from its windows alone comes from one function,
+    and a single-point block reads it from a per-cell cache."""
+
+    @staticmethod
+    def arrays(consts):
+        """m, the exponent tables n and E, and the step coefficients nc, c0
+        and c1 of ``_block_constants`` output, None where absent."""
+        _, m, tables, coefs = consts
+        return [m, *(tables or (None,) * 2), *(coefs or (None,) * 3)]
+
+    @pytest.mark.parametrize("orders", [((0, 0),), VALUE_W_TAU])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
+    def test_cached_constants_are_the_block_constants(self, k, orders):
+        # every cell of the domain unit, alone and beside every other (a
+        # fiber-and-base block): bit for bit, and read-only in the cache
+        lo, length = th_mod._cell_windows(k, DEFAULT_POLICY, orders, 0)
+        cells = range(th_mod.CELLS)
+        for block in [(c,) for c in cells] + list(itertools.product(cells, repeat=2)):
+            cached = th_mod._cell_constants(k, DEFAULT_POLICY, orders, block)
+            built = th_mod._block_constants(k, lo[list(block)], length, orders)
+            assert cached[0] == built[0] == length
+            for got, want in zip(self.arrays(cached), self.arrays(built), strict=True):
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert (built[3] is None) == (orders == ((0, 0),))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
+    def test_exponent_tables_are_exact(self, k):
+        # n = k*m + p and E = (n + p - k)*m as integers, out to MAX_TERMS
+        lo = np.array([-th_mod.MAX_TERMS, -3, 0, th_mod.MAX_TERMS - 9])
+        _, m, (n, e), _ = th_mod._block_constants(k, lo, 10, ((0, 0),))
+        m_int = lo + np.arange(10)[:, None, None]
+        p = np.arange(k)[:, None]
+        n_int = k * m_int + p
+        assert np.array_equal(m, m_int[:, 0]) and np.array_equal(n, n_int)
+        assert np.array_equal(e, (n_int + p - k) * m_int)
+
+    def test_chained_blocks_take_no_tables(self):
+        lo = np.zeros(th_mod.FEW_POINTS, dtype=int)
+        assert th_mod._block_constants(3, lo, 5, ((0, 0),))[2] is None
+        assert th_mod._block_constants(3, lo[1:], 5, ((0, 0),))[2] is not None
+
+
 def classical_arguments():
     """Theta arguments with Re z up to +-3.7 and Re tau up to +-2.6."""
     rng = np.random.default_rng(8)
