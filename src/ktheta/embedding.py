@@ -24,8 +24,8 @@ from .manifold import (
     fundamental_domain_samples,
     reduced_distance,
 )
-from .sections import AXES, _point_factor, factor, section_matrix, segre_lift
-from .symplectic import MAP_FACTORS, check_rank_tol, fs_hermitian, hermitian_ranks
+from .sections import AXES, _factor_views, _point_block, factor, section_matrix, segre_lift
+from .symplectic import MAP_FACTORS, _block_hermitian, check_rank_tol, fs_hermitian, hermitian_ranks
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,14 @@ def chordal_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 def psi_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Fiber map [theta_k^0(z+ix, y+i) : ... : theta_k^{k-1}(z+ix, y+i)], at ``reduce_point(u)``."""
-    return ProjectivePoint(_point_factor("fiber", k, _reduce(u)[0], policy)[0])
+    block = _point_block("fiber", k, _reduce(u)[0], policy)
+    return ProjectivePoint(_factor_views("fiber", *block)[0])
 
 
 def psi_double_prime(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     """Base map [theta_k^0(y+it, i) : ... : theta_k^{k-1}(y+it, i)], at ``reduce_point(u)``."""
-    return ProjectivePoint(_point_factor("base", k, _reduce(u)[0], policy)[0])
+    block = _point_block("base", k, _reduce(u)[0], policy)
+    return ProjectivePoint(_factor_views("base", *block)[0])
 
 
 def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
@@ -107,7 +109,8 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
     Evaluated at ``reduce_point(u)``: the lift differs from ``phi_batch``'s
     at ``u`` by a nonzero scalar, and stays finite for every finite ``u``.
     """
-    lift = segre_lift(*_point_factor(("fiber", "base"), k, _reduce(u)[0], policy))
+    names = ("fiber", "base")
+    lift = segre_lift(*_factor_views(names, *_point_block(names, k, _reduce(u)[0], policy)))
     return ProjectivePoint(lift[0])
 
 
@@ -128,7 +131,7 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     its partials are not finite.
     """
     check_rank_tol(tol)
-    b, scale = fs_hermitian(*_point_factor(MAP_FACTORS["phi_k"], k, _reduce(u)[0], policy, AXES))
+    b, scale = _block_hermitian(*_point_block(MAP_FACTORS["phi_k"], k, _reduce(u)[0], policy, AXES))
     return int(hermitian_ranks(b, scale, tol)[0])
 
 

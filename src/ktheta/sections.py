@@ -135,6 +135,12 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
     leading axis in one kernel call: (F, ..., k), (F, ..., R, k), (F, len(axes), R).
     Every degree-k map passes here: a k that is not an int >= 1 raises ValueError.
     """
+    return _factor_views(which, *_factor_block(which, k, pts, policy, axes))
+
+
+def _factor_block(which, k, pts, policy=th.DEFAULT_POLICY, axes=None):
+    """``factor``'s kernel array (len(orders), k, F, ...), the value and then
+    the rows, and its chain tables, before ``_factor_views``."""
     th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
     if axes is not None and axes is not AXES and not (
@@ -142,8 +148,7 @@ def factor(which, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY, axes=None):
             and all(type(a) is int and 0 <= a < 4 for a in axes)):
         raise ValueError(f"axes must be a nonempty tuple of distinct ints in 0..3, got {axes!r}")
     tables, orders = _chain(names, axes)
-    basis = th._degree_basis_batch(k, *_factor_args(names, pts), policy, orders)
-    return _factor_views(which, basis, tables)
+    return th._degree_basis_batch(k, *_factor_args(names, pts), policy, orders), tables
 
 
 def _factor_views(which, basis, tables):
@@ -160,14 +165,14 @@ def _factor_views(which, basis, tables):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
-    """``factor``, bit for bit, at the point (1, 4) of ``manifold._reduce``'s coordinates,
-    finite and in [0, 1)^4: every factor has Im tau = 1 and Im w in [0, 1), so the
-    batch's checks hold.  One ``_series_block`` call, with ``_degree_basis_batch``'s
-    w - w.real.round() as Python's round (also half to even) and the constants of
-    the domain unit's cells int(CELLS * Im w), the windows ``_kernel_window`` reads
-    for a batch within that unit, from the cache ``_cell_constants``.  ``axes``:
-    None or AXES."""
+def _point_block(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
+    """``_factor_block``, bit for bit, at the point (1, 4) of ``manifold._reduce``'s
+    coordinates, finite and in [0, 1)^4: every factor has Im tau = 1 and Im w in
+    [0, 1), so the batch's checks hold.  One ``_series_block`` call, with
+    ``_degree_basis_batch``'s w - w.real.round() as Python's round (also half to
+    even) and the constants of the domain unit's cells int(CELLS * Im w), the
+    windows ``_kernel_window`` reads for a batch within that unit, from the cache
+    ``_cell_constants``.  ``axes``: None or AXES."""
     th.check_degree(k)
     names = (which,) if isinstance(which, str) else tuple(which)
     tables, orders = _chain(names, axes)
@@ -180,7 +185,7 @@ def _point_factor(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
         cells.append(int(coords[im] * th.CELLS))
     consts = th._cell_constants(k, policy, orders, tuple(cells))
     basis = th._series_block(k, np.array(w), np.array(tau), consts, orders)
-    return _factor_views(which, basis.reshape(basis.shape + (1,)), tables)
+    return basis.reshape(basis.shape + (1,)), tables
 
 
 def _partial(rows, coefs):

@@ -10,7 +10,10 @@ whose real part is the pulled-back metric and whose imaginary part gives
 the pullback Omega = -(1/pi) Im b of (i/2pi) del delbar log |Z|^2.  Every
 pullback and differential rank is a view of this form; phi_k's is the sum
 of its two Segre factors' forms, each from at most two holomorphic rows
-through the chain table ``sections.factor`` returns with them.  The chart
+through the chain table ``sections.factor`` returns with them: below
+theta.FEW_POINTS points, as at a single point, from one Gram per factor of
+the kernel's block (``_block_hermitian``), else by ``fs_hermitian``; both
+end in ``_projected``, exactly 0 at k = 1, where the maps go to CP^0.  The chart
 oracle ``fs_normalization`` integrates the pullback of C -> CP^1 over the
 chart and must return 1.
 """
@@ -42,7 +45,7 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
 )
-from .sections import AXES, CHAIN, FACTOR_AXES, _point_factor, factor
+from .sections import AXES, CHAIN, FACTOR_AXES, _factor_block, _factor_views, _point_block, factor
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -65,7 +68,7 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     their roundoff.  Lift and rows are divided by the point's largest |lift
     entry| first, so |F|^4 stays finite wherever the lift is; a lift that
     vanishes or is not finite, or a non-finite row, leaves its b and scale
-    non-finite, without a warning.
+    non-finite, without a warning, unless the lifts have width 1 (``_projected``).
     """
     if tables.ndim != 3 or vals.ndim != 3 or grads.ndim != 4:
         raise ValueError(f"fs_hermitian takes F stacked lifts: vals (F, B, n), grads "
@@ -78,6 +81,27 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     n2 = np.einsum("...n,...n->...", conj, vals).real
     c = np.einsum("...n,...mn->...m", conj, grads)
     m = np.vecdot(grads[..., None, :, :], grads[..., :, None, :])  # conjugates its first argument
+    return _projected(n2, c, m, tables, vals.shape[-1])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _block_hermitian(block, tables):
+    """``fs_hermitian`` of a kernel block (1 + R, n, F, B) of F lifts and their
+    rows (``sections._factor_block``) and its chain tables: each lift divided by
+    its largest |entry|, then one contraction for every Gram of [F; rows]."""
+    block = block * (1.0 / np.abs(block[0]).max(axis=0))
+    gram = np.vecdot(block[None], block[:, None], axis=2).transpose(2, 3, 0, 1)  # <X_j, X_i>
+    n2, c, m = gram[..., 0, 0].real, gram[..., 1:, 0], gram[..., 1:, 1:]
+    return _projected(n2, c, m, tables, len(block[0]))
+
+
+def _projected(n2, c, m, tables, width):
+    """``fs_hermitian``'s b and scale from |F|^2 (F, B), c_r = <F, row_r> (F, B,
+    R) and m_rs = <row_s, row_r> (F, B, R, R), <x, y> = sum conj(x) y.  A lift of
+    width 1 maps to CP^0: exact zeros, where the formula divides roundoff by |F|^2."""
+    npts, nm = n2.shape[1], tables.shape[1]
+    if width == 1:
+        return np.zeros((npts, nm, nm), dtype=complex), np.zeros(npts)
     # b = (m - c c^H / |F|^2) / |F|^2 in place, scaled by the real 1/|F|^2:
     # dividing by |F|^2 would make it complex and divide entry by entry
     inv_n2 = (1.0 / n2)[..., None, None]
@@ -85,7 +109,6 @@ def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
     b *= inv_n2
     np.subtract(m, b, out=b)
     b *= inv_n2
-    npts, nm = b.shape[1], tables.shape[1]
     kron, weights = _kron(tables.shape, tables.dtype, tables.tobytes())
     b = (b.swapaxes(0, 1).reshape(npts, len(kron)) @ kron).reshape(npts, nm, nm)
     return b, np.einsum("fbrr,fbr->b", m.real, weights * inv_n2[..., 0])
@@ -108,10 +131,15 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
-    factors are evaluated, in one kernel call and one ``fs_hermitian`` call.
+    factors are evaluated, in one kernel call, then one ``_block_hermitian``
+    call below FEW_POINTS points and one ``fs_hermitian`` call from there on.
     """
     _check_map(map_id, FS_MAP_IDS)
-    return fs_hermitian(*factor(MAP_FACTORS[map_id], k, np.atleast_2d(pts), policy, AXES))
+    names, pts = MAP_FACTORS[map_id], np.atleast_2d(pts)
+    block, tables = _factor_block(names, k, pts, policy, AXES)
+    if len(pts) < th.FEW_POINTS:
+        return _block_hermitian(block, tables)
+    return fs_hermitian(*_factor_views(names, block, tables))
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -175,7 +203,7 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Tw
         return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
     _check_map(map_id, FS_MAP_IDS)
     coords, (m, *_) = _reduce(u)
-    mat = _form(fs_hermitian(*_point_factor(MAP_FACTORS[map_id], k, coords, policy, AXES))[0])[0]
+    mat = _form(_block_hermitian(*_point_block(MAP_FACTORS[map_id], k, coords, policy, AXES))[0])[0]
     if m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
         mat[:, 1] -= m * mat[:, 2]
         mat[1, :] -= m * mat[2, :]

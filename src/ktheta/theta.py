@@ -29,23 +29,21 @@ A block of fewer than FEW_POINTS points takes each term's exponent as
 (2*pi*i*w)*n + (pi*i*tau)*E, which is f + p*g regrouped, from two integer
 tables of its windows: n = k*m + p and E = (n + p - k)*m = k*m*(m - 1) +
 2*p*m, whole numbers below 2*k*MAX_TERMS^2 in size and so exact in
-float64.  That is two products and a sum per term where f + p*g took eleven
-numpy calls; then one complex exponential per term, exp(Re) * (cos Im,
-sin Im), whose modulus overflows only where its term does: k*L
-exponentials a point.  ``_block_constants`` builds the tables, m and the
-moment-step coefficients (below) from a block's lo alone, and every batch
-block calls it on its own windows.  A single-point map's reduced point
-enters such a block directly (``sections._point_factor``) and reads those
-constants from ``_cell_constants``, a cache built once per (k, policy,
-orders, cells), so a warm block does only the work that depends on w and
-tau: its value-only fiber and base block took 8.7 and 11.9 us at k = 3
-and 16 (2-vCPU x86-64 VM), against 17.9 and 22.0 us forming f + p*g and
-the step coefficients per call.  Against 30-digit sums at Im(tau) down to
-1e-4, where the windows are widest and E*tau largest, each value stays
-within u * sum |t_n| (|2*pi*n*w| + |pi*E*tau| + 1), the rounding of its
-terms' exponents (tests/test_kernel_oracle.py).  With its constants built
-per call, the chained form below passes it at about 24 points for k = 16
-and past 32 for k <= 8; they agree to roundoff.
+float64; then one complex exponential per term, exp(Re) * (cos Im, sin Im),
+whose modulus overflows only where its term does.  Where each requested
+order is the value, d/dw or d/dtau, as the maps' always are, the block
+returns them as one contraction of its terms with their exact weights 1,
+2*pi*i*n and pi*i*E: no moments and no moment steps.  ``_block_constants``
+builds the tables, the weights, m and the moment-step coefficients (below)
+from a block's lo alone, and every batch block calls it on its own windows.
+A single-point map's reduced point enters such a block directly
+(``sections._point_block``) and reads those constants from
+``_cell_constants``, a cache built once per (k, policy, orders, cells), so
+a warm block does only the work that depends on w and tau.  Against
+30-digit sums at Im(tau) down to 1e-4, where the windows are widest and
+E*tau largest, each value stays within u * sum |t_n| (|2*pi*n*w| +
+|pi*E*tau| + 1), the rounding of its terms' exponents
+(tests/test_kernel_oracle.py); timings are in BENCH_35.json and BENCH_36.json.
 
 A block of at least FEW_POINTS points splits each term into its modulus
 exp(Re f + p*Re g), from one real exponential, and its phase
@@ -55,8 +53,8 @@ exponential.  A unit exponential is the complex exponential of its angle
 with the real part 0: one sincos, whose cos and sin are those of np.cos and
 np.sin bit for bit with glibc, at about 0.6 times their cost, but
 unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8 ns
-for a complex product on that VM.  So the block chains its unit factors along each
-window, and forms no complex f or g: its moduli take the real products
+for a complex product on a 2-vCPU x86-64 VM.  So the block chains its unit
+factors along each window, and forms no complex f or g: its moduli take the real products
 Re f = -pi*k*m*(2 Im w + Im tau*(m - 1)) and Re g = -2*pi*(Im w + Im tau*m),
 the bits of the complex products' real parts.  Im f = pi*k*m*(2 Re w + Re tau*(m - 1)) is
 quadratic in m and Im g = 2*pi*(Re w + Re tau*m) linear, so along the
@@ -80,8 +78,9 @@ s = 1, 2, 4, ..., one product per level over contiguous slabs whose inner loop
 runs over the points, with exp(i*Im g)^s from repeated squaring.  At k = 1
 there is only p = 0: g is never formed, and the modulus is exp(Re f).
 
-One contraction over the window axis gives each residue's centred moments,
-from which every requested termwise derivative follows.  The certificate
+Every other block, chained or asked for a second order, takes one
+contraction over the window axis for each residue's centred moments, from
+which every requested termwise derivative follows.  The certificate
 holds per requested (z_order, tau_order): for every point and residue p,
 the discarded terms of theta(k*w + p*tau, k*tau), each multiplied by its
 termwise derivative weight, sum to at most epsilon / 2 on each side of the
@@ -92,22 +91,9 @@ The windows of the whole batch are found first (below); then the terms,
 their moments and the derivative outputs are built in near-equal blocks of
 at most BLOCK points.  A batch's k*L*B complex terms outgrow a 2 MB L2
 cache at a few thousand points, and every later pass over them then runs
-from memory.  Repeated calls on one batch of factor arguments on a 2-vCPU
-x86-64 VM, mean of two medians of 15, in ms, for blocks of 256 / 512 /
-1024 / 2048 / 4096 points and unblocked:
-
-    k = 3,  20000 points, value, d/dw, d/dtau   24  21  22  27  29  42
-    k = 3,  20000 points, value only            21  19  16  15  17  34
-    k = 5,  20000 points, value, d/dw, d/dtau   31  25  23  22  29  49
-    k = 8,   5000 points, value, d/dw, d/dtau    6   7   6   7   8  16
-    k = 16,  4000 points, value, d/dw, d/dtau    9   8   8  19  23  22
-    k = 16, 20000 points, value, d/dw, d/dtau   43  39  44  55  75  92
-    k = 1,  21120 points, value only            30  27  26  27  27  31
-
-Inside a ``ktheta check`` pass, where the unblocked arrays come from
-memory the allocator already holds, the gain is smaller: the k = 3 call
-on 20000 points with both derivatives took 25 ms unblocked and 22 ms in
-blocks.
+from memory; blocks of 512 to 1024 points were about the fastest at each
+degree and batch size measured, up to twice as fast as no blocks (the
+timings are in BENCH_36.json).
 
 Every point keeps its window's lo and the batch its length L, so blocking
 moves no term, and the elementwise steps give the same bits in any block.
@@ -376,11 +362,12 @@ def _cell_constants(k, policy, orders, cells):
     """``_block_constants`` of a block whose points lie in the domain unit's
     cells ``cells`` (a tuple, one cell per point), on their ``_cell_windows``
     at Im(tau) = 1, all read-only: a single-point block's constants, built
-    once (``sections._point_factor``)."""
+    once (``sections._point_block``)."""
     lo, length = _cell_windows(k, policy, orders, 0)
     consts = _block_constants(k, lo.take(cells), length, orders)
-    for x in (consts[1],) + consts[2] + (consts[3] or ()):
-        x.flags.writeable = False
+    for x in (consts[1], consts[3]) + consts[2] + (consts[4] or ()):
+        if x is not None:
+            x.flags.writeable = False
     return consts
 
 
@@ -445,7 +432,7 @@ ALIGN = 8
 def _kernel_constants(k, length, orders):
     """The kernel's constants for a block's shape and orders: the window
     offsets a, the residues p and p - k as float columns and the moment
-    weights a'^j, j < count, with a' = a - (length - 1) / 2, all read-only;
+    powers a'^j, j < count, with a' = a - (length - 1) / 2, all read-only;
     then the moment count the orders need."""
     count = max(zo + 2 * to for zo, to in orders) + 1
     a = np.arange(length, dtype=float)[:, None]
@@ -457,22 +444,26 @@ def _kernel_constants(k, length, orders):
 
 
 def _block_constants(k, lo, length, orders):
-    """What a block's terms and moment steps take from its windows
-    [lo, lo + length) alone: the length; m = lo + a (length, B); for a block
-    of fewer than FEW_POINTS points the exponent tables n = k*m + p and
-    E = (n + p - k)*m (length, k, B), else None; and, for orders past the
-    value, the moment-step coefficients (nc, c0, c1) (k, B), else None."""
+    """What a block's terms and outputs take from its windows [lo, lo +
+    length) alone: the length; m = lo + a (length, B); for a block of fewer than
+    FEW_POINTS points the exponent tables n = k*m + p and E = (n + p - k)*m
+    (length, k, B), and for one of first orders only their weights 1, 2*pi*i*n,
+    pi*i*E, conjugated (len(orders), length, k, B); for other orders past the
+    value, the moment-step coefficients (nc, c0, c1) (k, B); None where absent."""
     a, p, p_minus_k, _, count = _kernel_constants(k, length, tuple(orders))
     m = lo + a
-    tables = coefs = None
+    tables = weights = coefs = None
     if len(lo) < FEW_POINTS:  # whole numbers below 2*k*MAX_TERMS**2: exact
         n = k * m[:, None] + p
         tables = n, (n + p_minus_k) * m[:, None]
-    if count > 1:  # small multiples of 1/4: exact (see _series_block's moment steps)
+        if all(zo + to <= 1 for zo, to in orders):  # conjugated: np.vecdot conjugates them back
+            weights = np.stack([tables[to] * (-1j * math.pi * (1 + zo)) if zo or to
+                                else np.ones(n.shape, dtype=complex) for zo, to in orders])
+    if count > 1 and weights is None:  # small multiples of 1/4: exact (see the moment steps)
         mc = lo + 0.5 * (length - 1)
         nc = k * mc + p
         coefs = nc, mc * (nc + p_minus_k), 2.0 * nc - k
-    return length, m, tables, coefs
+    return length, m, tables, weights, coefs
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -540,13 +531,15 @@ def _series_block(k, w, tau, consts, orders, out=None):
     """``_degree_basis_batch`` on one block of reduced arguments with their
     windows' ``_block_constants``: (len(orders), k, len(w)), written into
     ``out`` if given."""
-    length, m, tables, coefs = consts
-    _, p, _, weights, count = _kernel_constants(k, length, tuple(orders))
+    length, m, tables, weights, coefs = consts
+    _, p, _, powers, count = _kernel_constants(k, length, tuple(orders))
     terms = np.empty((length, k, len(w)), dtype=complex)
     if tables is not None:  # each term's exponent 2*pi*i*n*w + pi*i*E*tau, one complex exponential
         np.multiply(tables[0], (2j * math.pi) * w, out=terms)
         terms += tables[1] * ((1j * math.pi) * tau)
         np.exp(terms, out=terms)
+        if weights is not None:  # first orders: each one contraction with its exact weights
+            return np.vecdot(weights, terms, axes=[(1,), (0,), ()], out=out)
     else:  # modulus exp(Re f + p*Re g) times phase exp(i*Im f) * exp(i*Im g)^p, unit factors
         # chained from the window's centre; the moduli take real products only
         pik_m = (math.pi * k) * m
@@ -592,9 +585,9 @@ def _series_block(k, w, tau, consts, orders, out=None):
                     step *= step
         terms *= modulus
 
-    # one contraction over a with the weights a'^j (a' = a - centre) gives
+    # one contraction over a with the powers a'^j (a' = a - centre) gives
     # every residue's centred moments M_j = sum_a a'^j * term
-    moments = weights @ terms.view(float).reshape(length, -1)
+    moments = powers @ terms.view(float).reshape(length, -1)
     moments = moments.view(complex).reshape(count, k, -1)
     if out is None:
         if count == 1 and len(orders) == 1:  # the value alone: its moment is the output

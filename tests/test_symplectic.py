@@ -267,6 +267,36 @@ class TestFactoredHermitianForm:
         ranks = hermitian_ranks(*hermitian_pullback_batch(map_id, 1, self.PTS), 1e-6)
         assert not ranks.any()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [0.0, 1e-9])
+    def test_k1_forms_are_exactly_zero(self, x):
+        # phi_1 and psi' map to CP^0, so their form is exactly 0; beside the
+        # lift's zero (x = 0, z = 1/2) the projected formula divides roundoff
+        # by |F|^2 (dy^dz = 10.19 at x = 0, 40.7 at x = 1e-9).  Both form
+        # paths: one row, and the point among FEW_POINTS or more
+        u = KTPoint(x, 0.3, 0.5, 0.4)
+        many = np.tile(u.as_array(), (theta_module.FEW_POINTS + 8, 1))
+        for map_id in FS_MAP_IDS:
+            assert not fs_pullback(map_id, 1, u).matrix.any()
+            for pts in (u.as_array(), many):
+                assert not fs_pullback_batch(map_id, 1, pts).any()
+                assert not hermitian_ranks(*hermitian_pullback_batch(map_id, 1, pts), 1e-6).any()
+        assert projective_rank(1, u) == 0
+
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
+    def test_few_point_gram_matches_the_batch_contractions(self, k, map_id):
+        # below FEW_POINTS points each factor's form comes from one Gram of
+        # the kernel block (few-point kernel blocks too, here); the same 8
+        # points inside a 40-point batch take fs_hermitian's contractions
+        pts = fundamental_domain_samples(40, 80 + k)
+        b, scale = hermitian_pullback_batch(map_id, k, pts[::5])
+        want_b, want_scale = (x[::5] for x in hermitian_pullback_batch(map_id, k, pts))
+        assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
+        assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
+        assert np.array_equal(hermitian_ranks(b, scale, 1e-6),
+                              hermitian_ranks(want_b, want_scale, 1e-6))
+
     def test_tol_below_metric_resolution_rejected(self):
         with pytest.raises(ValueError, match="at least 1e-07"):
             projective_rank(3, U0, tol=5e-8)

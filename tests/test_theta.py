@@ -1105,10 +1105,11 @@ class TestBlockConstants:
 
     @staticmethod
     def arrays(consts):
-        """m, the exponent tables n and E, and the step coefficients nc, c0
-        and c1 of ``_block_constants`` output, None where absent."""
-        _, m, tables, coefs = consts
-        return [m, *(tables or (None,) * 2), *(coefs or (None,) * 3)]
+        """m, the exponent tables n and E, the first orders' weights and the
+        step coefficients nc, c0 and c1 of ``_block_constants`` output, None
+        where absent."""
+        _, m, tables, weights, coefs = consts
+        return [m, *(tables or (None,) * 2), weights, *(coefs or (None,) * 3)]
 
     @pytest.mark.parametrize("orders", [((0, 0),), VALUE_W_TAU])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
@@ -1127,18 +1128,34 @@ class TestBlockConstants:
                     continue
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
-            assert (built[3] is None) == (orders == ((0, 0),))
+            # few-point first orders take exact weights, never moment steps
+            assert built[3].shape == (len(orders), length, k, len(block))
+            assert built[4] is None
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
     def test_exponent_tables_are_exact(self, k):
         # n = k*m + p and E = (n + p - k)*m as integers, out to MAX_TERMS
         lo = np.array([-th_mod.MAX_TERMS, -3, 0, th_mod.MAX_TERMS - 9])
-        _, m, (n, e), _ = th_mod._block_constants(k, lo, 10, ((0, 0),))
+        _, m, (n, e), _, _ = th_mod._block_constants(k, lo, 10, ((0, 0),))
         m_int = lo + np.arange(10)[:, None, None]
         p = np.arange(k)[:, None]
         n_int = k * m_int + p
         assert np.array_equal(m, m_int[:, 0]) and np.array_equal(n, n_int)
         assert np.array_equal(e, (n_int + p - k) * m_int)
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_first_orders_take_exact_weights(self, k):
+        # a few-point block of first orders contracts its terms with 1,
+        # 2*pi*i*n and pi*i*E, stored conjugated for np.vecdot, and takes no
+        # moment steps; a second order or a chained block keeps the moments
+        lo = np.array([-3, 0, 2])
+        _, _, (n, e), weights, coefs = th_mod._block_constants(k, lo, 6, VALUE_W_TAU)
+        assert coefs is None
+        assert np.array_equal(weights.conj(), [np.ones(n.shape), 2j * math.pi * n, 1j * math.pi * e])
+        second = th_mod._block_constants(k, lo, 6, ((0, 0), (1, 0), (2, 0)))
+        chained = th_mod._block_constants(k, np.zeros(th_mod.FEW_POINTS, dtype=int), 6, VALUE_W_TAU)
+        for consts in (second, chained):
+            assert consts[3] is None and consts[4] is not None
 
     def test_chained_blocks_take_no_tables(self):
         lo = np.zeros(th_mod.FEW_POINTS, dtype=int)
