@@ -159,10 +159,9 @@ class InjectivityReport:
 
 # The largest degree whose factors' squared overlaps come from the real
 # rows of f f^*: k^2 wide, but one real product gives |<f_i, f_j>|^2 with no
-# squaring pass.  Above it the k-wide complex Gram is squared in place.  One
-# scan of 2000 samples on a 2-vCPU x86-64 VM, BLAS on one thread, took 9,
-# 13, 20 and 100 ms at k = 3, 5, 8 and 16 the first way, 27, 27, 25 and
-# 31 ms the second.
+# squaring pass.  Above it the k-wide complex Gram is squared in place: the
+# real rows grow as k^2 and are the faster way up to k = 8 only (CHANGES.md
+# has the scan timings).
 OUTER_MAX_K = 8
 
 

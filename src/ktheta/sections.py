@@ -184,8 +184,9 @@ def _point_block(which, k: int, coords, policy=th.DEFAULT_POLICY, axes=None):
         tau.append(t - round(t.real))
         cells.append(int(coords[im] * th.CELLS))
     consts = th._cell_constants(k, policy, orders, tuple(cells))
-    basis = th._series_block(k, np.array(w), np.array(tau), consts, orders)
-    return basis.reshape(basis.shape + (1,)), tables
+    basis = np.empty((len(orders), k, len(names), 1), dtype=complex)
+    th._series_block(k, np.array(w), np.array(tau), consts, orders, basis[..., 0])
+    return basis, tables
 
 
 def _partial(rows, coefs):

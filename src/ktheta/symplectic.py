@@ -136,6 +136,8 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     """
     _check_map(map_id, FS_MAP_IDS)
     names, pts = MAP_FACTORS[map_id], np.atleast_2d(pts)
+    if pts.ndim > 2 and pts.shape[-1] == 4:  # a wrong last axis is factor's (..., 4) error
+        raise ValueError(f"points must have shape (B, 4), got {pts.shape}")
     block, tables = _factor_block(names, k, pts, policy, AXES)
     if len(pts) < th.FEW_POINTS:
         return _block_hermitian(block, tables)

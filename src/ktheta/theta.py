@@ -52,9 +52,9 @@ overflow, and every modulus has the exponent of the direct complex
 exponential.  A unit exponential is the complex exponential of its angle
 with the real part 0: one sincos, whose cos and sin are those of np.cos and
 np.sin bit for bit with glibc, at about 0.6 times their cost, but
-unvectorised: 37-51 ns an entry, against 1.2 ns for a real exp and 0.8 ns
-for a complex product on a 2-vCPU x86-64 VM.  So the block chains its unit
-factors along each window, and forms no complex f or g: its moduli take the real products
+unvectorised: tens of times the cost of a real exp or a complex product an
+entry (CHANGES.md has the timings).  So the block chains its unit factors
+along each window, and forms no complex f or g: its moduli take the real products
 Re f = -pi*k*m*(2 Im w + Im tau*(m - 1)) and Re g = -2*pi*(Im w + Im tau*m),
 the bits of the complex products' real parts.  Im f = pi*k*m*(2 Re w + Re tau*(m - 1)) is
 quadratic in m and Im g = 2*pi*(Re w + Re tau*m) linear, so along the
@@ -87,13 +87,14 @@ termwise derivative weight, sum to at most epsilon / 2 on each side of the
 window.  For k = 1 that bounds each returned output's truncation error by
 epsilon.
 
-The windows of the whole batch are found first (below); then the terms,
-their moments and the derivative outputs are built in near-equal blocks of
-at most BLOCK points.  A batch's k*L*B complex terms outgrow a 2 MB L2
-cache at a few thousand points, and every later pass over them then runs
-from memory; blocks of 512 to 1024 points were about the fastest at each
-degree and batch size measured, up to twice as fast as no blocks (the
-timings are in BENCH_36.json).
+The windows of the whole batch are found first (below); then every batch,
+of any size, fills its output block by block, building the terms, their
+moments and the derivative outputs in near-equal blocks of at most BLOCK
+points; a batch of at most BLOCK points is one block.  A batch's k*L*B
+complex terms outgrow a 2 MB L2 cache at a few thousand points, and every
+later pass over them then runs from memory; blocks of 512 to 1024 points
+were about the fastest at each degree and batch size measured, up to twice
+as fast as no blocks (the timings are in BENCH_36.json).
 
 Every point keeps its window's lo and the batch its length L, so blocking
 moves no term, and the elementwise steps give the same bits in any block.
@@ -102,10 +103,10 @@ points, so every block but the last spans a multiple of 16 real columns,
 and the BLAS kernel's column tail, which may sum in another order, falls
 where the whole batch's does (a 1-point block would take another BLAS
 path).  Each block picks its phase and residue-power paths, which agree
-only to roundoff, from its own size; but no block of a blocked batch holds
-fewer than BLOCK / 2 - ALIGN = 504 >= FEW_POINTS points, so each takes the
-whole batch's paths.  A block with Re(tau) = 0 throughout skips the growth
-seeds, which are exactly 1 at such a point in any other block.
+only to roundoff, from its own size; but a batch of more than BLOCK points
+cuts no block below BLOCK / 2 - ALIGN = 504 >= FEW_POINTS points, so each
+takes the whole batch's paths.  A block with Re(tau) = 0 throughout skips
+the growth seeds, which are exactly 1 at such a point in any other block.
 
 Arguments reduced to the fundamental domain have Im(tau) = 1 and Im(w) in
 [0, 1); the arguments ``sections.shift_product`` shifts and the deck group
@@ -117,9 +118,9 @@ and one ``_basis_window`` call per unit, each cell passed as its two edges,
 gives every cell a window certified over the whole cell and the unit one
 length.  A point's cell is floor(CELLS * Im(w)) (``_cells``): a point on an
 edge takes the cell above it, and with CELLS a power of two the product is
-exact; a binary search of the edges took 0.47-0.89 ms on 20,000 points, the
-product 0.04 ms.  A batch that touches one unit takes that unit's table as
-it is: each point takes lo from its cell and the batch takes the unit's
+exact; a binary search of the edges took over ten times as long as the
+product (CHANGES.md).  A batch that touches one unit takes that unit's
+table as it is: each point takes lo from its cell and the batch takes the unit's
 length.  A batch that touches several takes L, the largest length among its
 units made odd, and a point of a unit of length l takes the window of length
 L that holds its cell's window and is nearest to centred on the point's mean
@@ -137,12 +138,8 @@ longer windows (7 against the domain unit's 4 at k = 16).  Each unit's
 table is built once per (k, policy, orders), on first use by a batch that
 touches it, and is certified for the requested orders together with the
 value and both first derivatives, so value-only and gradient calls at one
-point sum the same terms.  Once built, the tables give 10,000 arguments
-their windows in 26-45 us with Im(w) in [0, 1) and 0.17 ms with Im(w) in
-[-4, 6), where the per-point search takes 7 ms, at k = 3 and 16 on a 2-vCPU
-x86-64 VM.  Where no Im(w) is negative, ``_cells`` truncates instead of
-taking the floor: on 10,000 domain arguments the floor made the windows
-13-19% slower.
+point sum the same terms.  Once built, the tables give a batch its windows
+in well under a tenth of the per-point search's time (CHANGES.md).
 
 No window index may pass MAX_TERMS.  The terms of an Im(tau) = 1 argument
 peak within a unit of -Im(w), so a batch with some |Im(w)| > MAX_TERMS
@@ -331,13 +328,11 @@ CELLS = 8  # cells per unit of Im(w), each with one certified window; a power of
 _CELL_ORDERS = frozenset({(0, 0), (1, 0), (0, 1)})
 
 
-def _cells(im_w, low):
+def _cells(im_w):
     """The cell [i, i + 1] / CELLS of each Im(w) as the integer i, a point on
     an edge in the cell above it: floor(CELLS * Im(w)), exact since CELLS is
-    a power of two, and a truncation where ``low``, the least Im(w), is not
-    negative."""
-    cell = im_w * CELLS
-    return (cell if low >= 0.0 else np.floor(cell, out=cell)).astype(int)
+    a power of two."""
+    return np.floor(im_w * CELLS).astype(int)
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,11 +373,11 @@ def _unit_windows(k, im_w, policy, orders):
     low, high = (im_w.min(), im_w.max()) if im_w.size else (0.0, 0.0)
     if max(-low, high) > MAX_TERMS:
         raise TailNotConverged(f"|Im(w)| = {max(-low, high)} passes MAX_TERMS = {MAX_TERMS}")
-    first, cell = math.floor(low), _cells(im_w, low)
+    first = math.floor(low)
+    cell = _cells(im_w) - first * CELLS
     if first == math.floor(high):  # one unit: each point takes its cell's window as it is
         lo, length = _cell_windows(k, policy, orders, first)
-        return lo.take(cell - first * CELLS if first else cell), length
-    cell -= first * CELLS
+        return lo.take(cell), length
     unit = cell // CELLS
     touched = np.bincount(unit)
     cell_lo = np.zeros((len(touched), CELLS), dtype=int)
@@ -484,25 +479,20 @@ def _degree_basis_batch(k, ws, taus, policy, orders):
     ws, taus = np.asarray(ws, dtype=complex), np.asarray(taus, dtype=complex)
     if ws.shape != taus.shape:
         ws, taus = np.broadcast_arrays(ws, taus)
-    shape = ws.shape
     w, tau = ws.ravel(), taus.ravel()
     if not np.isfinite(w + tau).all():
         raise InvalidModulus(_INVALID)
     lo, length = _kernel_window(k, w.imag, tau.imag, policy, orders)
     # theta_k^p has period 1 in w and in tau; removing whole periods is exact
-    w = w - w.real.round()
-    tau = tau - tau.real.round()
-    if len(w) <= BLOCK:
-        consts = _block_constants(k, lo, length, orders)
-        return _series_block(k, w, tau, consts, orders).reshape((len(orders), k) + shape)
-    # near-equal blocks cut at multiples of ALIGN points
+    w, tau = w - w.real.round(), tau - tau.real.round()
+    # near-equal blocks cut at multiples of ALIGN points; at most BLOCK points make one
     blocks, groups = -(-len(w) // BLOCK), -(-len(w) // ALIGN)
     edges = [ALIGN * (b * groups // blocks) for b in range(blocks)] + [len(w)]
     out = np.empty((len(orders), k, len(w)), dtype=complex)
     for block in map(slice, edges[:-1], edges[1:]):
         consts = _block_constants(k, lo[block], length, orders)
         _series_block(k, w[block], tau[block], consts, orders, out[:, :, block])
-    return out.reshape((len(orders), k) + shape)
+    return out.reshape((len(orders), k) + ws.shape)
 
 
 def _progression(out, seed, ratio, growth=None):
@@ -527,10 +517,10 @@ def _progression(out, seed, ratio, growth=None):
     return out
 
 
-def _series_block(k, w, tau, consts, orders, out=None):
+def _series_block(k, w, tau, consts, orders, out):
     """``_degree_basis_batch`` on one block of reduced arguments with their
-    windows' ``_block_constants``: (len(orders), k, len(w)), written into
-    ``out`` if given."""
+    windows' ``_block_constants``, written into the caller's ``out``
+    (len(orders), k, len(w)), which it returns."""
     length, m, tables, weights, coefs = consts
     _, p, _, powers, count = _kernel_constants(k, length, tuple(orders))
     terms = np.empty((length, k, len(w)), dtype=complex)
@@ -571,16 +561,12 @@ def _series_block(k, w, tau, consts, orders, out=None):
         growth = seeds[3 if k > 1 else 2] if moving else None
         _progression(terms[:, 0], seeds[0], seeds[1], growth)
         if k > 1:  # residues [s, 2s) are residues [0, s) times exp(i*Im g)^s
-            step = np.empty((length, len(w)), dtype=complex)
-            if moving:
-                _progression(step, seeds[2], seeds[4])
-            else:
-                step[...] = seeds[2]
+            step = (_progression(np.empty((length, len(w)), dtype=complex), seeds[2], seeds[4])
+                    if moving else seeds[2:3])  # else one row for every m; seeds is read no more
             s = 1
             while s < k:
-                end = min(2 * s, k)
-                np.multiply(terms[:, :end - s], step[:, None, :], out=terms[:, s:end])
-                s = end
+                np.multiply(terms[:, :min(s, k - s)], step[:, None, :], out=terms[:, s:2 * s])
+                s *= 2
                 if s < k:
                     step *= step
         terms *= modulus
@@ -589,36 +575,29 @@ def _series_block(k, w, tau, consts, orders, out=None):
     # every residue's centred moments M_j = sum_a a'^j * term
     moments = powers @ terms.view(float).reshape(length, -1)
     moments = moments.view(complex).reshape(count, k, -1)
-    if out is None:
-        if count == 1 and len(orders) == 1:  # the value alone: its moment is the output
-            return moments
-        out = np.empty((len(orders), k, len(w)), dtype=complex)
 
     # With mc = lo + centre and nc = k*mc + p, the weight n is nc + k*a' and
     # the tau-exponent k*m^2 + (2p - k)*m is c0 + c1*a' + k*a'^2, so a factor
     # n maps M_j to nc*M_j + k*M_{j+1} and a factor tau-exponent maps it to
-    # c0*M_j + c1*M_{j+1} + k*M_{j+2}; order (zo, to) applies zo and to of
-    # them, into two preallocated buffers in turn.  With d = nc + p - k,
+    # c0*M_j + c1*M_{j+1} + k*M_{j+2}; order (zo, to) applies to of the
+    # second, then zo of the first, each step a new row.  With d = nc + p - k,
     # c0 = mc*d and c1 = 2*nc - k = k*mc + d; all are small multiples of
     # 1/4, so exact.
     if count > 1:
         nc, c0, c1 = coefs
-        steps = np.empty((2,) + moments.shape, dtype=complex)  # each step reads one, writes the other
     for x, (zo, to) in zip(out, orders):
-        if not (zo or to):
-            x[...] = moments[0]
-            continue
-        seq, n = moments, zo + 2 * to + 1
-        for i in range(to + zo):
-            n -= 2 if i < to else 1
-            row = steps[i % 2, :n]
-            if i < to:
-                np.multiply(seq[:n], c0, out=row)
-                row += c1 * seq[1:n + 1]
-                row += k * seq[2:n + 2]
-            else:
-                np.multiply(seq[:n], nc, out=row)
-                row += k * seq[1:n + 1]
+        seq = moments[:zo + 2 * to + 1]
+        for _ in range(to):
+            row = seq[:-2] * c0
+            row += c1 * seq[1:-1]
+            row += k * seq[2:]
             seq = row
-        np.multiply((2j * math.pi) ** zo * (1j * math.pi) ** to, seq[0], out=x)
+        for _ in range(zo):
+            row = seq[:-1] * nc
+            row += k * seq[1:]
+            seq = row
+        if zo or to:
+            np.multiply((2j * math.pi) ** zo * (1j * math.pi) ** to, seq[0], out=x)
+        else:
+            x[...] = seq[0]
     return out

@@ -309,6 +309,21 @@ class TestFactoredHermitianForm:
         with pytest.raises(ValueError, match="at least 1e-07: the metric squares the singular"):
             projective_rank(3, U0, tol=5e-8)
 
+    @pytest.mark.parametrize("n", [3, 40])  # either side of FEW_POINTS
+    @pytest.mark.parametrize("map_id", FS_MAP_IDS)
+    def test_stacked_point_arrays_rejected_before_any_kernel_call(self, monkeypatch, map_id, n):
+        # (2, n, 4) points: a ValueError naming the shape, not numpy's
+        # "axes don't match array" from the hermitian assembly
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel block ran on a stacked point array")
+
+        monkeypatch.setattr(theta_module, "_series_block", no_kernel)
+        pts = np.full((2, n, 4), 0.25)
+        for call in (hermitian_pullback_batch, fs_pullback_batch):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"points must have shape (B, 4), got (2, {n}, 4)")):
+                call(map_id, 3, pts)
+
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (0, 2), (1, 3), (1, 2)])
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)

@@ -693,16 +693,16 @@ class TestDegreeBasisKernel:
     def test_cells_put_edge_points_in_the_cell_above(self):
         # floor(CELLS * Im(w)) against a search of the cells' interior edges,
         # at every edge of the units, its neighbouring floats and -0.0, for
-        # the whole set and for its points at or above 0, which truncate
+        # the whole set and for its points at or above 0
         start, stop = UNITS.start * th_mod.CELLS, UNITS.stop * th_mod.CELLS
         edges = np.arange(start, stop + 1) / th_mod.CELLS
         im_w = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), -0.0]
         im_w = im_w[(im_w >= UNITS.start) & (im_w < UNITS.stop)]
         want = edges[1:-1].searchsorted(im_w, side="right") + start
         assert im_w.min() < 0.0
-        assert np.array_equal(th_mod._cells(im_w, im_w.min()), want)
+        assert np.array_equal(th_mod._cells(im_w), want)
         up = im_w >= 0.0
-        assert np.array_equal(th_mod._cells(im_w[up], im_w[up].min()), want[up])
+        assert np.array_equal(th_mod._cells(im_w[up]), want[up])
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_cell_edges_match_residue_loop(self, k):
