@@ -77,7 +77,7 @@ class RunConfig:
     """Shared knobs for the verification suites and the CLI.
 
     Each ``ktheta`` command has a flag for each field it reads.  Every suite
-    passes at k = 3, 5, 8, 16, 32 and 64 (the degrees CI runs) and rejects
+    passes at k = 2, 3, 5, 8, 16, 32 and 64 (the degrees CI runs) and rejects
     k = 1; k = 2 passes although phi_2 is not injective.
     """
 

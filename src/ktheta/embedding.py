@@ -25,7 +25,7 @@ from .manifold import (
     reduced_distance,
 )
 from .sections import AXES, _factor_views, _point_block, factor, section_matrix, segre_lift
-from .symplectic import MAP_FACTORS, _block_hermitian, check_rank_tol, fs_hermitian, hermitian_ranks
+from .symplectic import MAP_FACTORS, check_rank_tol, fs_hermitian, hermitian_ranks
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,18 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
 phi_batch = section_matrix  # the lift of phi_k at an (..., 4) array of points, as given
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _differential_ranks(vals, grads, tol):
-    """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n)."""
-    return hermitian_ranks(*fs_hermitian(vals[None], grads[None], np.eye(4)[None]), tol)
+    """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n): the
+    form of ``symplectic.fs_hermitian`` from |F|^2, c = <F, dF> and m = <dF, dF>,
+    each lift and its partials divided by its largest |entry| first."""
+    inv_top = 1.0 / np.abs(vals).max(axis=1)
+    vals, grads = vals * inv_top[:, None], grads * inv_top[:, None, None]
+    inv_n2 = 1.0 / np.einsum("bn,bn->b", vals.conj(), vals).real
+    c = np.einsum("bn,bmn->bm", vals.conj(), grads)
+    m = np.vecdot(grads[:, None], grads[:, :, None])  # <dF_nu, dF_mu>
+    b = (m - c[:, :, None] * c.conj()[:, None, :] * inv_n2[:, None, None]) * inv_n2[:, None, None]
+    return hermitian_ranks(b, np.einsum("bmm->b", m.real) * inv_n2, tol)
 
 
 def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POLICY) -> int:
@@ -131,7 +140,7 @@ def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POL
     its partials are not finite.
     """
     check_rank_tol(tol)
-    b, scale = _block_hermitian(*_point_block(MAP_FACTORS["phi_k"], k, _reduce(u)[0], policy, AXES))
+    b, scale = fs_hermitian(*_point_block(MAP_FACTORS["phi_k"], k, _reduce(u)[0], policy, AXES))
     return int(hermitian_ranks(b, scale, tol)[0])
 
 

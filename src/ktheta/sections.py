@@ -110,8 +110,9 @@ FACTOR_AXES = {name: tuple(np.flatnonzero(t.any(axis=1)).tolist()) for name, t i
 def _chain(names, axes):
     """The read-only chain tables ``factor`` returns for checked axes (None
     without axes), and its kernel orders: the value, then the rows (d/dw,
-    d/dtau) the partials use, at least d/dw.  An unknown name raises ValueError."""
-    if not set(names) <= set(CHAIN):
+    d/dtau) the partials use, at least d/dw.  No name, or an unknown one, raises
+    ValueError."""
+    if not names or not set(names) <= set(CHAIN):
         raise ValueError(f"unknown factor in {names!r}; expected one of {tuple(CHAIN)}")
     if axes is None:
         return None, ((0, 0),)

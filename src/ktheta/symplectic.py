@@ -8,14 +8,13 @@ builds the Hermitian form
 
 whose real part is the pulled-back metric and whose imaginary part gives
 the pullback Omega = -(1/pi) Im b of (i/2pi) del delbar log |Z|^2.  Every
-pullback and differential rank is a view of this form; phi_k's is the sum
-of its two Segre factors' forms, each from at most two holomorphic rows
-through the chain table ``sections.factor`` returns with them: below
-theta.FEW_POINTS points, as at a single point, from one Gram per factor of
-the kernel's block (``_block_hermitian``), else by ``fs_hermitian``; both
-end in ``_projected``, exactly 0 at k = 1, where the maps go to CP^0.  The chart
-oracle ``fs_normalization`` integrates the pullback of C -> CP^1 over the
-chart and must return 1.
+pullback, differential rank and torus integral is a view of this form;
+phi_k's is the sum of its two Segre factors' forms, each from at most two
+holomorphic rows through the chain table that comes with them.
+``fs_hermitian`` takes one Gram per factor of the kernel's block of lift
+and rows, at a single point as on a batch of any size, and is exactly 0 at
+k = 1, where the maps go to CP^0.  The chart oracle ``fs_normalization``
+integrates the pullback of C -> CP^1 over the chart and must return 1.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .manifold import (
     multiplicator_exponent,
     omega_kt_matrix,
 )
-from .sections import AXES, CHAIN, FACTOR_AXES, _factor_block, _factor_views, _point_block, factor
+from .sections import AXES, CHAIN, FACTOR_AXES, _factor_block, _point_block
 
 # The Segre factors of each map: phi_k is the product of psi' and psi''.
 MAP_FACTORS = {"phi_k": ("fiber", "base"), "psi_prime": ("fiber",), "psi_double_prime": ("base",)}
@@ -54,57 +53,31 @@ MAP_IDS = FS_MAP_IDS + ("omega_kt",)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def fs_hermitian(vals: np.ndarray, grads: np.ndarray, tables: np.ndarray):
+def fs_hermitian(block: np.ndarray, tables: np.ndarray):
     """Fubini-Study Hermitian form of the Segre product of F lifts, and its scale.
 
-    The lifts ``vals`` (F, B, n) take R rows each, ``grads`` (F, B, R, n),
-    and lift f's m partials are dF = tables[f] @ rows, ``tables`` (F, m, R);
-    one lift (B, n) with partials (B, 4, n) passes them as ``vals[None]``,
-    ``grads[None]`` and ``np.eye(4)[None]``, and one factor from
-    ``sections.factor`` each of its three arrays with ``[None]``; other
-    shapes raise ValueError.
+    ``block`` (1 + R, n, F, B) holds each lift F (B, n) and then its R rows,
+    as ``sections._factor_block`` and ``sections._point_block`` return it with
+    the chain ``tables`` (F, m, R): lift f's m partials are dF = tables[f] @ rows.
     Returns b (B, m, m), the module docstring's form summed over the lifts,
     and scale = sum |dF|^2/|F|^2 (B,), which bounds b's terms and so sets
-    their roundoff.  Lift and rows are divided by the point's largest |lift
-    entry| first, so |F|^4 stays finite wherever the lift is; a lift that
-    vanishes or is not finite, or a non-finite row, leaves its b and scale
-    non-finite, without a warning, unless the lifts have width 1 (``_projected``).
+    their roundoff.  Each lift and its rows are divided by the point's largest
+    |lift entry|, then one contraction takes every Gram of [F; rows], so |F|^4
+    stays finite wherever the lift is; a lift that vanishes or is not finite,
+    or a non-finite row, leaves its b and scale non-finite, without a warning.
+    A lift of width 1 maps to CP^0: exact zeros, where the formula divides
+    roundoff by |F|^2.
     """
-    if tables.ndim != 3 or vals.ndim != 3 or grads.ndim != 4:
-        raise ValueError(f"fs_hermitian takes F stacked lifts: vals (F, B, n), grads "
-                         f"(F, B, R, n) and chain tables (F, m, R), got tables of shape "
-                         f"{tables.shape}; a single factor's arrays take [None]")
-    inv_scale = 1.0 / np.abs(vals).max(axis=-1)
-    vals = vals * inv_scale[..., None]
-    grads = grads * inv_scale[..., None, None]
-    conj = vals.conj()
-    n2 = np.einsum("...n,...n->...", conj, vals).real
-    c = np.einsum("...n,...mn->...m", conj, grads)
-    m = np.vecdot(grads[..., None, :, :], grads[..., :, None, :])  # conjugates its first argument
-    return _projected(n2, c, m, tables, vals.shape[-1])
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _block_hermitian(block, tables):
-    """``fs_hermitian`` of a kernel block (1 + R, n, F, B) of F lifts and their
-    rows (``sections._factor_block``) and its chain tables: each lift divided by
-    its largest |entry|, then one contraction for every Gram of [F; rows]."""
+    npts, nm = block.shape[-1], tables.shape[1]
+    if len(block[0]) == 1:
+        return np.zeros((npts, nm, nm), dtype=complex), np.zeros(npts)
     block = block * (1.0 / np.abs(block[0]).max(axis=0))
     gram = np.vecdot(block[None], block[:, None], axis=2).transpose(2, 3, 0, 1)  # <X_j, X_i>
-    n2, c, m = gram[..., 0, 0].real, gram[..., 1:, 0], gram[..., 1:, 1:]
-    return _projected(n2, c, m, tables, len(block[0]))
-
-
-def _projected(n2, c, m, tables, width):
-    """``fs_hermitian``'s b and scale from |F|^2 (F, B), c_r = <F, row_r> (F, B,
-    R) and m_rs = <row_s, row_r> (F, B, R, R), <x, y> = sum conj(x) y.  A lift of
-    width 1 maps to CP^0: exact zeros, where the formula divides roundoff by |F|^2."""
-    npts, nm = n2.shape[1], tables.shape[1]
-    if width == 1:
-        return np.zeros((npts, nm, nm), dtype=complex), np.zeros(npts)
+    # |F|^2, c_r = <F, row_r> and m_rs = <row_s, row_r>, <x, y> = sum conj(x) y;
     # b = (m - c c^H / |F|^2) / |F|^2 in place, scaled by the real 1/|F|^2:
     # dividing by |F|^2 would make it complex and divide entry by entry
-    inv_n2 = (1.0 / n2)[..., None, None]
+    c, m = gram[..., 1:, 0], gram[..., 1:, 1:]
+    inv_n2 = (1.0 / gram[..., 0, 0].real)[..., None, None]
     b = c[..., :, None] * c.conj()[..., None, :]
     b *= inv_n2
     np.subtract(m, b, out=b)
@@ -131,17 +104,22 @@ def hermitian_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEF
     The Segre map pulls the Fubini-Study form and metric back to the sums of
     the factors' ones, so phi_k's form is the fiber plus the base term, with
     no k^2 lift; psi' and psi'' are each term alone.  Only the map's own
-    factors are evaluated, in one kernel call, then one ``_block_hermitian``
-    call below FEW_POINTS points and one ``fs_hermitian`` call from there on.
+    factors are evaluated, in one kernel call, and their block goes to one
+    ``fs_hermitian`` call.
     """
     _check_map(map_id, FS_MAP_IDS)
-    names, pts = MAP_FACTORS[map_id], np.atleast_2d(pts)
-    if pts.ndim > 2 and pts.shape[-1] == 4:  # a wrong last axis is factor's (..., 4) error
-        raise ValueError(f"points must have shape (B, 4), got {pts.shape}")
-    block, tables = _factor_block(names, k, pts, policy, AXES)
-    if len(pts) < th.FEW_POINTS:
-        return _block_hermitian(block, tables)
-    return fs_hermitian(*_factor_views(names, block, tables))
+    return fs_hermitian(*_factor_block(MAP_FACTORS[map_id], k, _point_rows(pts), policy, AXES))
+
+
+def _point_rows(pts) -> np.ndarray:
+    """An (B, 4) array of points, or one point as one row, for every map id;
+    any other shape raises ValueError naming it."""
+    rows = np.atleast_2d(pts)
+    if rows.shape[-1] != 4:
+        raise ValueError(f"points must have shape (..., 4), got {np.shape(pts)}")
+    if rows.ndim > 2:
+        raise ValueError(f"points must have shape (B, 4), got {np.shape(pts)}")
+    return rows
 
 
 def _check_map(map_id: str, known: tuple) -> None:
@@ -187,7 +165,7 @@ def hermitian_ranks(b: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
 def fs_pullback_batch(map_id: str, k: int, pts: np.ndarray, policy=th.DEFAULT_POLICY) -> np.ndarray:
     """Pullback coefficient matrices at an (B, 4) array of points."""
     if map_id == "omega_kt":
-        return omega_kt_matrix(np.atleast_2d(pts))
+        return omega_kt_matrix(_point_rows(pts))
     return _form(hermitian_pullback_batch(map_id, k, pts, policy)[0])
 
 
@@ -205,7 +183,7 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Tw
         return TwoFormAtPoint(u, omega_kt_matrix(u.as_array()))
     _check_map(map_id, FS_MAP_IDS)
     coords, (m, *_) = _reduce(u)
-    mat = _form(_block_hermitian(*_point_block(MAP_FACTORS[map_id], k, coords, policy, AXES))[0])[0]
+    mat = _form(fs_hermitian(*_point_block(MAP_FACTORS[map_id], k, coords, policy, AXES))[0])[0]
     if m:  # row and column y of J^T Omega J, in place and exactly antisymmetric
         mat[:, 1] -= m * mat[:, 2]
         mat[1, :] -= m * mat[2, :]
@@ -225,11 +203,12 @@ def fs_normalization(max_radius: float = np.inf) -> float:
     top = math.atan(max_radius)
     theta = 0.5 * top * (nodes + 1.0)
     r = np.tan(theta)
-    vals = np.stack([np.ones_like(r), r], axis=1).astype(complex)
-    # the lift's one row d/dw, with d/du = d/dw and d/dv = i d/dw
-    rows = np.broadcast_to([0.0, 1.0 + 0j], (1, r.size, 1, 2))
+    # the block of the lift (1, w) and its one row d/dw = (0, 1), with
+    # d/du = d/dw and d/dv = i d/dw
+    block = np.zeros((2, 2, 1, r.size), dtype=complex)
+    block[0, 0], block[0, 1], block[1, 1] = 1.0, r, 1.0
     table = np.array([[[1], [1j], [0], [0]]])
-    coeff = _form(fs_hermitian(vals[None], rows, table)[0])[:, 0, 1]
+    coeff = _form(fs_hermitian(block, table)[0])[:, 0, 1]
     ring = 2.0 * math.pi * r * coeff / np.cos(theta) ** 2  # dr = sec^2(theta) dtheta
     return float(0.5 * top * weights @ ring)
 
@@ -370,8 +349,7 @@ def torus_nodes(map_id: str, k: int, torus: BasisTorus, grid: int | None = None)
     and no node on T_ad, which no factor spans.
     """
     _check_map(map_id, MAP_IDS)
-    if map_id != "omega_kt":
-        th.check_degree(k)
+    th.check_degree(k)
     grid = torus_grid(k) if grid is None else grid
     if not isinstance(grid, (int, np.integer)) or grid < 8:
         raise ValueError(f"grid must be an int of at least 8, got {grid!r}")
@@ -417,9 +395,8 @@ def integrate_over_torus(
         return float(np.mean(omega_kt_matrix(pts)[:, i, j]))
     if not len(pts):
         return 0.0
-    vals, rows, table = factor(_spanning(map_id, torus), k, pts, policy, (i, j))
-    c = balance_weights(k)
-    b, _ = fs_hermitian(vals * c, rows * c, table)
+    block, tables = _factor_block(_spanning(map_id, torus), k, pts, policy, (i, j))
+    b, _ = fs_hermitian(block * balance_weights(k)[:, None, None], tables)
     return float(np.mean(_form(b)[:, 0, 1]))
 
 

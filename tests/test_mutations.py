@@ -201,11 +201,11 @@ def projection_term_dropped(monkeypatch):
     """The Fubini-Study form keeps <dF, dF>/|F|^2 and drops the projection term."""
 
     def make(fs_hermitian):
-        def faulty(vals, grads, tables):
-            d = np.einsum("fmr,fbrn->fbmn", tables, grads)  # the partials from the rows
-            n2 = np.einsum("...n,...n->...", vals.conj(), vals).real
+        def faulty(block, tables):
+            d = np.einsum("fmr,rnfb->fbmn", tables, block[1:])  # the partials from the rows
+            n2 = np.einsum("nfb,nfb->fb", block[0].conj(), block[0]).real
             m = np.einsum("...mn,...ln->...ml", d, d.conj())
-            return (m / n2[..., None, None]).sum(axis=0), fs_hermitian(vals, grads, tables)[1]
+            return (m / n2[..., None, None]).sum(axis=0), fs_hermitian(block, tables)[1]
 
         return faulty
 

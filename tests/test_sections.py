@@ -429,6 +429,12 @@ class TestFactors:
         with pytest.raises(ValueError, match="unknown factor"):
             factor("total", 3, pts)
 
+    @pytest.mark.parametrize("axes", [None, AXES])
+    def test_empty_factor_tuple_rejected(self, axes):
+        # no factor is no map: not a (0, 2, 3) array of no lifts
+        with pytest.raises(ValueError, match=re.escape("unknown factor in ()")):
+            factor((), 3, np.zeros((2, 4)), axes=axes)
+
     @pytest.mark.parametrize("call", [
         lambda pts: factor("fiber", 3, pts), lambda pts: phi_batch(3, pts),
         lambda pts: fs_pullback_batch("phi_k", 3, pts),

@@ -44,6 +44,7 @@ from ktheta.sections import AXES, factor, section_matrix, section_matrix_with_gr
 from ktheta.symplectic import (
     FS_MAP_IDS,
     MAP_FACTORS,
+    MAP_IDS,
     TORUS_AXES,
     balance_weights,
     chern_cocycle,
@@ -183,6 +184,12 @@ def _fs_vdot_reference(vals, grads):
     return b, scale
 
 
+def _lift_block(vals, grads):
+    """``fs_hermitian``'s block (5, n, 1, B) of lifts (B, n) with their partials
+    (B, 4, n) as the rows, which the chain table np.eye(4)[None] passes through."""
+    return np.concatenate([vals[:, None], grads], axis=1).transpose(1, 2, 0)[:, :, None]
+
+
 def _lift_rows(layout, n, pts):
     """Lifts (B, n) and partials (B, 4, n): the stacked factor rows as
     ``factor`` lays them out (point axis innermost), or C-ordered arrays,
@@ -203,7 +210,7 @@ class TestFubiniStudyForm:
     @pytest.mark.parametrize("n", [3, 16, 256])
     def test_matches_vdot_reference(self, layout, n):
         vals, grads = _lift_rows(layout, n, fundamental_domain_samples(12, 70 + n))
-        b, scale = fs_hermitian(vals[None], grads[None], np.eye(4)[None])
+        b, scale = fs_hermitian(_lift_block(vals, grads), np.eye(4)[None])
         want_b, want_scale = _fs_vdot_reference(vals, grads)
         assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
         assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
@@ -211,7 +218,7 @@ class TestFubiniStudyForm:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vanishing_lift_row_is_nan_without_warning(self):
         vals = np.array([[0.0, 0.0, 0.0], [1.0, 2.0j, 0.5]])
-        b, scale = fs_hermitian(vals[None], np.ones((1, 2, 4, 3), dtype=complex), np.eye(4)[None])
+        b, scale = fs_hermitian(_lift_block(vals, np.ones((2, 4, 3), dtype=complex)), np.eye(4)[None])
         assert np.isnan(b[0]).all() and np.isnan(scale[0])
         assert np.isfinite(b[1]).all() and np.isfinite(scale[1])
 
@@ -272,7 +279,7 @@ class TestFactoredHermitianForm:
     def test_k1_forms_are_exactly_zero(self, x):
         # phi_1 and psi' map to CP^0, so their form is exactly 0; beside the
         # lift's zero (x = 0, z = 1/2) the projected formula divides roundoff
-        # by |F|^2 (dy^dz = 10.19 at x = 0, 40.7 at x = 1e-9).  Both form
+        # by |F|^2 (dy^dz = 10.19 at x = 0, 40.7 at x = 1e-9).  Both kernel
         # paths: one row, and the point among FEW_POINTS or more
         u = KTPoint(x, 0.3, 0.5, 0.4)
         many = np.tile(u.as_array(), (theta_module.FEW_POINTS + 8, 1))
@@ -286,9 +293,9 @@ class TestFactoredHermitianForm:
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64])
     def test_few_point_gram_matches_the_batch_contractions(self, k, map_id):
-        # below FEW_POINTS points each factor's form comes from one Gram of
-        # the kernel block (few-point kernel blocks too, here); the same 8
-        # points inside a 40-point batch take fs_hermitian's contractions
+        # each factor's form is one Gram of its kernel block: here of 8
+        # points' few-point kernel block against the same points inside a
+        # 40-point batch, whose kernel block chains its phases
         pts = fundamental_domain_samples(40, 80 + k)
         b, scale = hermitian_pullback_batch(map_id, k, pts[::5])
         want_b, want_scale = (x[::5] for x in hermitian_pullback_batch(map_id, k, pts))
@@ -324,6 +331,15 @@ class TestFactoredHermitianForm:
                     f"points must have shape (B, 4), got (2, {n}, 4)")):
                 call(map_id, 3, pts)
 
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3), (7,), (2, 3, 4)])
+    @pytest.mark.parametrize("map_id", MAP_IDS)
+    def test_bad_point_shapes_rejected_for_every_map(self, map_id, shape):
+        # omega_kt too: it used to build forms from (2, 5), (2, 3) and (7,)
+        # points and a (2, 3, 4, 4) stack from (2, 3, 4)
+        with pytest.raises(ValueError, match=re.escape("points must have shape (") + r".*"
+                           + re.escape(f", 4), got {shape}")):
+            fs_pullback_batch(map_id, 3, np.ones(shape))
+
     @pytest.mark.parametrize("n", [1, 500])
     @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (0, 2), (1, 3), (1, 2)])
     @pytest.mark.parametrize("map_id", FS_MAP_IDS)
@@ -332,7 +348,7 @@ class TestFactoredHermitianForm:
         # the form from the kernel's rows and the chain table against the
         # per-point vdot form of each factor's four coordinate partials
         pts = fundamental_domain_samples(n, 90 + k)
-        b, scale = fs_hermitian(*factor(MAP_FACTORS[map_id], k, pts, axes=axes))
+        b, scale = fs_hermitian(*sections_module._factor_block(MAP_FACTORS[map_id], k, pts, axes=axes))
         vals, grads = _factor_partials(k, pts)
         refs = [_fs_vdot_reference(vals[f], grads[f][:, list(axes)])
                 for f, name in enumerate(("fiber", "base")) if name in MAP_FACTORS[map_id]]
@@ -340,16 +356,6 @@ class TestFactoredHermitianForm:
         assert b.shape == (n, len(axes), len(axes)) and scale.shape == (n,)
         assert np.all(np.abs(b - want_b) <= 1e-13 * want_scale[:, None, None])
         assert np.all(np.abs(scale - want_scale) <= 1e-13 * want_scale)
-
-    def test_single_factor_needs_stacking_axis(self):
-        # factor() drops the stacking axis for one name; fs_hermitian names
-        # the (F, m, R) tables it expects instead of failing inside einsum
-        one = factor("fiber", 3, self.PTS[:5], axes=AXES)
-        with pytest.raises(ValueError, match=r"\(F, m, R\).*\(4, 2\)"):
-            fs_hermitian(*one)
-        b, scale = fs_hermitian(*(x[None] for x in one))
-        want_b, want_scale = fs_hermitian(*factor(("fiber",), 3, self.PTS[:5], axes=AXES))
-        assert np.array_equal(b, want_b) and np.array_equal(scale, want_scale)
 
     @pytest.mark.parametrize("axes", [(0, 4), (), (-1,), (0.5,), (1, 1), [0, 1], (True,)])
     def test_invalid_axes_rejected(self, axes):
@@ -624,8 +630,8 @@ class TestTori:
             pts[:, [i, j]] = rng.random((40, 2))
 
             def coefficient(at, weights):
-                vals, rows, table = factor((name,), k, at, axes=(i, j))
-                b, _ = fs_hermitian(vals * weights, rows * weights, table)
+                block, tables = sections_module._factor_block((name,), k, at, axes=(i, j))
+                b, _ = fs_hermitian(block * weights[:, None, None], tables)
                 return symplectic_module._form(b)[:, 0, 1]
 
             for balanced, weights in ((True, balance_weights(k)), (False, np.ones(k))):
@@ -653,6 +659,16 @@ class TestTori:
         with pytest.raises(ValueError):
             integrate_over_torus("omega_kt", 1, BasisTorus("T_bd"), grid=4)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
+    @pytest.mark.parametrize("map_id", MAP_IDS)
+    def test_degree_checked_for_every_map(self, map_id, k):
+        # omega_kt does not depend on k, but a bad k is named as one, not as
+        # the default grid 12k it would make
+        for call in (torus_nodes, integrate_over_torus):
+            with pytest.raises(ValueError, match=re.escape(f"degree k must be an int of at least 1, "
+                                                           f"got {k!r}")):
+                call(map_id, k, BasisTorus("T_ca"))
+
     def test_orientation_follows_torus_words(self):
         assert TORUS_AXES == {"T_ca": (2, 0), "T_bd": (1, 3), "T_cb": (2, 1), "T_ad": (0, 3)}
 
@@ -671,8 +687,9 @@ class TestTori:
         grid, weights = -(-16 // k) * k, balance_weights(k)
         for torus in map(BasisTorus, TORUS_AXES):
             i, j = TORUS_AXES[torus.id]
-            vals, rows, tables = factor(MAP_FACTORS[map_id], k, torus.grid_points(grid), axes=AXES)
-            b, _ = fs_hermitian(vals * weights, rows * weights, tables)
+            block, tables = sections_module._factor_block(
+                MAP_FACTORS[map_id], k, torus.grid_points(grid), axes=AXES)
+            b, _ = fs_hermitian(block * weights[:, None, None], tables)
             want = float(np.mean(symplectic_module._form(b)[:, i, j]))
             assert abs(integrate_over_torus(map_id, k, torus, 16) - want) <= 1e-13 * k
 
