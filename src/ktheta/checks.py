@@ -89,9 +89,9 @@ class RunConfig:
 
     def __post_init__(self):
         th.check_degree(self.k)
-        for name in ("samples", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name, value in (("samples", self.samples), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.samples < 0 or self.samples == 1:
             raise ValueError("samples must be 0 (suite defaults) or at least 2")
         if self.seed < 0:

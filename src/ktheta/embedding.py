@@ -117,18 +117,31 @@ def phi(k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> ProjectivePoint:
 phi_batch = section_matrix  # the lift of phi_k at an (..., 4) array of points, as given
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+def _raw_gram(vals, grads):
+    """|F|^2 (B, 1, 1), c = <F, dF> (B, 4, 1) and Re m = Re<dF_nu, dF_mu> (B, 4, 4)
+    of lifts (B, n) with C-contiguous partials (B, 4, n), as given."""
+    g = grads.view(float)
+    return (np.vecdot(vals, vals).real[:, None, None], np.matmul(grads, vals.conj()[:, :, None]),
+            np.vecdot(g[:, None], g[:, :, None]))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _differential_ranks(vals, grads, tol):
-    """``hermitian_ranks`` of batched lifts (B, n) with partials (B, 4, n): the
-    form of ``symplectic.fs_hermitian`` from |F|^2, c = <F, dF> and m = <dF, dF>,
-    each lift and its partials divided by its largest |entry| first."""
-    inv_top = 1.0 / np.abs(vals).max(axis=1)
-    vals, grads = vals * inv_top[:, None], grads * inv_top[:, None, None]
-    inv_n2 = 1.0 / np.einsum("bn,bn->b", vals.conj(), vals).real
-    c = np.einsum("bn,bmn->bm", vals.conj(), grads)
-    m = np.vecdot(grads[:, None], grads[:, :, None])  # <dF_nu, dF_mu>
-    b = (m - c[:, :, None] * c.conj()[:, None, :] * inv_n2[:, None, None]) * inv_n2[:, None, None]
-    return hermitian_ranks(b, np.einsum("bmm->b", m.real) * inv_n2, tol)
+    """``hermitian_ranks`` of lifts (B, n) with partials (B, 4, n): the form of
+    ``symplectic.fs_hermitian`` from ``_raw_gram`` times 2^-2e, e the ``np.frexp``
+    exponent of the row's largest |lift entry|: bit for bit that of the rows
+    divided by 2^e wherever nothing over- or underflows, with no copy of them.
+    At |e| <= 400 entry products stay within 2^±802, 2^220 inside float64's
+    normal range for k^2-term sums and large partials; rows past it are divided first."""
+    mant, e = np.frexp(np.abs(vals).max(axis=1))
+    far = np.abs(e) > 400
+    n2, c, m = _raw_gram(vals, grads)
+    far_s = np.ldexp(1.0, -e[far])[:, None]
+    n2[far], c[far], m[far] = _raw_gram(vals[far] * far_s, grads[far] * far_s[:, None])
+    s = np.ldexp(mant / mant, -2 * e * ~far)[:, None, None]  # NaN where the top is 0 or not finite
+    inv_n2, c, m = 1.0 / (n2 * s), c * s, m * s
+    b = (m - (c * c.conj().mT).real * inv_n2) * inv_n2
+    return hermitian_ranks(b, np.einsum("bmm->b", m) * inv_n2[:, 0, 0], tol)
 
 
 def projective_rank(k: int, u: KTPoint, tol: float = 1e-6, policy=th.DEFAULT_POLICY) -> int:

@@ -193,12 +193,14 @@ def fs_pullback(map_id: str, k: int, u: KTPoint, policy=th.DEFAULT_POLICY) -> Tw
 
 
 def fs_normalization(max_radius: float = np.inf) -> float:
-    """Integral of the chart pullback C -> CP^1 over the chart; exactly 1.
+    """Integral of the chart pullback C -> CP^1 over |w| <= max_radius >= 0: 1 at inf.
 
     Runs the production pullback code on the lift w -> (1, w) and
     integrates the single coefficient radially with a 16-node Gauss-Legendre
     rule in r = tan(theta), where the integrand is the smooth sin(2 theta).
     """
+    if not max_radius >= 0:
+        raise ValueError(f"max_radius must be at least 0, got {max_radius!r}")
     nodes, weights = np.polynomial.legendre.leggauss(16)
     top = math.atan(max_radius)
     theta = 0.5 * top * (nodes + 1.0)

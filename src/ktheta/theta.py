@@ -189,8 +189,8 @@ DEFAULT_POLICY = TruncationPolicy()
 
 
 def check_degree(k) -> None:
-    """Raise ValueError unless the degree ``k`` is an int of at least 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    """Raise ValueError unless the degree ``k`` is an int (not a bool) of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"degree k must be an int of at least 1, got {k!r}")
 
 

@@ -353,6 +353,54 @@ class TestProjectiveRank:
             with pytest.raises(LiftOverflow, match=r"rows \[2\]"):
                 embedding_module._differential_ranks(vals, grads, 1e-6)
 
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_batch_form_is_that_of_rows_divided_by_a_power_of_two(self, k, monkeypatch):
+        # the products of the raw rows times 2^-2e equal, bit for bit, the
+        # products of the rows divided by 2^e, e the exponent of the top entry
+        vals, grads = section_matrix_with_gradients(k, fundamental_domain_samples(500, 3))
+        seen = []
+        monkeypatch.setattr(embedding_module, "hermitian_ranks",
+                            lambda b, scale, tol: seen.append((b, scale)) or np.zeros(len(b)))
+        embedding_module._differential_ranks(vals, grads, 1e-6)
+        e = np.frexp(np.abs(vals).max(axis=1))[1]
+        assert 0 < np.count_nonzero(e) < len(e)
+        s = np.ldexp(1.0, -e)
+        v, g = vals * s[:, None], grads * s[:, None, None]
+        r = g.view(float)
+        inv_n2 = 1.0 / np.vecdot(v, v).real[:, None, None]
+        c = np.matmul(g, v.conj()[:, :, None])
+        m = np.vecdot(r[:, None], r[:, :, None])  # Re<dF_nu, dF_mu>
+        b = (m - (c * c.conj().mT).real * inv_n2) * inv_n2
+        assert np.array_equal(seen[0][0], b)
+        assert np.array_equal(seen[0][1], np.einsum("bmm->b", m) * inv_n2[:, 0, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_lifts_rank_four_up_to_overflow(self):
+        # the raw k = 16 lift's largest entries here are 1, 2e87, 2e131, 3e196
+        # and 1.5e262: top exponents on both sides of the 400 past which rows
+        # are divided before their products
+        from test_symplectic import _differential_ranks as svd_ranks
+
+        pts = np.array([[x, 0.2, 0.1, 0.4] for x in (0.3, 2.5, 3.0, 3.5, 4.0)])
+        vals, grads = section_matrix_with_gradients(16, pts)
+        e = np.frexp(np.abs(vals).max(axis=1))[1]
+        assert e.tolist() == [0, 291, 437, 653, 871]
+        ranks = embedding_module._differential_ranks(vals, grads, 1e-6)
+        assert ranks.tolist() == [4] * 5
+        assert np.array_equal(ranks, svd_ranks(vals, grads, 1e-6))
+
+    def test_batch_rank_copies_no_partials(self):
+        # no scaled copy of the (500, 4, 256) partials, 8.2 MB, is made
+        vals, grads = section_matrix_with_gradients(16, fundamental_domain_samples(500, 1))
+        embedding_module._differential_ranks(vals, grads, 1e-6)
+        tracemalloc.start()
+        try:
+            embedding_module._differential_ranks(vals, grads, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grads.nbytes / 2
+
 
 class TestInjectivityScan:
     def test_passes_for_k3(self):

@@ -159,6 +159,32 @@ def test_bad_degree_is_a_value_error(entry, k):
         DEGREE_ENTRY_POINTS[entry](k)
 
 
+# True is an int: the maps failed deep in numpy with "TypeError: an integer
+# is required", the rest took it as 1
+DEGREE = "degree k must be an int of at least 1"
+BOOL_ENTRY_POINTS = {
+    "phi": (lambda: phi(True, _U), DEGREE),
+    "projective_rank": (lambda: projective_rank(True, _U), DEGREE),
+    "fs_pullback": (lambda: fs_pullback("phi_k", True, _U), DEGREE),
+    "theta_degree_k_batch": (lambda: theta_degree_k_batch(True, 0.1 + 0.2j, 1j), DEGREE),
+    "injectivity_scan": (lambda: injectivity_scan(True, 10, 0), DEGREE),
+    "integrate_phi_k": (lambda: integrate_over_torus("phi_k", True, BasisTorus("T_ca")), DEGREE),
+    "integrate_omega_kt": (
+        lambda: integrate_over_torus("omega_kt", True, BasisTorus("T_ca")), DEGREE),
+    "SectionIndex": (lambda: SectionIndex(True, 0, 0), DEGREE),
+    "RunConfig_k": (lambda: RunConfig(k=True), DEGREE),
+    "RunConfig_samples": (lambda: RunConfig(samples=True), "samples must be an int"),
+    "RunConfig_seed": (lambda: RunConfig(seed=True), "seed must be an int"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRY_POINTS))
+def test_bool_is_not_an_int(entry):
+    evaluate, message = BOOL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{message}, got True$"):
+        evaluate()
+
+
 class TestTensorPowerLaw:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("gen", ["a", "b", "c", "d"])

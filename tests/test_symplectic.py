@@ -73,10 +73,17 @@ class TestFubiniStudyOracle:
     def test_truncated_chart_integral_smaller(self):
         assert fs_normalization(max_radius=1.0) < 1.0
 
-    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, 2.0, 10.0])
     def test_truncated_chart_integral_closed_form(self, radius):
         # the chart form is dA / (pi (1 + r^2)^2), so the disc holds r^2 / (1 + r^2)
         assert abs(fs_normalization(max_radius=radius) - radius**2 / (1.0 + radius**2)) < 1e-12
+
+    # these returned 0.5, 1.0 and nan
+    @pytest.mark.parametrize("radius, named", [(-1.0, "-1.0"), (-math.inf, "-inf"),
+                                               (math.nan, "nan")])
+    def test_radius_below_zero_or_nan_rejected(self, radius, named):
+        with pytest.raises(ValueError, match=f"^max_radius must be at least 0, got {named}$"):
+            fs_normalization(max_radius=radius)
 
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(ktheta.__file__))
